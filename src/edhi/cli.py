@@ -170,6 +170,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     log_path.write_text("\n".join(lines) + "\n")
 
     print(f"trained on {len(info.fit_ids)} instances, {len(info.val_ids)} held out")
+    if result.best_epoch == 0:
+        print(
+            "warning: no epoch beat the untrained model's validation loss;"
+            " the pipeline uses the untrained encoder-decoder",
+            file=sys.stderr,
+        )
     print(
         f"best epoch {result.best_epoch}, validation loss "
         f"{result.val_history[result.best_epoch]:.6g}"

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lstm import LstmEdModel, decode_infer, encode
 from .numerics import OlsModel, ols_fit, ols_predict
@@ -124,11 +126,14 @@ def pointwise_reconstruction(model: LstmEdModel, series: np.ndarray) -> np.ndarr
     recons = decode_infer(model, states, steps=model.window_len)
     big_l = np.asarray(series).shape[0]
     l = model.window_len
+    n_windows = recons.shape[0]
     sums = np.zeros((big_l, model.input_dim))
     counts = np.zeros(big_l)
-    for k in range(recons.shape[0]):
-        sums[k : k + l] += recons[k]
-        counts[k : k + l] += 1.0
+    # row j of every window at once; descending j adds each cycle's windows
+    # in start order, the order a per-window loop would use
+    for j in range(l - 1, -1, -1):
+        sums[j : j + n_windows] += recons[:, j]
+        counts[j : j + n_windows] += 1.0
     return sums / counts[:, None]
 
 
@@ -272,10 +277,12 @@ def smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
     half_hi = window // 2
     out = np.empty_like(values)
     n = values.shape[0]
-    for t in range(n):
-        lo = max(0, t - half_lo)
-        hi = min(n, t + half_hi + 1)
-        out[t] = np.mean(values[lo:hi])
+    if n >= window:
+        out[half_lo : n - half_hi] = sliding_window_view(values, window).mean(axis=-1)
+    # only the cycles whose window is cut by an edge remain
+    edges = chain(range(min(half_lo, n)), range(max(half_lo, n - half_hi), n))
+    for t in edges:
+        out[t] = np.mean(values[max(0, t - half_lo) : t + half_hi + 1])
     return out
 
 

@@ -14,11 +14,26 @@ hand-written over numpy arrays in float64.
 
 Gate layout in the stacked affine transform, in block order: input gate i,
 forget gate f, output gate o, candidate g. The first three pass through the
-logistic function, the candidate through tanh.
+logistic function, applied once to the whole i|f|o block as
+0.5 * tanh(0.5 * x) + 0.5 (which cannot overflow), the candidate through tanh.
+
+A cell runs a T-step sequence on a batch of B rows over one preallocated
+[x | h] buffer of shape (T+1, p+n, B), feature-major with the batch last so
+that every gate block and state is one contiguous (n, B) block. Slot t holds
+[x_t | h_t-1]: the inputs fill the x rows once and each step writes its h
+straight into the next slot, so a step is one (4n, p+n) @ (p+n, B) GEMM
+against the stacked weight plus elementwise work, with no concatenation.
+The trace the training path keeps also holds every step's gates and cells.
+The backward pass takes every step's local derivatives in one pass over
+that trace, turns them into the step's pre-activation gradient in place,
+takes dh_t-1 from the h columns of the weight only, and after the loop gets
+the weight and bias gradients from one GEMM over the whole buffer. The
+readout and its gradients likewise run once over all decoder states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,16 +42,6 @@ _GRAD_KEYS = ("enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass(frozen=True)
@@ -165,41 +170,133 @@ def _init_from_rng(p: int, n: int, l: int, rng: np.random.Generator) -> LstmEdMo
     )
 
 
-def _cell_forward(params: LstmParams, x, h_prev, c_prev):
-    """One cell step on a (B, p) input batch. Returns (h, c, cache)."""
-    n = params.hidden_units
-    xh = np.concatenate([x, h_prev], axis=-1)
-    pre = xh @ params.w.T + params.b
-    i = _sigmoid(pre[..., :n])
-    f = _sigmoid(pre[..., n : 2 * n])
-    o = _sigmoid(pre[..., 2 * n : 3 * n])
-    g = np.tanh(pre[..., 3 * n :])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, o, g, tc)
+@dataclass(frozen=True)
+class _Trace:
+    """One cell's buffers for a T-step sequence on a batch of B rows.
+
+    Arrays are feature-major, batch last, so every gate block and state is a
+    contiguous (n, B) block. Column b of slot t of ``xh`` is [x_t | h_t-1]
+    of batch row b: h_t sits in the h rows of slot t+1, and
+    ``xh[:, -n:]`` holds every state from the initial one. The x rows of the
+    last slot are never read.
+
+    A trace kept for the backward pass holds every step's gates and cells.
+    Inference needs only the latest, so its trace reuses one gate slot and
+    two cell slots (step t uses slot t modulo the length), which keeps the
+    memory of a large batch at that of its xh buffer.
+
+    Attributes:
+        xh: Shape (T+1, p+n, B).
+        gates: Shape (T, 4n, B), activated: logistic i|f|o, then tanh g.
+        cell: Shape (T+1, n, B), the initial cell state first.
+        tanh_cell: Shape (T, n, B), tanh of cell[1:].
+    """
+
+    xh: np.ndarray
+    gates: np.ndarray
+    cell: np.ndarray
+    tanh_cell: np.ndarray
+
+    @property
+    def final_cell(self) -> np.ndarray:
+        return self.cell[(self.xh.shape[0] - 1) % self.cell.shape[0]]
 
 
-def _cell_backward(params: LstmParams, cache, dh, dc, dw, db):
-    """Backprop one cell step; accumulates into dw/db, returns (dh_prev, dc_prev)."""
-    x, h_prev, c_prev, i, f, o, g, tc = cache
-    do = dh * tc
-    dct = dc + dh * o * (1.0 - tc * tc)
-    dpre = np.concatenate(
-        [
-            dct * g * i * (1.0 - i),
-            dct * c_prev * f * (1.0 - f),
-            do * o * (1.0 - o),
-            dct * i * (1.0 - g * g),
-        ],
-        axis=-1,
+def _start(
+    params: LstmParams, steps: int, h0: np.ndarray, c0: np.ndarray, keep: bool
+) -> _Trace:
+    """Empty trace for ``steps`` steps from state (h0, c0), both (n, B).
+
+    ``keep`` holds every step's gates and cells for the backward pass.
+    """
+    n, b = h0.shape
+    kept = steps if keep else min(steps, 1)
+    trace = _Trace(
+        xh=np.empty((steps + 1, params.input_dim + n, b)),
+        gates=np.empty((kept, 4 * n, b)),
+        cell=np.empty((kept + 1, n, b)),
+        tanh_cell=np.empty((kept, n, b)),
     )
-    xh = np.concatenate([x, h_prev], axis=-1)
-    dw += dpre.T @ xh
-    db += dpre.sum(axis=0)
-    dxh = dpre @ params.w
-    p = x.shape[-1]
-    return dxh[..., p:], dct * f
+    trace.xh[0, -n:] = h0
+    trace.cell[0] = c0
+    return trace
+
+
+def _step(params: LstmParams, trace: _Trace, t: int) -> None:
+    """Cell step t: reads [x_t | h_t-1] and c_t-1, writes gates, c_t and h_t."""
+    n = params.hidden_units
+    slots = trace.gates.shape[0]
+    cells = trace.cell.shape[0]
+    gates = trace.gates[t % slots]
+    np.matmul(params.w, trace.xh[t], out=gates)
+    gates += params.b[:, None]
+    sig = gates[: 3 * n]
+    sig *= 0.5
+    np.tanh(sig, out=sig)
+    sig *= 0.5
+    sig += 0.5
+    g = gates[3 * n :]
+    np.tanh(g, out=g)
+    c = trace.cell[(t + 1) % cells]
+    np.multiply(gates[n : 2 * n], trace.cell[t % cells], out=c)
+    c += gates[:n] * g
+    tc = trace.tanh_cell[t % slots]
+    np.tanh(c, out=tc)
+    np.multiply(gates[2 * n : 3 * n], tc, out=trace.xh[t + 1, -n:])
+
+
+def _slopes(trace: _Trace):
+    """Local derivatives of every step of a trace, all steps at once.
+
+    Returns (dpre, dh_dc): dpre (T, 4n, B) holds dc_t/dpre_t for the i, f
+    and g blocks and dh_t/dpre_t for the o block; dh_dc (T, n, B) holds
+    dh_t/dc_t.
+    """
+    gates = trace.gates
+    n = trace.cell.shape[1]
+    g = gates[:, 3 * n :]
+    tc = trace.tanh_cell
+    dpre = np.empty_like(gates)
+    sig = gates[:, : 3 * n]
+    np.multiply(sig, 1.0 - sig, out=dpre[:, : 3 * n])
+    dpre[:, :n] *= g
+    dpre[:, n : 2 * n] *= trace.cell[:-1]
+    dpre[:, 2 * n : 3 * n] *= tc
+    np.multiply(gates[:, :n], 1.0 - g * g, out=dpre[:, 3 * n :])
+    return dpre, gates[:, 2 * n : 3 * n] * (1.0 - tc * tc)
+
+
+def _step_backward(
+    params: LstmParams,
+    trace: _Trace,
+    t: int,
+    dh: np.ndarray,
+    dc: np.ndarray,
+    slopes: tuple[np.ndarray, np.ndarray],
+):
+    """Backprop step t from dL/dh_t and dL/dc_t; returns (dL/dh_t-1, dL/dc_t-1).
+
+    Turns slot t of the _slopes arrays into dL/dpre_t in place; the weight
+    gradients come later, from all steps at once (see _weight_grads).
+    """
+    n = params.hidden_units
+    dpre, dh_dc = slopes
+    dct = dh * dh_dc[t]
+    dct += dc
+    d = dpre[t]
+    i_f = d[: 2 * n].reshape(2, n, -1)
+    i_f *= dct
+    d[2 * n : 3 * n] *= dh
+    d[3 * n :] *= dct
+    return params.w[:, -n:].T @ d, dct * trace.gates[t, n : 2 * n]
+
+
+def _weight_grads(trace: _Trace, dgates: np.ndarray):
+    """dL/dW and dL/db of one cell: one GEMM over every step's [x | h] column."""
+    steps, four_n, _ = dgates.shape
+    d = dgates.transpose(1, 0, 2).reshape(four_n, -1)
+    xh = trace.xh[:steps].transpose(1, 0, 2).reshape(trace.xh.shape[1], -1)
+    return d @ xh.T, d.sum(axis=1)
 
 
 def lstm_step(params: LstmParams, inp: np.ndarray, prev: LstmState) -> LstmState:
@@ -218,8 +315,26 @@ def lstm_step(params: LstmParams, inp: np.ndarray, prev: LstmState) -> LstmState
         )
     if prev.hidden.shape != prev.cell.shape or prev.hidden.shape[-1] != n:
         raise ValueError("state shape does not match cell size")
-    h, c, _ = _cell_forward(params, x, prev.hidden, prev.cell)
-    return LstmState(hidden=h, cell=c)
+    if x.shape[:-1] != prev.hidden.shape[:-1]:
+        raise ValueError("input and state batch shapes differ")
+    trace = _start(
+        params,
+        1,
+        np.atleast_2d(prev.hidden).T,
+        np.atleast_2d(prev.cell).T,
+        keep=False,
+    )
+    trace.xh[0, :-n] = np.atleast_2d(x).T
+    _step(params, trace, 0)
+    state = _batch_major(trace.xh[1, -n:], trace.final_cell)
+    if x.ndim == 1:
+        return LstmState(hidden=state.hidden[0], cell=state.cell[0])
+    return state
+
+
+def _batch_major(h: np.ndarray, c: np.ndarray) -> LstmState:
+    """Public (B, n) state from feature-major (n, B) arrays."""
+    return LstmState(hidden=h.T.copy(), cell=c.T.copy())
 
 
 def _check_window(model: LstmEdModel, window: np.ndarray, name: str) -> np.ndarray:
@@ -237,6 +352,37 @@ def _check_window(model: LstmEdModel, window: np.ndarray, name: str) -> np.ndarr
     return w
 
 
+def _encoder_trace(model: LstmEdModel, batch: np.ndarray, keep: bool) -> _Trace:
+    """Encoder over a (B, l, p) batch from the zero state."""
+    b, l, p = batch.shape
+    zeros = np.zeros((model.hidden_units, b))
+    trace = _start(model.encoder, l, zeros, zeros, keep)
+    trace.xh[:l, :p] = batch.transpose(1, 2, 0)
+    for t in range(l):
+        _step(model.encoder, trace, t)
+    return trace
+
+
+def _decoder_trace(
+    model: LstmEdModel,
+    batch: np.ndarray,
+    h0: np.ndarray,
+    c0: np.ndarray,
+    keep: bool,
+) -> _Trace:
+    """Teacher-forced decoder from state (h0, c0), both (n, B).
+
+    Step s is fed true row l-1-s of the batch, so its l states (the
+    inherited one first) predict rows l-1 down to 0.
+    """
+    l, p = model.window_len, model.input_dim
+    trace = _start(model.decoder, l - 1, h0, c0, keep)
+    trace.xh[: l - 1, :p] = batch[:, :0:-1].transpose(1, 2, 0)
+    for s in range(l - 1):
+        _step(model.decoder, trace, s)
+    return trace
+
+
 def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
     """Run the encoder over an l-row window from the zero state.
 
@@ -249,19 +395,21 @@ def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
     """
     w = _check_window(model, window, "window")
     single = w.ndim == 2
-    batch = w[None] if single else w
-    n = model.hidden_units
-    h = np.zeros((batch.shape[0], n))
-    c = np.zeros((batch.shape[0], n))
-    for t in range(model.window_len):
-        h, c, _ = _cell_forward(model.encoder, batch[:, t, :], h, c)
+    trace = _encoder_trace(model, w[None] if single else w, keep=False)
+    state = _batch_major(trace.xh[-1, model.input_dim :], trace.final_cell)
     if single:
-        return LstmState(hidden=h[0], cell=c[0])
-    return LstmState(hidden=h, cell=c)
+        return LstmState(hidden=state.hidden[0], cell=state.cell[0])
+    return state
 
 
 def _readout(model: LstmEdModel, h: np.ndarray) -> np.ndarray:
-    return h @ model.out_weight + model.out_bias
+    """Predicted rows (..., p, B) from feature-major states (..., n, B)."""
+    return np.matmul(model.out_weight.T, h) + model.out_bias[:, None]
+
+
+def _time_order(preds: np.ndarray) -> np.ndarray:
+    """(T, p, B) predictions of rows T-1 down to 0 as a (B, T, p) array."""
+    return np.ascontiguousarray(preds[::-1].transpose(2, 0, 1))
 
 
 def decode_train(
@@ -284,16 +432,15 @@ def decode_train(
     """
     w = _check_window(model, window, "window")
     single = w.ndim == 2
-    batch = w[None] if single else w
-    h = np.atleast_2d(enc_final.hidden)
-    c = np.atleast_2d(enc_final.cell)
-    l = model.window_len
-    preds = np.empty_like(batch)
-    preds[:, l - 1, :] = _readout(model, h)
-    for s in range(1, l):
-        h, c, _ = _cell_forward(model.decoder, batch[:, l - s, :], h, c)
-        preds[:, l - 1 - s, :] = _readout(model, h)
-    return preds[0] if single else preds
+    trace = _decoder_trace(
+        model,
+        w[None] if single else w,
+        np.atleast_2d(enc_final.hidden).T,
+        np.atleast_2d(enc_final.cell).T,
+        keep=False,
+    )
+    out = _time_order(_readout(model, trace.xh[:, model.input_dim :]))
+    return out[0] if single else out
 
 
 def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.ndarray:
@@ -310,14 +457,22 @@ def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.nda
     if steps < 1:
         raise ValueError("steps must be >= 1")
     single = enc_final.hidden.ndim == 1
-    h = np.atleast_2d(enc_final.hidden)
-    c = np.atleast_2d(enc_final.cell)
-    preds = np.empty((h.shape[0], steps, model.input_dim))
-    preds[:, steps - 1, :] = _readout(model, h)
-    for s in range(1, steps):
-        h, c, _ = _cell_forward(model.decoder, preds[:, steps - s, :], h, c)
-        preds[:, steps - 1 - s, :] = _readout(model, h)
-    return preds[0] if single else preds
+    p = model.input_dim
+    trace = _start(
+        model.decoder,
+        steps - 1,
+        np.atleast_2d(enc_final.hidden).T,
+        np.atleast_2d(enc_final.cell).T,
+        keep=False,
+    )
+    xh = trace.xh
+    # each state's prediction fills the x rows of its own slot: the next input
+    for s in range(steps - 1):
+        xh[s, :p] = _readout(model, xh[s, p:])
+        _step(model.decoder, trace, s)
+    xh[-1, :p] = _readout(model, xh[-1, p:])
+    out = _time_order(xh[:, :p])
+    return out[0] if single else out
 
 
 def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -338,53 +493,41 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     """
     b, l, p = batch.shape
     n = model.hidden_units
-    h = np.zeros((b, n))
-    c = np.zeros((b, n))
-    enc_caches = []
-    for t in range(l):
-        h, c, cache = _cell_forward(model.encoder, batch[:, t, :], h, c)
-        enc_caches.append(cache)
+    enc = _encoder_trace(model, batch, keep=True)
+    dec = _decoder_trace(model, batch, enc.xh[-1, p:], enc.final_cell, keep=True)
 
-    preds = np.empty_like(batch)
-    out_states = [h]
-    preds[:, l - 1, :] = _readout(model, h)
-    dec_caches = []
-    for s in range(1, l):
-        h, c, cache = _cell_forward(model.decoder, batch[:, l - s, :], h, c)
-        dec_caches.append(cache)
-        out_states.append(h)
-        preds[:, l - 1 - s, :] = _readout(model, h)
-
-    diff = preds - batch
+    # decoder state s (the encoder's final state first) predicts row l-1-s
+    states = dec.xh[:, p:]
+    diff = _readout(model, states) - batch[:, ::-1].transpose(1, 2, 0)
     total = float(np.sum(diff * diff))
-    dpred = 2.0 * diff
+    dy = 2.0 * diff
+    flat_dy = dy.transpose(1, 0, 2).reshape(p, -1)
+    out_w = states.transpose(1, 0, 2).reshape(n, -1) @ flat_dy.T
+    out_b = flat_dy.sum(axis=1)
+    dstates = np.matmul(model.out_weight, dy)
 
-    grads = {
-        "enc_w": np.zeros_like(model.encoder.w),
-        "enc_b": np.zeros_like(model.encoder.b),
-        "dec_w": np.zeros_like(model.decoder.w),
-        "dec_b": np.zeros_like(model.decoder.b),
-        "out_w": np.zeros_like(model.out_weight),
-        "out_b": np.zeros_like(model.out_bias),
-    }
-    dh = np.zeros((b, n))
-    dc = np.zeros((b, n))
-    for s in range(l - 1, 0, -1):
-        dy = dpred[:, l - 1 - s, :]
-        grads["out_w"] += out_states[s].T @ dy
-        grads["out_b"] += dy.sum(axis=0)
-        dh = dh + dy @ model.out_weight.T
-        dh, dc = _cell_backward(
-            model.decoder, dec_caches[s - 1], dh, dc, grads["dec_w"], grads["dec_b"]
+    dh = np.zeros((n, b))
+    dc = np.zeros((n, b))
+    dec_slopes = _slopes(dec)
+    for s in range(l - 2, -1, -1):
+        dh, dc = _step_backward(
+            model.decoder, dec, s, dh + dstates[s + 1], dc, dec_slopes
         )
-    dy = dpred[:, l - 1, :]
-    grads["out_w"] += out_states[0].T @ dy
-    grads["out_b"] += dy.sum(axis=0)
-    dh = dh + dy @ model.out_weight.T
+    dh = dh + dstates[0]
+    enc_slopes = _slopes(enc)
     for t in range(l - 1, -1, -1):
-        dh, dc = _cell_backward(
-            model.encoder, enc_caches[t], dh, dc, grads["enc_w"], grads["enc_b"]
-        )
+        dh, dc = _step_backward(model.encoder, enc, t, dh, dc, enc_slopes)
+
+    enc_w, enc_b = _weight_grads(enc, enc_slopes[0])
+    dec_w, dec_b = _weight_grads(dec, dec_slopes[0])
+    grads = {
+        "enc_w": enc_w,
+        "enc_b": enc_b,
+        "dec_w": dec_w,
+        "dec_b": dec_b,
+        "out_w": out_w,
+        "out_b": out_b,
+    }
     return total, grads
 
 
@@ -441,6 +584,16 @@ def _stack_windows(windows, l: int, p: int, name: str) -> np.ndarray:
     return np.stack(arrs, axis=0)
 
 
+def _finite(value: float, which: str, epoch: int) -> float:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"training diverged: {which} loss is {value} at epoch {epoch}"
+        )
+    return value
+
+
+# overflow shows up as a non-finite loss, which _finite reports as an error
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     windows: list[np.ndarray],
     config: TrainConfig,
@@ -465,7 +618,8 @@ def train(
         TrainResult carrying the best model and per-epoch loss histories.
 
     Raises:
-        ValueError: On empty windows, empty validation, or bad config.
+        ValueError: On empty windows, empty validation, bad config, or a
+            training or validation loss that is not finite (diverged).
     """
     if not windows:
         raise ValueError("no training windows")
@@ -489,7 +643,7 @@ def train(
         preds = decode_train(model, val_batch, encode(model, val_batch))
         return loss(preds, val_batch)
 
-    best_val = val_loss()
+    best_val = _finite(val_loss(), "validation", 0)
     best_params = {k: v.copy() for k, v in params.items()}
     best_epoch = 0
     val_history = [best_val]
@@ -519,17 +673,22 @@ def train(
             bc2 = 1.0 - _ADAM_BETA2**step
             for key in _GRAD_KEYS:
                 g = grads[key]
-                m_state[key] = _ADAM_BETA1 * m_state[key] + (1.0 - _ADAM_BETA1) * g
-                v_state[key] = _ADAM_BETA2 * v_state[key] + (1.0 - _ADAM_BETA2) * (
-                    g * g
-                )
-                update = (m_state[key] / bc1) / (
-                    np.sqrt(v_state[key] / bc2) + _ADAM_EPS
-                )
-                params[key] -= config.learning_rate * update
+                m = m_state[key]
+                v = v_state[key]
+                m *= _ADAM_BETA1
+                m += (1.0 - _ADAM_BETA1) * g
+                v *= _ADAM_BETA2
+                v += (1.0 - _ADAM_BETA2) * (g * g)
+                denom = v / bc2
+                np.sqrt(denom, out=denom)
+                denom += _ADAM_EPS
+                update = m / bc1
+                update /= denom
+                update *= config.learning_rate
+                params[key] -= update
 
-        train_history.append(epoch_loss)
-        current_val = val_loss()
+        train_history.append(_finite(epoch_loss, "training", epoch))
+        current_val = _finite(val_loss(), "validation", epoch)
         val_history.append(current_val)
         if current_val < best_val:
             best_val = current_val

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite-difference gradient checking."""
+"""Shared test oracles: finite-difference gradient checking, plain per-step
+BPTT and a per-cycle moving average."""
 
 import numpy as np
 
@@ -66,3 +67,104 @@ def grad_check_max_rel_err(model: LstmEdModel, window: np.ndarray, step: float =
                 continue
             worst = max(worst, abs(a - numeric) / denom)
     return worst
+
+
+def _ref_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_cell_forward(w, b, x, h_prev, c_prev):
+    n = b.shape[0] // 4
+    pre = np.concatenate([x, h_prev], axis=-1) @ w.T + b
+    i = _ref_sigmoid(pre[..., :n])
+    f = _ref_sigmoid(pre[..., n : 2 * n])
+    o = _ref_sigmoid(pre[..., 2 * n : 3 * n])
+    g = np.tanh(pre[..., 3 * n :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (x, h_prev, c_prev, i, f, o, g, tc)
+
+
+def _ref_cell_backward(w, cache, dh, dc, dw, db):
+    x, h_prev, c_prev, i, f, o, g, tc = cache
+    do = dh * tc
+    dct = dc + dh * o * (1.0 - tc * tc)
+    dpre = np.concatenate(
+        [
+            dct * g * i * (1.0 - i),
+            dct * c_prev * f * (1.0 - f),
+            do * o * (1.0 - o),
+            dct * i * (1.0 - g * g),
+        ],
+        axis=-1,
+    )
+    dw += dpre.T @ np.concatenate([x, h_prev], axis=-1)
+    db += dpre.sum(axis=0)
+    return (dpre @ w)[..., x.shape[-1] :], dct * f
+
+
+def reference_forward_backward(model: LstmEdModel, batch: np.ndarray):
+    """Plain per-step BPTT: the oracle for lstm._forward_backward.
+
+    One concatenate, three masked logistics and one weight-gradient GEMM per
+    step, the readout one step at a time; returns (loss, grads).
+    """
+    b, l, p = batch.shape
+    n = model.hidden_units
+    enc, dec = model.encoder, model.decoder
+
+    def readout(h):
+        return h @ model.out_weight + model.out_bias
+
+    h = np.zeros((b, n))
+    c = np.zeros((b, n))
+    enc_caches = []
+    for t in range(l):
+        h, c, cache = _ref_cell_forward(enc.w, enc.b, batch[:, t, :], h, c)
+        enc_caches.append(cache)
+    preds = np.empty_like(batch)
+    states = [h]
+    preds[:, l - 1, :] = readout(h)
+    dec_caches = []
+    for s in range(1, l):
+        h, c, cache = _ref_cell_forward(dec.w, dec.b, batch[:, l - s, :], h, c)
+        dec_caches.append(cache)
+        states.append(h)
+        preds[:, l - 1 - s, :] = readout(h)
+
+    diff = preds - batch
+    total = float(np.sum(diff * diff))
+    dpred = 2.0 * diff
+    grads = {key: np.zeros_like(val) for key, val in params_dict(model).items()}
+    dh = np.zeros((b, n))
+    dc = np.zeros((b, n))
+    for s in range(l - 1, -1, -1):
+        dy = dpred[:, l - 1 - s, :]
+        grads["out_w"] += states[s].T @ dy
+        grads["out_b"] += dy.sum(axis=0)
+        dh = dh + dy @ model.out_weight.T
+        if s > 0:
+            dh, dc = _ref_cell_backward(
+                dec.w, dec_caches[s - 1], dh, dc, grads["dec_w"], grads["dec_b"]
+            )
+    for t in range(l - 1, -1, -1):
+        dh, dc = _ref_cell_backward(
+            enc.w, enc_caches[t], dh, dc, grads["enc_w"], grads["enc_b"]
+        )
+    return total, grads
+
+
+def reference_smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
+    """Centered moving average one cycle at a time: the smooth_curve oracle."""
+    half_lo = (window - 1) // 2
+    half_hi = window // 2
+    n = values.shape[0]
+    out = np.empty_like(values)
+    for t in range(n):
+        out[t] = np.mean(values[max(0, t - half_lo) : min(n, t + half_hi + 1)])
+    return out

@@ -81,6 +81,46 @@ class TestTrain:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_untrained_model_warns_once(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "untrained.edhi"
+        code = main(
+            ["train", "--data", str(synth_dir / "data.csv"), "--out", str(out)]
+            + TRAIN_FLAGS
+            + ["--learning-rate", "1e6"]
+        )
+        assert code == 0
+        assert "best_epoch 0" in out.with_suffix(".edhi.log").read_text()
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert len(warnings) == 1 and "untrained" in warnings[0]
+
+    def test_improved_model_does_not_warn(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "trained.edhi"
+        code = main(
+            ["train", "--data", str(synth_dir / "data.csv"), "--out", str(out)]
+            + TRAIN_FLAGS
+        )
+        assert code == 0
+        assert "best_epoch 0\n" not in out.with_suffix(".edhi.log").read_text()
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_diverged_training_fails_with_one_error_line(
+        self, synth_dir, tmp_path, capsys
+    ):
+        code = main(
+            ["train", "--data", str(synth_dir / "data.csv"),
+             "--out", str(tmp_path / "x.edhi")]
+            + TRAIN_FLAGS
+            + ["--learning-rate", "1e200"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: train-lstm: training diverged")
+        assert not (tmp_path / "x.edhi").exists()
+
     def test_zero_validation_frac_fails(self, synth_dir, tmp_path, capsys):
         code = main([
             "train", "--data", str(synth_dir / "data.csv"),

@@ -28,6 +28,7 @@ from edhi.health import (
 )
 from edhi.lstm import decode_infer, encode, init_model
 from edhi.numerics import OlsModel
+from helpers import reference_smooth_curve
 
 
 class TestSlidingWindows:
@@ -290,6 +291,20 @@ class TestSmoothCurve:
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):
             smooth_curve(np.zeros(3), 0)
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(0, 80),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        st.integers(1, 25),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_per_cycle_loop(self, values, window):
+        np.testing.assert_array_equal(
+            smooth_curve(values, window), reference_smooth_curve(values, window)
+        )
 
 
 class TestHiCurveFinal:

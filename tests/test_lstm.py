@@ -7,7 +7,7 @@ best-checkpoint contracts.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edhi.lstm import (
@@ -18,13 +18,19 @@ from edhi.lstm import (
     decode_infer,
     decode_train,
     encode,
+    _forward_backward,
     grad_bptt,
     init_model,
     loss,
     lstm_step,
     train,
 )
-from helpers import grad_check_max_rel_err, params_dict, teacher_loss
+from helpers import (
+    grad_check_max_rel_err,
+    params_dict,
+    reference_forward_backward,
+    teacher_loss,
+)
 
 
 def _zero_model(p=2, c=3, l=4, bias=None):
@@ -251,6 +257,38 @@ class TestGradBptt:
         for key in single:
             np.testing.assert_allclose(double[key], 2.0 * single[key], rtol=1e-12)
 
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 7),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, 1, 1, 1, 0)
+    @example(1, 5, 3, 4, 1)
+    @example(4, 1, 2, 3, 2)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_step_reference(self, b, l, p, c, seed):
+        rng = np.random.default_rng(seed)
+        model = init_model(p, c, l, seed=seed)
+        batch = rng.normal(size=(b, l, p)) * rng.choice([0.1, 1.0, 3.0])
+        want_loss, want = reference_forward_backward(model, batch)
+        got_loss, got = _forward_backward(model, batch)
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        _assert_grads_match(got, want)
+        _, want_first = reference_forward_backward(model, batch[:1])
+        _assert_grads_match(grad_bptt(model, batch[0]), want_first)
+
+
+def _assert_grads_match(got, want):
+    # the weight gradients are summed over all steps in one GEMM, the
+    # reference adds them step by step: entries that cancel to near zero
+    # differ by round-off of ~1e-16 of the array's scale, hence the atol
+    for key, ref in want.items():
+        np.testing.assert_allclose(
+            got[key], ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)), err_msg=key
+        )
+
 
 def _sinusoid_windows(n_windows, l, p, seed, phase_scale=1.0):
     rng = np.random.default_rng(seed)
@@ -329,6 +367,16 @@ class TestTrain:
         fresh = init_model(1, 3, 4, seed=6)
         for key, val in params_dict(result.model).items():
             assert np.array_equal(val, params_dict(fresh)[key]), key
+
+
+    @pytest.mark.parametrize("overflowing", ["training", "validation"])
+    def test_non_finite_loss_rejected(self, overflowing):
+        wins = _sinusoid_windows(8, 4, 2, seed=19)
+        huge = [1e200 * w for w in wins]
+        train_wins, val_wins = (huge, wins) if overflowing == "training" else (wins, huge)
+        cfg = TrainConfig(max_epochs=3, batch_size=4, seed=7)
+        with pytest.raises(ValueError, match=f"diverged: {overflowing} loss is inf"):
+            train(train_wins[:6], cfg, val_wins[6:], hidden_units=3)
 
 
 class TestInitModel:

@@ -78,6 +78,11 @@ class TestBuild:
         with pytest.raises(StageError, match="train-lstm"):
             build_pipeline(tiny_ds, config)
 
+    def test_diverged_training_fails_train_lstm_stage(self, tiny_ds, tiny_config):
+        config = dataclasses.replace(tiny_config, learning_rate=1e200, max_epochs=3)
+        with pytest.raises(StageError, match="train-lstm: training diverged"):
+            build_pipeline(tiny_ds, config)
+
     def test_split_is_disjoint_and_complete(self, tiny_ds, tiny_build):
         _, info = tiny_build
         all_ids = {uid for uid, _ in tiny_ds.instances}
