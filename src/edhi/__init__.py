@@ -19,13 +19,8 @@ from .data import (
     truncate_random,
 )
 from .health import HiCurve, hi_curve, pointwise_reconstruction, sliding_windows
-from .lstm import LstmEdModel, TrainConfig, TrainResult, init_model, train
-from .matching import (
-    MatchConfig,
-    RulEstimate,
-    candidate_estimates,
-    estimate_rul,
-)
+from .lstm import LstmEdModel, TrainResult, init_model, train
+from .matching import RulEstimate, candidate_estimates, estimate_rul
 from .metrics import EvalRecord, MetricsReport, full_report
 from .persist import PipelineBundle, load_pipeline, save_pipeline
 from .pipeline import (
@@ -42,7 +37,6 @@ __all__ = [
     "EvalRecord",
     "HiCurve",
     "LstmEdModel",
-    "MatchConfig",
     "MetricsReport",
     "PipelineBundle",
     "RulEstimate",
@@ -51,7 +45,6 @@ __all__ = [
     "StageError",
     "SweepGrid",
     "SyntheticSpec",
-    "TrainConfig",
     "TrainResult",
     "build_pipeline",
     "candidate_estimates",

@@ -173,7 +173,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if result.best_epoch == 0:
         print(
             "warning: no epoch beat the untrained model's validation loss;"
-            " the pipeline uses the untrained encoder-decoder",
+            " the HI targets come from the untrained encoder-decoder",
             file=sys.stderr,
         )
     print(
@@ -200,12 +200,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(report.as_table())
 
     if args.out:
-        lines = ["test_id,rul_estimate,std_dev,spread,n_candidates,capped"]
+        lines = ["test_id,rul_estimate,std_dev,spread,n_candidates,capped,fallback"]
         for row in rows:
             est = row.estimate
             lines.append(
                 f"{row.test_id},{float(est.value)!r},{float(est.std_dev)!r},"
-                f"{float(est.spread)!r},{len(est.candidates)},{_flag(est.capped)}"
+                f"{float(est.spread)!r},{len(est.candidates)},{_flag(est.capped)},"
+                f"{_flag(est.fallback)}"
             )
         Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out}")

@@ -8,9 +8,16 @@ files are flat key=value text; "lambda" is accepted as an alias for the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
-from .health import HI_VARIANTS
+HI_VARIANTS = (
+    "recon_error",
+    "recon_error_squared",
+    "exponential",
+    "linear",
+    "endpoints",
+)
 
 # fields taking integer values; everything else numeric is a float
 _INT_FIELDS = {
@@ -27,9 +34,47 @@ _INT_FIELDS = {
 _ALIASES = {"lambda": "lam"}
 
 
+def _at_least(lo):
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+_UNIT = (lambda v: 0 <= v <= 1, "in [0,1]")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0,1)")
+_UNIT_UPPER = (lambda v: 0 < v <= 1, "in (0,1]")
+# field -> (check, requirement); NaN fails every check
+_RULES = {
+    "p": _at_least(1),
+    "c": _at_least(1),
+    "l": _at_least(1),
+    "tau": _at_least(1),
+    "alpha": _UNIT,
+    "r_max": _at_least(1),
+    "lam": _POSITIVE,
+    "beta": _OPEN_UNIT,
+    "smooth_window": _at_least(1),
+    "init_frac": _UNIT,
+    "validation_frac": (lambda v: 0 <= v < 1, "in [0,1)"),
+    "healthy_frac": _UNIT_UPPER,
+    "faulty_frac": _UNIT_UPPER,
+    "seed": _at_least(0),
+    "tau1": _POSITIVE,
+    "tau2": _POSITIVE,
+    "learning_rate": _POSITIVE,
+    "max_epochs": _at_least(1),
+    "batch_size": _at_least(1),
+    "grad_clip_norm": _POSITIVE,
+    "patience": _at_least(1),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of the train/evaluate/predict pipeline.
+
+    Construction validates every field, so any RunConfig in hand (built
+    directly, by ``dataclasses.replace``, from overrides, or from a stored
+    pipeline) is valid. Invalid types or values raise ValueError.
 
     Attributes:
         p: Principal components kept as derived sensors.
@@ -53,7 +98,7 @@ class RunConfig:
         tau1: Early-prediction tolerance (cycles).
         tau2: Late-prediction tolerance (cycles).
         learning_rate, max_epochs, batch_size, grad_clip_norm, patience:
-            Optimizer settings passed through to training.
+            Optimizer settings for training.
     """
 
     p: int = 3
@@ -79,60 +124,40 @@ class RunConfig:
     grad_clip_norm: float = 10.0
     patience: int = 10
 
-    def validate(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.c < 1:
-            raise ValueError(f"c must be >= 1, got {self.c}")
-        if self.l < 1:
-            raise ValueError(f"l must be >= 1, got {self.l}")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
-        if self.r_max < 1:
-            raise ValueError(f"r_max must be >= 1, got {self.r_max}")
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0,1), got {self.beta}")
+    def __post_init__(self) -> None:
         if self.hi_variant not in HI_VARIANTS:
             raise ValueError(
                 f"unknown HI variant {self.hi_variant!r}, expected one of {HI_VARIANTS}"
             )
-        if self.smooth_window < 1:
-            raise ValueError(f"smooth_window must be >= 1, got {self.smooth_window}")
-        if not 0.0 <= self.init_frac <= 1.0:
-            raise ValueError(f"init_frac must be in [0,1], got {self.init_frac}")
-        if not 0.0 <= self.validation_frac < 1.0:
-            raise ValueError(
-                f"validation_frac must be in [0,1), got {self.validation_frac}"
-            )
-        if self.healthy_frac is not None and not 0.0 < self.healthy_frac <= 1.0:
-            raise ValueError(
-                f"healthy_frac must be in (0,1] or unset, got {self.healthy_frac}"
-            )
-        if not 0.0 < self.faulty_frac <= 1.0:
-            raise ValueError(f"faulty_frac must be in (0,1], got {self.faulty_frac}")
-        if self.tau1 <= 0 or self.tau2 <= 0:
-            raise ValueError("tau1 and tau2 must be > 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.max_epochs < 1 or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("max_epochs, batch_size, patience must be >= 1")
-        if self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be > 0")
+        for name, (check, requirement) in _RULES.items():
+            value = getattr(self, name)
+            if name == "healthy_frac" and value is None:
+                continue
+            integral = name in _INT_FIELDS
+            kind = numbers.Integral if integral else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if integral else "a number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            if not check(value):
+                raise ValueError(f"{name} must be {requirement}, got {value!r}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Rebuild a RunConfig from its to_dict form (e.g. a stored pipeline)."""
+    """Rebuild a RunConfig from its to_dict form (e.g. a stored pipeline).
+
+    Raises:
+        ValueError: Unless ``data`` names every field exactly once with a
+            valid value.
+    """
     known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    if set(data) != known:
+        raise ValueError(
+            f"config fields differ: unknown {sorted(set(data) - known)},"
+            f" missing {sorted(known - set(data))}"
+        )
     return RunConfig(**data)
 
 
@@ -170,7 +195,8 @@ def apply_overrides(base: RunConfig, overrides: dict[str, str]) -> RunConfig:
     """Apply string-valued settings (config file or CLI flags) onto a base.
 
     Raises:
-        ValueError: On unknown keys or values that fail coercion.
+        ValueError: On unknown keys, or values that fail coercion or
+            validation.
     """
     known = {f.name for f in fields(RunConfig)}
     updates = {}
@@ -182,9 +208,7 @@ def apply_overrides(base: RunConfig, overrides: dict[str, str]) -> RunConfig:
             updates[name] = _coerce(name, value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: bad value {value!r}") from exc
-    cfg = replace(base, **updates)
-    cfg.validate()
-    return cfg
+    return replace(base, **updates)
 
 
 @dataclass(frozen=True)

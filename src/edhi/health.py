@@ -20,14 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .lstm import LstmEdModel, decode_infer, encode
 from .numerics import OlsModel, ols_fit, ols_predict
 
-HI_VARIANTS = (
-    "recon_error",
-    "recon_error_squared",
-    "exponential",
-    "linear",
-    "endpoints",
-)
-
 # guards against float dust: a spread or divisor below this is degenerate
 _DEGENERATE_EPS = 1e-12
 # fraction-of-length boundaries computed with this slack so that e.g.
@@ -44,37 +36,6 @@ class HiCurve:
     @property
     def length(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class ReconErrorSeries:
-    """Per-cycle reconstruction error magnitudes with their extremes."""
-
-    errors: np.ndarray
-
-    @property
-    def max(self) -> float:
-        return float(np.max(self.errors))
-
-    @property
-    def min(self) -> float:
-        return float(np.min(self.errors))
-
-
-@dataclass(frozen=True)
-class TargetHiSpec:
-    """Which target-HI construction to use, with its shape parameter."""
-
-    kind: str = "recon_error_squared"
-    beta: float = 0.05
-
-    def validate(self) -> None:
-        if self.kind not in HI_VARIANTS:
-            raise ValueError(
-                f"unknown HI variant {self.kind!r}, expected one of {HI_VARIANTS}"
-            )
-        if self.kind == "exponential" and not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0,1), got {self.beta}")
 
 
 def frac_count(frac: float, length: int) -> int:
@@ -137,9 +98,7 @@ def pointwise_reconstruction(model: LstmEdModel, series: np.ndarray) -> np.ndarr
     return sums / counts[:, None]
 
 
-def reconstruction_error(
-    actual: np.ndarray, reconstructed: np.ndarray
-) -> ReconErrorSeries:
+def reconstruction_error(actual: np.ndarray, reconstructed: np.ndarray) -> np.ndarray:
     """Per-cycle Euclidean distance between actual and reconstructed rows.
 
     Raises:
@@ -149,10 +108,10 @@ def reconstruction_error(
     r = np.asarray(reconstructed, dtype=np.float64)
     if a.shape != r.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {r.shape}")
-    return ReconErrorSeries(errors=np.linalg.norm(a - r, axis=1))
+    return np.linalg.norm(a - r, axis=1)
 
 
-def target_hi_from_error(errors: ReconErrorSeries, squared: bool) -> HiCurve:
+def target_hi_from_error(errors: np.ndarray, squared: bool) -> HiCurve:
     """Normalize an error series to a target HI: worst error 0, best error 1.
 
     h_t = (e_M - e_t) / (e_M - e_m), applied to the squared errors (with
@@ -162,7 +121,7 @@ def target_hi_from_error(errors: ReconErrorSeries, squared: bool) -> HiCurve:
     Raises:
         ValueError: On an empty series.
     """
-    e = errors.errors
+    e = np.asarray(errors, dtype=np.float64)
     if e.shape[0] == 0:
         raise ValueError("empty error series")
     if squared:

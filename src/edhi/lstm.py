@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
+
 _GRAD_KEYS = ("enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -89,28 +91,6 @@ class LstmEdModel:
     hidden_units: int
     window_len: int
     input_dim: int
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimization knobs for the training loop."""
-
-    learning_rate: float = 1e-3
-    max_epochs: int = 500
-    batch_size: int = 32
-    grad_clip_norm: float = 10.0
-    patience: int = 10
-    seed: int = 0
-
-    def validate(self) -> None:
-        if not (
-            self.learning_rate > 0
-            and self.max_epochs > 0
-            and self.batch_size > 0
-            and self.grad_clip_norm > 0
-            and self.patience > 0
-        ):
-            raise ValueError("training config values must be positive")
 
 
 @dataclass(frozen=True)
@@ -596,9 +576,8 @@ def _finite(value: float, which: str, epoch: int) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     windows: list[np.ndarray],
-    config: TrainConfig,
+    config: RunConfig,
     validation: list[np.ndarray],
-    hidden_units: int,
 ) -> TrainResult:
     """Mini-batch training with early stopping on validation loss.
 
@@ -610,24 +589,21 @@ def train(
 
     Args:
         windows: Nonempty list of training windows, all shape (l, p).
-        config: Optimization settings.
+        config: Run configuration; supplies the hidden size c, the seed,
+            and the optimizer settings.
         validation: Nonempty list of validation windows, same shape.
-        hidden_units: Hidden size c for the model to train.
 
     Returns:
         TrainResult carrying the best model and per-epoch loss histories.
 
     Raises:
-        ValueError: On empty windows, empty validation, bad config, or a
-            training or validation loss that is not finite (diverged).
+        ValueError: On empty windows, empty validation, or a training or
+            validation loss that is not finite (diverged).
     """
     if not windows:
         raise ValueError("no training windows")
     if not validation:
         raise ValueError("validation windows required for early stopping")
-    config.validate()
-    if hidden_units < 1:
-        raise ValueError("hidden_units must be >= 1")
     first = np.asarray(windows[0], dtype=np.float64)
     if first.ndim != 2:
         raise ValueError("windows must be 2-D matrices")
@@ -636,7 +612,7 @@ def train(
     val_batch = _stack_windows(validation, l, p, "validation")
 
     rng = np.random.default_rng(config.seed)
-    model = _init_from_rng(p, hidden_units, l, rng)
+    model = _init_from_rng(p, config.c, l, rng)
     params = _params_of(model)
 
     def val_loss() -> float:
@@ -701,7 +677,7 @@ def train(
                 break
 
     return TrainResult(
-        model=_model_from_params(best_params, hidden_units, l, p),
+        model=_model_from_params(best_params, config.c, l, p),
         train_history=train_history,
         val_history=val_history,
         best_epoch=best_epoch,

@@ -15,27 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .health import HiCurve
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Matching knobs: kernel width, lag range, similarity cutoff, cap."""
-
-    lam: float = 0.0005
-    tau: int = 40
-    alpha: float = 0.87
-    r_max: float = 125.0
-
-    def validate(self) -> None:
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
-        if self.r_max < 1:
-            raise ValueError(f"r_max must be >= 1, got {self.r_max}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +91,7 @@ def similarity(d_squared: float, lam: float) -> float:
 def candidate_estimates(
     test: HiCurve,
     train_set: list[tuple[str, HiCurve]],
-    config: MatchConfig,
+    config: RunConfig,
 ) -> list[RulCandidate]:
     """Enumerate and filter candidate matches for one test instance.
 
@@ -124,15 +105,14 @@ def candidate_estimates(
     Args:
         test: Truncated test instance's HI curve.
         train_set: (id, full run-to-failure curve) pairs.
-        config: Matching configuration.
+        config: Run configuration; reads lam, tau and alpha.
 
     Returns:
         Surviving candidates; may be empty.
 
     Raises:
-        ValueError: On an empty test curve or invalid config.
+        ValueError: On an empty test curve.
     """
-    config.validate()
     if test.length == 0:
         raise ValueError("empty test curve")
     l_star = test.length
@@ -159,7 +139,7 @@ def candidate_estimates(
 
 def estimate_rul(
     candidates: list[RulCandidate],
-    config: MatchConfig,
+    config: RunConfig,
     test_len: int,
     train_lengths: list[int],
 ) -> RulEstimate:
@@ -172,14 +152,13 @@ def estimate_rul(
 
     Args:
         candidates: Output of candidate_estimates.
-        config: Matching configuration.
+        config: Run configuration; reads r_max.
         test_len: Observed length of the test instance.
         train_lengths: Full lengths of all train instances, for the fallback.
 
     Returns:
         RulEstimate with value, dispersion, and flag fields filled in.
     """
-    config.validate()
     if not candidates:
         headroom = max(
             (max(length - test_len, 0) for length in train_lengths), default=0

@@ -2,10 +2,17 @@
 
 Layout: 8-byte magic, u32 format version, u64 header length, JSON header,
 raw little-endian array payload, sha256 trailer over everything before it.
-The header carries the section table (name, dtype, shape, offset), the run
-configuration, and the train instance ids; arrays are written in a fixed
-section order with deterministic JSON, so saving the same pipeline twice
-produces identical bytes.
+The header carries the section table (name, dtype, shape, offset, nbytes),
+the run configuration, and the train instance ids; arrays are written in a
+fixed section order with deterministic JSON, so saving the same pipeline
+twice produces identical bytes.
+
+Format 2 holds only what scoring reads: the sections norm_mean, norm_std,
+norm_dropped, pca_components, lr_theta, lr_theta0, and one curve_k per
+train id. Format 1 files also carry the trained encoder-decoder (enc_*,
+dec_*, out_* sections and a "model" header key); they still load, and those
+extras are ignored. The trained model is not part of the pipeline: take it
+from ``BuildInfo.train_result.model`` when building.
 """
 
 from __future__ import annotations
@@ -19,13 +26,19 @@ import numpy as np
 
 from .config import RunConfig, config_from_dict
 from .health import HiCurve
-from .lstm import LstmEdModel, LstmParams
-from .matching import MatchConfig
 from .numerics import NormStats, OlsModel, PcaModel
 
 MAGIC = b"EDHIPIPE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _CHECKSUM_BYTES = 32
+_REQUIRED = (
+    "norm_mean",
+    "norm_std",
+    "norm_dropped",
+    "pca_components",
+    "lr_theta",
+    "lr_theta0",
+)
 
 
 @dataclass(frozen=True)
@@ -35,7 +48,6 @@ class PipelineBundle:
     Attributes:
         norm: Pooled normalization statistics.
         pca: Derived-sensor projection.
-        lstm: Trained reconstruction model.
         lr: Linear HI map.
         hi_train_curves: (train id, full HI curve) pairs, the matching
             library.
@@ -44,18 +56,14 @@ class PipelineBundle:
 
     norm: NormStats
     pca: PcaModel
-    lstm: LstmEdModel
     lr: OlsModel
     hi_train_curves: list[tuple[str, HiCurve]]
     config: RunConfig
 
-    def match_config(self) -> MatchConfig:
-        return MatchConfig(
-            lam=self.config.lam,
-            tau=self.config.tau,
-            alpha=self.config.alpha,
-            r_max=self.config.r_max,
-        )
+    def match_config(self) -> RunConfig:
+        # matching reads lam, tau, alpha and r_max straight from the run
+        # config; kept because callers outside the package use this name
+        return self.config
 
 
 def _sections_of(bundle: PipelineBundle) -> list[tuple[str, np.ndarray]]:
@@ -64,12 +72,6 @@ def _sections_of(bundle: PipelineBundle) -> list[tuple[str, np.ndarray]]:
         ("norm_std", bundle.norm.std),
         ("norm_dropped", np.array(bundle.norm.dropped, dtype=np.int64)),
         ("pca_components", bundle.pca.components),
-        ("enc_w", bundle.lstm.encoder.w),
-        ("enc_b", bundle.lstm.encoder.b),
-        ("dec_w", bundle.lstm.decoder.w),
-        ("dec_b", bundle.lstm.decoder.b),
-        ("out_w", bundle.lstm.out_weight),
-        ("out_b", bundle.lstm.out_bias),
         ("lr_theta", bundle.lr.theta),
         ("lr_theta0", np.array([bundle.lr.theta0])),
     ]
@@ -78,13 +80,8 @@ def _sections_of(bundle: PipelineBundle) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _encode_array(arr: np.ndarray) -> tuple[bytes, str]:
-    if arr.dtype == np.int64:
-        dtype = "<i8"
-    else:
-        arr = np.asarray(arr, dtype=np.float64)
-        dtype = "<f8"
-    return np.ascontiguousarray(arr).astype(dtype).tobytes(), dtype
+def _dtype_of(name: str) -> str:
+    return "<i8" if name == "norm_dropped" else "<f8"
 
 
 def save_pipeline(path: str | Path, bundle: PipelineBundle) -> None:
@@ -92,7 +89,8 @@ def save_pipeline(path: str | Path, bundle: PipelineBundle) -> None:
     sections = []
     payload = bytearray()
     for name, arr in _sections_of(bundle):
-        data, dtype = _encode_array(arr)
+        dtype = _dtype_of(name)
+        data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
         sections.append(
             {
                 "name": name,
@@ -105,11 +103,6 @@ def save_pipeline(path: str | Path, bundle: PipelineBundle) -> None:
         payload.extend(data)
     header = {
         "config": bundle.config.to_dict(),
-        "model": {
-            "hidden_units": bundle.lstm.hidden_units,
-            "window_len": bundle.lstm.window_len,
-            "input_dim": bundle.lstm.input_dim,
-        },
         "train_ids": [uid for uid, _ in bundle.hi_train_curves],
         "sections": sections,
     }
@@ -132,11 +125,13 @@ def _fail(path: Path, reason: str):
 
 
 def load_pipeline(path: str | Path) -> PipelineBundle:
-    """Read a pipeline file back, verifying magic, version, and checksum.
+    """Read a format 1 or 2 pipeline file, verifying it throughout.
 
     Raises:
         ValueError: On a wrong magic string, an unsupported format version,
-            a truncated file, or a checksum mismatch.
+            a truncated file, a checksum mismatch, or a header that does not
+            describe a pipeline (missing or mistyped keys, sections that
+            disagree with it or with each other, an invalid config).
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -146,8 +141,8 @@ def load_pipeline(path: str | Path) -> PipelineBundle:
         _fail(path, "bad magic, not a pipeline file")
     pos = len(MAGIC)
     version = int.from_bytes(blob[pos : pos + 4], "little")
-    if version != FORMAT_VERSION:
-        _fail(path, f"unsupported version {version} (supported: {FORMAT_VERSION})")
+    if version not in (1, FORMAT_VERSION):
+        _fail(path, f"unsupported version {version} (supported: 1, {FORMAT_VERSION})")
     pos += 4
     header_len = int.from_bytes(blob[pos : pos + 8], "little")
     pos += 8
@@ -159,60 +154,60 @@ def load_pipeline(path: str | Path) -> PipelineBundle:
         _fail(path, "checksum mismatch, file is corrupted")
     try:
         header = json.loads(blob[pos:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except ValueError:
         _fail(path, "unreadable header")
-    payload = blob[payload_start:-_CHECKSUM_BYTES]
+    try:
+        return _unpack(header, blob[payload_start:-_CHECKSUM_BYTES])
+    except ValueError as exc:
+        _fail(path, str(exc))
+    except (KeyError, IndexError, TypeError) as exc:
+        _fail(path, f"malformed header ({type(exc).__name__}: {exc})")
 
+
+def _unpack(header: dict, payload: bytes) -> PipelineBundle:
+    """Bundle from a parsed header and its payload; extra sections ignored."""
     arrays: dict[str, np.ndarray] = {}
     for sec in header["sections"]:
-        start, nbytes = sec["offset"], sec["nbytes"]
-        if start + nbytes > len(payload):
-            _fail(path, f"truncated section {sec['name']}")
+        name, start, nbytes = sec["name"], sec["offset"], sec["nbytes"]
+        if sec["dtype"] != _dtype_of(name):
+            raise ValueError(f"section {name}: dtype {sec['dtype']!r}")
+        if not 0 <= start <= start + nbytes <= len(payload):
+            raise ValueError(f"truncated section {name}")
         arr = np.frombuffer(payload[start : start + nbytes], dtype=sec["dtype"])
-        arrays[sec["name"]] = arr.reshape(sec["shape"]).copy()
+        arrays[name] = arr.reshape(sec["shape"]).copy()
 
-    required = {
-        "norm_mean",
-        "norm_std",
-        "norm_dropped",
-        "pca_components",
-        "enc_w",
-        "enc_b",
-        "dec_w",
-        "dec_b",
-        "out_w",
-        "out_b",
-        "lr_theta",
-        "lr_theta0",
-    }
-    missing = required - set(arrays)
+    ids = header["train_ids"]
+    if not isinstance(ids, list) or not all(isinstance(uid, str) for uid in ids):
+        raise ValueError("train_ids is not a list of strings")
+    curves = [f"curve_{k}" for k in range(len(ids))]
+    missing = set(_REQUIRED).union(curves) - set(arrays)
     if missing:
-        _fail(path, f"missing sections: {sorted(missing)}")
+        raise ValueError(f"missing sections: {sorted(missing)}")
+    stray = {n for n in arrays if str(n).startswith("curve_")} - set(curves)
+    if stray:
+        raise ValueError(f"curve sections without a train id: {sorted(stray)}")
 
-    config = config_from_dict(header["config"])
-    meta = header["model"]
-    lstm = LstmEdModel(
-        encoder=LstmParams(w=arrays["enc_w"], b=arrays["enc_b"]),
-        decoder=LstmParams(w=arrays["dec_w"], b=arrays["dec_b"]),
-        out_weight=arrays["out_w"],
-        out_bias=arrays["out_b"],
-        hidden_units=int(meta["hidden_units"]),
-        window_len=int(meta["window_len"]),
-        input_dim=int(meta["input_dim"]),
+    mean, std, dropped, components, theta, theta0 = (arrays[n] for n in _REQUIRED)
+    norm = NormStats(
+        mean=mean, std=std, dropped=tuple(int(j) for j in dropped.ravel())
     )
-    curves = [
-        (uid, HiCurve(values=arrays[f"curve_{k}"]))
-        for k, uid in enumerate(header["train_ids"])
-    ]
+    if not (
+        dropped.ndim == 1
+        and all(0 <= j < mean.size for j in norm.dropped)
+        and mean.ndim == 1
+        and std.shape == mean.shape
+        and components.shape == (theta.size, len(norm.kept))
+        and theta.ndim == 1
+        and theta0.shape == (1,)
+        and all(arrays[n].ndim == 1 for n in curves)
+    ):
+        raise ValueError("section shapes do not fit together")
     return PipelineBundle(
-        norm=NormStats(
-            mean=arrays["norm_mean"],
-            std=arrays["norm_std"],
-            dropped=tuple(int(j) for j in arrays["norm_dropped"]),
-        ),
-        pca=PcaModel(components=arrays["pca_components"]),
-        lstm=lstm,
-        lr=OlsModel(theta=arrays["lr_theta"], theta0=float(arrays["lr_theta0"][0])),
-        hi_train_curves=curves,
-        config=config,
+        norm=norm,
+        pca=PcaModel(components=components),
+        lr=OlsModel(theta=theta, theta0=float(theta0[0])),
+        hi_train_curves=[
+            (uid, HiCurve(values=arrays[n])) for uid, n in zip(ids, curves)
+        ],
+        config=config_from_dict(header["config"]),
     )

@@ -29,7 +29,7 @@ from .health import (
     sliding_windows,
     target_hi_from_error,
 )
-from .lstm import TrainConfig, TrainResult, train
+from .lstm import TrainResult, train
 from .matching import RulEstimate, candidate_estimates, estimate_rul
 from .metrics import EvalRecord, MetricsReport, full_report, timeliness
 from .numerics import apply_norm, fit_norm_stats, ols_fit, pca_fit, pca_transform
@@ -49,7 +49,12 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class BuildInfo:
-    """What happened during a build, beyond the bundle itself."""
+    """What happened during a build, beyond the bundle itself.
+
+    The trained encoder-decoder lives here (``train_result.model``), not in
+    the bundle: it only supplies the target HI curves, and scoring never
+    reads it.
+    """
 
     train_result: TrainResult
     fit_ids: list[str]
@@ -120,7 +125,7 @@ def build_pipeline(
 
     Args:
         ds: Full-life training instances.
-        config: Validated run configuration; validation_frac must be > 0.
+        config: Run configuration; validation_frac must be > 0.
 
     Returns:
         (bundle, info): the persistable pipeline and the build details.
@@ -129,7 +134,6 @@ def build_pipeline(
         StageError: Naming the failing stage: split, normalize, pca,
             train-lstm, target-hi, fit-lr, or hi-curves.
     """
-    config.validate()
     ds.validate()
     if config.validation_frac <= 0:
         raise StageError("split", "validation split required for early stopping")
@@ -172,17 +176,7 @@ def build_pipeline(
             "train-lstm",
             f"no validation instance yields a healthy window of length {config.l}",
         )
-    train_cfg = TrainConfig(
-        learning_rate=config.learning_rate,
-        max_epochs=config.max_epochs,
-        batch_size=config.batch_size,
-        grad_clip_norm=config.grad_clip_norm,
-        patience=config.patience,
-        seed=config.seed,
-    )
-    result = _stage(
-        "train-lstm", train, train_windows, train_cfg, val_windows, config.c
-    )
+    result = _stage("train-lstm", train, train_windows, config, val_windows)
     model = result.model
 
     if config.hi_variant == "endpoints":
@@ -226,7 +220,6 @@ def build_pipeline(
     bundle = PipelineBundle(
         norm=norm,
         pca=pca,
-        lstm=model,
         lr=lr,
         hi_train_curves=library,
         config=config,
@@ -252,9 +245,9 @@ def predict_one(bundle: PipelineBundle, series: np.ndarray) -> tuple[RulEstimate
     if np.asarray(series).shape[0] == 0:
         raise ValueError("empty series")
     curve = series_hi_curve(bundle, series)
-    cands = candidate_estimates(curve, bundle.hi_train_curves, bundle.match_config())
+    cands = candidate_estimates(curve, bundle.hi_train_curves, bundle.config)
     train_lengths = [c.length for _, c in bundle.hi_train_curves]
-    est = estimate_rul(cands, bundle.match_config(), curve.length, train_lengths)
+    est = estimate_rul(cands, bundle.config, curve.length, train_lengths)
     return est, curve
 
 

@@ -1,5 +1,9 @@
 """Shared test oracles: finite-difference gradient checking, plain per-step
-BPTT and a per-cycle moving average."""
+BPTT and a per-cycle moving average; plus pipeline-file surgery that
+re-signs edited headers."""
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -11,6 +15,7 @@ from edhi.lstm import (
     grad_bptt,
     loss,
 )
+from edhi.persist import MAGIC
 
 _PARAM_KEYS = ("enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b")
 
@@ -168,3 +173,51 @@ def reference_smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
     for t in range(n):
         out[t] = np.mean(values[max(0, t - half_lo) : min(n, t + half_hi + 1)])
     return out
+
+
+def split_pipeline(blob: bytes) -> tuple[int, dict, bytes]:
+    """(format version, parsed header, payload) of a pipeline file."""
+    pos = len(MAGIC)
+    version = int.from_bytes(blob[pos : pos + 4], "little")
+    header_len = int.from_bytes(blob[pos + 4 : pos + 12], "little")
+    start = pos + 12
+    header = json.loads(blob[start : start + header_len])
+    return version, header, blob[start + header_len : -32]
+
+
+def join_pipeline(version: int, header: dict, payload: bytes) -> bytes:
+    """A signed pipeline file, laid out as save_pipeline lays it out."""
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = (
+        MAGIC
+        + version.to_bytes(4, "little")
+        + len(header_bytes).to_bytes(8, "little")
+        + header_bytes
+        + payload
+    )
+    return body + hashlib.sha256(body).digest()
+
+
+def as_format_1(blob: bytes, model: LstmEdModel) -> bytes:
+    """A format 2 file turned into format 1: the six LSTM sections and the
+    "model" header key added, the version set to 1, the file re-signed."""
+    _, header, payload = split_pipeline(blob)
+    payload = bytearray(payload)
+    for name, arr in params_dict(model).items():
+        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        header["sections"].append(
+            {
+                "name": name,
+                "dtype": "<f8",
+                "shape": list(arr.shape),
+                "offset": len(payload),
+                "nbytes": len(data),
+            }
+        )
+        payload.extend(data)
+    header["model"] = {
+        "hidden_units": model.hidden_units,
+        "window_len": model.window_len,
+        "input_dim": model.input_dim,
+    }
+    return join_pipeline(1, header, bytes(payload))

@@ -28,7 +28,6 @@ from edhi.data import (
     truncate_random,
 )
 from edhi.health import (
-    ReconErrorSeries,
     exponential_target_hi,
     pointwise_reconstruction,
     reconstruction_error,
@@ -148,9 +147,7 @@ def test_criterion_4_frozen_values(verdict):
     gaps.append(
         abs(float(curve.values[94]) - (1.0 - math.exp(math.log(0.05) * 5.0 / 95.0)))
     )
-    hi = target_hi_from_error(
-        ReconErrorSeries(errors=np.array([2.0, 5.0, 8.0])), squared=False
-    )
+    hi = target_hi_from_error(np.array([2.0, 5.0, 8.0]), squared=False)
     gaps.append(float(np.max(np.abs(hi.values - np.array([1.0, 0.5, 0.0])))))
     gaps.append(abs(similarity(0.3, 0.3) - math.exp(-1.0)))
     s = timeliness(
@@ -208,13 +205,12 @@ def test_criterion_6_reconstruction_error_tracks_degradation(verdict):
     ds = generate_synthetic(_family(20, seed=101))
     config = RunConfig(p=2, c=8, l=10, validation_frac=0.2, seed=13)
     bundle, info = build_pipeline(ds, config)
+    model = info.train_result.model
     by_id = dict(ds.instances)
     rhos = []
     for uid in info.val_ids:
         z = pca_transform(apply_norm(by_id[uid], bundle.norm), bundle.pca)
-        errors = reconstruction_error(
-            z, pointwise_reconstruction(bundle.lstm, z)
-        ).errors
+        errors = reconstruction_error(z, pointwise_reconstruction(model, z))
         rho = spearmanr(np.arange(errors.shape[0]), errors).statistic
         rhos.append(float(rho))
     mean_rho = float(np.mean(rhos))

@@ -6,6 +6,7 @@ import pytest
 from edhi.cli import _load_dataset, _sniff_format, main
 from edhi.data import parse_generic
 from edhi.persist import load_pipeline
+from helpers import join_pipeline, split_pipeline
 
 TRAIN_FLAGS = [
     "--p", "2", "--c", "5", "--l", "6", "--tau", "8",
@@ -174,11 +175,35 @@ class TestEvaluate:
         assert "MAPE1" in out
 
         lines = est_path.read_text().splitlines()
-        assert lines[0] == "test_id,rul_estimate,std_dev,spread,n_candidates,capped"
+        assert lines[0] == (
+            "test_id,rul_estimate,std_dev,spread,n_candidates,capped,fallback"
+        )
         assert len(lines) == 9
         first = lines[1].split(",")
         assert first[0] == "s1"
         assert float(first[1]) >= 0.0
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == 7 and cells[6] in ("true", "false")
+            # the fallback fires exactly when no candidate survives
+            assert (cells[6] == "true") == (cells[4] == "0")
+
+        # instances observed past every training life have no candidates
+        long_dir = tmp_path / "long"
+        assert main([
+            "synth", "--out", str(long_dir), "--n-instances", "2",
+            "--n-sensors", "3", "--min-len", "40", "--max-len", "44",
+            "--seed", "5", "--truncate", "0.95,0.98",
+        ]) == 0
+        long_est = tmp_path / "long.csv"
+        assert main([
+            "evaluate", "--pipeline", str(trained),
+            "--data", str(long_dir / "truncated.csv"),
+            "--rul", str(long_dir / "rul.txt"), "--out", str(long_est),
+        ]) == 0
+        for line in long_est.read_text().splitlines()[1:]:
+            cells = line.split(",")
+            assert cells[4:] == ["0", "false", "true"]
 
         files = sorted(curves.glob("*.csv"))
         assert len(files) == 8
@@ -280,6 +305,33 @@ class TestPredict:
         lines = curve_path.read_text().splitlines()
         assert lines[0] == "cycle,hi"
         assert len(lines) == 1 + one.instances[0][1].shape[0]
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda h: h.pop("sections"), id="no-sections"),
+            pytest.param(lambda h: h["train_ids"].append("zz"), id="extra-train-id"),
+            pytest.param(lambda h: h["config"].update(p="x"), id="p-is-a-string"),
+            pytest.param(lambda h: h.update(config=[]), id="config-is-a-list"),
+        ],
+    )
+    def test_malformed_signed_pipeline_one_error_line(
+        self, trained, synth_dir, tmp_path, capsys, edit
+    ):
+        version, header, payload = split_pipeline(trained.read_bytes())
+        edit(header)
+        bad = tmp_path / "malformed.edhi"
+        bad.write_bytes(join_pipeline(version, header, payload))
+        code = main([
+            "predict", "--pipeline", str(bad),
+            "--data", str(synth_dir / "truncated.csv"), "--instance", "s3",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: pipeline file {bad}:")
 
 
 class TestSweep:

@@ -1,0 +1,134 @@
+"""Tests for RunConfig: every way of making one validates every field."""
+
+import math
+from dataclasses import fields, replace
+
+import pytest
+
+from edhi.config import HI_VARIANTS, RunConfig, apply_overrides, config_from_dict
+
+# one invalid value per field
+INVALID = {
+    "p": 0,
+    "c": 0,
+    "l": 0,
+    "tau": 0,
+    "alpha": 1.0001,
+    "r_max": 0.5,
+    "lam": 0.0,
+    "beta": 1.2,
+    "hi_variant": "cubic",
+    "smooth_window": 0,
+    "init_frac": 1.5,
+    "validation_frac": 1.0,
+    "healthy_frac": 0.0,
+    "faulty_frac": 0.0,
+    "seed": -1,
+    "tau1": 0.0,
+    "tau2": -1.0,
+    "learning_rate": 0.0,
+    "max_epochs": 0,
+    "batch_size": 0,
+    "grad_clip_norm": 0.0,
+    "patience": 0,
+}
+FLOAT_FIELDS = [
+    f.name for f in fields(RunConfig) if f.type in ("float", "float | None")
+]
+
+
+def test_invalid_table_covers_every_field():
+    assert set(INVALID) == {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+class TestEveryFieldValidated:
+    def test_construction(self, name):
+        with pytest.raises(ValueError, match="must be|unknown HI variant"):
+            RunConfig(**{name: INVALID[name]})
+
+    def test_replace(self, name):
+        with pytest.raises(ValueError):
+            replace(RunConfig(), **{name: INVALID[name]})
+
+    def test_apply_overrides(self, name):
+        with pytest.raises(ValueError):
+            apply_overrides(RunConfig(), {name: str(INVALID[name])})
+
+    def test_config_from_dict(self, name):
+        with pytest.raises(ValueError):
+            config_from_dict({**RunConfig().to_dict(), name: INVALID[name]})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("p", "x"), ("p", 2.5), ("p", True), ("seed", None), ("lam", "x"),
+     ("healthy_frac", "x"), ("hi_variant", 7), ("tau1", [])],
+)
+def test_wrong_type_is_a_value_error(name, value):
+    with pytest.raises(ValueError):
+        RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_nan_rejected(name):
+    with pytest.raises(ValueError):
+        RunConfig(**{name: math.nan})
+
+
+def test_valid_edges_accepted():
+    RunConfig(healthy_frac=None)
+    RunConfig(healthy_frac=1.0, alpha=0.0, validation_frac=0.0, seed=0)
+    assert RunConfig(r_max=60).r_max == 60
+
+
+def test_config_from_dict_round_trip_and_field_set():
+    cfg = RunConfig(p=2, c=5, healthy_frac=0.3)
+    assert config_from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(ValueError, match="unknown"):
+        config_from_dict({**cfg.to_dict(), "bogus": 1})
+    partial = cfg.to_dict()
+    del partial["tau"]
+    with pytest.raises(ValueError, match="missing \\['tau'\\]"):
+        config_from_dict(partial)
+
+
+def test_apply_overrides_alias_and_coercion():
+    cfg = apply_overrides(RunConfig(), {"lambda": "0.01", "healthy_frac": "none"})
+    assert cfg.lam == 0.01 and cfg.healthy_frac is None
+    with pytest.raises(ValueError, match="bad value"):
+        apply_overrides(RunConfig(), {"p": "two"})
+
+
+class TestMatchFields:
+    def test_validation(self):
+        RunConfig()
+        with pytest.raises(ValueError):
+            RunConfig(lam=0.0)
+        with pytest.raises(ValueError):
+            RunConfig(tau=0)
+        with pytest.raises(ValueError):
+            RunConfig(alpha=1.0001)
+        with pytest.raises(ValueError):
+            RunConfig(r_max=0.5)
+
+
+class TestHiVariant:
+    def test_valid_kinds(self):
+        assert HI_VARIANTS == (
+            "recon_error",
+            "recon_error_squared",
+            "exponential",
+            "linear",
+            "endpoints",
+        )
+        for kind in HI_VARIANTS:
+            RunConfig(hi_variant=kind)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown HI variant"):
+            RunConfig(hi_variant="cubic")
+
+    def test_bad_beta_rejected(self):
+        with pytest.raises(ValueError):
+            RunConfig(hi_variant="exponential", beta=1.2)

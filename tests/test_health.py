@@ -12,8 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from edhi.health import (
     HiCurve,
-    ReconErrorSeries,
-    TargetHiSpec,
     endpoint_targets,
     exponential_target_hi,
     fit_hi_model,
@@ -107,17 +105,17 @@ class TestReconstructionError:
     def test_perfect_reconstruction(self):
         x = np.random.default_rng(0).uniform(size=(5, 3))
         err = reconstruction_error(x, x)
-        np.testing.assert_array_equal(err.errors, np.zeros(5))
-        assert err.max == 0.0 and err.min == 0.0
+        np.testing.assert_array_equal(err, np.zeros(5))
 
     def test_three_four_five(self):
         err = reconstruction_error(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]]))
-        assert err.errors[0] == pytest.approx(5.0, abs=1e-12)
+        assert err[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_extremes_recorded(self):
-        err = ReconErrorSeries(errors=np.array([2.0, 5.0, 8.0]))
-        assert err.min == 2.0
-        assert err.max == 8.0
+        err = reconstruction_error(np.array([[2.0], [-5.0], [8.0]]), np.zeros((3, 1)))
+        assert isinstance(err, np.ndarray) and err.shape == (3,)
+        assert err.min() == 2.0
+        assert err.max() == 8.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -126,27 +124,21 @@ class TestReconstructionError:
 
 class TestTargetHiFromError:
     def test_plain_normalization(self):
-        curve = target_hi_from_error(
-            ReconErrorSeries(errors=np.array([2.0, 5.0, 8.0])), squared=False
-        )
+        curve = target_hi_from_error(np.array([2.0, 5.0, 8.0]), squared=False)
         np.testing.assert_allclose(curve.values, [1.0, 0.5, 0.0], atol=1e-12)
 
     def test_squared_normalization(self):
-        curve = target_hi_from_error(
-            ReconErrorSeries(errors=np.array([2.0, 5.0, 8.0])), squared=True
-        )
+        curve = target_hi_from_error(np.array([2.0, 5.0, 8.0]), squared=True)
         # squared errors [4, 25, 64]: (64-25)/60 = 0.65
         np.testing.assert_allclose(curve.values, [1.0, 0.65, 0.0], atol=1e-12)
 
     def test_constant_errors_degenerate_to_ones(self):
-        curve = target_hi_from_error(
-            ReconErrorSeries(errors=np.full(4, 3.3)), squared=False
-        )
+        curve = target_hi_from_error(np.full(4, 3.3), squared=False)
         np.testing.assert_array_equal(curve.values, np.ones(4))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            target_hi_from_error(ReconErrorSeries(errors=np.array([])), squared=False)
+            target_hi_from_error(np.array([]), squared=False)
 
     @given(
         arrays(
@@ -158,8 +150,7 @@ class TestTargetHiFromError:
     )
     @settings(max_examples=60, deadline=None)
     def test_range_and_extremes(self, errors, squared):
-        series = ReconErrorSeries(errors=errors)
-        curve = target_hi_from_error(series, squared=squared)
+        curve = target_hi_from_error(errors, squared=squared)
         assert np.all(curve.values >= 0.0) and np.all(curve.values <= 1.0)
         e = errors * errors if squared else errors
         if np.max(e) - np.min(e) >= 1e-12:
@@ -340,23 +331,3 @@ class TestHiCurveFinal:
         model = OlsModel(theta=np.array([1.0]), theta0=0.0)
         with pytest.raises(ValueError):
             hi_curve(model, np.zeros((0, 1)), smooth_window=1, init_frac=0.05)
-
-
-class TestTargetHiSpec:
-    def test_valid_kinds(self):
-        for kind in (
-            "recon_error",
-            "recon_error_squared",
-            "exponential",
-            "linear",
-            "endpoints",
-        ):
-            TargetHiSpec(kind=kind).validate()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown HI variant"):
-            TargetHiSpec(kind="cubic").validate()
-
-    def test_bad_beta_rejected(self):
-        with pytest.raises(ValueError):
-            TargetHiSpec(kind="exponential", beta=1.2).validate()

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edhi.config import RunConfig
 from edhi.lstm import (
     LstmEdModel,
     LstmParams,
     LstmState,
-    TrainConfig,
     decode_infer,
     decode_train,
     encode,
@@ -304,8 +304,8 @@ def _sinusoid_windows(n_windows, l, p, seed, phase_scale=1.0):
 class TestTrain:
     def test_loss_decreases_on_sinusoid(self):
         wins = _sinusoid_windows(24, 6, 2, seed=0)
-        cfg = TrainConfig(max_epochs=40, batch_size=8, patience=40, seed=1)
-        result = train(wins[:20], cfg, wins[20:], hidden_units=6)
+        cfg = RunConfig(c=6, max_epochs=40, batch_size=8, patience=40, seed=1)
+        result = train(wins[:20], cfg, wins[20:])
         assert result.train_history[-1] < result.train_history[0]
         assert result.val_history[-1] < result.val_history[0]
 
@@ -313,17 +313,17 @@ class TestTrain:
         # identical windows, modest rate: descent should not overshoot
         base = _sinusoid_windows(1, 6, 1, seed=3)[0]
         wins = [base.copy() for _ in range(8)]
-        cfg = TrainConfig(
-            learning_rate=3e-4, max_epochs=25, batch_size=8, patience=25, seed=2
+        cfg = RunConfig(
+            c=4, learning_rate=3e-4, max_epochs=25, batch_size=8, patience=25, seed=2
         )
-        result = train(wins, cfg, [base.copy()], hidden_units=4)
+        result = train(wins, cfg, [base.copy()])
         diffs = np.diff(result.train_history)
         assert np.all(diffs <= 1e-9)
 
     def test_returns_best_validation_checkpoint(self):
         wins = _sinusoid_windows(30, 5, 2, seed=5)
-        cfg = TrainConfig(max_epochs=30, batch_size=8, patience=30, seed=3)
-        result = train(wins[:24], cfg, wins[24:], hidden_units=5)
+        cfg = RunConfig(c=5, max_epochs=30, batch_size=8, patience=30, seed=3)
+        result = train(wins[:24], cfg, wins[24:])
         val_batch = np.stack(wins[24:])
         returned_loss = loss(
             decode_train(result.model, val_batch, encode(result.model, val_batch)),
@@ -334,9 +334,9 @@ class TestTrain:
 
     def test_same_seed_is_bit_identical(self):
         wins = _sinusoid_windows(16, 5, 2, seed=9)
-        cfg = TrainConfig(max_epochs=8, batch_size=4, patience=8, seed=4)
-        a = train(wins[:12], cfg, wins[12:], hidden_units=4)
-        b = train(wins[:12], cfg, wins[12:], hidden_units=4)
+        cfg = RunConfig(c=4, max_epochs=8, batch_size=4, patience=8, seed=4)
+        a = train(wins[:12], cfg, wins[12:])
+        b = train(wins[:12], cfg, wins[12:])
         for key, val in params_dict(a.model).items():
             assert np.array_equal(val, params_dict(b.model)[key]), key
         assert a.train_history == b.train_history
@@ -345,24 +345,26 @@ class TestTrain:
 
     def test_early_stopping_respects_patience(self):
         wins = _sinusoid_windows(10, 4, 1, seed=13)
-        cfg = TrainConfig(max_epochs=500, batch_size=4, patience=3, seed=5)
-        result = train(wins[:8], cfg, wins[8:], hidden_units=3)
+        cfg = RunConfig(c=3, max_epochs=500, batch_size=4, patience=3, seed=5)
+        result = train(wins[:8], cfg, wins[8:])
         assert len(result.train_history) < 500
         assert result.best_epoch <= len(result.train_history)
 
     def test_empty_inputs_rejected(self):
         wins = _sinusoid_windows(4, 4, 1, seed=0)
-        cfg = TrainConfig()
+        cfg = RunConfig(c=3)
         with pytest.raises(ValueError, match="no training windows"):
-            train([], cfg, wins, hidden_units=3)
+            train([], cfg, wins)
         with pytest.raises(ValueError, match="validation"):
-            train(wins, cfg, [], hidden_units=3)
+            train(wins, cfg, [])
 
     def test_untrained_baseline_counts_as_epoch_zero(self):
         wins = _sinusoid_windows(6, 4, 1, seed=17)
         # learning rate so large the optimizer only makes things worse
-        cfg = TrainConfig(learning_rate=50.0, max_epochs=5, batch_size=4, patience=10, seed=6)
-        result = train(wins[:4], cfg, wins[4:], hidden_units=3)
+        cfg = RunConfig(
+            c=3, learning_rate=50.0, max_epochs=5, batch_size=4, patience=10, seed=6
+        )
+        result = train(wins[:4], cfg, wins[4:])
         assert result.best_epoch == 0
         fresh = init_model(1, 3, 4, seed=6)
         for key, val in params_dict(result.model).items():
@@ -374,9 +376,9 @@ class TestTrain:
         wins = _sinusoid_windows(8, 4, 2, seed=19)
         huge = [1e200 * w for w in wins]
         train_wins, val_wins = (huge, wins) if overflowing == "training" else (wins, huge)
-        cfg = TrainConfig(max_epochs=3, batch_size=4, seed=7)
+        cfg = RunConfig(c=3, max_epochs=3, batch_size=4, seed=7)
         with pytest.raises(ValueError, match=f"diverged: {overflowing} loss is inf"):
-            train(train_wins[:6], cfg, val_wins[6:], hidden_units=3)
+            train(train_wins[:6], cfg, val_wins[6:])
 
 
 class TestInitModel:

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edhi.config import RunConfig
 from edhi.health import HiCurve
 from edhi.matching import (
-    MatchConfig,
     RulCandidate,
     candidate_estimates,
     curve_distance,
@@ -56,7 +56,7 @@ def random_curve_case(rng, n_trains=None, max_len=30, tau=None):
         (f"u{k}", HiCurve(values=rng.uniform(0, 1, size=int(rng.integers(2, max_len + 1)))))
         for k in range(n_trains)
     ]
-    config = MatchConfig(
+    config = RunConfig(
         lam=float(rng.uniform(0.05, 2.0)),
         tau=tau if tau is not None else int(rng.integers(1, 6)),
         alpha=float(rng.uniform(0.0, 1.0)),
@@ -115,7 +115,7 @@ class TestCandidateEstimates:
     def test_short_train_contributes_nothing(self):
         test = HiCurve(values=np.linspace(1, 0, 10))
         trains = [("short", HiCurve(values=np.linspace(1, 0, 8)))]
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=50)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=50)
         assert candidate_estimates(test, trains, config) == []
 
     def test_alpha_one_keeps_only_best(self):
@@ -125,7 +125,7 @@ class TestCandidateEstimates:
             ("a", HiCurve(values=rng.uniform(0, 1, size=15))),
             ("b", HiCurve(values=rng.uniform(0, 1, size=12))),
         ]
-        config = MatchConfig(lam=0.5, tau=4, alpha=1.0, r_max=50)
+        config = RunConfig(lam=0.5, tau=4, alpha=1.0, r_max=50)
         survivors = candidate_estimates(test, trains, config)
         assert len(survivors) >= 1
         best = max(s.similarity for s in survivors)
@@ -135,7 +135,7 @@ class TestCandidateEstimates:
     def test_candidate_fields(self):
         test = HiCurve(values=np.array([0.9, 0.8]))
         trains = [("u7", HiCurve(values=np.array([1.0, 0.9, 0.8, 0.2, 0.1])))]
-        config = MatchConfig(lam=0.1, tau=2, alpha=0.0, r_max=50)
+        config = RunConfig(lam=0.1, tau=2, alpha=0.0, r_max=50)
         cands = candidate_estimates(test, trains, config)
         assert [(c.train_id, c.lag) for c in cands] == [("u7", 1), ("u7", 2)]
         # estimate is remaining train cycles past the aligned window
@@ -146,7 +146,7 @@ class TestCandidateEstimates:
     def test_underflowed_similarities_are_pruned(self):
         test = HiCurve(values=np.ones(5))
         trains = [("far", HiCurve(values=np.zeros(10)))]
-        config = MatchConfig(lam=1e-300, tau=3, alpha=0.0, r_max=50)
+        config = RunConfig(lam=1e-300, tau=3, alpha=0.0, r_max=50)
         assert candidate_estimates(test, trains, config) == []
 
     @given(st.integers(0, 2**32 - 1))
@@ -175,7 +175,7 @@ class TestEstimateRul:
             RulCandidate(train_id="a", lag=1, similarity=1.0, estimate=10.0),
             RulCandidate(train_id="b", lag=1, similarity=1.0, estimate=20.0),
         ]
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
         result = estimate_rul(cands, config, test_len=10, train_lengths=[40, 40])
         assert result.value == pytest.approx(15.0, abs=1e-12)
         assert result.spread == 10.0
@@ -184,7 +184,7 @@ class TestEstimateRul:
 
     def test_single_candidate(self):
         cands = [RulCandidate(train_id="a", lag=2, similarity=0.4, estimate=7.0)]
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
         result = estimate_rul(cands, config, test_len=5, train_lengths=[14])
         assert result.value == 7.0
         assert result.std_dev == 0.0
@@ -192,33 +192,33 @@ class TestEstimateRul:
 
     def test_cap_applies(self):
         cands = [RulCandidate(train_id="a", lag=1, similarity=1.0, estimate=200.0)]
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
         result = estimate_rul(cands, config, test_len=5, train_lengths=[300])
         assert result.value == 125.0
         assert result.capped
 
     def test_empty_candidates_fallback(self):
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
         result = estimate_rul([], config, test_len=50, train_lengths=[80, 120, 60])
         assert result.fallback
         assert result.value == 70.0  # best headroom: 120 - 50
         assert math.isnan(result.std_dev) and math.isnan(result.spread)
 
     def test_fallback_respects_cap(self):
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=30)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=30)
         result = estimate_rul([], config, test_len=10, train_lengths=[200])
         assert result.value == 30.0
         assert result.fallback and result.capped
 
     def test_fallback_with_no_longer_train(self):
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=125)
         result = estimate_rul([], config, test_len=90, train_lengths=[50, 60])
         assert result.value == 0.0
         assert result.fallback
 
     def test_weighted_mean_is_convex_combination(self):
         rng = np.random.default_rng(3)
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=1e9)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=1e9)
         for _ in range(20):
             cands = [
                 RulCandidate(
@@ -234,7 +234,7 @@ class TestEstimateRul:
             assert min(ests) - 1e-9 <= result.value <= max(ests) + 1e-9
 
     def test_similarity_scale_invariance(self):
-        config = MatchConfig(lam=0.1, tau=5, alpha=0.0, r_max=1e9)
+        config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=1e9)
         base = [
             RulCandidate(train_id="a", lag=1, similarity=0.2, estimate=12.0),
             RulCandidate(train_id="b", lag=2, similarity=0.05, estimate=30.0),
@@ -280,16 +280,3 @@ class TestEstimateRul:
         result = estimate_rul(cands, config, test.length, lengths)
         if cands or max(lengths) > test.length:
             assert result.value + test.length <= max(lengths) + 1e-9
-
-
-class TestMatchConfig:
-    def test_validation(self):
-        MatchConfig().validate()
-        with pytest.raises(ValueError):
-            MatchConfig(lam=0.0).validate()
-        with pytest.raises(ValueError):
-            MatchConfig(tau=0).validate()
-        with pytest.raises(ValueError):
-            MatchConfig(alpha=1.0001).validate()
-        with pytest.raises(ValueError):
-            MatchConfig(r_max=0.5).validate()

@@ -1,11 +1,14 @@
 """Tests for the pipeline file format: lossless, deterministic, hard-failing."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edhi.config import RunConfig
 from edhi.health import HiCurve
-from edhi.lstm import init_model
 from edhi.numerics import NormStats, OlsModel, PcaModel
 from edhi.persist import (
     FORMAT_VERSION,
@@ -14,17 +17,19 @@ from edhi.persist import (
     load_pipeline,
     save_pipeline,
 )
+from edhi.pipeline import predict_one
+from helpers import as_format_1, join_pipeline, split_pipeline
+
+LSTM_SECTIONS = {"enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b"}
 
 
 def _bundle(seed=0):
     rng = np.random.default_rng(seed)
-    model = init_model(2, 3, 4, seed=seed)
     return PipelineBundle(
         norm=NormStats(
             mean=rng.normal(size=5), std=rng.uniform(0.5, 2.0, size=5), dropped=(1, 3)
         ),
         pca=PcaModel(components=rng.normal(size=(2, 3))),
-        lstm=model,
         lr=OlsModel(theta=rng.normal(size=2), theta0=0.37),
         hi_train_curves=[
             ("u1", HiCurve(values=rng.uniform(0, 1, size=12))),
@@ -45,15 +50,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.norm.std, bundle.norm.std)
         assert back.norm.dropped == bundle.norm.dropped
         np.testing.assert_array_equal(back.pca.components, bundle.pca.components)
-        np.testing.assert_array_equal(back.lstm.encoder.w, bundle.lstm.encoder.w)
-        np.testing.assert_array_equal(back.lstm.encoder.b, bundle.lstm.encoder.b)
-        np.testing.assert_array_equal(back.lstm.decoder.w, bundle.lstm.decoder.w)
-        np.testing.assert_array_equal(back.lstm.decoder.b, bundle.lstm.decoder.b)
-        np.testing.assert_array_equal(back.lstm.out_weight, bundle.lstm.out_weight)
-        np.testing.assert_array_equal(back.lstm.out_bias, bundle.lstm.out_bias)
-        assert back.lstm.hidden_units == 3
-        assert back.lstm.window_len == 4
-        assert back.lstm.input_dim == 2
         np.testing.assert_array_equal(back.lr.theta, bundle.lr.theta)
         assert back.lr.theta0 == bundle.lr.theta0
         assert [uid for uid, _ in back.hi_train_curves] == ["u1", "u2"]
@@ -72,7 +68,6 @@ class TestRoundTrip:
         bare = PipelineBundle(
             norm=bundle.norm,
             pca=bundle.pca,
-            lstm=bundle.lstm,
             lr=bundle.lr,
             hi_train_curves=[],
             config=bundle.config,
@@ -118,8 +113,163 @@ class TestCorruption:
         with pytest.raises(ValueError, match="truncated|checksum"):
             load_pipeline(path)
 
+    def test_dropped_sensor_out_of_range(self, tmp_path):
+        bundle = _bundle()
+        bad = PipelineBundle(
+            norm=NormStats(mean=bundle.norm.mean, std=bundle.norm.std, dropped=(1, 9)),
+            pca=PcaModel(components=np.ones((2, 4))),
+            lr=bundle.lr,
+            hi_train_curves=bundle.hi_train_curves,
+            config=bundle.config,
+        )
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, bad)
+        with pytest.raises(ValueError, match="shapes do not fit"):
+            load_pipeline(path)
+
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "pipe.bin"
         path.write_bytes(b"short")
         with pytest.raises(ValueError, match="truncated"):
+            load_pipeline(path)
+
+
+def assert_bundles_equal(a: PipelineBundle, b: PipelineBundle) -> None:
+    np.testing.assert_array_equal(a.norm.mean, b.norm.mean)
+    np.testing.assert_array_equal(a.norm.std, b.norm.std)
+    assert a.norm.dropped == b.norm.dropped
+    np.testing.assert_array_equal(a.pca.components, b.pca.components)
+    np.testing.assert_array_equal(a.lr.theta, b.lr.theta)
+    assert a.lr.theta0 == b.lr.theta0
+    assert [uid for uid, _ in a.hi_train_curves] == [
+        uid for uid, _ in b.hi_train_curves
+    ]
+    for (_, ca), (_, cb) in zip(a.hi_train_curves, b.hi_train_curves):
+        np.testing.assert_array_equal(ca.values, cb.values)
+    assert a.config == b.config
+
+
+class TestFormat:
+    def test_saved_file_is_v2_without_lstm(self, tmp_path):
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())
+        version, header, _ = split_pipeline(path.read_bytes())
+        assert version == FORMAT_VERSION == 2
+        assert "model" not in header
+        names = {sec["name"] for sec in header["sections"]}
+        assert names.isdisjoint(LSTM_SECTIONS)
+        assert names == {
+            "norm_mean", "norm_std", "norm_dropped", "pca_components",
+            "lr_theta", "lr_theta0", "curve_0", "curve_1",
+        }
+
+    def test_surgery_helpers_round_trip(self, tmp_path):
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())
+        blob = path.read_bytes()
+        assert join_pipeline(*split_pipeline(blob)) == blob
+
+    def test_v1_file_loads_and_predicts_identically(
+        self, tmp_path, tiny_ds, tiny_build
+    ):
+        bundle, info = tiny_build
+        v2 = tmp_path / "v2.edhi"
+        save_pipeline(v2, bundle)
+        v1 = tmp_path / "v1.edhi"
+        v1.write_bytes(as_format_1(v2.read_bytes(), info.train_result.model))
+        version, header, _ = split_pipeline(v1.read_bytes())
+        assert version == 1 and "model" in header
+        assert LSTM_SECTIONS <= {sec["name"] for sec in header["sections"]}
+
+        from_v1, from_v2 = load_pipeline(v1), load_pipeline(v2)
+        assert_bundles_equal(from_v1, bundle)
+        assert_bundles_equal(from_v1, from_v2)
+        for uid, series in tiny_ds.instances:
+            cut = series[: series.shape[0] // 2]
+            est1, curve1 = predict_one(from_v1, cut)
+            est2, curve2 = predict_one(from_v2, cut)
+            assert est1.value == est2.value, uid
+            assert est1.candidates == est2.candidates, uid
+            np.testing.assert_array_equal(curve1.values, curve2.values)
+
+
+def _paths(node, prefix=()):
+    """Every path into a parsed JSON header, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutated(header, path, replacement):
+    """A copy of header with the value at path deleted (replacement None)
+    or replaced."""
+    out = copy.deepcopy(header)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return out
+
+
+def _wrong_types(value):
+    # a string slot gets a non-string; anything else gets a string or an
+    # empty container, none of which a pipeline header holds there
+    if isinstance(value, str):
+        return [7, [], {}, False]
+    return [v for v in ("x", [], {}) if v != value]
+
+
+class TestMalformedHeader:
+    """A header with a valid checksum that does not describe a pipeline."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda h: h.pop("sections"), id="no-sections"),
+            pytest.param(lambda h: h["train_ids"].append("u9"), id="extra-train-id"),
+            pytest.param(lambda h: h["train_ids"].pop(), id="missing-train-id"),
+            pytest.param(lambda h: h["config"].update(p="x"), id="p-is-a-string"),
+            pytest.param(lambda h: h["config"].pop("tau"), id="no-tau"),
+            pytest.param(
+                lambda h: h["sections"][0].update(shape=[1, 5]), id="2d-norm-mean"
+            ),
+        ],
+    )
+    def test_reported_cases(self, tmp_path, edit):
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())
+        version, header, payload = split_pipeline(path.read_bytes())
+        edit(header)
+        path.write_bytes(join_pipeline(version, header, payload))
+        with pytest.raises(ValueError, match=f"pipeline file {path}"):
+            load_pipeline(path)
+
+    @given(st.data())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_deleted_or_retyped_key_raises_value_error(self, tmp_path, data):
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())
+        version, header, payload = split_pipeline(path.read_bytes())
+        target = data.draw(st.sampled_from(list(_paths(header))))
+        value = header
+        for key in target:
+            value = value[key]
+        choices = _wrong_types(value) + ([None] if target else [])
+        replacement = data.draw(st.sampled_from(choices))
+        mutated = _mutated(header, target, replacement) if target else replacement
+        path.write_bytes(join_pipeline(version, mutated, payload))
+        with pytest.raises(ValueError, match=f"pipeline file {path}"):
             load_pipeline(path)

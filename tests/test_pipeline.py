@@ -116,9 +116,10 @@ class TestBuild:
         assert result.best_epoch == int(np.argmin(result.val_history))
 
     def test_rebuild_is_deterministic(self, tiny_ds, tiny_config, tiny_build):
-        bundle_a, _ = tiny_build
-        bundle_b, _ = build_pipeline(tiny_ds, tiny_config)
-        assert np.array_equal(bundle_a.lstm.encoder.w, bundle_b.lstm.encoder.w)
+        bundle_a, info_a = tiny_build
+        bundle_b, info_b = build_pipeline(tiny_ds, tiny_config)
+        model_a, model_b = info_a.train_result.model, info_b.train_result.model
+        assert np.array_equal(model_a.encoder.w, model_b.encoder.w)
         assert np.array_equal(bundle_a.lr.theta, bundle_b.lr.theta)
         for (_, ca), (_, cb) in zip(
             bundle_a.hi_train_curves, bundle_b.hi_train_curves
