@@ -163,23 +163,28 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"fit_instances {len(info.fit_ids)}",
         f"val_instances {len(info.val_ids)}",
     ]
-    for epoch, (tr, va) in enumerate(zip(result.train_history, result.val_history)):
-        lines.append(f"epoch {epoch} train_loss {tr:.10g} val_loss {va:.10g}")
-    lines.append(f"best_epoch {result.best_epoch}")
-    lines.append(f"best_val_loss {result.val_history[result.best_epoch]:.10g}")
+    if result is not None:
+        history = zip(result.train_history, result.val_history)
+        for epoch, (tr, va) in enumerate(history):
+            lines.append(f"epoch {epoch} train_loss {tr:.10g} val_loss {va:.10g}")
+        lines.append(f"best_epoch {result.best_epoch}")
+        lines.append(f"best_val_loss {result.val_history[result.best_epoch]:.10g}")
     log_path.write_text("\n".join(lines) + "\n")
 
     print(f"trained on {len(info.fit_ids)} instances, {len(info.val_ids)} held out")
-    if result.best_epoch == 0:
+    if result is None:
+        print(f"hi_variant {config.hi_variant} reads no encoder-decoder; none trained")
+    else:
+        if result.best_epoch == 0:
+            print(
+                "warning: no epoch beat the untrained model's validation loss;"
+                " the HI targets come from the untrained encoder-decoder",
+                file=sys.stderr,
+            )
         print(
-            "warning: no epoch beat the untrained model's validation loss;"
-            " the HI targets come from the untrained encoder-decoder",
-            file=sys.stderr,
+            f"best epoch {result.best_epoch}, validation loss "
+            f"{result.val_history[result.best_epoch]:.6g}"
         )
-    print(
-        f"best epoch {result.best_epoch}, validation loss "
-        f"{result.val_history[result.best_epoch]:.6g}"
-    )
     print(f"wrote {out}")
     print(f"wrote {log_path}")
     return 0
@@ -198,6 +203,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = _load_dataset(args.data, args.file_format, rul_path=args.rul)
     report, rows = evaluate_pipeline(bundle, ds)
     print(report.as_table())
+    zeros = sum(1 for actual in ds.rul_labels if actual == 0)
+    if zeros:
+        print(
+            f"warning: {zeros} of {len(rows)} true RULs are 0;"
+            " MAPE1 divides by them and is reported as undefined",
+            file=sys.stderr,
+        )
 
     if args.out:
         lines = ["test_id,rul_estimate,std_dev,spread,n_candidates,capped,fallback"]

@@ -3,15 +3,27 @@
 Two input formats are supported: the 26-column whitespace-delimited turbofan
 layout (unit, cycle, 3 operating settings, 21 sensors) and a generic CSV
 with a header row (instance_id, cycle, sensor columns). Both are validated
-hard: every malformed row is reported with its line number, and cycle
-indices must run 1..L contiguously per instance, which the matching math
-relies on. The synthetic generator produces seeded run-to-failure instances
-whose sensors drift from a healthy baseline once a fault sets in.
+hard: every malformed row and every non-finite reading is reported with its
+line number, and cycle indices must run 1..L contiguously per instance,
+which the matching math relies on.
+
+The generic parser first reads all numeric columns with one ``np.loadtxt``
+call and groups the rows by unit with one sort. It keeps that result only
+when it can show the row-by-row loop would give the same dataset: every line
+parsed, every row the same width, every value finite, and each unit's cycles
+exactly 1..L. Anything else (including tokens only Python's ``float``
+accepts, such as ``1_0``) goes to the loop, which stays the one place that
+reports errors, so messages and line numbers do not depend on the fast path.
+The turbofan parser is the row loop alone.
+
+The synthetic generator produces seeded run-to-failure instances whose
+sensors drift from a healthy baseline once a fault sets in.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +99,63 @@ class SyntheticSpec:
 
 def _parse_float(token: str, lineno: int, path_hint: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ValueError(
             f"{path_hint} line {lineno}: non-numeric value {token!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path_hint} line {lineno}: non-finite value {token!r}")
+    return value
+
+
+def _group_table(
+    names: list[str], codes: np.ndarray, cycles: np.ndarray, values: np.ndarray
+) -> list[tuple[str, np.ndarray]] | None:
+    """Rows with unit codes into per-unit matrices ordered by cycle.
+
+    Unit k is names[k]; codes number units in order of first appearance.
+    None unless every unit's cycles are exactly 1..L, as ``_group_rows``
+    requires.
+    """
+    counts = np.bincount(codes, minlength=len(names))
+    order = np.lexsort((cycles, codes))
+    firsts = np.repeat(np.cumsum(counts) - counts, counts)
+    if not np.array_equal(cycles[order], np.arange(len(codes)) - firsts + 1):
+        return None
+    blocks = np.split(values[order], np.cumsum(counts)[:-1])
+    return list(zip(names, blocks))
+
+
+def _fast_generic(lines: list[str], width: int) -> list[tuple[str, np.ndarray]] | None:
+    """Generic CSV rows by loadtxt, or None where the row loop must decide.
+
+    None whenever loadtxt rejects a line, skips one, or finds another width,
+    or any value is non-finite: the row loop then parses and reports.
+    loadtxt reads each line past its first comma; the ids before it are
+    split off in a second pass, so the two halves are never held at once.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            table = np.loadtxt(
+                [line.partition(",")[2] for line in lines],
+                dtype=np.float64,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+            )
+    except ValueError:
+        return None
+    if table.shape != (len(lines), width - 1) or not np.isfinite(table).all():
+        return None
+    codes: dict[str, int] = {}
+    unit_codes = [
+        codes.setdefault(line.partition(",")[0].strip(), len(codes)) for line in lines
+    ]
+    return _group_table(
+        list(codes), np.array(unit_codes), table[:, 0], table[:, 1:]
+    )
 
 
 def _group_rows(
@@ -208,15 +272,30 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
             f"{path_hint} line 1: header must start with instance_id,cycle"
         )
     n_sensors = len(header) - 2
+    data = [line for line in lines[1:] if line.strip()]
+    instances = _fast_generic(data, len(header)) if data else None
+    if instances is None:
+        instances = _group_rows(_generic_rows(lines, len(header), path_hint), path_hint)
+    ds = RunToFailureDataset(instances=instances, sensor_names=header[2:])
+    ds.validate()
+    if ds.n_sensors != n_sensors:
+        raise ValueError(f"{path_hint}: sensor column mismatch")
+    return ds
+
+
+def _generic_rows(
+    lines: list[str], n_columns: int, path_hint: str
+) -> list[tuple[str, int, list[float]]]:
+    """The row loop: (unit, cycle, sensors) per data line after the header."""
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
             continue
         tokens = [t.strip() for t in line.split(",")]
-        if len(tokens) != len(header):
+        if len(tokens) != n_columns:
             raise ValueError(
-                f"{path_hint} line {lineno}: expected {len(header)} columns,"
+                f"{path_hint} line {lineno}: expected {n_columns} columns,"
                 f" got {len(tokens)}"
             )
         unit = tokens[0]
@@ -225,13 +304,7 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
         rows.append((unit, cycle, sensors))
     if not rows:
         raise ValueError(f"{path_hint}: no data rows")
-    ds = RunToFailureDataset(
-        instances=_group_rows(rows, path_hint), sensor_names=header[2:]
-    )
-    ds.validate()
-    if ds.n_sensors != n_sensors:
-        raise ValueError(f"{path_hint}: sensor column mismatch")
-    return ds
+    return rows
 
 
 def write_generic(ds: RunToFailureDataset) -> str:

@@ -7,20 +7,34 @@ segment) weighted by a Gaussian-kernel similarity of the aligned curves.
 Candidates far below the best similarity are discarded; the survivors'
 similarity-weighted mean, capped from above, is the estimate. Candidate
 dispersion doubles as a confidence signal.
+
+``candidate_estimates`` scores every (train, lag) pair of one test instance
+in array passes: the library curves are laid end to end, each pair is a
+window of that flat array, and batched row-by-column products and one
+``exp`` give all similarities. Each product runs the same dot kernel as the
+scalar ``curve_distance``, so candidate sets are bitwise those of the
+pair-by-pair loop that ``curve_distance`` and ``similarity`` spell out.
+Pairs are gathered in blocks of at most ``_BLOCK_VALUES`` window values, so
+memory stays bounded however large the library is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .health import HiCurve
 
+# float64 window values gathered per block of pairs: 8 MiB
+_BLOCK_VALUES = 1 << 20
 
-@dataclass(frozen=True)
-class RulCandidate:
+
+class RulCandidate(NamedTuple):
     """One surviving (train instance, lag) match.
 
     Attributes:
@@ -100,7 +114,9 @@ def candidate_estimates(
     alpha * s_max is taken against the best similarity over the full
     unfiltered set; candidates whose similarity underflows to exactly zero
     are dropped as well, since they cannot carry weight. Order is the train
-    set's own order, then ascending lag, so reruns are bit-identical.
+    set's own order, then ascending lag, so reruns are bit-identical. Each
+    pair's d^2 and similarity are bitwise those of ``curve_distance`` and
+    ``similarity``.
 
     Args:
         test: Truncated test instance's HI curve.
@@ -111,30 +127,52 @@ def candidate_estimates(
         Surviving candidates; may be empty.
 
     Raises:
-        ValueError: On an empty test curve.
+        ValueError: On an empty test curve, or when a curve distance is NaN
+            (a NaN in the test or a library curve), naming the first train
+            instance it occurs against.
     """
-    if test.length == 0:
-        raise ValueError("empty test curve")
     l_star = test.length
-    raw: list[RulCandidate] = []
-    for train_id, curve in train_set:
-        max_lag = min(config.tau, curve.length - l_star)
-        for lag in range(1, max_lag + 1):
-            d2 = curve_distance(test, curve, lag)
-            s = similarity(d2, config.lam)
-            raw.append(
-                RulCandidate(
-                    train_id=train_id,
-                    lag=lag,
-                    similarity=s,
-                    estimate=float(curve.length - l_star - lag),
-                )
-            )
-    if not raw:
+    if l_star == 0:
+        raise ValueError("empty test curve")
+    lengths = np.array([curve.length for _, curve in train_set], dtype=np.int64)
+    n_lags = np.clip(np.minimum(config.tau, lengths - l_star), 0, None)
+    n_pairs = int(n_lags.sum())
+    if n_pairs == 0:
         return []
-    s_max = max(c.similarity for c in raw)
-    cutoff = config.alpha * s_max
-    return [c for c in raw if c.similarity >= cutoff and c.similarity > 0.0]
+    # pair k belongs to train curve owner[k] at lag lags[k]; train-major, lag-minor
+    owner = np.repeat(np.arange(len(train_set)), n_lags)
+    lags = np.arange(n_pairs) - np.repeat(np.cumsum(n_lags) - n_lags, n_lags) + 1
+    flat = np.concatenate([curve.values for _, curve in train_set])
+    starts = np.cumsum(lengths) - lengths
+    windows = sliding_window_view(flat, l_star)
+    rows = starts[owner] + lags
+    d2 = np.empty(n_pairs)
+    block = max(1, _BLOCK_VALUES // l_star)
+    for lo in range(0, n_pairs, block):
+        segments = windows[rows[lo : lo + block]]
+        diff = np.subtract(test.values, segments, out=segments)
+        # (1, L*) @ (L*, 1) per pair: the dot kernel of the 1-D diff @ diff
+        d2[lo : lo + block] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+    d2 /= l_star
+    sims = np.exp(-d2 / config.lam)
+    s_max = sims.max()
+    if np.isnan(s_max):
+        bad = train_set[owner[np.flatnonzero(np.isnan(sims))[0]]][0]
+        raise ValueError(f"NaN curve distance against train instance {bad}")
+    keep = np.flatnonzero((sims >= config.alpha * s_max) & (sims > 0.0))
+    kept_owner = owner[keep]
+    kept_lags = lags[keep]
+    estimates = (lengths[kept_owner] - l_star - kept_lags).astype(np.float64)
+    ids = np.array([train_id for train_id, _ in train_set], dtype=object)
+    fields = zip(
+        ids[kept_owner].tolist(),
+        kept_lags.tolist(),
+        sims[keep].tolist(),
+        estimates.tolist(),
+    )
+    # tuple.__new__ builds each RulCandidate from its field tuple without the
+    # Python-level NamedTuple constructor: about half the cost per survivor
+    return list(map(tuple.__new__, repeat(RulCandidate), fields))
 
 
 def estimate_rul(

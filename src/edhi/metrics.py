@@ -10,6 +10,7 @@ so A + FPR + FNR is 100 by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,13 @@ class MetricsReport:
     n: int
 
     def as_table(self) -> str:
+        mape1 = "undefined" if math.isnan(self.mape1) else f"{self.mape1:.4f}"
         rows = [
             ("S", f"{self.s:.4f}"),
             ("A (%)", f"{self.a:.2f}"),
             ("MAE", f"{self.mae:.4f}"),
             ("MSE", f"{self.mse:.4f}"),
-            ("MAPE1 (%)", f"{self.mape1:.4f}"),
+            ("MAPE1 (%)", mape1),
             ("MAPE2 (%)", f"{self.mape2:.4f}"),
             ("FPR (%)", f"{self.fpr:.2f}"),
             ("FNR (%)", f"{self.fnr:.2f}"),
@@ -164,6 +166,13 @@ def error_stats(records: list[EvalRecord]) -> tuple[float, float, float, float]:
     Raises:
         ValueError: When a record's MAPE denominator is zero, naming it.
     """
+    return _error_stats(records, strict=True)
+
+
+def _error_stats(
+    records: list[EvalRecord], strict: bool
+) -> tuple[float, float, float, float]:
+    """error_stats; unless strict, a true RUL of 0 makes MAPE1 NaN instead."""
     _check_records(records)
     n = len(records)
     mae = mse = mape1 = mape2 = 0.0
@@ -172,10 +181,13 @@ def error_stats(records: list[EvalRecord]) -> tuple[float, float, float, float]:
         mae += d
         mse += d * d
         if r.actual <= 0:
-            raise ValueError(f"record {k}: actual RUL is 0, MAPE1 undefined")
+            if strict:
+                raise ValueError(f"record {k}: actual RUL is 0, MAPE1 undefined")
+            mape1 = math.nan
         if r.actual + r.observed_len <= 0:
             raise ValueError(f"record {k}: zero total life, MAPE2 undefined")
-        mape1 += d / r.actual
+        if r.actual > 0:
+            mape1 += d / r.actual
         mape2 += d / (r.actual + r.observed_len)
     return mae / n, mse / n, 100.0 * mape1 / n, 100.0 * mape2 / n
 
@@ -183,10 +195,14 @@ def error_stats(records: list[EvalRecord]) -> tuple[float, float, float, float]:
 def full_report(
     records: list[EvalRecord], tau1: float = 13.0, tau2: float = 10.0
 ) -> MetricsReport:
-    """All metrics in one report; defaults penalize lateness over earliness."""
+    """All metrics in one report; defaults penalize lateness over earliness.
+
+    MAPE1 is undefined when any true RUL is 0; it is then NaN, and the
+    table shows it as ``undefined``, while every other metric is reported.
+    """
     s = timeliness(records, tau1, tau2)
     a = accuracy(records, tau1, tau2)
-    mae, mse, mape1, mape2 = error_stats(records)
+    mae, mse, mape1, mape2 = _error_stats(records, strict=False)
     fpr, fnr = fp_fn_rates(records, tau1, tau2)
     return MetricsReport(
         s=s,

@@ -2,7 +2,8 @@
 
 Building a pipeline runs the full recipe: split instances, fit pooled
 normalization and PCA on the fitting split, train the encoder-decoder on
-healthy windows, construct target HI curves, fit the linear HI map, and
+healthy windows (only for the reconstruction-error HI variants, the ones
+that read it), construct target HI curves, fit the linear HI map, and
 store the fitting split's final curves as the matching library. Validation
 instances steer early stopping and sweep scoring, so their curves stay out
 of the library. Every stage failure is re-raised with the stage's name.
@@ -37,6 +38,8 @@ from .persist import PipelineBundle
 
 # the five validation truncation locations used for sweep scoring
 SWEEP_TRUNCATION_FRACS = tuple(np.linspace(0.20, 0.96, 5))
+# target HI variants built from the encoder-decoder's reconstruction error
+_RECON_VARIANTS = ("recon_error", "recon_error_squared")
 
 
 class StageError(RuntimeError):
@@ -53,10 +56,12 @@ class BuildInfo:
 
     The trained encoder-decoder lives here (``train_result.model``), not in
     the bundle: it only supplies the target HI curves, and scoring never
-    reads it.
+    reads it. ``train_result`` is None for the ``exponential``, ``linear``
+    and ``endpoints`` variants, whose targets do not come from the model,
+    so no model is trained for them.
     """
 
-    train_result: TrainResult
+    train_result: TrainResult | None
     fit_ids: list[str]
     val_ids: list[str]
 
@@ -118,6 +123,34 @@ def _stage(stage: str, fn, *args, **kwargs):
         raise StageError(stage, str(exc)) from exc
 
 
+def _uses_model(config: RunConfig) -> bool:
+    """Only the reconstruction-error variants read the encoder-decoder."""
+    return config.hi_variant in _RECON_VARIANTS
+
+
+def _train_model(
+    derived_fit: list[np.ndarray], derived_val: list[np.ndarray], config: RunConfig
+) -> TrainResult:
+    """Train the encoder-decoder on the healthy windows of both splits."""
+    train_windows = []
+    for z in derived_fit:
+        train_windows.extend(_healthy_windows(z, config.l, config.healthy_frac))
+    val_windows = []
+    for z in derived_val:
+        val_windows.extend(_healthy_windows(z, config.l, config.healthy_frac))
+    if not train_windows:
+        raise StageError(
+            "train-lstm",
+            f"no instance yields a healthy window of length {config.l}",
+        )
+    if not val_windows:
+        raise StageError(
+            "train-lstm",
+            f"no validation instance yields a healthy window of length {config.l}",
+        )
+    return _stage("train-lstm", train, train_windows, config, val_windows)
+
+
 def build_pipeline(
     ds: RunToFailureDataset, config: RunConfig
 ) -> tuple[PipelineBundle, BuildInfo]:
@@ -160,24 +193,9 @@ def build_pipeline(
     derived_fit = [pca_transform(z, pca) for z in normalized_fit]
     derived_val = [pca_transform(z, pca) for z in normalized_val]
 
-    train_windows = []
-    for z in derived_fit:
-        train_windows.extend(_healthy_windows(z, config.l, config.healthy_frac))
-    val_windows = []
-    for z in derived_val:
-        val_windows.extend(_healthy_windows(z, config.l, config.healthy_frac))
-    if not train_windows:
-        raise StageError(
-            "train-lstm",
-            f"no instance yields a healthy window of length {config.l}",
-        )
-    if not val_windows:
-        raise StageError(
-            "train-lstm",
-            f"no validation instance yields a healthy window of length {config.l}",
-        )
-    result = _stage("train-lstm", train, train_windows, config, val_windows)
-    model = result.model
+    result = None
+    if _uses_model(config):
+        result = _train_model(derived_fit, derived_val, config)
 
     if config.hi_variant == "endpoints":
         healthy = config.healthy_frac if config.healthy_frac is not None else 0.05
@@ -195,8 +213,8 @@ def build_pipeline(
     else:
         target_curves = []
         for z in derived_fit:
-            if config.hi_variant in ("recon_error", "recon_error_squared"):
-                recon = _stage("target-hi", pointwise_reconstruction, model, z)
+            if config.hi_variant in _RECON_VARIANTS:
+                recon = _stage("target-hi", pointwise_reconstruction, result.model, z)
                 errors = reconstruction_error(z, recon)
                 curve = target_hi_from_error(
                     errors, squared=config.hi_variant == "recon_error_squared"

@@ -29,6 +29,30 @@ def synth_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def quick_start(tmp_path_factory):
+    """The README quick-start fleet and pipeline, trained 5 epochs instead of 50."""
+    root = tmp_path_factory.mktemp("quick_start")
+    assert main([
+        "synth", "--out", str(root / "fleet"), "--n-instances", "30",
+        "--n-sensors", "5", "--seed", "1", "--truncate", "0.4,0.9",
+    ]) == 0
+    assert main([
+        "train", "--data", str(root / "fleet" / "data.csv"),
+        "--out", str(root / "pipe.edhi"),
+        "--p", "2", "--c", "8", "--l", "10", "--tau", "5", "--alpha", "0.5",
+        "--lambda", "0.01", "--max-epochs", "5", "--seed", "13",
+    ]) == 0
+    return root
+
+
+def _evaluate(root, data, rul, out):
+    return main([
+        "evaluate", "--pipeline", str(root / "pipe.edhi"), "--data", str(data),
+        "--rul", str(rul), "--out", str(out),
+    ])
+
+
+@pytest.fixture(scope="module")
 def trained(tmp_path_factory, synth_dir):
     out = tmp_path_factory.mktemp("model") / "pipe.edhi"
     code = main(
@@ -106,6 +130,22 @@ class TestTrain:
         assert code == 0
         assert "best_epoch 0\n" not in out.with_suffix(".edhi.log").read_text()
         assert "warning:" not in capsys.readouterr().err
+
+    def test_model_free_variant_logs_no_epochs(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "linear.edhi"
+        code = main(
+            ["train", "--data", str(synth_dir / "data.csv"), "--out", str(out)]
+            + TRAIN_FLAGS
+            # would leave the model untrained, and warn, if one were trained
+            + ["--hi-variant", "linear", "--learning-rate", "1e6"]
+        )
+        assert code == 0
+        log = out.with_suffix(".edhi.log").read_text()
+        assert log == "fit_instances 6\nval_instances 2\n"
+        captured = capsys.readouterr()
+        assert "warning:" not in captured.err
+        assert "hi_variant linear reads no encoder-decoder" in captured.out
+        assert load_pipeline(out).config.hi_variant == "linear"
 
     def test_diverged_training_fails_with_one_error_line(
         self, synth_dir, tmp_path, capsys
@@ -254,6 +294,55 @@ class TestEvaluate:
         ])
         assert code == 0
         assert "tau1=20, tau2=15" in capsys.readouterr().out
+
+
+class TestQuickStartFleet:
+    def test_zero_label_warns_and_still_writes_out(
+        self, quick_start, tmp_path, capsys
+    ):
+        fleet = quick_start / "fleet"
+        data = fleet / "truncated.csv"
+        labels = (fleet / "rul.txt").read_text().splitlines()
+        zeroed = tmp_path / "rul.txt"
+        zeroed.write_text("\n".join(["0"] + labels[1:]) + "\n")
+        reference = tmp_path / "reference.csv"
+        assert _evaluate(quick_start, data, fleet / "rul.txt", reference) == 0
+        capsys.readouterr()
+
+        code = _evaluate(quick_start, data, zeroed, tmp_path / "est.csv")
+        assert code == 0
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: 1 of 30 true RULs are 0")
+        assert "MAPE1 (%)  undefined" in captured.out
+        assert "metrics over 30 instances" in captured.out
+        # the estimates do not depend on the labels
+        assert (tmp_path / "est.csv").read_text() == reference.read_text()
+
+    @pytest.mark.parametrize(
+        "line, last_field, message",
+        [
+            (5, None, "line 5: expected 7 columns, got 6"),
+            (7, "nan", "line 7: non-finite value 'nan'"),
+        ],
+        ids=["malformed-row", "nan-reading"],
+    )
+    def test_bad_reading_one_error_line(
+        self, quick_start, tmp_path, capsys, line, last_field, message
+    ):
+        fleet = quick_start / "fleet"
+        rows = (fleet / "truncated.csv").read_text().splitlines()
+        fields = rows[line - 1].split(",")
+        fields[-1:] = [last_field] if last_field else []
+        rows[line - 1] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code = _evaluate(quick_start, bad, fleet / "rul.txt", tmp_path / "est.csv")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad} {message}"]
+        assert not (tmp_path / "est.csv").exists()
 
 
 class TestPredict:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edhi import data
 from edhi.data import (
     RunToFailureDataset,
     SyntheticSpec,
@@ -100,6 +103,166 @@ class TestParseGeneric:
         text = "instance_id,cycle,s1\na,1,0.5\na,3,0.6\n"
         with pytest.raises(ValueError, match="contiguous"):
             parse_generic(text)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_generic_reading_rejected_with_line(self, token):
+        text = f"instance_id,cycle,s1,s2\na,1,0.5,0.1\na,2,{token},0.2\n"
+        with pytest.raises(ValueError, match="line 3: non-finite value"):
+            parse_generic(text, "fleet.csv")
+
+    def test_generic_cycle_rejected_with_line(self):
+        text = "instance_id,cycle,s1\na,1,0.5\na,inf,0.6\n"
+        with pytest.raises(ValueError, match="line 3: non-finite value 'inf'"):
+            parse_generic(text)
+
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    def test_turbofan_reading_rejected_with_line(self, token):
+        rows = _turbofan_text({1: 3}).splitlines()
+        rows[2] = rows[2].rsplit(" ", 1)[0] + f" {token}"
+        with pytest.raises(ValueError, match="line 3: non-finite value"):
+            parse_turbofan("\n".join(rows), _turbofan_text({1: 2}), "5\n")
+
+    def test_rul_label_rejected_with_line(self):
+        with pytest.raises(ValueError, match="line 2: non-finite value"):
+            parse_rul_labels("12\nnan\n")
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: ids, shapes and bytes, or the error."""
+    try:
+        ds = parse(text, "f")
+    except ValueError as exc:
+        return ("error", str(exc))
+    return (
+        "ok",
+        ds.sensor_names,
+        [(uid, s.shape, s.dtype, s.tobytes()) for uid, s in ds.instances],
+    )
+
+
+def _row_loop_outcome(parse, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_fast_generic", lambda *args: None)
+        return _outcome(parse, text)
+
+
+_VALUES = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.floats(-100, 100, allow_nan=False).map(lambda v: f"{v:.5f}"),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["1e-3", "+2", ".5", "-0", "1E2", "0001.50"]),
+)
+# each edit turns a well-formed file into one of the cases the fast path must
+# either reproduce exactly or hand to the row loop
+_EDITS = st.sampled_from(
+    [
+        "drop_field", "extra_field", "word", "underscore", "blank", "spaces",
+        "hash", "swap", "duplicate", "cycle_float", "cycle_half", "nan", "inf",
+        "pad", "no_separator", "tab", "nul", "unit_float", "unit_half",
+    ]
+)
+
+
+def _edit(rows, edit, k):
+    """Apply one edit at row k (rows are lists of tokens or a raw string)."""
+    row = rows[k]
+    if isinstance(row, str):
+        return
+    if edit == "drop_field":
+        row.pop()
+    elif edit == "extra_field":
+        row.append("0.5")
+    elif edit == "word":
+        row[-1] = "abc"
+    elif edit == "underscore":
+        row[-1] = "1_0"
+    elif edit == "blank":
+        rows.insert(k, "")
+    elif edit == "spaces":
+        rows.insert(k, "   \t ")
+    elif edit == "hash":
+        row[-1] = row[-1] + "#1"
+    elif edit == "swap" and k + 1 < len(rows):
+        rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    elif edit == "duplicate":
+        rows.insert(k, list(row))
+    elif edit == "cycle_float":
+        row[1] = row[1] + ".0"
+    elif edit == "cycle_half":
+        row[1] = row[1] + ".5"
+    elif edit == "nan":
+        row[-1] = "nan"
+    elif edit == "inf":
+        row[2] = "-inf"
+    elif edit == "pad":
+        row[0] = f" {row[0]} "
+    elif edit == "no_separator":
+        rows[k] = row[0]
+    elif edit == "tab":
+        row[-1] = "\t" + row[-1]
+    elif edit == "nul":
+        row[-1] = row[-1] + "\x00"
+    elif edit == "unit_float":
+        row[0] = row[0] + ".0"
+    elif edit == "unit_half":
+        row[0] = row[0] + ".5"
+
+
+@st.composite
+def _fleet_rows(draw, n_values):
+    """Rows of 1-3 units, each row n_values drawn readings."""
+    units = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rows = []
+    for u, length in enumerate(units, start=1):
+        for cycle in range(1, length + 1):
+            values = draw(st.lists(_VALUES, min_size=n_values, max_size=n_values))
+            rows.append([str(u), str(cycle)] + values)
+    return rows
+
+
+def _render(rows, newline):
+    return newline.join(
+        row if isinstance(row, str) else ",".join(row) for row in rows
+    ) + newline
+
+
+class TestFastPathMatchesRowLoop:
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                _fleet_rows(m),
+                st.lists(st.tuples(_EDITS, st.integers(0, 20)), max_size=3),
+                st.sampled_from(["\n", "\r\n"]),
+            )
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_generic(self, case):
+        m, rows, edits, newline = case
+        for edit, k in edits:
+            _edit(rows, edit, k % len(rows))
+        header = "instance_id,cycle," + ",".join(f"s{j}" for j in range(m))
+        text = header + newline + _render(rows, newline)
+        assert _outcome(parse_generic, text) == _row_loop_outcome(parse_generic, text)
+
+    def test_fast_path_takes_well_formed_files(self):
+        # the differential test above would pass with the fast path always
+        # declining; clean files must not fall back to the row loop
+        ds = generate_synthetic(SyntheticSpec(n_instances=4, n_sensors=3, seed=2))
+        lines = write_generic(ds).splitlines()
+        instances = data._fast_generic(lines[1:], 5)
+        assert [(uid, series.shape) for uid, series in instances] == [
+            (uid, series.shape) for uid, series in ds.instances
+        ]
+
+    def test_out_of_order_rows_grouped_like_the_loop(self):
+        text = "instance_id,cycle,s1\nb,2,0.2\na,1,0.3\nb,1,0.1\n"
+        ds = parse_generic(text)
+        assert [uid for uid, _ in ds.instances] == ["b", "a"]
+        np.testing.assert_array_equal(ds.instances[0][1], [[0.1], [0.2]])
 
 
 class TestGenerateSynthetic:

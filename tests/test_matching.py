@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edhi import matching
 from edhi.config import RunConfig
 from edhi.health import HiCurve
 from edhi.matching import (
@@ -167,6 +168,107 @@ class TestCandidateEstimates:
             assert 0.0 < c.similarity <= 1.0
             assert c.estimate >= 0.0
             assert 1 <= c.lag <= config.tau
+
+
+def degradation_curve(rng, length):
+    """A noisy HI-like curve: near 1 early, falling to about 0 at failure."""
+    t = np.arange(length) / length
+    return np.clip(1.0 - t**2 + rng.normal(0.0, 0.02, size=length), 0.0, 1.0)
+
+
+def bench_case(rng, n_trains):
+    """Library and test curve at the sizes the scoring benchmark matches."""
+    trains = [
+        (f"u{k}", HiCurve(values=degradation_curve(rng, int(rng.integers(2, 401)))))
+        for k in range(n_trains)
+    ]
+    life = int(rng.integers(2, 401))
+    test_len = int(rng.integers(1, life))
+    test = HiCurve(values=degradation_curve(rng, life)[:test_len])
+    config = RunConfig(
+        lam=float(10 ** rng.uniform(-4, -1)),
+        tau=int(rng.integers(1, 61)),
+        alpha=float(rng.uniform(0.0, 1.0)),
+    )
+    return test, trains, config
+
+
+def as_tuples(candidates):
+    return [(c.train_id, c.lag, c.similarity, c.estimate) for c in candidates]
+
+
+class TestBenchmarkSizes:
+    """The array pass against the oracle at up to 80 curves, 400 cycles, tau 60."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 80))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_oracle(self, seed, n_trains):
+        rng = np.random.default_rng(seed)
+        test, trains, config = bench_case(rng, n_trains)
+        got = candidate_estimates(test, trains, config)
+        assert as_tuples(got) == brute_force_candidates(test, trains, config)
+        for c in got:
+            assert type(c.lag) is int
+            assert type(c.similarity) is float and type(c.estimate) is float
+
+    def test_survivors_exist_at_benchmark_sizes(self):
+        # guards the oracle test above against passing on empty sets only
+        rng = np.random.default_rng(5)
+        test, trains, config = bench_case(rng, 80)
+        config = RunConfig(lam=0.05, tau=60, alpha=0.5)
+        got = candidate_estimates(test, trains, config)
+        assert len(got) > 10
+        assert as_tuples(got) == brute_force_candidates(test, trains, config)
+
+    @pytest.mark.parametrize("block_values", [1, 500, 20_000])
+    def test_small_blocks_match_brute_force_oracle(self, monkeypatch, block_values):
+        # block_values 1 scores one pair per block; 20_000 leaves a short
+        # last block
+        monkeypatch.setattr(matching, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(5)
+        test, trains, _ = bench_case(rng, 80)
+        config = RunConfig(lam=0.05, tau=60, alpha=0.5)
+        got = candidate_estimates(test, trains, config)
+        assert len(got) > 10
+        assert as_tuples(got) == brute_force_candidates(test, trains, config)
+
+    def test_empty_library(self):
+        test = HiCurve(values=np.linspace(1, 0, 50))
+        assert candidate_estimates(test, [], RunConfig(tau=60)) == []
+
+    def test_every_curve_shorter_than_test(self):
+        rng = np.random.default_rng(1)
+        test = HiCurve(values=degradation_curve(rng, 400))
+        trains = [
+            (f"u{k}", HiCurve(values=degradation_curve(rng, int(rng.integers(2, 401)))))
+            for k in range(80)
+        ]
+        config = RunConfig(tau=60, lam=0.01)
+        assert candidate_estimates(test, trains, config) == []
+        assert brute_force_candidates(test, trains, config) == []
+
+    def test_every_similarity_underflows(self):
+        rng = np.random.default_rng(2)
+        test, trains, _ = bench_case(rng, 80)
+        config = RunConfig(lam=1e-300, tau=60, alpha=0.0)
+        test = HiCurve(values=test.values + 5.0)  # far from every train curve
+        assert candidate_estimates(test, trains, config) == []
+        assert brute_force_candidates(test, trains, config) == []
+
+    def test_nan_in_library_curve_rejected(self):
+        # The pair-by-pair loop's answer depends on where the NaN falls: its
+        # max() skips a NaN similarity unless the NaN comes first, and then
+        # every candidate is dropped. The array pass refuses instead and
+        # names the curve.
+        rng = np.random.default_rng(3)
+        trains = [
+            (f"u{k}", HiCurve(values=degradation_curve(rng, 300))) for k in range(5)
+        ]
+        trains[3][1].values[150] = np.nan
+        test = HiCurve(values=degradation_curve(rng, 300)[:120])
+        config = RunConfig(tau=60, lam=0.01)
+        with pytest.raises(ValueError, match="NaN curve distance .* instance u3$"):
+            candidate_estimates(test, trains, config)
 
 
 class TestEstimateRul:

@@ -5,6 +5,8 @@ every record exactly once) is checked on the integer counts, where it is
 exact by construction, and on the percentage identity to float precision.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,21 @@ class TestFullReport:
         kv = report.as_key_values()
         for key in ("s=", "a=", "mae=", "mse=", "mape1=", "mape2=", "fpr=", "fnr="):
             assert key in kv
+
+    def test_zero_actual_makes_mape1_undefined(self):
+        zero = EvalRecord(predicted=4.0, actual=0.0, observed_len=10)
+        others = [_rec(3.0), _rec(-2.0)]
+        report = full_report(others + [zero])
+        assert math.isnan(report.mape1)
+        assert report.mae == pytest.approx((3 + 2 + 4) / 3, abs=1e-12)
+        assert report.mse == pytest.approx((9 + 4 + 16) / 3, abs=1e-12)
+        assert report.mape2 == pytest.approx(100 * (3 / 150 + 2 / 150 + 4 / 10) / 3)
+        assert report.n == 3
+        assert "MAPE1 (%)  undefined" in report.as_table()
+        assert "mape1=nan" in report.as_key_values()
+        # the metric itself still refuses
+        with pytest.raises(ValueError, match="record 2: actual RUL is 0"):
+            error_stats(others + [zero])
 
     def test_record_validation(self):
         with pytest.raises(ValueError):

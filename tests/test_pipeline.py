@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import edhi.pipeline
 from edhi.config import RunConfig, SweepGrid
 from edhi.data import truncate_instance, truncate_random
+from edhi.persist import save_pipeline
 from edhi.pipeline import (
     StageError,
     _healthy_windows,
@@ -137,6 +139,33 @@ class TestVariants:
         assert len(bundle.hi_train_curves) == len(info.fit_ids)
         for _, curve in bundle.hi_train_curves:
             assert np.all(np.isfinite(curve.values))
+
+    @pytest.mark.parametrize("variant", ["exponential", "linear", "endpoints"])
+    def test_model_free_variants_train_nothing(
+        self, tiny_ds, tiny_config, variant, monkeypatch, tmp_path
+    ):
+        config = dataclasses.replace(
+            tiny_config, hi_variant=variant, max_epochs=3, patience=2
+        )
+
+        def no_training(*args):
+            raise AssertionError(f"{variant} trained an encoder-decoder")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(edhi.pipeline, "train", no_training)
+            bundle, info = build_pipeline(tiny_ds, config)
+        assert info.train_result is None
+        save_pipeline(tmp_path / "skipped.edhi", bundle)
+
+        # the earlier build trained the model and then ignored it; doing
+        # that again must store the same bytes
+        monkeypatch.setattr(edhi.pipeline, "_uses_model", lambda config: True)
+        trained_bundle, trained_info = build_pipeline(tiny_ds, config)
+        assert len(trained_info.train_result.train_history) == 3
+        save_pipeline(tmp_path / "trained.edhi", trained_bundle)
+        assert (tmp_path / "skipped.edhi").read_bytes() == (
+            tmp_path / "trained.edhi"
+        ).read_bytes()
 
     def test_healthy_frac_enables_multi_window_training(
         self, tiny_ds, tiny_config
