@@ -17,6 +17,7 @@ from pathlib import Path
 from .config import (
     RunConfig,
     apply_overrides,
+    build_key,
     parse_config_text,
     parse_sweep_grid,
 )
@@ -299,6 +300,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = parse_sweep_grid(parse_config_text(Path(args.config).read_text()))
     ds = _load_dataset(args.data, args.file_format)
     best, trials = run_sweep(ds, base, grid)
+    # one warning per shared build whose encoder-decoder stayed untrained
+    untrained: dict[RunConfig, list[str]] = {}
+    for k, trial in enumerate(trials):
+        if trial.best_epoch == 0:
+            untrained.setdefault(build_key(trial.config, base), []).append(str(k))
+    for ids in untrained.values():
+        print(
+            f"warning: trials {','.join(ids)}: no epoch beat the untrained model's"
+            " validation loss; their HI targets come from the untrained"
+            " encoder-decoder",
+            file=sys.stderr,
+        )
     keys = sorted(grid.values)
     for k, trial in enumerate(trials):
         settings = " ".join(f"{key}={trial.overrides[key]}" for key in keys)

@@ -32,6 +32,9 @@ _INT_FIELDS = {
     "patience",
 }
 _ALIASES = {"lambda": "lam"}
+# fields read only when scoring (matching, capping and timeliness); a build
+# never reads them, so configs differing only here share one build
+SCORING_FIELDS = ("tau", "alpha", "lam", "r_max", "tau1", "tau2")
 
 
 def _at_least(lo):
@@ -143,6 +146,14 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def build_key(config: RunConfig, base: RunConfig) -> RunConfig:
+    """``config`` with its SCORING_FIELDS reset to ``base``'s values.
+
+    Two configs with the same key build the same pipeline.
+    """
+    return replace(config, **{name: getattr(base, name) for name in SCORING_FIELDS})
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -3,9 +3,10 @@
 Two input formats are supported: the 26-column whitespace-delimited turbofan
 layout (unit, cycle, 3 operating settings, 21 sensors) and a generic CSV
 with a header row (instance_id, cycle, sensor columns). Both are validated
-hard: every malformed row and every non-finite reading is reported with its
-line number, and cycle indices must run 1..L contiguously per instance,
-which the matching math relies on.
+hard: every malformed row, every non-finite reading and every non-integer
+cycle (or turbofan unit) is reported with its line number, and cycle
+indices must run 1..L contiguously per instance, which the matching math
+relies on.
 
 The generic parser first reads all numeric columns with one ``np.loadtxt``
 call and groups the rows by unit with one sort. It keeps that result only
@@ -109,6 +110,14 @@ def _parse_float(token: str, lineno: int, path_hint: str) -> float:
     return value
 
 
+def _parse_index(token: str, what: str, lineno: int, path_hint: str) -> int:
+    """A cycle or turbofan unit number: any integral value, such as 2 or 2.0."""
+    value = _parse_float(token, lineno, path_hint)
+    if not value.is_integer():
+        raise ValueError(f"{path_hint} line {lineno}: non-integer {what} {token!r}")
+    return int(value)
+
+
 def _group_table(
     names: list[str], codes: np.ndarray, cycles: np.ndarray, values: np.ndarray
 ) -> list[tuple[str, np.ndarray]] | None:
@@ -196,8 +205,8 @@ def _parse_turbofan_file(text: str, path_hint: str) -> list[tuple[str, np.ndarra
                 f"{path_hint} line {lineno}: expected {TURBOFAN_COLUMNS} columns,"
                 f" got {len(tokens)}"
             )
-        unit = str(int(_parse_float(tokens[0], lineno, path_hint)))
-        cycle = int(_parse_float(tokens[1], lineno, path_hint))
+        unit = str(_parse_index(tokens[0], "unit", lineno, path_hint))
+        cycle = _parse_index(tokens[1], "cycle", lineno, path_hint)
         sensors = [_parse_float(tok, lineno, path_hint) for tok in tokens[2:]]
         rows.append((unit, cycle, sensors))
     if not rows:
@@ -299,7 +308,7 @@ def _generic_rows(
                 f" got {len(tokens)}"
             )
         unit = tokens[0]
-        cycle = int(_parse_float(tokens[1], lineno, path_hint))
+        cycle = _parse_index(tokens[1], "cycle", lineno, path_hint)
         sensors = [_parse_float(tok, lineno, path_hint) for tok in tokens[2:]]
         rows.append((unit, cycle, sensors))
     if not rows:

@@ -9,13 +9,17 @@ similarity-weighted mean, capped from above, is the estimate. Candidate
 dispersion doubles as a confidence signal.
 
 ``candidate_estimates`` scores every (train, lag) pair of one test instance
-in array passes: the library curves are laid end to end, each pair is a
-window of that flat array, and batched row-by-column products and one
-``exp`` give all similarities. Each product runs the same dot kernel as the
-scalar ``curve_distance``, so candidate sets are bitwise those of the
-pair-by-pair loop that ``curve_distance`` and ``similarity`` spell out.
-Pairs are gathered in blocks of at most ``_BLOCK_VALUES`` window values, so
-memory stays bounded however large the library is.
+in array passes, in two steps. ``pair_distances`` lays the library curves
+end to end, takes each pair as a window of that flat array and gets every
+d^2 from batched row-by-column products; ``select_candidates`` then applies
+the lag bound tau, one ``exp`` and the alpha cut. Each product runs the
+same dot kernel as the scalar ``curve_distance``, so candidate sets are
+bitwise those of the pair-by-pair loop that ``curve_distance`` and
+``similarity`` spell out. Pairs are gathered in blocks of at most
+``_BLOCK_VALUES`` window values, so memory stays bounded however large the
+library is. A sweep computes the pairs once per test curve at its largest
+tau and runs only ``select_candidates`` per grid point; the pairs at a
+smaller tau are a subset in the same order, with the same bits.
 """
 
 from __future__ import annotations
@@ -102,6 +106,117 @@ def similarity(d_squared: float, lam: float) -> float:
     return float(np.exp(-d_squared / lam))
 
 
+class Pairs(NamedTuple):
+    """The feasible (train instance, lag) pairs of one test curve.
+
+    Parallel arrays, one entry per pair, in the train set's own order and
+    then ascending lag.
+
+    Attributes:
+        owner: Index of the pair's train instance in the train set.
+        lags: Alignment offset t >= 1 into the train curve.
+        d2: Squared curve distance, bitwise that of ``curve_distance``.
+        estimates: Train cycles remaining past the aligned segment.
+        tau: The largest lag enumerated.
+    """
+
+    owner: np.ndarray
+    lags: np.ndarray
+    d2: np.ndarray
+    estimates: np.ndarray
+    tau: int
+
+
+def pair_distances(
+    test: HiCurve, train_set: list[tuple[str, HiCurve]], tau: int
+) -> Pairs:
+    """Every (train instance, lag) pair with lag in 1..tau, with its d^2.
+
+    A pair is feasible when the whole test curve fits inside the lag-shifted
+    train curve. Each d^2 is bitwise that of ``curve_distance``, whichever
+    other pairs are computed with it, so the pairs at a smaller tau are
+    exactly this result's pairs with lag <= tau, in the same order.
+
+    Raises:
+        ValueError: On an empty test curve.
+    """
+    l_star = test.length
+    if l_star == 0:
+        raise ValueError("empty test curve")
+    lengths = np.array([curve.length for _, curve in train_set], dtype=np.int64)
+    n_lags = np.clip(np.minimum(tau, lengths - l_star), 0, None)
+    n_pairs = int(n_lags.sum())
+    # pair k belongs to train curve owner[k] at lag lags[k]; train-major, lag-minor
+    owner = np.repeat(np.arange(len(train_set)), n_lags)
+    lags = np.arange(n_pairs) - np.repeat(np.cumsum(n_lags) - n_lags, n_lags) + 1
+    estimates = (lengths[owner] - l_star - lags).astype(np.float64)
+    d2 = np.empty(n_pairs)
+    if n_pairs:
+        flat = np.concatenate([curve.values for _, curve in train_set])
+        starts = np.cumsum(lengths) - lengths
+        windows = sliding_window_view(flat, l_star)
+        rows = starts[owner] + lags
+        block = max(1, _BLOCK_VALUES // l_star)
+        for lo in range(0, n_pairs, block):
+            segments = windows[rows[lo : lo + block]]
+            diff = np.subtract(test.values, segments, out=segments)
+            # (1, L*) @ (L*, 1) per pair: the dot kernel of the 1-D diff @ diff
+            d2[lo : lo + block] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        d2 /= l_star
+    return Pairs(owner, lags, d2, estimates, tau)
+
+
+def select_candidates(
+    pairs: Pairs, train_set: list[tuple[str, HiCurve]], config: RunConfig
+) -> list[RulCandidate]:
+    """Weigh and filter the pairs of ``pair_distances`` into candidates.
+
+    Only pairs with lag <= config.tau take part, so pairs enumerated once
+    at a sweep's largest tau serve each of its smaller taus. The cutoff
+    alpha * s_max is taken against the best similarity over those pairs;
+    candidates whose similarity underflows to exactly zero are dropped as
+    well, since they cannot carry weight. Each similarity is bitwise that
+    of ``similarity``.
+
+    Args:
+        pairs: Output of pair_distances for the test curve.
+        train_set: The train set the pairs were enumerated against.
+        config: Run configuration; reads tau, lam and alpha.
+
+    Returns:
+        Surviving candidates in pair order; may be empty.
+
+    Raises:
+        ValueError: When config.tau exceeds the pairs' tau, or a pair's
+            distance is NaN (a NaN in the test or a library curve), naming
+            the first train instance it occurs against.
+    """
+    if config.tau > pairs.tau:
+        raise ValueError(f"pairs enumerated to lag {pairs.tau}, tau is {config.tau}")
+    owner, lags, d2, estimates, _ = pairs
+    if config.tau < pairs.tau:
+        within = np.flatnonzero(lags <= config.tau)
+        owner, lags, d2, estimates = (a[within] for a in (owner, lags, d2, estimates))
+    if d2.size == 0:
+        return []
+    sims = np.exp(-d2 / config.lam)
+    s_max = sims.max()
+    if np.isnan(s_max):
+        bad = train_set[owner[np.flatnonzero(np.isnan(sims))[0]]][0]
+        raise ValueError(f"NaN curve distance against train instance {bad}")
+    keep = np.flatnonzero((sims >= config.alpha * s_max) & (sims > 0.0))
+    ids = np.array([train_id for train_id, _ in train_set], dtype=object)
+    fields = zip(
+        ids[owner[keep]].tolist(),
+        lags[keep].tolist(),
+        sims[keep].tolist(),
+        estimates[keep].tolist(),
+    )
+    # tuple.__new__ builds each RulCandidate from its field tuple without the
+    # Python-level NamedTuple constructor: about half the cost per survivor
+    return list(map(tuple.__new__, repeat(RulCandidate), fields))
+
+
 def candidate_estimates(
     test: HiCurve,
     train_set: list[tuple[str, HiCurve]],
@@ -110,13 +225,10 @@ def candidate_estimates(
     """Enumerate and filter candidate matches for one test instance.
 
     Every (train instance, lag) pair with lag in 1..tau and the whole test
-    curve fitting inside the train curve produces a candidate. The cutoff
-    alpha * s_max is taken against the best similarity over the full
-    unfiltered set; candidates whose similarity underflows to exactly zero
-    are dropped as well, since they cannot carry weight. Order is the train
-    set's own order, then ascending lag, so reruns are bit-identical. Each
-    pair's d^2 and similarity are bitwise those of ``curve_distance`` and
-    ``similarity``.
+    curve fitting inside the train curve produces a candidate; see
+    ``pair_distances`` and ``select_candidates``, which this composes.
+    Order is the train set's own order, then ascending lag, so reruns are
+    bit-identical.
 
     Args:
         test: Truncated test instance's HI curve.
@@ -131,48 +243,8 @@ def candidate_estimates(
             (a NaN in the test or a library curve), naming the first train
             instance it occurs against.
     """
-    l_star = test.length
-    if l_star == 0:
-        raise ValueError("empty test curve")
-    lengths = np.array([curve.length for _, curve in train_set], dtype=np.int64)
-    n_lags = np.clip(np.minimum(config.tau, lengths - l_star), 0, None)
-    n_pairs = int(n_lags.sum())
-    if n_pairs == 0:
-        return []
-    # pair k belongs to train curve owner[k] at lag lags[k]; train-major, lag-minor
-    owner = np.repeat(np.arange(len(train_set)), n_lags)
-    lags = np.arange(n_pairs) - np.repeat(np.cumsum(n_lags) - n_lags, n_lags) + 1
-    flat = np.concatenate([curve.values for _, curve in train_set])
-    starts = np.cumsum(lengths) - lengths
-    windows = sliding_window_view(flat, l_star)
-    rows = starts[owner] + lags
-    d2 = np.empty(n_pairs)
-    block = max(1, _BLOCK_VALUES // l_star)
-    for lo in range(0, n_pairs, block):
-        segments = windows[rows[lo : lo + block]]
-        diff = np.subtract(test.values, segments, out=segments)
-        # (1, L*) @ (L*, 1) per pair: the dot kernel of the 1-D diff @ diff
-        d2[lo : lo + block] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-    d2 /= l_star
-    sims = np.exp(-d2 / config.lam)
-    s_max = sims.max()
-    if np.isnan(s_max):
-        bad = train_set[owner[np.flatnonzero(np.isnan(sims))[0]]][0]
-        raise ValueError(f"NaN curve distance against train instance {bad}")
-    keep = np.flatnonzero((sims >= config.alpha * s_max) & (sims > 0.0))
-    kept_owner = owner[keep]
-    kept_lags = lags[keep]
-    estimates = (lengths[kept_owner] - l_star - kept_lags).astype(np.float64)
-    ids = np.array([train_id for train_id, _ in train_set], dtype=object)
-    fields = zip(
-        ids[kept_owner].tolist(),
-        kept_lags.tolist(),
-        sims[keep].tolist(),
-        estimates.tolist(),
-    )
-    # tuple.__new__ builds each RulCandidate from its field tuple without the
-    # Python-level NamedTuple constructor: about half the cost per survivor
-    return list(map(tuple.__new__, repeat(RulCandidate), fields))
+    pairs = pair_distances(test, train_set, config.tau)
+    return select_candidates(pairs, train_set, config)
 
 
 def estimate_rul(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, SweepGrid, apply_overrides
+from .config import RunConfig, SweepGrid, apply_overrides, build_key
 from .data import RunToFailureDataset, truncate_at_fracs
 from .health import (
     HiCurve,
@@ -31,7 +31,14 @@ from .health import (
     target_hi_from_error,
 )
 from .lstm import TrainResult, train
-from .matching import RulEstimate, candidate_estimates, estimate_rul
+from .matching import (
+    Pairs,
+    RulEstimate,
+    candidate_estimates,
+    estimate_rul,
+    pair_distances,
+    select_candidates,
+)
 from .metrics import EvalRecord, MetricsReport, full_report, timeliness
 from .numerics import apply_norm, fit_norm_stats, ols_fit, pca_fit, pca_transform
 from .persist import PipelineBundle
@@ -304,11 +311,64 @@ def evaluate_pipeline(
 
 @dataclass(frozen=True)
 class SweepTrial:
-    """One grid point's outcome."""
+    """One grid point's outcome.
+
+    ``best_epoch`` is the early-stopping epoch of the encoder-decoder the
+    point's build trained, shared by every point of that build; None for
+    the variants that train none.
+    """
 
     overrides: dict[str, str]
     config: RunConfig
     score: float
+    best_epoch: int | None
+
+
+@dataclass(frozen=True)
+class _SweepBuild:
+    """What a sweep computes once per build key: the build's library, the
+    validation cases' HI curves and labels, and each curve's pairs at the
+    key's largest tau."""
+
+    library: list[tuple[str, HiCurve]]
+    train_lengths: list[int]
+    best_epoch: int | None
+    curves: list[HiCurve]
+    pairs: list[Pairs]
+    labels: list[float]
+
+
+def _sweep_build(ds: RunToFailureDataset, config: RunConfig, tau: int) -> _SweepBuild:
+    bundle, info = build_pipeline(ds, config)
+    by_id = dict(ds.instances)
+    val_ds = RunToFailureDataset(
+        instances=[(uid, by_id[uid]) for uid in info.val_ids],
+        sensor_names=ds.sensor_names,
+    )
+    cases = truncate_at_fracs(val_ds, list(SWEEP_TRUNCATION_FRACS))
+    library = bundle.hi_train_curves
+    curves = [series_hi_curve(bundle, series) for _, series in cases.instances]
+    result = info.train_result
+    return _SweepBuild(
+        library=library,
+        train_lengths=[c.length for _, c in library],
+        best_epoch=None if result is None else result.best_epoch,
+        curves=curves,
+        pairs=[pair_distances(curve, library, tau) for curve in curves],
+        labels=cases.rul_labels,
+    )
+
+
+def _sweep_score(build: _SweepBuild, config: RunConfig) -> float:
+    """Timeliness of one grid point: predict_one's matching tail per case."""
+    records = []
+    for curve, pairs, actual in zip(build.curves, build.pairs, build.labels):
+        cands = select_candidates(pairs, build.library, config)
+        est = estimate_rul(cands, config, curve.length, build.train_lengths)
+        records.append(
+            EvalRecord(predicted=est.value, actual=actual, observed_len=curve.length)
+        )
+    return timeliness(records, config.tau1, config.tau2)
 
 
 def run_sweep(
@@ -316,10 +376,15 @@ def run_sweep(
 ) -> tuple[SweepTrial, list[SweepTrial]]:
     """Grid search scored by timeliness on truncated validation instances.
 
-    Every grid point trains a pipeline on the same data with the same seed,
-    then scores the validation split truncated at the five standard life
-    fractions. Lowest score wins; ties keep the earliest grid point in the
-    deterministic enumeration order.
+    Every grid point is scored on the validation split of a pipeline built
+    on the same data with the same seed, truncated at the five standard
+    life fractions. Grid points that differ only in SCORING_FIELDS share
+    one build key (``build_key``): they share one build, one set of
+    validation HI curves and one set of pair distances, computed at their
+    largest tau, and each point runs only the tau/lambda/alpha cut, the
+    r_max cap and the timeliness score. Scores are bitwise those of a
+    separate build and ``predict_one`` per point. Lowest score wins; ties
+    keep the earliest grid point in the deterministic enumeration order.
 
     Returns:
         (best trial, all trials in enumeration order).
@@ -327,23 +392,29 @@ def run_sweep(
     combos = grid.combinations()
     if not combos:
         raise ValueError("empty sweep grid")
+    configs = [apply_overrides(base, overrides) for overrides in combos]
+    keys = [build_key(config, base) for config in configs]
+    max_tau: dict[RunConfig, int] = {}
+    last_use: dict[RunConfig, int] = {}
+    for k, (key, config) in enumerate(zip(keys, configs)):
+        max_tau[key] = max(max_tau.get(key, 0), config.tau)
+        last_use[key] = k
+    builds: dict[RunConfig, _SweepBuild] = {}
     trials = []
-    for overrides in combos:
-        config = apply_overrides(base, overrides)
-        bundle, info = build_pipeline(ds, config)
-        by_id = dict(ds.instances)
-        val_ds = RunToFailureDataset(
-            instances=[(uid, by_id[uid]) for uid in info.val_ids],
-            sensor_names=ds.sensor_names,
-        )
-        cases = truncate_at_fracs(val_ds, list(SWEEP_TRUNCATION_FRACS))
-        records = []
-        for (uid, series), actual in zip(cases.instances, cases.rul_labels):
-            est, curve = predict_one(bundle, series)
-            records.append(
-                EvalRecord(predicted=est.value, actual=actual, observed_len=curve.length)
+    for k, (overrides, config, key) in enumerate(zip(combos, configs, keys)):
+        if key not in builds:
+            builds[key] = _sweep_build(ds, key, max_tau[key])
+        build = builds[key]
+        score = _sweep_score(build, config)
+        trials.append(
+            SweepTrial(
+                overrides=overrides,
+                config=config,
+                score=score,
+                best_epoch=build.best_epoch,
             )
-        score = timeliness(records, config.tau1, config.tau2)
-        trials.append(SweepTrial(overrides=overrides, config=config, score=score))
+        )
+        if last_use[key] == k:
+            del builds[key]
     best = min(trials, key=lambda t: t.score)
     return best, trials

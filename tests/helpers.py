@@ -1,12 +1,15 @@
 """Shared test oracles: finite-difference gradient checking, plain per-step
-BPTT and a per-cycle moving average; plus pipeline-file surgery that
-re-signs edited headers."""
+BPTT, a per-cycle moving average and a rebuild-per-point sweep; plus
+pipeline-file surgery that re-signs edited headers."""
 
 import hashlib
 import json
 
 import numpy as np
 
+import edhi.pipeline
+from edhi.config import apply_overrides
+from edhi.data import RunToFailureDataset, truncate_at_fracs
 from edhi.lstm import (
     LstmEdModel,
     LstmParams,
@@ -15,6 +18,7 @@ from edhi.lstm import (
     grad_bptt,
     loss,
 )
+from edhi.metrics import EvalRecord, timeliness
 from edhi.persist import MAGIC
 
 _PARAM_KEYS = ("enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b")
@@ -173,6 +177,30 @@ def reference_smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
     for t in range(n):
         out[t] = np.mean(values[max(0, t - half_lo) : min(n, t + half_hi + 1)])
     return out
+
+
+def naive_sweep_scores(ds, base, grid):
+    """The run_sweep oracle: a separate build and predict_one per grid point.
+
+    Yields each point's timeliness in grid order, so a caller also sees the
+    scores made before an error. The build is looked up on edhi.pipeline at
+    call time, so a monkeypatched build applies here too.
+    """
+    by_id = dict(ds.instances)
+    fracs = list(edhi.pipeline.SWEEP_TRUNCATION_FRACS)
+    for overrides in grid.combinations():
+        config = apply_overrides(base, overrides)
+        bundle, info = edhi.pipeline.build_pipeline(ds, config)
+        val_ds = RunToFailureDataset(
+            instances=[(uid, by_id[uid]) for uid in info.val_ids],
+            sensor_names=ds.sensor_names,
+        )
+        cases = truncate_at_fracs(val_ds, fracs)
+        records = []
+        for (_, series), actual in zip(cases.instances, cases.rul_labels):
+            est, curve = edhi.pipeline.predict_one(bundle, series)
+            records.append(EvalRecord(est.value, actual, curve.length))
+        yield timeliness(records, config.tau1, config.tau2)
 
 
 def split_pipeline(blob: bytes) -> tuple[int, dict, bytes]:

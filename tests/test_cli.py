@@ -344,6 +344,20 @@ class TestQuickStartFleet:
         assert err == [f"error: {bad} {message}"]
         assert not (tmp_path / "est.csv").exists()
 
+    def test_non_integer_cycle_one_error_line(self, quick_start, tmp_path, capsys):
+        fleet = quick_start / "fleet"
+        rows = (fleet / "truncated.csv").read_text().splitlines()
+        fields = rows[3].split(",")
+        fields[1] += ".5"
+        rows[3] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code = _evaluate(quick_start, bad, fleet / "rul.txt", tmp_path / "est.csv")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad} line 4: non-integer cycle '{fields[1]}'"]
+        assert not (tmp_path / "est.csv").exists()
+
 
 class TestPredict:
     def test_selected_instance(self, trained, synth_dir, capsys):
@@ -435,7 +449,9 @@ class TestSweep:
             "--lambda", "0.05", "--r-max", "60", "--seed", "2",
         ])
         assert code == 0
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "warning:" not in captured.err
+        out = captured.out
         assert "trial 0 score" in out
         assert "trial 1 score" in out
         assert "best score" in out
@@ -445,6 +461,26 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "0.3"
         assert lines[2].split(",")[2] == "0.9"
+
+
+    def test_untrained_shared_model_warns_once(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("alpha=0.3,0.9\nhi_variant=recon_error,linear\n")
+        code = main(
+            ["sweep", "--data", str(synth_dir / "data.csv"), "--config", str(cfg)]
+            + TRAIN_FLAGS
+            + ["--learning-rate", "1e6"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert sum(line.startswith("trial ") for line in lines) == 4
+        # trials 0 and 2 share the one trained (recon_error) build; the
+        # linear trials train nothing
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: trials 0,2: ")
+        assert "untrained" in warnings[0]
 
 
 class TestFormats:

@@ -129,6 +129,41 @@ class TestNonFinite:
             parse_rul_labels("12\nnan\n")
 
 
+class TestNonIntegerIndex:
+    def test_generic_half_cycle_rejected_with_line(self):
+        text = "instance_id,cycle,s1\na,1,0.5\na,2.5,0.6\n"
+        with pytest.raises(ValueError) as err:
+            parse_generic(text, "fleet.csv")
+        assert str(err.value) == "fleet.csv line 3: non-integer cycle '2.5'"
+
+    def test_generic_integral_float_cycles_accepted(self):
+        text = "instance_id,cycle,s1\na,1.0,0.5\na,2.0,0.6\n"
+        fast = _outcome(parse_generic, text)
+        assert fast == _row_loop_outcome(parse_generic, text)
+        assert fast[0] == "ok" and fast[2][0][1] == (2, 1)
+
+    @pytest.mark.parametrize(
+        "column, token, what", [(0, "1.7", "unit"), (1, "2.5", "cycle")]
+    )
+    def test_turbofan_non_integer_rejected_with_line(self, column, token, what):
+        rows = [line.split() for line in _turbofan_text({1: 3}).splitlines()]
+        rows[1][column] = token
+        text = "\n".join(" ".join(row) for row in rows) + "\n"
+        with pytest.raises(ValueError) as err:
+            parse_turbofan(text, _turbofan_text({1: 2}), "5\n")
+        assert str(err.value) == f"train line 2: non-integer {what} '{token}'"
+
+    def test_turbofan_integral_floats_accepted(self):
+        rows = [line.split() for line in _turbofan_text({1: 3}).splitlines()]
+        for row in rows:
+            row[0] += ".0"
+            row[1] += ".0"
+        text = "\n".join(" ".join(row) for row in rows) + "\n"
+        train, _ = parse_turbofan(text, _turbofan_text({1: 2}), "5\n")
+        assert [uid for uid, _ in train.instances] == ["1"]
+        assert train.instances[0][1].shape == (3, 24)
+
+
 def _outcome(parse, text):
     """What a parser makes of text: ids, shapes and bytes, or the error."""
     try:

@@ -20,6 +20,8 @@ from edhi.matching import (
     candidate_estimates,
     curve_distance,
     estimate_rul,
+    pair_distances,
+    select_candidates,
     similarity,
 )
 
@@ -231,6 +233,23 @@ class TestBenchmarkSizes:
         got = candidate_estimates(test, trains, config)
         assert len(got) > 10
         assert as_tuples(got) == brute_force_candidates(test, trains, config)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 80), st.integers(1, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_pairs_at_a_larger_tau_serve_a_smaller_one(self, seed, n_trains, extra):
+        # a sweep enumerates pairs once at its largest tau
+        rng = np.random.default_rng(seed)
+        test, trains, config = bench_case(rng, n_trains)
+        pairs = pair_distances(test, trains, config.tau + extra)
+        got = select_candidates(pairs, trains, config)
+        assert as_tuples(got) == brute_force_candidates(test, trains, config)
+
+    def test_tau_beyond_the_pairs_rejected(self):
+        rng = np.random.default_rng(5)
+        test, trains, _ = bench_case(rng, 10)
+        pairs = pair_distances(test, trains, 10)
+        with pytest.raises(ValueError, match="pairs enumerated to lag 10, tau is 11"):
+            select_candidates(pairs, trains, RunConfig(tau=11))
 
     def test_empty_library(self):
         test = HiCurve(values=np.linspace(1, 0, 50))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import edhi.pipeline
-from edhi.config import RunConfig, SweepGrid
+from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
 from edhi.data import truncate_instance, truncate_random
-from edhi.persist import save_pipeline
+from edhi.health import HiCurve
+from edhi.persist import _sections_of, save_pipeline
 from edhi.pipeline import (
     StageError,
     _healthy_windows,
@@ -19,6 +20,7 @@ from edhi.pipeline import (
     series_hi_curve,
     split_instances,
 )
+from helpers import naive_sweep_scores
 
 
 class TestSplit:
@@ -244,3 +246,138 @@ class TestSweep:
     def test_empty_dimension_rejected(self, tiny_ds, tiny_config):
         with pytest.raises(ValueError, match="empty sweep grid"):
             run_sweep(tiny_ds, tiny_config, SweepGrid(values={"alpha": []}))
+
+    # grids mixing build fields with scoring fields; taus 2 and 3 fall below
+    # most curves' lag headroom, 40 exceeds every curve's
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {
+                "hi_variant": ["recon_error", "linear"],
+                "smooth_window": ["1", "3"],
+                "alpha": ["0.3", "0.9"],
+                "tau": ["2", "10", "40"],
+            },
+            {
+                "healthy_frac": ["0.5", "none"],
+                "lam": ["0.01", "0.1"],
+                "tau": ["40", "3"],
+                "r_max": ["8", "60"],
+            },
+        ],
+        ids=["variant-smoothing", "healthy-frac"],
+    )
+    def test_scores_bitwise_equal_per_point_rebuilds(
+        self, tiny_ds, tiny_config, values
+    ):
+        base = dataclasses.replace(tiny_config, max_epochs=2, patience=1)
+        grid = SweepGrid(values=values)
+        best, trials = run_sweep(tiny_ds, base, grid)
+        scores = [t.score.hex() for t in trials]
+        assert scores == [s.hex() for s in naive_sweep_scores(tiny_ds, base, grid)]
+        assert len(set(scores)) > len(scores) // 2
+        assert best is trials[scores.index(min(t.score for t in trials).hex())]
+
+    def test_one_build_and_training_per_build_key(
+        self, tiny_ds, tiny_config, monkeypatch
+    ):
+        base = dataclasses.replace(tiny_config, max_epochs=2, patience=1)
+        built = []
+        trainings = []
+        real_build = edhi.pipeline.build_pipeline
+        real_train = edhi.pipeline.train
+
+        def counting_build(ds, config):
+            built.append(config)
+            return real_build(ds, config)
+
+        def counting_train(*args):
+            trainings.append(real_train(*args))
+            return trainings[-1]
+
+        monkeypatch.setattr(edhi.pipeline, "build_pipeline", counting_build)
+        monkeypatch.setattr(edhi.pipeline, "train", counting_train)
+        grid = SweepGrid(
+            values={
+                "alpha": ["0.3", "0.9"],
+                "hi_variant": ["recon_error", "linear", "recon_error_squared"],
+                "lam": ["0.01", "0.1"],
+                "tau": ["3", "40"],
+                "tau1": ["5", "13"],
+            }
+        )
+        _, trials = run_sweep(tiny_ds, base, grid)
+        assert len(trials) == 48
+        assert [c.hi_variant for c in built] == [
+            "recon_error", "linear", "recon_error_squared"
+        ]
+        # each build runs with the base's scoring fields
+        for config in built:
+            for name in SCORING_FIELDS:
+                assert getattr(config, name) == getattr(base, name)
+        assert len(trainings) == 2
+        # every point of a build reports that build's training
+        best_epoch = {
+            "recon_error": trainings[0].best_epoch,
+            "linear": None,
+            "recon_error_squared": trainings[1].best_epoch,
+        }
+        assert [t.best_epoch for t in trials] == [
+            best_epoch[t.config.hi_variant] for t in trials
+        ]
+
+    def test_scoring_fields_do_not_change_the_build(self, tiny_ds, tiny_config):
+        other = dataclasses.replace(
+            tiny_config, tau=3, alpha=0.99, lam=1.0, r_max=5.0, tau1=1.0, tau2=2.0
+        )
+        for name in SCORING_FIELDS:
+            assert getattr(other, name) != getattr(tiny_config, name)
+        a, info_a = build_pipeline(tiny_ds, tiny_config)
+        b, info_b = build_pipeline(tiny_ds, other)
+        assert [uid for uid, _ in a.hi_train_curves] == [
+            uid for uid, _ in b.hi_train_curves
+        ]
+        assert info_a.val_ids == info_b.val_ids
+        for (name_a, arr_a), (name_b, arr_b) in zip(_sections_of(a), _sections_of(b)):
+            assert name_a == name_b
+            assert arr_a.dtype == arr_b.dtype and arr_a.shape == arr_b.shape
+            assert arr_a.tobytes() == arr_b.tobytes()
+
+    @pytest.mark.parametrize("taus", [["5", "40"], ["40", "5"]])
+    def test_nan_beyond_a_smaller_tau_scores_like_rebuilds(
+        self, tiny_ds, tiny_config, monkeypatch, taus
+    ):
+        # a library curve extended by a tail whose only NaN lies past every
+        # window lag 5 can reach, but inside those of lag 40
+        real_build = edhi.pipeline.build_pipeline
+
+        def build_with_nan(ds, config):
+            bundle, info = real_build(ds, config)
+            uid, curve = bundle.hi_train_curves[0]
+            tail = np.full(60, curve.values[-1])
+            tail[20] = np.nan
+            values = np.concatenate([curve.values, tail])
+            bundle.hi_train_curves[0] = (uid, HiCurve(values=values))
+            return bundle, info
+
+        monkeypatch.setattr(edhi.pipeline, "build_pipeline", build_with_nan)
+        base = dataclasses.replace(tiny_config, max_epochs=2, patience=1)
+        grid = SweepGrid(values={"alpha": ["0.5", "0.9"], "tau": taus})
+        expected = []
+        with pytest.raises(ValueError, match="NaN curve distance") as naive_err:
+            for score in naive_sweep_scores(tiny_ds, base, grid):
+                expected.append(score.hex())
+        swept = []
+        real_timeliness = edhi.pipeline.timeliness
+
+        def recording_timeliness(*args):
+            score = real_timeliness(*args)
+            swept.append(score.hex())
+            return score
+
+        monkeypatch.setattr(edhi.pipeline, "timeliness", recording_timeliness)
+        with pytest.raises(ValueError) as swept_err:
+            run_sweep(tiny_ds, base, grid)
+        assert str(swept_err.value) == str(naive_err.value)
+        assert swept == expected
+        assert len(expected) == (1 if taus[0] == "5" else 0)
