@@ -8,14 +8,15 @@ cycle (or turbofan unit) is reported with its line number, and cycle
 indices must run 1..L contiguously per instance, which the matching math
 relies on.
 
-The generic parser first reads all numeric columns with one ``np.loadtxt``
-call and groups the rows by unit with one sort. It keeps that result only
-when it can show the row-by-row loop would give the same dataset: every line
-parsed, every row the same width, every value finite, and each unit's cycles
-exactly 1..L. Anything else (including tokens only Python's ``float``
-accepts, such as ``1_0``) goes to the loop, which stays the one place that
-reports errors, so messages and line numbers do not depend on the fast path.
-The turbofan parser is the row loop alone.
+Both formats share one row loop, and every parse ends in one grouping
+routine that sorts the rows by unit and cycle and checks each unit's cycles.
+The generic parser first tries to read all numeric columns with one
+``np.loadtxt`` call instead of the loop. It keeps that table only when the
+loop would have read the same rows: every line parsed, every row the same
+width, every value finite and every cycle an integer. Anything else
+(including tokens only Python's ``float`` accepts, such as ``1_0``) goes to
+the loop, which reports it, so messages and line numbers do not depend on
+the fast path. The turbofan parser is the row loop alone.
 
 The synthetic generator produces seeded run-to-failure instances whose
 sensors drift from a healthy baseline once a fault sets in.
@@ -119,30 +120,41 @@ def _parse_index(token: str, what: str, lineno: int, path_hint: str) -> int:
 
 
 def _group_table(
-    names: list[str], codes: np.ndarray, cycles: np.ndarray, values: np.ndarray
-) -> list[tuple[str, np.ndarray]] | None:
+    names: list[str],
+    codes: np.ndarray,
+    cycles: np.ndarray,
+    values: np.ndarray,
+    path_hint: str,
+) -> list[tuple[str, np.ndarray]]:
     """Rows with unit codes into per-unit matrices ordered by cycle.
 
     Unit k is names[k]; codes number units in order of first appearance.
-    None unless every unit's cycles are exactly 1..L, as ``_group_rows``
-    requires.
+
+    Raises:
+        ValueError: Naming the first unit, in that order, whose cycles are
+            not exactly 1..L.
     """
     counts = np.bincount(codes, minlength=len(names))
     order = np.lexsort((cycles, codes))
     firsts = np.repeat(np.cumsum(counts) - counts, counts)
-    if not np.array_equal(cycles[order], np.arange(len(codes)) - firsts + 1):
-        return None
+    bad = np.flatnonzero(cycles[order] != np.arange(len(codes)) - firsts + 1)
+    if bad.size:
+        unit = names[codes[order[bad[0]]]]
+        raise ValueError(f"{path_hint}: unit {unit} cycles are not contiguous 1..L")
     blocks = np.split(values[order], np.cumsum(counts)[:-1])
     return list(zip(names, blocks))
 
 
-def _fast_generic(lines: list[str], width: int) -> list[tuple[str, np.ndarray]] | None:
+def _fast_generic(
+    lines: list[str], width: int, path_hint: str
+) -> list[tuple[str, np.ndarray]] | None:
     """Generic CSV rows by loadtxt, or None where the row loop must decide.
 
     None whenever loadtxt rejects a line, skips one, or finds another width,
-    or any value is non-finite: the row loop then parses and reports.
-    loadtxt reads each line past its first comma; the ids before it are
-    split off in a second pass, so the two halves are never held at once.
+    or any value is non-finite or any cycle non-integral: the row loop then
+    parses and reports. loadtxt reads each line past its first comma; the ids
+    before it are split off in a second pass, so the two halves are never
+    held at once.
     """
     try:
         with warnings.catch_warnings():
@@ -156,72 +168,77 @@ def _fast_generic(lines: list[str], width: int) -> list[tuple[str, np.ndarray]] 
             )
     except ValueError:
         return None
-    if table.shape != (len(lines), width - 1) or not np.isfinite(table).all():
+    if (
+        table.shape != (len(lines), width - 1)
+        or not np.isfinite(table).all()
+        or np.any(table[:, 0] % 1)
+    ):
         return None
     codes: dict[str, int] = {}
     unit_codes = [
         codes.setdefault(line.partition(",")[0].strip(), len(codes)) for line in lines
     ]
     return _group_table(
-        list(codes), np.array(unit_codes), table[:, 0], table[:, 1:]
+        list(codes), np.array(unit_codes), table[:, 0], table[:, 1:], path_hint
     )
 
 
-def _group_rows(
-    rows: list[tuple[str, int, list[float]]], path_hint: str
+def _rows(
+    lines: list[str], first_lineno: int, split, n_columns: int, unit_of, path_hint: str
 ) -> list[tuple[str, np.ndarray]]:
-    """Group (unit, cycle, sensors) rows into per-instance matrices.
+    """The row loop: every non-blank line parsed, checked and grouped by unit.
 
-    Enforces contiguous cycles 1..L within each unit.
+    ``split`` turns a stripped line into its tokens; ``unit_of(token,
+    lineno)`` reads the unit id from the first token.
     """
-    by_unit: dict[str, list[tuple[int, list[float]]]] = {}
-    order: list[str] = []
-    for unit, cycle, sensors in rows:
-        if unit not in by_unit:
-            by_unit[unit] = []
-            order.append(unit)
-        by_unit[unit].append((cycle, sensors))
-    instances = []
-    for unit in order:
-        entries = sorted(by_unit[unit], key=lambda e: e[0])
-        cycles = [c for c, _ in entries]
-        if cycles != list(range(1, len(cycles) + 1)):
-            raise ValueError(
-                f"{path_hint}: unit {unit} cycles are not contiguous 1..L"
-            )
-        instances.append((unit, np.array([s for _, s in entries], dtype=np.float64)))
-    return instances
-
-
-def _parse_turbofan_file(text: str, path_hint: str) -> list[tuple[str, np.ndarray]]:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    codes: dict[str, int] = {}
+    unit_codes, cycles, values = [], [], []
+    for lineno, raw in enumerate(lines, start=first_lineno):
         line = raw.strip()
         if not line:
             continue
-        tokens = line.split()
-        if len(tokens) != TURBOFAN_COLUMNS:
+        tokens = split(line)
+        if len(tokens) != n_columns:
             raise ValueError(
-                f"{path_hint} line {lineno}: expected {TURBOFAN_COLUMNS} columns,"
+                f"{path_hint} line {lineno}: expected {n_columns} columns,"
                 f" got {len(tokens)}"
             )
-        unit = str(_parse_index(tokens[0], "unit", lineno, path_hint))
-        cycle = _parse_index(tokens[1], "cycle", lineno, path_hint)
-        sensors = [_parse_float(tok, lineno, path_hint) for tok in tokens[2:]]
-        rows.append((unit, cycle, sensors))
-    if not rows:
+        unit_codes.append(codes.setdefault(unit_of(tokens[0], lineno), len(codes)))
+        cycles.append(_parse_index(tokens[1], "cycle", lineno, path_hint))
+        values.append([_parse_float(tok, lineno, path_hint) for tok in tokens[2:]])
+    if not values:
         raise ValueError(f"{path_hint}: no data rows")
-    return _group_rows(rows, path_hint)
+    return _group_table(
+        list(codes),
+        np.array(unit_codes),
+        np.array(cycles, dtype=np.float64),
+        np.array(values, dtype=np.float64),
+        path_hint,
+    )
+
+
+def _parse_turbofan_file(text: str, path_hint: str) -> list[tuple[str, np.ndarray]]:
+    return _rows(
+        text.splitlines(),
+        1,
+        str.split,
+        TURBOFAN_COLUMNS,
+        lambda token, lineno: str(_parse_index(token, "unit", lineno, path_hint)),
+        path_hint,
+    )
 
 
 def parse_rul_labels(text: str, path_hint: str = "rul") -> list[float]:
-    """One true RUL per line."""
+    """One true RUL per line; a negative one is rejected with its line."""
     labels = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        labels.append(_parse_float(line, lineno, path_hint))
+        value = _parse_float(line, lineno, path_hint)
+        if value < 0:
+            raise ValueError(f"{path_hint} line {lineno}: negative RUL {line!r}")
+        labels.append(value)
     if not labels:
         raise ValueError(f"{path_hint}: no labels")
     return labels
@@ -282,38 +299,21 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
         )
     n_sensors = len(header) - 2
     data = [line for line in lines[1:] if line.strip()]
-    instances = _fast_generic(data, len(header)) if data else None
+    instances = _fast_generic(data, len(header), path_hint) if data else None
     if instances is None:
-        instances = _group_rows(_generic_rows(lines, len(header), path_hint), path_hint)
+        instances = _rows(
+            lines[1:],
+            2,
+            lambda line: [t.strip() for t in line.split(",")],
+            len(header),
+            lambda token, lineno: token,
+            path_hint,
+        )
     ds = RunToFailureDataset(instances=instances, sensor_names=header[2:])
     ds.validate()
     if ds.n_sensors != n_sensors:
         raise ValueError(f"{path_hint}: sensor column mismatch")
     return ds
-
-
-def _generic_rows(
-    lines: list[str], n_columns: int, path_hint: str
-) -> list[tuple[str, int, list[float]]]:
-    """The row loop: (unit, cycle, sensors) per data line after the header."""
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = [t.strip() for t in line.split(",")]
-        if len(tokens) != n_columns:
-            raise ValueError(
-                f"{path_hint} line {lineno}: expected {n_columns} columns,"
-                f" got {len(tokens)}"
-            )
-        unit = tokens[0]
-        cycle = _parse_index(tokens[1], "cycle", lineno, path_hint)
-        sensors = [_parse_float(tok, lineno, path_hint) for tok in tokens[2:]]
-        rows.append((unit, cycle, sensors))
-    if not rows:
-        raise ValueError(f"{path_hint}: no data rows")
-    return rows
 
 
 def write_generic(ds: RunToFailureDataset) -> str:

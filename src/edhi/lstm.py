@@ -12,6 +12,11 @@ one cell-step function so they cannot drift apart. Gradients are exact
 reverse-mode backpropagation through the unrolled network; everything here is
 hand-written over numpy arrays in float64.
 
+Every entry point works on batches only: windows are (B, l, p) arrays and
+states (B, n) arrays, one row per window. A single window is the batch
+``window[None]``; a bare (l, p) window or (n,) state is rejected with a
+ValueError naming the expected shape.
+
 Gate layout in the stacked affine transform, in block order: input gate i,
 forget gate f, output gate o, candidate g. The first three pass through the
 logistic function, applied once to the whole i|f|o block as
@@ -64,7 +69,7 @@ class LstmParams:
 
 @dataclass(frozen=True)
 class LstmState:
-    """Hidden and cell vectors, shape (n,) or batched (B, n)."""
+    """Hidden and cell states of a batch, each shape (B, n)."""
 
     hidden: np.ndarray
     cell: np.ndarray
@@ -279,57 +284,34 @@ def _weight_grads(trace: _Trace, dgates: np.ndarray):
     return d @ xh.T, d.sum(axis=1)
 
 
-def lstm_step(params: LstmParams, inp: np.ndarray, prev: LstmState) -> LstmState:
-    """Advance one cell step: gates from the stacked affine, then state update.
+def _check_window(window, name: str, model: LstmEdModel | None = None) -> np.ndarray:
+    """``window`` as a float64 (B, l, p) batch: the one definition of a batch.
 
-    Accepts a single (p,) input with (n,) state, or batched (B, p) with (B, n).
+    With a model, l and p must be its window length and input width.
 
     Raises:
-        ValueError: If input or state dimensions do not match the parameters.
+        ValueError: Naming the expected shape, for any other shape.
     """
-    x = np.asarray(inp, dtype=np.float64)
-    n = params.hidden_units
-    if x.shape[-1] != params.input_dim:
-        raise ValueError(
-            f"input has {x.shape[-1]} entries, cell expects {params.input_dim}"
-        )
-    if prev.hidden.shape != prev.cell.shape or prev.hidden.shape[-1] != n:
-        raise ValueError("state shape does not match cell size")
-    if x.shape[:-1] != prev.hidden.shape[:-1]:
-        raise ValueError("input and state batch shapes differ")
-    trace = _start(
-        params,
-        1,
-        np.atleast_2d(prev.hidden).T,
-        np.atleast_2d(prev.cell).T,
-        keep=False,
-    )
-    trace.xh[0, :-n] = np.atleast_2d(x).T
-    _step(params, trace, 0)
-    state = _batch_major(trace.xh[1, -n:], trace.final_cell)
-    if x.ndim == 1:
-        return LstmState(hidden=state.hidden[0], cell=state.cell[0])
-    return state
-
-
-def _batch_major(h: np.ndarray, c: np.ndarray) -> LstmState:
-    """Public (B, n) state from feature-major (n, B) arrays."""
-    return LstmState(hidden=h.T.copy(), cell=c.T.copy())
-
-
-def _check_window(model: LstmEdModel, window: np.ndarray, name: str) -> np.ndarray:
     w = np.asarray(window, dtype=np.float64)
-    if w.ndim not in (2, 3):
-        raise ValueError(f"{name} must be 2-D or batched 3-D, got shape {w.shape}")
-    if w.shape[-2] != model.window_len:
-        raise ValueError(
-            f"{name} has {w.shape[-2]} rows, model window length is {model.window_len}"
-        )
-    if w.shape[-1] != model.input_dim:
-        raise ValueError(
-            f"{name} has {w.shape[-1]} columns, model input dim is {model.input_dim}"
-        )
+    l, p = ("l", "p") if model is None else (model.window_len, model.input_dim)
+    if w.ndim != 3 or (model is not None and w.shape[1:] != (l, p)):
+        raise ValueError(f"{name} must have shape (B, {l}, {p}), got {w.shape}")
     return w
+
+
+def _state_columns(model: LstmEdModel, state: LstmState):
+    """Feature-major (n, B) hidden and cell arrays of a batched (B, n) state.
+
+    Raises:
+        ValueError: Naming the expected shape, for any other shape.
+    """
+    h, c = np.asarray(state.hidden), np.asarray(state.cell)
+    n = model.hidden_units
+    if h.ndim != 2 or h.shape[1] != n or c.shape != h.shape:
+        raise ValueError(
+            f"state must have shape (B, {n}), got hidden {h.shape}, cell {c.shape}"
+        )
+    return h.T, c.T
 
 
 def _encoder_trace(model: LstmEdModel, batch: np.ndarray, keep: bool) -> _Trace:
@@ -364,22 +346,18 @@ def _decoder_trace(
 
 
 def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
-    """Run the encoder over an l-row window from the zero state.
+    """Run the encoder over a batch of l-row windows from the zero state.
 
     Args:
         model: The encoder-decoder model.
-        window: Shape (l, p), or (B, l, p) for a batch.
+        window: Shape (B, l, p).
 
     Returns:
-        Final encoder state after the l-th step.
+        Final encoder states after the l-th step, each (B, n).
     """
-    w = _check_window(model, window, "window")
-    single = w.ndim == 2
-    trace = _encoder_trace(model, w[None] if single else w, keep=False)
-    state = _batch_major(trace.xh[-1, model.input_dim :], trace.final_cell)
-    if single:
-        return LstmState(hidden=state.hidden[0], cell=state.cell[0])
-    return state
+    trace = _encoder_trace(model, _check_window(window, "window", model), keep=False)
+    h = trace.xh[-1, model.input_dim :]
+    return LstmState(hidden=h.T.copy(), cell=trace.final_cell.T.copy())
 
 
 def _readout(model: LstmEdModel, h: np.ndarray) -> np.ndarray:
@@ -404,23 +382,18 @@ def decode_train(
 
     Args:
         model: The encoder-decoder model.
-        window: True rows, shape (l, p) or (B, l, p).
-        enc_final: Encoder final state for the same window(s).
+        window: True rows, shape (B, l, p).
+        enc_final: Encoder final states for the same windows, each (B, n).
 
     Returns:
-        Predictions, same shape as ``window``.
+        Predictions, shape (B, l, p).
     """
-    w = _check_window(model, window, "window")
-    single = w.ndim == 2
-    trace = _decoder_trace(
-        model,
-        w[None] if single else w,
-        np.atleast_2d(enc_final.hidden).T,
-        np.atleast_2d(enc_final.cell).T,
-        keep=False,
-    )
-    out = _time_order(_readout(model, trace.xh[:, model.input_dim :]))
-    return out[0] if single else out
+    w = _check_window(window, "window", model)
+    h0, c0 = _state_columns(model, enc_final)
+    if h0.shape[1] != w.shape[0]:
+        raise ValueError(f"{h0.shape[1]} states for {w.shape[0]} windows")
+    trace = _decoder_trace(model, w, h0, c0, keep=False)
+    return _time_order(_readout(model, trace.xh[:, model.input_dim :]))
 
 
 def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.ndarray:
@@ -428,31 +401,24 @@ def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.nda
 
     Args:
         model: The encoder-decoder model.
-        enc_final: Encoder final state, single or batched.
+        enc_final: Encoder final states, each (B, n).
         steps: Number of rows to regenerate, >= 1.
 
     Returns:
-        Predictions in original time order, shape (steps, p) or (B, steps, p).
+        Predictions in original time order, shape (B, steps, p).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    single = enc_final.hidden.ndim == 1
     p = model.input_dim
-    trace = _start(
-        model.decoder,
-        steps - 1,
-        np.atleast_2d(enc_final.hidden).T,
-        np.atleast_2d(enc_final.cell).T,
-        keep=False,
-    )
+    h0, c0 = _state_columns(model, enc_final)
+    trace = _start(model.decoder, steps - 1, h0, c0, keep=False)
     xh = trace.xh
     # each state's prediction fills the x rows of its own slot: the next input
     for s in range(steps - 1):
         xh[s, :p] = _readout(model, xh[s, p:])
         _step(model.decoder, trace, s)
     xh[-1, :p] = _readout(model, xh[-1, p:])
-    out = _time_order(xh[:, :p])
-    return out[0] if single else out
+    return _time_order(xh[:, :p])
 
 
 def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -512,20 +478,18 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
 
 
 def grad_bptt(model: LstmEdModel, window: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradient of the teacher-forced loss for one window or a batch.
+    """Exact gradient of the teacher-forced loss for a batch of windows.
 
     Args:
         model: The encoder-decoder model.
-        window: Shape (l, p), or (B, l, p); a batch gradient is the sum of
-            per-window gradients.
+        window: Shape (B, l, p); the gradient is the sum of per-window
+            gradients.
 
     Returns:
         Dict with keys enc_w, enc_b, dec_w, dec_b, out_w, out_b, each shaped
         like the corresponding parameter.
     """
-    w = _check_window(model, window, "window")
-    batch = w[None] if w.ndim == 2 else w
-    _, grads = _forward_backward(model, batch)
+    _, grads = _forward_backward(model, _check_window(window, "window", model))
     return grads
 
 
@@ -554,16 +518,6 @@ def _model_from_params(
     )
 
 
-def _stack_windows(windows, l: int, p: int, name: str) -> np.ndarray:
-    arrs = [np.asarray(w, dtype=np.float64) for w in windows]
-    for k, w in enumerate(arrs):
-        if w.shape != (l, p):
-            raise ValueError(
-                f"{name} window {k} has shape {w.shape}, expected {(l, p)}"
-            )
-    return np.stack(arrs, axis=0)
-
-
 def _finite(value: float, which: str, epoch: int) -> float:
     if not math.isfinite(value):
         raise ValueError(
@@ -575,9 +529,9 @@ def _finite(value: float, which: str, epoch: int) -> float:
 # overflow shows up as a non-finite loss, which _finite reports as an error
 @np.errstate(over="ignore", invalid="ignore")
 def train(
-    windows: list[np.ndarray],
+    windows: np.ndarray,
     config: RunConfig,
-    validation: list[np.ndarray],
+    validation: np.ndarray,
 ) -> TrainResult:
     """Mini-batch training with early stopping on validation loss.
 
@@ -588,31 +542,30 @@ def train(
     order, and arithmetic are all reproduced bit-for-bit.
 
     Args:
-        windows: Nonempty list of training windows, all shape (l, p).
+        windows: Training windows, shape (N, l, p) with N >= 1; a list of
+            equal-shaped (l, p) windows converts too.
         config: Run configuration; supplies the hidden size c, the seed,
             and the optimizer settings.
-        validation: Nonempty list of validation windows, same shape.
+        validation: Validation windows, shape (M, l, p) with M >= 1.
 
     Returns:
         TrainResult carrying the best model and per-epoch loss histories.
 
     Raises:
-        ValueError: On empty windows, empty validation, or a training or
-            validation loss that is not finite (diverged).
+        ValueError: On empty windows, empty validation, windows of another
+            shape, or a training or validation loss that is not finite
+            (diverged).
     """
-    if not windows:
+    if len(windows) == 0:
         raise ValueError("no training windows")
-    if not validation:
+    if len(validation) == 0:
         raise ValueError("validation windows required for early stopping")
-    first = np.asarray(windows[0], dtype=np.float64)
-    if first.ndim != 2:
-        raise ValueError("windows must be 2-D matrices")
-    l, p = first.shape
-    train_batch = _stack_windows(windows, l, p, "training")
-    val_batch = _stack_windows(validation, l, p, "validation")
+    train_batch = _check_window(windows, "training windows")
+    _, l, p = train_batch.shape
 
     rng = np.random.default_rng(config.seed)
     model = _init_from_rng(p, config.c, l, rng)
+    val_batch = _check_window(validation, "validation windows", model)
     params = _params_of(model)
 
     def val_loss() -> float:

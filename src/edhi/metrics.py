@@ -105,11 +105,14 @@ def _check_records(records: list[EvalRecord]) -> None:
         r.validate()
 
 
+@np.errstate(over="ignore")
 def timeliness(records: list[EvalRecord], tau1: float, tau2: float) -> float:
     """Asymmetric exponential score: sum of exp(|delta|/tau)-1 per record.
 
     Early predictions (delta < 0) decay with tau1, late and exact ones with
-    tau2; a delta of zero contributes nothing either way.
+    tau2; a delta of zero contributes nothing either way. A term too large
+    for a float (such as a delta of 1e6) makes the score inf, without a
+    warning.
     """
     _check_taus(tau1, tau2)
     _check_records(records)
@@ -161,33 +164,20 @@ def error_stats(records: list[EvalRecord]) -> tuple[float, float, float, float]:
     """(MAE, MSE, MAPE1, MAPE2).
 
     MAPE1 divides each absolute error by the true RUL, MAPE2 by the true
-    total remaining life (RUL plus observed length).
-
-    Raises:
-        ValueError: When a record's MAPE denominator is zero, naming it.
+    total remaining life (RUL plus observed length). MAPE1 is undefined,
+    and NaN, when any true RUL is 0.
     """
-    return _error_stats(records, strict=True)
-
-
-def _error_stats(
-    records: list[EvalRecord], strict: bool
-) -> tuple[float, float, float, float]:
-    """error_stats; unless strict, a true RUL of 0 makes MAPE1 NaN instead."""
     _check_records(records)
     n = len(records)
     mae = mse = mape1 = mape2 = 0.0
-    for k, r in enumerate(records):
+    for r in records:
         d = abs(r.delta)
         mae += d
         mse += d * d
-        if r.actual <= 0:
-            if strict:
-                raise ValueError(f"record {k}: actual RUL is 0, MAPE1 undefined")
-            mape1 = math.nan
-        if r.actual + r.observed_len <= 0:
-            raise ValueError(f"record {k}: zero total life, MAPE2 undefined")
         if r.actual > 0:
             mape1 += d / r.actual
+        else:
+            mape1 = math.nan
         mape2 += d / (r.actual + r.observed_len)
     return mae / n, mse / n, 100.0 * mape1 / n, 100.0 * mape2 / n
 
@@ -202,7 +192,7 @@ def full_report(
     """
     s = timeliness(records, tau1, tau2)
     a = accuracy(records, tau1, tau2)
-    mae, mse, mape1, mape2 = _error_stats(records, strict=False)
+    mae, mse, mape1, mape2 = error_stats(records)
     fpr, fnr = fp_fn_rates(records, tau1, tau2)
     return MetricsReport(
         s=s,

@@ -62,10 +62,6 @@ class PcaModel:
     components: np.ndarray
 
     @property
-    def p(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.components.shape[1]
 
@@ -196,14 +192,6 @@ def pca_transform(normalized: np.ndarray, model: PcaModel) -> np.ndarray:
     return x @ model.components.T
 
 
-def pca_inverse_transform(derived: np.ndarray, model: PcaModel) -> np.ndarray:
-    """Map derived sensors back to the original (retained-sensor) space."""
-    z = _as_float_matrix(derived, "derived")
-    if z.shape[1] != model.p:
-        raise ValueError(f"input has {z.shape[1]} columns, model has p={model.p}")
-    return z @ model.components
-
-
 def ols_fit(inputs: np.ndarray, targets: np.ndarray) -> OlsModel:
     """Least-squares fit of targets = theta @ z + theta0 via normal equations.
 
@@ -241,23 +229,14 @@ def ols_fit(inputs: np.ndarray, targets: np.ndarray) -> OlsModel:
     return OlsModel(theta=sol[:p], theta0=float(sol[p]))
 
 
-def ols_predict(model: OlsModel, z: np.ndarray):
-    """Evaluate theta @ z + theta0, unclipped.
-
-    Accepts a single p-vector (returns a float) or an (N, p) matrix (returns
-    an (N,) array).
+def ols_predict(model: OlsModel, z: np.ndarray) -> np.ndarray:
+    """Evaluate theta @ z + theta0, unclipped, for each row of an (N, p) z.
 
     Raises:
-        ValueError: On dimension mismatch.
+        ValueError: On any other shape.
     """
     arr = np.asarray(z, dtype=np.float64)
     p = model.theta.shape[0]
-    if arr.ndim == 1:
-        if arr.shape[0] != p:
-            raise ValueError(f"input has {arr.shape[0]} entries, model has p={p}")
-        return float(arr @ model.theta + model.theta0)
-    if arr.ndim == 2:
-        if arr.shape[1] != p:
-            raise ValueError(f"input has {arr.shape[1]} columns, model has p={p}")
-        return arr @ model.theta + model.theta0
-    raise ValueError(f"input must be 1-D or 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != p:
+        raise ValueError(f"input must have shape (N, {p}), got {arr.shape}")
+    return arr @ model.theta + model.theta0

@@ -129,9 +129,11 @@ def load_pipeline(path: str | Path) -> PipelineBundle:
 
     Raises:
         ValueError: On a wrong magic string, an unsupported format version,
-            a truncated file, a checksum mismatch, or a header that does not
+            a truncated file, a checksum mismatch, a header that does not
             describe a pipeline (missing or mistyped keys, sections that
-            disagree with it or with each other, an invalid config).
+            disagree with it or with each other, an invalid config), or
+            values no build writes (a non-finite float, or a kept sensor
+            whose std is not positive), naming the section.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -174,6 +176,8 @@ def _unpack(header: dict, payload: bytes) -> PipelineBundle:
         if not 0 <= start <= start + nbytes <= len(payload):
             raise ValueError(f"truncated section {name}")
         arr = np.frombuffer(payload[start : start + nbytes], dtype=sec["dtype"])
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ValueError(f"section {name}: non-finite values")
         arrays[name] = arr.reshape(sec["shape"]).copy()
 
     ids = header["train_ids"]
@@ -202,6 +206,8 @@ def _unpack(header: dict, payload: bytes) -> PipelineBundle:
         and all(arrays[n].ndim == 1 for n in curves)
     ):
         raise ValueError("section shapes do not fit together")
+    if np.any(std[list(norm.kept)] <= 0):
+        raise ValueError("section norm_std: a kept sensor has std <= 0")
     return PipelineBundle(
         norm=norm,
         pca=PcaModel(components=components),

@@ -155,7 +155,9 @@ def _train_model(
             "train-lstm",
             f"no validation instance yields a healthy window of length {config.l}",
         )
-    return _stage("train-lstm", train, train_windows, config, val_windows)
+    return _stage(
+        "train-lstm", train, np.stack(train_windows), config, np.stack(val_windows)
+    )
 
 
 def build_pipeline(

@@ -1,6 +1,6 @@
 """Shared test oracles: finite-difference gradient checking, plain per-step
 BPTT, a per-cycle moving average and a rebuild-per-point sweep; plus
-pipeline-file surgery that re-signs edited headers."""
+pipeline-file surgery that re-signs edited headers and values."""
 
 import hashlib
 import json
@@ -48,16 +48,19 @@ def model_from_dict(params: dict, template: LstmEdModel) -> LstmEdModel:
 
 
 def teacher_loss(model: LstmEdModel, window: np.ndarray) -> float:
-    return loss(decode_train(model, window, encode(model, window)), window)
+    """Teacher-forced loss of one (l, p) window, run as a batch of one."""
+    batch = window[None]
+    return loss(decode_train(model, batch, encode(model, batch)), batch)
 
 
 def grad_check_max_rel_err(model: LstmEdModel, window: np.ndarray, step: float = 1e-5) -> float:
-    """Max relative error of BPTT gradients vs central finite differences.
+    """Max relative error of BPTT gradients vs central finite differences,
+    for one (l, p) window.
 
     Entries where both the analytic and numeric gradient are below 1e-8 in
     magnitude count as exact matches (the relative error is undefined there).
     """
-    analytic = grad_bptt(model, window)
+    analytic = grad_bptt(model, window[None])
     base = params_dict(model)
     worst = 0.0
     for key in _PARAM_KEYS:
@@ -224,6 +227,16 @@ def join_pipeline(version: int, header: dict, payload: bytes) -> bytes:
         + payload
     )
     return body + hashlib.sha256(body).digest()
+
+
+def with_float(blob: bytes, section: str, index: int, value: float) -> bytes:
+    """A pipeline file with entry ``index`` of a float section set to value,
+    re-signed."""
+    version, header, payload = split_pipeline(blob)
+    start = next(s["offset"] for s in header["sections"] if s["name"] == section)
+    at = start + 8 * index
+    payload = payload[:at] + np.array(value, dtype="<f8").tobytes() + payload[at + 8 :]
+    return join_pipeline(version, header, payload)
 
 
 def as_format_1(blob: bytes, model: LstmEdModel) -> bytes:

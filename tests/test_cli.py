@@ -1,12 +1,14 @@
 """Command line behavior: files in, files out, exit codes, error text."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from edhi.cli import _load_dataset, _sniff_format, main
 from edhi.data import parse_generic
 from edhi.persist import load_pipeline
-from helpers import join_pipeline, split_pipeline
+from helpers import join_pipeline, split_pipeline, with_float
 
 TRAIN_FLAGS = [
     "--p", "2", "--c", "5", "--l", "6", "--tau", "8",
@@ -359,6 +361,36 @@ class TestQuickStartFleet:
         assert not (tmp_path / "est.csv").exists()
 
 
+    def test_negative_label_one_error_line(self, quick_start, tmp_path, capsys):
+        fleet = quick_start / "fleet"
+        labels = (fleet / "rul.txt").read_text().splitlines()
+        labels[2] = "-4.0"
+        rul = tmp_path / "rul.txt"
+        rul.write_text("\n".join(labels) + "\n")
+        code = _evaluate(quick_start, fleet / "truncated.csv", rul, tmp_path / "e.csv")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {rul} line 3: negative RUL '-4.0'"]
+
+    def test_huge_label_scores_inf_without_warning(
+        self, quick_start, tmp_path, capsys
+    ):
+        fleet = quick_start / "fleet"
+        labels = (fleet / "rul.txt").read_text().splitlines()
+        labels[0] = "1e6"
+        rul = tmp_path / "rul.txt"
+        rul.write_text("\n".join(labels) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = _evaluate(
+                quick_start, fleet / "truncated.csv", rul, tmp_path / "e.csv"
+            )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "S          inf" in captured.out
+
+
 class TestPredict:
     def test_selected_instance(self, trained, synth_dir, capsys):
         code = main([
@@ -435,6 +467,33 @@ class TestPredict:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: pipeline file {bad}:")
+
+
+    @pytest.mark.parametrize(
+        "section, value, reason",
+        [
+            ("norm_std", 0.0, "a kept sensor has std <= 0"),
+            ("lr_theta", np.inf, "non-finite values"),
+        ],
+    )
+    def test_bad_signed_value_one_error_line(
+        self, trained, synth_dir, tmp_path, capsys, section, value, reason
+    ):
+        assert load_pipeline(trained).norm.kept[0] == 0
+        bad = tmp_path / "bad_value.edhi"
+        bad.write_bytes(with_float(trained.read_bytes(), section, 0, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "predict", "--pipeline", str(bad),
+                "--data", str(synth_dir / "truncated.csv"), "--instance", "s3",
+            ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: pipeline file {bad}: section {section}: {reason}"
+        ]
 
 
 class TestSweep:

@@ -13,6 +13,7 @@ from edhi.data import (
     parse_generic,
     parse_rul_labels,
     parse_turbofan,
+    parse_turbofan_series,
     truncate_at_fracs,
     truncate_instance,
     truncate_random,
@@ -59,6 +60,26 @@ class TestParseTurbofan:
         with pytest.raises(ValueError, match="contiguous"):
             parse_turbofan("\n".join(rows), _turbofan_text({1: 2}), "5\n")
 
+    def test_swapped_rows_sorted_by_cycle(self):
+        rows = _turbofan_text({1: 3}).splitlines()
+        rows[0], rows[1] = rows[1], rows[0]
+        swapped = parse_turbofan_series("\n".join(rows))
+        ordered = parse_turbofan_series(_turbofan_text({1: 3}))
+        np.testing.assert_array_equal(swapped.instances[0][1], ordered.instances[0][1])
+
+    def test_duplicated_cycle_rejected(self):
+        rows = _turbofan_text({1: 3}).splitlines()
+        rows.insert(2, rows[1])  # cycle 2 twice
+        with pytest.raises(ValueError, match="train: unit 1 cycles are not contiguous"):
+            parse_turbofan("\n".join(rows), _turbofan_text({1: 2}), "5\n")
+
+    def test_first_failing_unit_named(self):
+        # units in order of first appearance: 2, then 1; both lack a cycle
+        rows = _turbofan_text({2: 3, 1: 3}).splitlines()
+        del rows[4], rows[1]
+        with pytest.raises(ValueError, match="unit 2 cycles"):
+            parse_turbofan_series("\n".join(rows))
+
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             parse_turbofan(
@@ -103,6 +124,11 @@ class TestParseGeneric:
         text = "instance_id,cycle,s1\na,1,0.5\na,3,0.6\n"
         with pytest.raises(ValueError, match="contiguous"):
             parse_generic(text)
+
+    def test_negative_rul_label_rejected_with_line(self):
+        with pytest.raises(ValueError, match="rul.txt line 3: negative RUL '-4.0'"):
+            parse_rul_labels("12\n7\n-4.0\n", "rul.txt")
+        assert parse_rul_labels("0\n-0.0\n") == [0.0, 0.0]
 
 
 class TestNonFinite:
@@ -229,7 +255,7 @@ def _edit(rows, edit, k):
         row[1] = row[1] + ".5"
     elif edit == "nan":
         row[-1] = "nan"
-    elif edit == "inf":
+    elif edit == "inf" and len(row) > 2:  # an earlier drop_field may leave 2
         row[2] = "-inf"
     elif edit == "pad":
         row[0] = f" {row[0]} "
@@ -288,10 +314,17 @@ class TestFastPathMatchesRowLoop:
         # declining; clean files must not fall back to the row loop
         ds = generate_synthetic(SyntheticSpec(n_instances=4, n_sensors=3, seed=2))
         lines = write_generic(ds).splitlines()
-        instances = data._fast_generic(lines[1:], 5)
+        instances = data._fast_generic(lines[1:], 5, "f")
         assert [(uid, series.shape) for uid, series in instances] == [
             (uid, series.shape) for uid, series in ds.instances
         ]
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_first_failing_unit_named(self, fast):
+        # b appears first; both b and a skip a cycle
+        text = "instance_id,cycle,s1\nb,1,0.1\na,1,0.3\na,3,0.3\nb,3,0.2\n"
+        outcome = (_outcome if fast else _row_loop_outcome)(parse_generic, text)
+        assert outcome == ("error", "f: unit b cycles are not contiguous 1..L")
 
     def test_out_of_order_rows_grouped_like_the_loop(self):
         text = "instance_id,cycle,s1\nb,2,0.2\na,1,0.3\nb,1,0.1\n"

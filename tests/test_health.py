@@ -83,8 +83,8 @@ class TestPointwiseReconstruction:
         sums = np.zeros((7, 2))
         counts = np.zeros(7)
         for start0 in range(7 - l + 1):
-            window = series[start0 : start0 + l]
-            single = decode_infer(model, encode(model, window), steps=l)
+            window = series[None, start0 : start0 + l]
+            single = decode_infer(model, encode(model, window), steps=l)[0]
             for j in range(l):
                 sums[start0 + j] += single[j]
                 counts[start0 + j] += 1

@@ -22,10 +22,10 @@ from edhi.lstm import (
     grad_bptt,
     init_model,
     loss,
-    lstm_step,
     train,
 )
 from helpers import (
+    _ref_cell_forward,
     grad_check_max_rel_err,
     params_dict,
     reference_forward_backward,
@@ -54,16 +54,42 @@ def _zero_model(p=2, c=3, l=4, bias=None):
 
 
 def _zero_state(n):
-    return LstmState(hidden=np.zeros(n), cell=np.zeros(n))
+    return LstmState(hidden=np.zeros((1, n)), cell=np.zeros((1, n)))
+
+
+def _encoder_model(w, b, l):
+    """A model whose encoder is (w, b); only encode reads it here."""
+    n = b.shape[0] // 4
+    p = w.shape[1] - n
+    return LstmEdModel(
+        encoder=LstmParams(w=w, b=b),
+        decoder=LstmParams(w=np.zeros_like(w), b=np.zeros_like(b)),
+        out_weight=np.zeros((n, p)),
+        out_bias=np.zeros(p),
+        hidden_units=n,
+        window_len=l,
+        input_dim=p,
+    )
+
+
+def _ref_encode(w, b, batch):
+    """Encoder final state of a (B, l, p) batch, one reference cell step at a time."""
+    h = c = np.zeros((batch.shape[0], b.shape[0] // 4))
+    for t in range(batch.shape[1]):
+        h, c, _ = _ref_cell_forward(w, b, batch[:, t], h, c)
+    return h, c
 
 
 class TestLstmStep:
+    """Single cell steps, run through encode on windows of one or two rows
+    and checked against the reference cell in helpers."""
+
     def test_all_zero_parameters(self):
-        params = LstmParams(w=np.zeros((12, 5)), b=np.zeros(12))
-        state = lstm_step(params, np.array([1.0, -1.0]), _zero_state(3))
+        model = _encoder_model(np.zeros((12, 5)), np.zeros(12), l=2)
+        state = encode(model, np.array([[[1.0, -1.0], [2.0, 0.5]]]))
         # sigmoid(0)=0.5 for the gates, tanh(0)=0 for the candidate
-        np.testing.assert_array_equal(state.cell, np.zeros(3))
-        np.testing.assert_array_equal(state.hidden, np.zeros(3))
+        np.testing.assert_array_equal(state.cell, np.zeros((1, 3)))
+        np.testing.assert_array_equal(state.hidden, np.zeros((1, 3)))
 
     def test_saturated_forget_gate_preserves_cell(self):
         rng = np.random.default_rng(1)
@@ -71,69 +97,73 @@ class TestLstmStep:
         w = rng.uniform(-0.5, 0.5, size=(4 * n, p + n))
         b = np.zeros(4 * n)
         b[n : 2 * n] = 50.0  # forget gate pinned open
-        params = LstmParams(w=w, b=b)
-        prev = LstmState(hidden=rng.uniform(-0.5, 0.5, n), cell=rng.uniform(-1, 1, n))
-        x = rng.uniform(-1, 1, p)
-        state = lstm_step(params, x, prev)
+        window = rng.uniform(-1, 1, size=(1, 2, p))
+        state = encode(_encoder_model(w, b, l=2), window)
 
-        # with f -> 1 the cell update reduces to c_prev + i*g
-        xh = np.concatenate([x, prev.hidden])
-        pre = xh @ w.T + b
-        i = 1.0 / (1.0 + np.exp(-pre[:n]))
-        g = np.tanh(pre[3 * n :])
-        np.testing.assert_allclose(state.cell, prev.cell + i * g, atol=1e-8)
+        # the first step leaves a nonzero state; with f -> 1 the second
+        # step's cell update reduces to c_prev + i*g
+        h1, c1 = _ref_encode(w, b, window[:, :1])
+        pre = np.concatenate([window[:, 1], h1], axis=1) @ w.T + b
+        i = 1.0 / (1.0 + np.exp(-pre[:, :n]))
+        g = np.tanh(pre[:, 3 * n :])
+        np.testing.assert_allclose(state.cell, c1 + i * g, atol=1e-8)
 
     def test_dimension_mismatch_rejected(self):
-        params = LstmParams(w=np.zeros((12, 5)), b=np.zeros(12))
+        model = _encoder_model(np.zeros((12, 5)), np.zeros(12), l=1)
         with pytest.raises(ValueError):
-            lstm_step(params, np.array([1.0, 2.0, 3.0]), _zero_state(3))
+            encode(model, np.array([[[1.0, 2.0, 3.0]]]))
         with pytest.raises(ValueError):
-            lstm_step(params, np.array([1.0, 2.0]), _zero_state(4))
+            decode_infer(model, _zero_state(4), steps=1)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_hidden_strictly_inside_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
         n, p = 4, 3
-        params = LstmParams(
-            w=rng.uniform(-5, 5, size=(4 * n, p + n)), b=rng.uniform(-5, 5, size=4 * n)
-        )
-        prev = LstmState(hidden=rng.uniform(-0.9, 0.9, n), cell=rng.uniform(-3, 3, n))
-        state = lstm_step(params, rng.uniform(-5, 5, p), prev)
+        w = rng.uniform(-5, 5, size=(4 * n, p + n))
+        b = rng.uniform(-5, 5, size=4 * n)
+        window = rng.uniform(-5, 5, size=(2, 2, p))
+        state = encode(_encoder_model(w, b, l=2), window)
         assert np.all(state.hidden > -1.0)
         assert np.all(state.hidden < 1.0)
+        ref_h, ref_c = _ref_encode(w, b, window)
+        np.testing.assert_allclose(state.hidden, ref_h, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(state.cell, ref_c, rtol=1e-12, atol=1e-14)
 
     def test_hidden_bounded_under_extreme_inputs(self):
         # saturation can make o*tanh(c) land exactly on +-1 in float64,
-        # so the closed bound is what survives arbitrary finite inputs
+        # so the closed bound is what survives arbitrary finite inputs; the
+        # cell grows by at most 1 per step, so tanh(c) saturates only after
+        # ~20 steps
         n, p = 2, 2
-        params = LstmParams(w=np.full((4 * n, p + n), 100.0), b=np.full(4 * n, 100.0))
-        prev = LstmState(hidden=np.zeros(n), cell=np.full(n, 1e6))
-        state = lstm_step(params, np.full(p, 1e6), prev)
+        model = _encoder_model(
+            np.full((4 * n, p + n), 100.0), np.full(4 * n, 100.0), l=20
+        )
+        state = encode(model, np.full((1, 20, p), 1e6))
         assert np.all(np.abs(state.hidden) <= 1.0)
 
 
 class TestEncode:
     def test_zero_model_gives_zero_state(self):
         model = _zero_model()
-        window = np.arange(8.0).reshape(4, 2)
+        window = np.arange(8.0).reshape(1, 4, 2)
         state = encode(model, window)
-        np.testing.assert_array_equal(state.hidden, np.zeros(3))
-        np.testing.assert_array_equal(state.cell, np.zeros(3))
+        np.testing.assert_array_equal(state.hidden, np.zeros((1, 3)))
+        np.testing.assert_array_equal(state.cell, np.zeros((1, 3)))
 
-    def test_single_step_window_matches_lstm_step(self):
+    def test_single_step_window_matches_reference_cell(self):
         model = init_model(2, 3, 1, seed=5)
-        row = np.array([0.3, -0.7])
-        state = encode(model, row[None, :])
-        direct = lstm_step(model.encoder, row, _zero_state(3))
-        np.testing.assert_array_equal(state.hidden, direct.hidden)
-        np.testing.assert_array_equal(state.cell, direct.cell)
+        window = np.array([[[0.3, -0.7]]])
+        state = encode(model, window)
+        ref_h, ref_c = _ref_encode(model.encoder.w, model.encoder.b, window)
+        np.testing.assert_allclose(state.hidden, ref_h, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(state.cell, ref_c, rtol=1e-12, atol=1e-15)
 
     def test_row_order_matters(self):
         model = init_model(2, 3, 4, seed=7)
-        window = np.random.default_rng(2).uniform(-1, 1, size=(4, 2))
+        window = np.random.default_rng(2).uniform(-1, 1, size=(1, 4, 2))
         swapped = window.copy()
-        swapped[[0, 1]] = swapped[[1, 0]]
+        swapped[0, [0, 1]] = swapped[0, [1, 0]]
         a = encode(model, window)
         b = encode(model, swapped)
         assert not np.allclose(a.hidden, b.hidden)
@@ -141,49 +171,50 @@ class TestEncode:
     def test_wrong_length_rejected(self):
         model = init_model(2, 3, 4, seed=0)
         with pytest.raises(ValueError):
-            encode(model, np.zeros((3, 2)))
+            encode(model, np.zeros((1, 3, 2)))
 
     def test_batch_matches_single(self):
+        # row k of a batch equals the batch of window k alone
         model = init_model(2, 3, 4, seed=9)
         wins = np.random.default_rng(3).uniform(-1, 1, size=(5, 4, 2))
         batched = encode(model, wins)
         for k in range(5):
-            single = encode(model, wins[k])
-            np.testing.assert_allclose(batched.hidden[k], single.hidden, atol=1e-12)
-            np.testing.assert_allclose(batched.cell[k], single.cell, atol=1e-12)
+            single = encode(model, wins[k : k + 1])
+            np.testing.assert_allclose(batched.hidden[k], single.hidden[0], atol=1e-12)
+            np.testing.assert_allclose(batched.cell[k], single.cell[0], atol=1e-12)
 
 
 class TestDecode:
     def test_zero_model_predicts_bias_everywhere(self):
         model = _zero_model(p=2, c=3, l=4, bias=[0.25, -0.5])
-        window = np.random.default_rng(0).uniform(-1, 1, size=(4, 2))
+        window = np.random.default_rng(0).uniform(-1, 1, size=(1, 4, 2))
         preds = decode_train(model, window, encode(model, window))
-        np.testing.assert_array_equal(preds, np.tile([0.25, -0.5], (4, 1)))
+        np.testing.assert_array_equal(preds, np.tile([0.25, -0.5], (1, 4, 1)))
         infer = decode_infer(model, encode(model, window), steps=4)
-        np.testing.assert_array_equal(infer, np.tile([0.25, -0.5], (4, 1)))
+        np.testing.assert_array_equal(infer, np.tile([0.25, -0.5], (1, 4, 1)))
 
     def test_prediction_count_equals_window_length(self):
         for l in (1, 2, 5):
             model = init_model(2, 3, l, seed=l)
-            window = np.random.default_rng(l).uniform(-1, 1, size=(l, 2))
+            window = np.random.default_rng(l).uniform(-1, 1, size=(1, l, 2))
             preds = decode_train(model, window, encode(model, window))
-            assert preds.shape == (l, 2)
+            assert preds.shape == (1, l, 2)
 
     def test_single_row_uses_only_encoder_state(self):
         # with l=1 no decoder input is consumed: teacher forcing and
         # autoregressive feedback cannot differ
         model = init_model(2, 3, 1, seed=11)
-        window = np.array([[0.4, 0.9]])
+        window = np.array([[[0.4, 0.9]]])
         state = encode(model, window)
         forced = decode_train(model, window, state)
         free = decode_infer(model, state, steps=1)
         np.testing.assert_array_equal(forced, free)
         expected = state.hidden @ model.out_weight + model.out_bias
-        np.testing.assert_allclose(forced[0], expected, atol=1e-12)
+        np.testing.assert_allclose(forced[:, 0], expected, atol=1e-12)
 
     def test_infer_differs_from_forced_on_imperfect_model(self):
         model = init_model(2, 4, 6, seed=13)
-        window = np.random.default_rng(4).uniform(-1, 1, size=(6, 2))
+        window = np.random.default_rng(4).uniform(-1, 1, size=(1, 6, 2))
         state = encode(model, window)
         forced = decode_train(model, window, state)
         free = decode_infer(model, state, steps=6)
@@ -195,19 +226,62 @@ class TestDecode:
             decode_infer(model, _zero_state(3), steps=0)
 
     def test_batch_matches_single(self):
+        # row k of a batch equals the batch of window k alone
         model = init_model(2, 3, 4, seed=17)
         wins = np.random.default_rng(5).uniform(-1, 1, size=(3, 4, 2))
         states = encode(model, wins)
         forced = decode_train(model, wins, states)
         free = decode_infer(model, states, steps=4)
         for k in range(3):
-            s = encode(model, wins[k])
+            one = wins[k : k + 1]
+            s = encode(model, one)
             np.testing.assert_allclose(
-                forced[k], decode_train(model, wins[k], s), atol=1e-12
+                forced[k], decode_train(model, one, s)[0], atol=1e-12
             )
             np.testing.assert_allclose(
-                free[k], decode_infer(model, s, steps=4), atol=1e-12
+                free[k], decode_infer(model, s, steps=4)[0], atol=1e-12
             )
+
+
+class TestBatchOnly:
+    """Each entry point rejects a bare (l, p) window or (n,) state with a
+    ValueError that names the batch shape it expects."""
+
+    model = init_model(2, 3, 4, seed=0)
+    window = np.random.default_rng(8).uniform(-1, 1, size=(4, 2))
+
+    def test_encode(self):
+        with pytest.raises(ValueError, match=r"shape \(B, 4, 2\), got \(4, 2\)"):
+            encode(self.model, self.window)
+
+    def test_decode_train(self):
+        state = encode(self.model, self.window[None])
+        with pytest.raises(ValueError, match=r"shape \(B, 4, 2\), got \(4, 2\)"):
+            decode_train(self.model, self.window, state)
+        two = LstmState(
+            hidden=np.repeat(state.hidden, 2, axis=0),
+            cell=np.repeat(state.cell, 2, axis=0),
+        )
+        with pytest.raises(ValueError, match="2 states for 1 windows"):
+            decode_train(self.model, self.window[None], two)
+
+    def test_decode_infer(self):
+        state = encode(self.model, self.window[None])
+        bare = LstmState(hidden=state.hidden[0], cell=state.cell[0])
+        with pytest.raises(ValueError, match=r"shape \(B, 3\), got hidden \(3,\)"):
+            decode_infer(self.model, bare, steps=4)
+
+    def test_grad_bptt(self):
+        with pytest.raises(ValueError, match=r"shape \(B, 4, 2\), got \(4, 2\)"):
+            grad_bptt(self.model, self.window)
+
+    def test_train(self):
+        cfg = RunConfig(c=3, max_epochs=1, seed=0)
+        batch = self.window[None]
+        with pytest.raises(ValueError, match=r"training windows must have shape"):
+            train(self.window, cfg, batch)
+        with pytest.raises(ValueError, match=r"validation windows must have shape"):
+            train(batch, cfg, self.window)
 
 
 class TestLoss:
@@ -233,7 +307,7 @@ class TestLoss:
 class TestGradBptt:
     def test_zero_gradient_at_perfect_reconstruction(self):
         model = _zero_model(p=2, c=3, l=4, bias=[0.3, 0.6])
-        window = np.tile([0.3, 0.6], (4, 1))  # reconstruction is exact
+        window = np.tile([0.3, 0.6], (1, 4, 1))  # reconstruction is exact
         grads = grad_bptt(model, window)
         assert np.all(grads["out_w"] == 0.0)
         assert np.all(grads["out_b"] == 0.0)
@@ -252,7 +326,7 @@ class TestGradBptt:
     def test_duplicated_window_doubles_gradient(self):
         model = init_model(2, 4, 5, seed=23)
         window = np.random.default_rng(7).uniform(-1, 1, size=(5, 2))
-        single = grad_bptt(model, window)
+        single = grad_bptt(model, window[None])
         double = grad_bptt(model, np.stack([window, window]))
         for key in single:
             np.testing.assert_allclose(double[key], 2.0 * single[key], rtol=1e-12)
@@ -277,7 +351,7 @@ class TestGradBptt:
         assert got_loss == pytest.approx(want_loss, rel=1e-12)
         _assert_grads_match(got, want)
         _, want_first = reference_forward_backward(model, batch[:1])
-        _assert_grads_match(grad_bptt(model, batch[0]), want_first)
+        _assert_grads_match(grad_bptt(model, batch[:1]), want_first)
 
 
 def _assert_grads_match(got, want):

@@ -17,7 +17,6 @@ from edhi.numerics import (
     ols_fit,
     ols_predict,
     pca_fit,
-    pca_inverse_transform,
     pca_transform,
 )
 
@@ -132,8 +131,7 @@ class TestPca:
         data = rng.normal(size=(30, 4))
         model = pca_fit(data, p=4)
         z = pca_transform(data, model)
-        back = pca_inverse_transform(z, model)
-        np.testing.assert_allclose(back, data, atol=1e-10)
+        np.testing.assert_allclose(z @ model.components, data, atol=1e-10)
 
     def test_p_out_of_range_rejected(self):
         data = np.random.default_rng(0).normal(size=(10, 3))
@@ -191,11 +189,11 @@ class TestOls:
         np.testing.assert_allclose(model.theta, oracle[:3], atol=1e-8)
         assert model.theta0 == pytest.approx(oracle[3], abs=1e-8)
 
-    def test_predict_vector_and_matrix(self):
+    def test_predict_rows(self):
         model = ols_fit(np.array([[1.0], [2.0], [3.0]]), np.array([2.0, 4.0, 6.0]))
-        assert ols_predict(model, np.array([5.0])) == pytest.approx(10.0, abs=1e-9)
         out = ols_predict(model, np.array([[1.0], [5.0]]))
         np.testing.assert_allclose(out, [2.0, 10.0], atol=1e-9)
+        assert ols_predict(model, np.array([[5.0]])).shape == (1,)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError, match="underdetermined"):
@@ -211,8 +209,10 @@ class TestOls:
 
     def test_dimension_mismatch_rejected(self):
         model = ols_fit(np.array([[1.0], [2.0], [3.0]]), np.array([2.0, 4.0, 6.0]))
-        with pytest.raises(ValueError):
-            ols_predict(model, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"shape \(N, 1\), got \(1, 2\)"):
+            ols_predict(model, np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match=r"shape \(N, 1\), got \(1,\)"):
+            ols_predict(model, np.array([5.0]))
         with pytest.raises(ValueError):
             ols_fit(np.ones((3, 1)), np.ones(4))
 

@@ -18,7 +18,7 @@ from edhi.persist import (
     save_pipeline,
 )
 from edhi.pipeline import predict_one
-from helpers import as_format_1, join_pipeline, split_pipeline
+from helpers import as_format_1, join_pipeline, split_pipeline, with_float
 
 LSTM_SECTIONS = {"enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b"}
 
@@ -126,6 +126,32 @@ class TestCorruption:
         save_pipeline(path, bad)
         with pytest.raises(ValueError, match="shapes do not fit"):
             load_pipeline(path)
+
+    @pytest.mark.parametrize(
+        "section, index, value, reason",
+        [
+            ("norm_std", 0, 0.0, "section norm_std: a kept sensor has std <= 0"),
+            ("norm_std", 4, -1.0, "section norm_std: a kept sensor has std <= 0"),
+            ("norm_std", 2, np.nan, "section norm_std: non-finite values"),
+            ("norm_mean", 2, np.inf, "section norm_mean: non-finite values"),
+            ("pca_components", 5, np.nan, "section pca_components: non-finite"),
+            ("lr_theta", 1, np.inf, "section lr_theta: non-finite values"),
+            ("lr_theta0", 0, -np.inf, "section lr_theta0: non-finite values"),
+            ("curve_1", 3, np.nan, "section curve_1: non-finite values"),
+        ],
+    )
+    def test_signed_file_with_bad_value(self, tmp_path, section, index, value, reason):
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())
+        path.write_bytes(with_float(path.read_bytes(), section, index, value))
+        with pytest.raises(ValueError, match=f"pipeline file {path}: {reason}"):
+            load_pipeline(path)
+
+    def test_dropped_sensor_may_have_zero_std(self, tmp_path):
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())  # sensors 1 and 3 are dropped
+        path.write_bytes(with_float(path.read_bytes(), "norm_std", 1, 0.0))
+        assert load_pipeline(path).norm.std[1] == 0.0
 
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "pipe.bin"
