@@ -193,14 +193,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     bundle = load_pipeline(args.pipeline)
-    if args.tau1 is not None or args.tau2 is not None:
-        cfg = bundle.config
-        cfg = replace(
-            cfg,
-            tau1=float(args.tau1) if args.tau1 is not None else cfg.tau1,
-            tau2=float(args.tau2) if args.tau2 is not None else cfg.tau2,
-        )
-        bundle = replace(bundle, config=cfg)
+    taus = {"tau1": args.tau1, "tau2": args.tau2}
+    taus = {key: value for key, value in taus.items() if value is not None}
+    bundle = replace(bundle, config=apply_overrides(bundle.config, taus))
     ds = _load_dataset(args.data, args.file_format, rul_path=args.rul)
     report, rows = evaluate_pipeline(bundle, ds)
     print(report.as_table())

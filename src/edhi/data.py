@@ -36,7 +36,7 @@ DEGRADATION_SHAPES = ("linear", "exponential", "piecewise")
 
 @dataclass(frozen=True)
 class RunToFailureDataset:
-    """Instances plus optional truncation ground truth.
+    """Instances plus optional truncation ground truth, validated on construction.
 
     Attributes:
         instances: (id, series) pairs; series shape (L_u, m), cycle t at
@@ -50,7 +50,7 @@ class RunToFailureDataset:
     rul_labels: list[float] | None = None
     sensor_names: list[str] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         ids = [uid for uid, _ in self.instances]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate instance ids")
@@ -66,7 +66,7 @@ class RunToFailureDataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Settings for the synthetic run-to-failure generator."""
+    """Settings for the synthetic generator, validated on construction."""
 
     n_instances: int = 40
     n_sensors: int = 5
@@ -77,7 +77,7 @@ class SyntheticSpec:
     degradation_shape: str = "exponential"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_instances < 1:
             raise ValueError(f"n_instances must be >= 1, got {self.n_instances}")
         if self.n_sensors < 1:
@@ -252,12 +252,10 @@ def _turbofan_names() -> list[str]:
 
 def parse_turbofan_series(text: str, path_hint: str = "data") -> RunToFailureDataset:
     """Parse one whitespace-separated 26-column turbofan file, no labels."""
-    ds = RunToFailureDataset(
+    return RunToFailureDataset(
         instances=_parse_turbofan_file(text, path_hint),
         sensor_names=_turbofan_names(),
     )
-    ds.validate()
-    return ds
 
 
 def parse_turbofan(
@@ -279,7 +277,6 @@ def parse_turbofan(
         rul_labels=labels,
         sensor_names=_turbofan_names(),
     )
-    test.validate()
     return train, test
 
 
@@ -310,7 +307,6 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
             path_hint,
         )
     ds = RunToFailureDataset(instances=instances, sensor_names=header[2:])
-    ds.validate()
     if ds.n_sensors != n_sensors:
         raise ValueError(f"{path_hint}: sensor column mismatch")
     return ds
@@ -357,7 +353,6 @@ def generate_synthetic(spec: SyntheticSpec) -> RunToFailureDataset:
     Returns:
         Full run-to-failure dataset, deterministic in the seed.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     shape = _shape_fn(spec.degradation_shape)
     signs = rng.choice([-1.0, 1.0], size=spec.n_sensors)

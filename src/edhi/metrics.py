@@ -6,6 +6,10 @@ than early ones via two decay constants; accuracy counts predictions inside
 the closed window [-tau1, tau2]; false positives and negatives are the two
 ways of leaving that window. The three outcomes partition every record set,
 so A + FPR + FNR is 100 by construction.
+
+An ``EvalRecord`` checks itself on construction, so every record a metric
+sees is valid: a NaN estimate or a non-finite true RUL would fall in
+neither tail and count as accurate.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """One test instance's prediction vs. truth.
+    """One test instance's prediction vs. truth, validated on construction.
 
     Attributes:
-        predicted: Estimated RUL.
-        actual: True RUL at truncation, >= 0.
+        predicted: Estimated RUL, not NaN.
+        actual: True RUL at truncation, finite and >= 0.
         observed_len: Cycles observed before truncation, >= 1.
     """
 
@@ -34,10 +38,12 @@ class EvalRecord:
     def delta(self) -> float:
         return self.predicted - self.actual
 
-    def validate(self) -> None:
-        if self.actual < 0:
-            raise ValueError(f"actual RUL must be >= 0, got {self.actual}")
-        if self.observed_len < 1:
+    def __post_init__(self) -> None:
+        if math.isnan(self.predicted):
+            raise ValueError("predicted RUL must not be NaN")
+        if not (math.isfinite(self.actual) and self.actual >= 0):
+            raise ValueError(f"actual RUL must be finite and >= 0, got {self.actual}")
+        if not self.observed_len >= 1:
             raise ValueError(
                 f"observed length must be >= 1, got {self.observed_len}"
             )
@@ -76,33 +82,12 @@ class MetricsReport:
         header = f"metrics over {self.n} instances (tau1={self.tau1:g}, tau2={self.tau2:g})"
         return "\n".join([header] + lines)
 
-    def as_key_values(self) -> str:
-        pairs = [
-            ("s", self.s),
-            ("a", self.a),
-            ("mae", self.mae),
-            ("mse", self.mse),
-            ("mape1", self.mape1),
-            ("mape2", self.mape2),
-            ("fpr", self.fpr),
-            ("fnr", self.fnr),
-            ("tau1", self.tau1),
-            ("tau2", self.tau2),
-            ("n", self.n),
-        ]
-        return "\n".join(f"{k}={v!r}" for k, v in pairs)
 
-
-def _check_taus(tau1: float, tau2: float) -> None:
-    if tau1 <= 0 or tau2 <= 0:
+def _check(records: list[EvalRecord], tau1: float, tau2: float) -> None:
+    if not (tau1 > 0 and tau2 > 0):  # a NaN bound fails too: no delta lies outside it
         raise ValueError(f"tau1 and tau2 must be > 0, got {tau1}, {tau2}")
-
-
-def _check_records(records: list[EvalRecord]) -> None:
     if not records:
         raise ValueError("no evaluation records")
-    for r in records:
-        r.validate()
 
 
 @np.errstate(over="ignore")
@@ -114,8 +99,7 @@ def timeliness(records: list[EvalRecord], tau1: float, tau2: float) -> float:
     for a float (such as a delta of 1e6) makes the score inf, without a
     warning.
     """
-    _check_taus(tau1, tau2)
-    _check_records(records)
+    _check(records, tau1, tau2)
     total = 0.0
     for r in records:
         gamma = 1.0 / tau1 if r.delta < 0 else 1.0 / tau2
@@ -132,8 +116,7 @@ def outcome_counts(
     delta < -tau1 (too early). False negative: delta > tau2 (too late).
     The three counts always sum to the record count.
     """
-    _check_taus(tau1, tau2)
-    _check_records(records)
+    _check(records, tau1, tau2)
     acc = fp = fn = 0
     for r in records:
         if r.delta < -tau1:
@@ -145,65 +128,38 @@ def outcome_counts(
     return acc, fp, fn
 
 
-def accuracy(records: list[EvalRecord], tau1: float, tau2: float) -> float:
-    """Percentage of predictions inside [-tau1, tau2]."""
-    acc, _, _ = outcome_counts(records, tau1, tau2)
-    return 100.0 * acc / len(records)
+def full_report(
+    records: list[EvalRecord], tau1: float = 13.0, tau2: float = 10.0
+) -> MetricsReport:
+    """All metrics in one report; defaults penalize lateness over earliness.
 
-
-def fp_fn_rates(
-    records: list[EvalRecord], tau1: float, tau2: float
-) -> tuple[float, float]:
-    """False positive and false negative percentages."""
-    _, fp, fn = outcome_counts(records, tau1, tau2)
-    n = len(records)
-    return 100.0 * fp / n, 100.0 * fn / n
-
-
-def error_stats(records: list[EvalRecord]) -> tuple[float, float, float, float]:
-    """(MAE, MSE, MAPE1, MAPE2).
-
-    MAPE1 divides each absolute error by the true RUL, MAPE2 by the true
-    total remaining life (RUL plus observed length). MAPE1 is undefined,
-    and NaN, when any true RUL is 0.
+    A is the percentage of records inside [-tau1, tau2], FPR and FNR the
+    percentages too early and too late. MAPE1 divides each absolute error
+    by the true RUL, MAPE2 by the true total life (RUL plus observed
+    length). MAPE1 is undefined when any true RUL is 0; it is then NaN, and
+    the table shows it as ``undefined``, while every other metric is
+    reported.
     """
-    _check_records(records)
+    s = timeliness(records, tau1, tau2)
+    acc, fp, fn = outcome_counts(records, tau1, tau2)
     n = len(records)
     mae = mse = mape1 = mape2 = 0.0
     for r in records:
         d = abs(r.delta)
         mae += d
         mse += d * d
-        if r.actual > 0:
-            mape1 += d / r.actual
-        else:
-            mape1 = math.nan
+        mape1 += d / r.actual if r.actual > 0 else math.nan
         mape2 += d / (r.actual + r.observed_len)
-    return mae / n, mse / n, 100.0 * mape1 / n, 100.0 * mape2 / n
-
-
-def full_report(
-    records: list[EvalRecord], tau1: float = 13.0, tau2: float = 10.0
-) -> MetricsReport:
-    """All metrics in one report; defaults penalize lateness over earliness.
-
-    MAPE1 is undefined when any true RUL is 0; it is then NaN, and the
-    table shows it as ``undefined``, while every other metric is reported.
-    """
-    s = timeliness(records, tau1, tau2)
-    a = accuracy(records, tau1, tau2)
-    mae, mse, mape1, mape2 = error_stats(records)
-    fpr, fnr = fp_fn_rates(records, tau1, tau2)
     return MetricsReport(
         s=s,
-        a=a,
-        mae=mae,
-        mse=mse,
-        mape1=mape1,
-        mape2=mape2,
-        fpr=fpr,
-        fnr=fnr,
+        a=100.0 * acc / n,
+        mae=mae / n,
+        mse=mse / n,
+        mape1=100.0 * mape1 / n,
+        mape2=100.0 * mape2 / n,
+        fpr=100.0 * fp / n,
+        fnr=100.0 * fn / n,
         tau1=tau1,
         tau2=tau2,
-        n=len(records),
+        n=n,
     )

@@ -176,7 +176,6 @@ def build_pipeline(
         StageError: Naming the failing stage: split, normalize, pca,
             train-lstm, target-hi, fit-lr, or hi-curves.
     """
-    ds.validate()
     if config.validation_frac <= 0:
         raise StageError("split", "validation split required for early stopping")
     fit_idx, val_idx = _stage(
@@ -287,7 +286,6 @@ def evaluate_pipeline(
         ValueError: If the test set has no RUL labels or its sensor count
             does not match the pipeline.
     """
-    test_ds.validate()
     if test_ds.rul_labels is None:
         raise ValueError("test dataset has no RUL labels")
     rows = []
@@ -384,8 +382,9 @@ def run_sweep(
     one build key (``build_key``): they share one build, one set of
     validation HI curves and one set of pair distances, computed at their
     largest tau, and each point runs only the tau/lambda/alpha cut, the
-    r_max cap and the timeliness score. Scores are bitwise those of a
-    separate build and ``predict_one`` per point. Lowest score wins; ties
+    r_max cap and the timeliness score. Keys are built one at a time, in
+    order of first appearance. Scores are bitwise those of a separate
+    build and ``predict_one`` per point. Lowest score wins; ties
     keep the earliest grid point in the deterministic enumeration order.
 
     Returns:
@@ -395,28 +394,19 @@ def run_sweep(
     if not combos:
         raise ValueError("empty sweep grid")
     configs = [apply_overrides(base, overrides) for overrides in combos]
-    keys = [build_key(config, base) for config in configs]
-    max_tau: dict[RunConfig, int] = {}
-    last_use: dict[RunConfig, int] = {}
-    for k, (key, config) in enumerate(zip(keys, configs)):
-        max_tau[key] = max(max_tau.get(key, 0), config.tau)
-        last_use[key] = k
-    builds: dict[RunConfig, _SweepBuild] = {}
-    trials = []
-    for k, (overrides, config, key) in enumerate(zip(combos, configs, keys)):
-        if key not in builds:
-            builds[key] = _sweep_build(ds, key, max_tau[key])
-        build = builds[key]
-        score = _sweep_score(build, config)
-        trials.append(
-            SweepTrial(
-                overrides=overrides,
-                config=config,
-                score=score,
+    groups: dict[RunConfig, list[int]] = {}
+    for k, config in enumerate(configs):
+        groups.setdefault(build_key(config, base), []).append(k)
+    trials = [None] * len(combos)
+    for key, members in groups.items():
+        build = _sweep_build(ds, key, max(configs[k].tau for k in members))
+        for k in members:
+            trials[k] = SweepTrial(
+                overrides=combos[k],
+                config=configs[k],
+                score=_sweep_score(build, configs[k]),
                 best_epoch=build.best_epoch,
             )
-        )
-        if last_use[key] == k:
-            del builds[key]
+        del build  # one build alive at a time
     best = min(trials, key=lambda t: t.score)
     return best, trials

@@ -35,7 +35,7 @@ from edhi.health import (
 )
 from edhi.lstm import init_model
 from edhi.matching import candidate_estimates, similarity
-from edhi.metrics import EvalRecord, accuracy, fp_fn_rates, outcome_counts, timeliness
+from edhi.metrics import EvalRecord, full_report, outcome_counts, timeliness
 from edhi.numerics import (
     apply_norm,
     ols_fit,
@@ -188,10 +188,8 @@ def test_criterion_5_outcome_partition(verdict):
         if acc + fp + fn != n:
             counts_ok = False
             break
-        total = (
-            accuracy(records, tau1, tau2)
-            + sum(fp_fn_rates(records, tau1, tau2))
-        )
+        report = full_report(records, tau1, tau2)
+        total = report.a + report.fpr + report.fnr
         worst = max(worst, abs(total - 100.0))
     verdict(
         counts_ok and worst < 1e-9,

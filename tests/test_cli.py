@@ -297,6 +297,28 @@ class TestEvaluate:
         assert code == 0
         assert "tau1=20, tau2=15" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tau1", "x", "error: config key 'tau1': bad value 'x'"),
+            ("--tau2", "", "error: config key 'tau2': bad value ''"),
+            ("--tau1", "nan", "error: tau1 must be > 0, got nan"),
+        ],
+    )
+    def test_bad_tau_one_error_line_naming_it(
+        self, trained, synth_dir, capsys, flag, value, message
+    ):
+        code = main([
+            "evaluate", "--pipeline", str(trained),
+            "--data", str(synth_dir / "truncated.csv"),
+            "--rul", str(synth_dir / "rul.txt"),
+            flag, value,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
 
 class TestQuickStartFleet:
     def test_zero_label_warns_and_still_writes_out(

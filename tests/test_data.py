@@ -32,6 +32,18 @@ def _turbofan_text(units):
     return "\n".join(lines) + "\n"
 
 
+class TestRunToFailureDataset:
+    def test_duplicate_ids_rejected_on_construction(self):
+        series = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="duplicate instance ids"):
+            RunToFailureDataset([("a", series), ("b", series), ("a", series)])
+
+    def test_label_count_mismatch_rejected_on_construction(self):
+        series = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="1 RUL labels for 2 instances"):
+            RunToFailureDataset([("a", series), ("b", series)], rul_labels=[5.0])
+
+
 class TestParseTurbofan:
     def test_grouping_and_order(self):
         train, test = parse_turbofan(
@@ -411,13 +423,13 @@ class TestGenerateSynthetic:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
-            SyntheticSpec(n_instances=0).validate()
+            SyntheticSpec(n_instances=0)
         with pytest.raises(ValueError):
-            SyntheticSpec(min_len=50, max_len=40).validate()
+            SyntheticSpec(min_len=50, max_len=40)
         with pytest.raises(ValueError):
-            SyntheticSpec(degradation_shape="spiral").validate()
+            SyntheticSpec(degradation_shape="spiral")
         with pytest.raises(ValueError):
-            SyntheticSpec(fault_onset_frac=1.0).validate()
+            SyntheticSpec(fault_onset_frac=1.0)
 
 
 class TestTruncation:

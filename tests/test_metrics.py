@@ -13,15 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edhi.metrics import (
-    EvalRecord,
-    accuracy,
-    error_stats,
-    fp_fn_rates,
-    full_report,
-    outcome_counts,
-    timeliness,
-)
+from edhi.metrics import EvalRecord, full_report, outcome_counts, timeliness
 
 
 def _rec(delta, actual=50.0, observed=100):
@@ -76,65 +68,72 @@ class TestTimeliness:
     def test_invalid_taus_rejected(self):
         with pytest.raises(ValueError):
             timeliness([_rec(0.0)], 0, 10)
+        for tau1, tau2 in ((math.nan, 10), (13, math.nan)):
+            with pytest.raises(ValueError, match="must be > 0"):
+                full_report([_rec(-40.0)], tau1, tau2)
         with pytest.raises(ValueError):
             timeliness([], 13, 10)
 
 
 class TestAccuracy:
     def test_boundaries_are_closed(self):
-        assert accuracy([_rec(-13.0)], 13, 10) == 100.0
-        assert accuracy([_rec(10.0)], 13, 10) == 100.0
-        assert accuracy([_rec(-13.001)], 13, 10) == 0.0
-        assert accuracy([_rec(11.0)], 13, 10) == 0.0
+        assert full_report([_rec(-13.0)], 13, 10).a == 100.0
+        assert full_report([_rec(10.0)], 13, 10).a == 100.0
+        assert full_report([_rec(-13.001)], 13, 10).a == 0.0
+        assert full_report([_rec(11.0)], 13, 10).a == 0.0
 
     def test_two_of_three(self):
         records = [_rec(0.0), _rec(-20.0), _rec(5.0)]
-        assert accuracy(records, 13, 10) == pytest.approx(200.0 / 3.0, abs=1e-9)
+        assert full_report(records, 13, 10).a == pytest.approx(200.0 / 3.0, abs=1e-9)
 
 
 class TestErrorStats:
     def test_mae_mse(self):
         records = [_rec(3.0), _rec(-4.0)]
-        mae, mse, _, _ = error_stats(records)
-        assert mae == pytest.approx(3.5, abs=1e-12)
-        assert mse == pytest.approx(12.5, abs=1e-12)
+        report = full_report(records)
+        assert report.mae == pytest.approx(3.5, abs=1e-12)
+        assert report.mse == pytest.approx(12.5, abs=1e-12)
 
     def test_perfect_predictions(self):
         records = [_rec(0.0)] * 4
-        assert error_stats(records) == pytest.approx((0.0, 0.0, 0.0, 0.0))
+        report = full_report(records)
+        assert (report.mae, report.mse, report.mape1, report.mape2) == pytest.approx(
+            (0.0, 0.0, 0.0, 0.0)
+        )
 
     def test_mape_denominators(self):
         records = [EvalRecord(predicted=60.0, actual=50.0, observed_len=150)]
-        _, _, mape1, mape2 = error_stats(records)
-        assert mape1 == pytest.approx(20.0, abs=1e-12)  # 10/50
-        assert mape2 == pytest.approx(5.0, abs=1e-12)  # 10/200
+        report = full_report(records)
+        assert report.mape1 == pytest.approx(20.0, abs=1e-12)  # 10/50
+        assert report.mape2 == pytest.approx(5.0, abs=1e-12)  # 10/200
 
     def test_zero_actual_makes_mape1_nan(self):
         records = [_rec(3.0), EvalRecord(predicted=5.0, actual=0.0, observed_len=10)]
-        mae, mse, mape1, mape2 = error_stats(records)
-        assert math.isnan(mape1)
-        assert (mae, mse) == pytest.approx((4.0, 17.0), abs=1e-12)
-        assert mape2 == pytest.approx(100 * (3 / 150 + 5 / 10) / 2, abs=1e-12)
+        report = full_report(records)
+        assert math.isnan(report.mape1)
+        assert (report.mae, report.mse) == pytest.approx((4.0, 17.0), abs=1e-12)
+        assert report.mape2 == pytest.approx(100 * (3 / 150 + 5 / 10) / 2, abs=1e-12)
 
     @given(record_lists)
     @settings(max_examples=40, deadline=None)
     def test_mse_dominates_mae_for_large_errors(self, records):
         if all(abs(r.delta) >= 1.0 for r in records):
-            mae, mse, _, _ = error_stats(records)
-            assert mse >= mae - 1e-12
+            report = full_report(records)
+            assert report.mse >= report.mae - 1e-12
 
 
 class TestFpFnRates:
     def test_strict_inequalities(self):
-        assert fp_fn_rates([_rec(-14.0)], 13, 10) == (100.0, 0.0)
-        assert fp_fn_rates([_rec(-13.0)], 13, 10) == (0.0, 0.0)
-        assert fp_fn_rates([_rec(11.0)], 13, 10) == (0.0, 100.0)
+        cases = {-14.0: (100.0, 0.0), -13.0: (0.0, 0.0), 11.0: (0.0, 100.0)}
+        for delta, rates in cases.items():
+            report = full_report([_rec(delta)], 13, 10)
+            assert (report.fpr, report.fnr) == rates
 
     def test_one_each_of_three(self):
         records = [_rec(-20.0), _rec(0.0), _rec(15.0)]
-        fpr, fnr = fp_fn_rates(records, 13, 10)
-        assert fpr == pytest.approx(100.0 / 3.0, abs=1e-9)
-        assert fnr == pytest.approx(100.0 / 3.0, abs=1e-9)
+        report = full_report(records, 13, 10)
+        assert report.fpr == pytest.approx(100.0 / 3.0, abs=1e-9)
+        assert report.fnr == pytest.approx(100.0 / 3.0, abs=1e-9)
 
 
 class TestPartition:
@@ -147,9 +146,8 @@ class TestPartition:
     @given(record_lists)
     @settings(max_examples=100, deadline=None)
     def test_percentages_sum_to_hundred(self, records):
-        a = accuracy(records, 13, 10)
-        fpr, fnr = fp_fn_rates(records, 13, 10)
-        assert a + fpr + fnr == pytest.approx(100.0, abs=1e-9)
+        report = full_report(records, 13, 10)
+        assert report.a + report.fpr + report.fnr == pytest.approx(100.0, abs=1e-9)
 
 
 class TestFullReport:
@@ -168,9 +166,6 @@ class TestFullReport:
         table = report.as_table()
         for token in ("S", "MAE", "MSE", "MAPE1", "FPR", "FNR"):
             assert token in table
-        kv = report.as_key_values()
-        for key in ("s=", "a=", "mae=", "mse=", "mape1=", "mape2=", "fpr=", "fnr="):
-            assert key in kv
 
     def test_zero_actual_makes_mape1_undefined(self):
         zero = EvalRecord(predicted=4.0, actual=0.0, observed_len=10)
@@ -182,10 +177,24 @@ class TestFullReport:
         assert report.mape2 == pytest.approx(100 * (3 / 150 + 2 / 150 + 4 / 10) / 3)
         assert report.n == 3
         assert "MAPE1 (%)  undefined" in report.as_table()
-        assert "mape1=nan" in report.as_key_values()
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            full_report([EvalRecord(predicted=1.0, actual=-1.0, observed_len=5)])
+            EvalRecord(predicted=1.0, actual=-1.0, observed_len=5)
+        for observed_len in (0, math.nan):
+            with pytest.raises(ValueError, match="observed length must be >= 1"):
+                EvalRecord(predicted=1.0, actual=1.0, observed_len=observed_len)
+        for actual in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="actual RUL must be finite and >= 0"):
+                EvalRecord(1.0, actual, 5)
+        with pytest.raises(ValueError, match="predicted RUL must not be NaN"):
+            EvalRecord(math.nan, 4.0, 5)
+
+    def test_nan_record_cannot_count_as_accurate(self):
+        # a NaN delta falls in neither tail, so it would read as accurate
         with pytest.raises(ValueError):
-            full_report([EvalRecord(predicted=1.0, actual=1.0, observed_len=0)])
+            full_report([EvalRecord(10.0, math.nan, 5), EvalRecord(3.0, 4.0, 5)])
+
+    def test_infinite_predicted_is_late(self):
+        report = full_report([EvalRecord(math.inf, 4.0, 5)])
+        assert (report.a, report.fnr, report.s) == (0.0, 100.0, math.inf)
