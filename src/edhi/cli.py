@@ -213,7 +213,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             est = row.estimate
             lines.append(
                 f"{row.test_id},{float(est.value)!r},{float(est.std_dev)!r},"
-                f"{float(est.spread)!r},{len(est.candidates)},{_flag(est.capped)},"
+                f"{float(est.spread)!r},{len(est.survivors)},{_flag(est.capped)},"
                 f"{_flag(est.fallback)}"
             )
         Path(args.out).write_text("\n".join(lines) + "\n")
@@ -247,7 +247,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     print(f"rul_estimate {est.value:.6g}")
     print(f"std_dev {est.std_dev:.6g}")
     print(f"spread {est.spread:.6g}")
-    print(f"n_candidates {len(est.candidates)}")
+    print(f"n_candidates {len(est.survivors)}")
+    best = est.best_match
+    if best is None:
+        print("best_match none")
+    else:
+        print(
+            f"best_match {best.train_id} lag {best.lag}"
+            f" similarity {best.similarity:.6g}"
+        )
+    print(f"n_pairs {est.n_pairs}")
     print(f"capped {_flag(est.capped)}")
     print(f"fallback {_flag(est.fallback)}")
     if args.curve_out:

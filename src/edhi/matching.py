@@ -12,7 +12,9 @@ dispersion doubles as a confidence signal.
 in array passes, in two steps. ``pair_distances`` lays the library curves
 end to end, takes each pair as a window of that flat array and gets every
 d^2 from batched row-by-column products; ``select_candidates`` then applies
-the lag bound tau, one ``exp`` and the alpha cut. Each product runs the
+the lag bound tau, one ``exp`` and the alpha cut, and keeps the survivors
+as arrays (``Survivors``) through ``estimate_rul``: ``RulCandidate`` tuples
+are built only when someone reads them. Each product runs the
 same dot kernel as the scalar ``curve_distance``, so candidate sets are
 bitwise those of the pair-by-pair loop that ``curve_distance`` and
 ``similarity`` spell out. Pairs are gathered in blocks of at most
@@ -24,7 +26,8 @@ smaller tau are a subset in the same order, with the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -54,13 +57,61 @@ class RulCandidate(NamedTuple):
     estimate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Survivors:
+    """The surviving candidates of one test curve, as parallel arrays.
+
+    ``len()`` is the survivor count; indexing and iteration build
+    ``RulCandidate`` tuples (``str``, ``int``, ``float``, ``float``) on call.
+
+    Attributes:
+        owner: Index of each survivor's train instance in ``library``.
+        lags, similarities, estimates: The ``RulCandidate`` fields.
+        library: Item k starts with train instance k's id: the train set,
+            or the candidate list itself for ``Survivors.of``.
+        n_pairs: Feasible pairs with lag <= tau, before the alpha cut.
+    """
+
+    owner: np.ndarray
+    lags: np.ndarray
+    similarities: np.ndarray
+    estimates: np.ndarray
+    library: Sequence[tuple]
+    n_pairs: int
+
+    @classmethod
+    def of(cls, candidates: Survivors | list[RulCandidate]) -> Survivors:
+        """Survivors as they are, or a plain list as arrays, each one a pair."""
+        if isinstance(candidates, Survivors):
+            return candidates
+        candidates = list(candidates)
+        n = len(candidates)
+        _, lags, sims, ests = zip(*candidates) if n else ((),) * 4
+        floats = (np.array(col, dtype=np.float64) for col in (sims, ests))
+        return cls(np.arange(n), np.array(lags, dtype=np.int64), *floats, candidates, n)
+
+    def __len__(self) -> int:
+        return len(self.lags)
+
+    def __getitem__(self, k: int) -> RulCandidate:
+        fields = (a[k].item() for a in (self.lags, self.similarities, self.estimates))
+        return RulCandidate(self.library[self.owner[k]][0], *fields)
+
+    def __iter__(self) -> Iterator[RulCandidate]:
+        ids = [self.library[k][0] for k in self.owner.tolist()]
+        columns = (a.tolist() for a in (self.lags, self.similarities, self.estimates))
+        # tuple.__new__ builds each RulCandidate from its field tuple without
+        # the Python-level NamedTuple constructor: about half the cost each
+        return map(tuple.__new__, repeat(RulCandidate), zip(ids, *columns))
+
+
+@dataclass(frozen=True, eq=False)
 class RulEstimate:
-    """Weighted RUL with the evidence behind it.
+    """Weighted RUL with the evidence behind it; compared by identity.
 
     Attributes:
         value: Final estimate, after capping (or the fallback).
-        candidates: Surviving candidates the value was averaged over.
+        survivors: Surviving candidates the value was averaged over.
         std_dev: Population standard deviation of candidate estimates;
             NaN when the fallback fired.
         spread: Max minus min candidate estimate; NaN on fallback.
@@ -70,11 +121,27 @@ class RulEstimate:
     """
 
     value: float
-    candidates: list[RulCandidate] = field(default_factory=list)
+    survivors: Survivors
     std_dev: float = float("nan")
     spread: float = float("nan")
     capped: bool = False
     fallback: bool = False
+
+    @property
+    def candidates(self) -> list[RulCandidate]:
+        """The survivors as tuples, built on each read; [] on fallback."""
+        return list(self.survivors)
+
+    @property
+    def best_match(self) -> RulCandidate | None:
+        """The most similar survivor (the first on ties); None on fallback."""
+        sims = self.survivors.similarities
+        return self.survivors[int(np.argmax(sims))] if sims.size else None
+
+    @property
+    def n_pairs(self) -> int:
+        """Feasible (train, lag) pairs before the alpha cut."""
+        return self.survivors.n_pairs
 
 
 def curve_distance(test: HiCurve, train: HiCurve, lag: int) -> float:
@@ -168,7 +235,7 @@ def pair_distances(
 
 def select_candidates(
     pairs: Pairs, train_set: list[tuple[str, HiCurve]], config: RunConfig
-) -> list[RulCandidate]:
+) -> Survivors:
     """Weigh and filter the pairs of ``pair_distances`` into candidates.
 
     Only pairs with lag <= config.tau take part, so pairs enumerated once
@@ -197,31 +264,22 @@ def select_candidates(
     if config.tau < pairs.tau:
         within = np.flatnonzero(lags <= config.tau)
         owner, lags, d2, estimates = (a[within] for a in (owner, lags, d2, estimates))
-    if d2.size == 0:
-        return []
     sims = np.exp(-d2 / config.lam)
-    s_max = sims.max()
+    s_max = sims.max(initial=0.0)  # 0.0 when there is no pair
     if np.isnan(s_max):
         bad = train_set[owner[np.flatnonzero(np.isnan(sims))[0]]][0]
         raise ValueError(f"NaN curve distance against train instance {bad}")
     keep = np.flatnonzero((sims >= config.alpha * s_max) & (sims > 0.0))
-    ids = np.array([train_id for train_id, _ in train_set], dtype=object)
-    fields = zip(
-        ids[owner[keep]].tolist(),
-        lags[keep].tolist(),
-        sims[keep].tolist(),
-        estimates[keep].tolist(),
+    return Survivors(
+        owner[keep], lags[keep], sims[keep], estimates[keep], train_set, d2.size
     )
-    # tuple.__new__ builds each RulCandidate from its field tuple without the
-    # Python-level NamedTuple constructor: about half the cost per survivor
-    return list(map(tuple.__new__, repeat(RulCandidate), fields))
 
 
 def candidate_estimates(
     test: HiCurve,
     train_set: list[tuple[str, HiCurve]],
     config: RunConfig,
-) -> list[RulCandidate]:
+) -> Survivors:
     """Enumerate and filter candidate matches for one test instance.
 
     Every (train instance, lag) pair with lag in 1..tau and the whole test
@@ -248,20 +306,23 @@ def candidate_estimates(
 
 
 def estimate_rul(
-    candidates: list[RulCandidate],
+    candidates: Survivors | list[RulCandidate],
     config: RunConfig,
     test_len: int,
     train_lengths: list[int],
 ) -> RulEstimate:
     """Similarity-weighted mean of the candidate estimates, capped at r_max.
 
+    Both sums are ``cumsum`` passes, which add in candidate order one term
+    at a time, so the mean is bitwise that of a loop over the candidates.
     With no surviving candidates (test longer than every train curve, or the
     similarity filter emptied the set), the fallback returns the largest
     length headroom any train instance offers, still capped, with dispersion
     fields set to NaN.
 
     Args:
-        candidates: Output of candidate_estimates.
+        candidates: Output of candidate_estimates, or a plain list of
+            candidates, which is converted to arrays first.
         config: Run configuration; reads r_max.
         test_len: Observed length of the test instance.
         train_lengths: Full lengths of all train instances, for the fallback.
@@ -269,25 +330,23 @@ def estimate_rul(
     Returns:
         RulEstimate with value, dispersion, and flag fields filled in.
     """
-    if not candidates:
+    survivors = Survivors.of(candidates)
+    if not survivors:
         headroom = max(
             (max(length - test_len, 0) for length in train_lengths), default=0
         )
         value = min(config.r_max, float(headroom))
-        return RulEstimate(value=value, fallback=True, capped=headroom > config.r_max)
-    num = 0.0
-    den = 0.0
-    for c in candidates:
-        num += c.similarity * c.estimate
-        den += c.similarity
-    value = num / den
-    estimates = np.array([c.estimate for c in candidates])
+        return RulEstimate(
+            value, survivors, fallback=True, capped=headroom > config.r_max
+        )
+    sims, estimates = survivors.similarities, survivors.estimates
+    value = float(np.cumsum(sims * estimates)[-1] / np.cumsum(sims)[-1])
     capped = value > config.r_max
     if capped:
         value = config.r_max
     return RulEstimate(
-        value=value,
-        candidates=list(candidates),
+        value,
+        survivors,
         std_dev=float(np.std(estimates)),
         spread=float(np.max(estimates) - np.min(estimates)),
         capped=capped,

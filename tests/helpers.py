@@ -1,6 +1,7 @@
 """Shared test oracles: finite-difference gradient checking, plain per-step
-BPTT, a per-cycle moving average and a rebuild-per-point sweep; plus
-pipeline-file surgery that re-signs edited headers and values."""
+BPTT, a per-cycle moving average, a per-candidate weighted mean and a
+rebuild-per-point sweep; plus pipeline-file surgery that re-signs edited
+headers and values."""
 
 import hashlib
 import json
@@ -180,6 +181,39 @@ def reference_smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
     for t in range(n):
         out[t] = np.mean(values[max(0, t - half_lo) : min(n, t + half_hi + 1)])
     return out
+
+
+def reference_estimate_rul(candidates, config, test_len, train_lengths) -> dict:
+    """The estimate_rul oracle: running sums over the candidates in Python.
+
+    Returns the value, std_dev, spread, capped and fallback fields by name.
+    """
+    if not candidates:
+        headroom = max(
+            (max(length - test_len, 0) for length in train_lengths), default=0
+        )
+        return {
+            "value": min(config.r_max, float(headroom)),
+            "std_dev": float("nan"),
+            "spread": float("nan"),
+            "capped": headroom > config.r_max,
+            "fallback": True,
+        }
+    num = 0.0
+    den = 0.0
+    for c in candidates:
+        num += c.similarity * c.estimate
+        den += c.similarity
+    value = num / den
+    estimates = np.array([c.estimate for c in candidates])
+    capped = value > config.r_max
+    return {
+        "value": config.r_max if capped else value,
+        "std_dev": float(np.std(estimates)),
+        "spread": float(np.max(estimates) - np.min(estimates)),
+        "capped": capped,
+        "fallback": False,
+    }
 
 
 def naive_sweep_scores(ds, base, grid):

@@ -8,6 +8,7 @@ import pytest
 from edhi.cli import _load_dataset, _sniff_format, main
 from edhi.data import parse_generic
 from edhi.persist import load_pipeline
+from edhi.pipeline import predict_one
 from helpers import join_pipeline, split_pipeline, with_float
 
 TRAIN_FLAGS = [
@@ -424,6 +425,41 @@ class TestPredict:
         assert "instance s3" in out
         assert "rul_estimate" in out
         assert "n_candidates" in out
+
+    def test_match_evidence_lines(self, trained, synth_dir, tmp_path, capsys):
+        def predict(data, instance):
+            assert main([
+                "predict", "--pipeline", str(trained), "--data", str(data),
+                "--instance", instance,
+            ]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        lines = predict(synth_dir / "truncated.csv", "s3")
+        ds = parse_generic((synth_dir / "truncated.csv").read_text())
+        est, _ = predict_one(load_pipeline(trained), dict(ds.instances)["s3"])
+        best = est.best_match
+        at = lines.index(f"n_candidates {len(est.candidates)}")
+        assert lines[at + 1 : at + 3] == [
+            f"best_match {best.train_id} lag {best.lag}"
+            f" similarity {best.similarity:.6g}",
+            f"n_pairs {est.n_pairs}",
+        ]
+        assert est.n_pairs >= len(est.candidates) > 0
+
+        # observed past every training life: no pair, so no best match
+        long_dir = tmp_path / "long"
+        assert main([
+            "synth", "--out", str(long_dir), "--n-instances", "2",
+            "--n-sensors", "3", "--min-len", "40", "--max-len", "44",
+            "--seed", "5", "--truncate", "0.95,0.98",
+        ]) == 0
+        capsys.readouterr()
+        lines = predict(long_dir / "truncated.csv", "s1")
+        assert lines[lines.index("n_candidates 0") + 1 :][:2] == [
+            "best_match none",
+            "n_pairs 0",
+        ]
+        assert "fallback true" in lines
 
     def test_multi_instance_needs_flag(self, trained, synth_dir, capsys):
         code = main([

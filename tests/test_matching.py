@@ -2,7 +2,8 @@
 
 The oracle is an independent brute-force enumeration over every (train, lag)
 pair with its own filter logic and fsum-based weighted mean; candidate sets
-must agree bitwise, weighted means to 1e-12.
+must agree bitwise, weighted means to 1e-12. estimate_rul must also agree
+bitwise with the per-candidate loop in helpers.reference_estimate_rul.
 """
 
 import math
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 
 from edhi import matching
 from edhi.config import RunConfig
+from edhi.data import SyntheticSpec, generate_synthetic
 from edhi.health import HiCurve
 from edhi.matching import (
     RulCandidate,
+    Survivors,
     candidate_estimates,
     curve_distance,
     estimate_rul,
@@ -24,6 +27,8 @@ from edhi.matching import (
     select_candidates,
     similarity,
 )
+from edhi.pipeline import build_pipeline, predict_one
+from helpers import reference_estimate_rul
 
 
 def brute_force_candidates(test, train_set, config):
@@ -119,7 +124,7 @@ class TestCandidateEstimates:
         test = HiCurve(values=np.linspace(1, 0, 10))
         trains = [("short", HiCurve(values=np.linspace(1, 0, 8)))]
         config = RunConfig(lam=0.1, tau=5, alpha=0.0, r_max=50)
-        assert candidate_estimates(test, trains, config) == []
+        assert as_tuples(candidate_estimates(test, trains, config)) == []
 
     def test_alpha_one_keeps_only_best(self):
         rng = np.random.default_rng(0)
@@ -150,7 +155,7 @@ class TestCandidateEstimates:
         test = HiCurve(values=np.ones(5))
         trains = [("far", HiCurve(values=np.zeros(10)))]
         config = RunConfig(lam=1e-300, tau=3, alpha=0.0, r_max=50)
-        assert candidate_estimates(test, trains, config) == []
+        assert as_tuples(candidate_estimates(test, trains, config)) == []
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -253,7 +258,7 @@ class TestBenchmarkSizes:
 
     def test_empty_library(self):
         test = HiCurve(values=np.linspace(1, 0, 50))
-        assert candidate_estimates(test, [], RunConfig(tau=60)) == []
+        assert as_tuples(candidate_estimates(test, [], RunConfig(tau=60))) == []
 
     def test_every_curve_shorter_than_test(self):
         rng = np.random.default_rng(1)
@@ -263,7 +268,7 @@ class TestBenchmarkSizes:
             for k in range(80)
         ]
         config = RunConfig(tau=60, lam=0.01)
-        assert candidate_estimates(test, trains, config) == []
+        assert as_tuples(candidate_estimates(test, trains, config)) == []
         assert brute_force_candidates(test, trains, config) == []
 
     def test_every_similarity_underflows(self):
@@ -271,7 +276,7 @@ class TestBenchmarkSizes:
         test, trains, _ = bench_case(rng, 80)
         config = RunConfig(lam=1e-300, tau=60, alpha=0.0)
         test = HiCurve(values=test.values + 5.0)  # far from every train curve
-        assert candidate_estimates(test, trains, config) == []
+        assert as_tuples(candidate_estimates(test, trains, config)) == []
         assert brute_force_candidates(test, trains, config) == []
 
     def test_nan_in_library_curve_rejected(self):
@@ -401,3 +406,113 @@ class TestEstimateRul:
         result = estimate_rul(cands, config, test.length, lengths)
         if cands or max(lengths) > test.length:
             assert result.value + test.length <= max(lengths) + 1e-9
+
+
+def estimate_bits(value, std_dev, spread, capped, fallback):
+    """The estimate fields with value, std_dev and spread as raw bytes."""
+    return np.array([value, std_dev, spread]).tobytes(), capped, fallback
+
+
+def fields_of(est):
+    return estimate_bits(est.value, est.std_dev, est.spread, est.capped, est.fallback)
+
+
+class TestEstimateRulBitwise:
+    """The cumsum passes against the per-candidate loop they replaced."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3000),
+        st.integers(-300, 0),
+        st.sampled_from(["integer", "real", "equal"]),
+        st.one_of(st.floats(1.0, 400.0), st.just(1e9)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_candidate_loop(self, seed, n, min_exp, kind, r_max):
+        # similarities span 10**min_exp..1, down to 1e-300; a cap of at most
+        # 400 binds on most estimate sets, 1e9 never does; n = 0 falls back
+        rng = np.random.default_rng(seed)
+        similarities = 10.0 ** rng.uniform(min_exp, 0.0, size=n)
+        if kind == "integer":
+            estimates = rng.integers(0, 400, size=n).astype(np.float64)
+        elif kind == "real":
+            estimates = rng.uniform(0.0, 400.0, size=n)
+        else:
+            estimates = np.full(n, float(rng.integers(0, 400)))
+        library = [(f"u{k}", None) for k in range(7)]
+        survivors = Survivors(
+            rng.integers(0, 7, size=n),
+            rng.integers(1, 61, size=n),
+            similarities,
+            estimates,
+            library,
+            n,
+        )
+        config = RunConfig(r_max=r_max)
+        test_len = int(rng.integers(1, 400))
+        lengths = [int(length) for length in rng.integers(2, 500, size=5)]
+        cands = list(survivors)
+
+        from_arrays = estimate_rul(survivors, config, test_len, lengths)
+        from_list = estimate_rul(cands, config, test_len, lengths)
+        expected = reference_estimate_rul(cands, config, test_len, lengths)
+        assert fields_of(from_arrays) == estimate_bits(**expected)
+        assert fields_of(from_list) == fields_of(from_arrays)
+        assert from_list.candidates == from_arrays.candidates == cands
+        assert from_list.best_match == from_arrays.best_match
+        assert from_list.n_pairs == from_arrays.n_pairs == n
+
+
+@pytest.fixture(scope="module")
+def bench_bundle():
+    """A pipeline over 80 FD001-shaped lives of 128-362 cycles, no LSTM."""
+    spec = SyntheticSpec(
+        n_instances=100, n_sensors=21, min_len=128, max_len=362, seed=5
+    )
+    ds = generate_synthetic(spec)
+    bundle, _ = build_pipeline(ds, RunConfig(hi_variant="linear", tau=60, seed=5))
+    return ds, bundle
+
+
+class TestLazyCandidates:
+    def test_predict_one_candidates_match_brute_force(self, bench_bundle):
+        ds, bundle = bench_bundle
+        library, config = bundle.hi_train_curves, bundle.config
+        nonempty = 0
+        for _, series in ds.instances[::10]:
+            for frac in (0.3, 0.6, 0.9):
+                est, curve = predict_one(bundle, series[: int(frac * len(series))])
+                expected = brute_force_candidates(curve, library, config)
+                got = est.candidates
+                assert got == expected
+                assert len(got) == len(est.survivors) == len(expected)
+                assert {tuple(map(type, c)) for c in got} <= {(str, int, float, float)}
+                assert est.n_pairs == sum(
+                    max(0, min(config.tau, c.length - curve.length)) for _, c in library
+                )
+                if expected:
+                    nonempty += 1
+                    assert est.survivors[-1] == got[-1]
+                    assert est.best_match == max(expected, key=lambda c: c[2])
+                    assert type(est.best_match) is RulCandidate
+        assert nonempty >= 20
+
+    def test_fallback_has_no_candidates(self):
+        test = HiCurve(values=np.linspace(1, 0, 50))
+        trains = [("short", HiCurve(values=np.linspace(1, 0, 30)))]
+        config = RunConfig()
+        est = estimate_rul(candidate_estimates(test, trains, config), config, 50, [30])
+        assert est.fallback
+        assert est.candidates == []
+        assert est.best_match is None
+        assert est.n_pairs == 0
+
+    def test_underflow_fallback_counts_its_pairs(self):
+        test = HiCurve(values=np.ones(5))
+        trains = [("far", HiCurve(values=np.zeros(10)))]
+        config = RunConfig(lam=1e-300, tau=3, alpha=0.0)
+        est = estimate_rul(candidate_estimates(test, trains, config), config, 5, [10])
+        assert est.fallback
+        assert est.candidates == []
+        assert est.best_match is None
+        assert est.n_pairs == 3
