@@ -40,7 +40,6 @@ from .pipeline import (
     evaluate_pipeline,
     predict_one,
     run_sweep,
-    series_hi_curve,
 )
 
 _CONFIG_HELP = {
@@ -221,9 +220,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.curves_dir:
         curves_dir = Path(args.curves_dir)
         curves_dir.mkdir(parents=True, exist_ok=True)
-        for uid, series in ds.instances:
-            _write_curve(curves_dir / f"{uid}.csv", series_hi_curve(bundle, series))
-        print(f"wrote {len(ds.instances)} curves to {curves_dir}")
+        for row in rows:
+            _write_curve(curves_dir / f"{row.test_id}.csv", row.curve)
+        print(f"wrote {len(rows)} curves to {curves_dir}")
     return 0
 
 

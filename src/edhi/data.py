@@ -10,10 +10,11 @@ relies on.
 
 Both formats share one row loop, and every parse ends in one grouping
 routine that sorts the rows by unit and cycle and checks each unit's cycles.
-The generic parser first tries to read all numeric columns with one
-``np.loadtxt`` call instead of the loop. It keeps that table only when the
-loop would have read the same rows: every line parsed, every row the same
-width, every value finite and every cycle an integer. Anything else
+The generic parser first tries to read every column with one
+``np.loadtxt`` call, which codes the unit ids as it reads, instead of the
+loop. It keeps that table only when the loop would have read the same rows:
+every line parsed, every row the same width, every value finite and every
+cycle an integer. Anything else
 (including tokens only Python's ``float`` accepts, such as ``1_0``) goes to
 the loop, which reports it, so messages and line numbers do not depend on
 the fast path. The turbofan parser is the row loop alone.
@@ -119,6 +120,15 @@ def _parse_index(token: str, what: str, lineno: int, path_hint: str) -> int:
     return int(value)
 
 
+class _FirstSeen(dict):
+    """Codes each new key as it is looked up: 0, 1, ... in order of first
+    appearance. A lookup of a known key runs no Python code."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
+
+
 def _group_table(
     names: list[str],
     codes: np.ndarray,
@@ -152,35 +162,35 @@ def _fast_generic(
 
     None whenever loadtxt rejects a line, skips one, or finds another width,
     or any value is non-finite or any cycle non-integral: the row loop then
-    parses and reports. loadtxt reads each line past its first comma; the ids
-    before it are split off in a second pass, so the two halves are never
-    held at once.
+    parses and reports. loadtxt reads the lines as they are, in one pass,
+    and codes each unit id token as it goes.
     """
+    tokens = _FirstSeen()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "input contained no data"
             table = np.loadtxt(
-                [line.partition(",")[2] for line in lines],
+                lines,
                 dtype=np.float64,
                 delimiter=",",
                 comments=None,
+                converters={0: tokens.__getitem__},
+                encoding=None,  # converters get str, not bytes, on numpy 1.x
                 ndmin=2,
             )
     except ValueError:
         return None
     if (
-        table.shape != (len(lines), width - 1)
+        table.shape != (len(lines), width)
         or not np.isfinite(table).all()
-        or np.any(table[:, 0] % 1)
+        or np.any(table[:, 1] % 1)
     ):
         return None
-    codes: dict[str, int] = {}
-    unit_codes = [
-        codes.setdefault(line.partition(",")[0].strip(), len(codes)) for line in lines
-    ]
-    return _group_table(
-        list(codes), np.array(unit_codes), table[:, 0], table[:, 1:], path_hint
-    )
+    # tokens that differ only in padding name one unit
+    codes = _FirstSeen()
+    unit_of_token = np.array([codes[token.strip()] for token in tokens], dtype=np.intp)
+    unit_codes = unit_of_token[table[:, 0].astype(np.intp)]
+    return _group_table(list(codes), unit_codes, table[:, 1], table[:, 2:], path_hint)
 
 
 def _rows(
@@ -191,7 +201,7 @@ def _rows(
     ``split`` turns a stripped line into its tokens; ``unit_of(token,
     lineno)`` reads the unit id from the first token.
     """
-    codes: dict[str, int] = {}
+    codes = _FirstSeen()
     unit_codes, cycles, values = [], [], []
     for lineno, raw in enumerate(lines, start=first_lineno):
         line = raw.strip()
@@ -203,7 +213,7 @@ def _rows(
                 f"{path_hint} line {lineno}: expected {n_columns} columns,"
                 f" got {len(tokens)}"
             )
-        unit_codes.append(codes.setdefault(unit_of(tokens[0], lineno), len(codes)))
+        unit_codes.append(codes[unit_of(tokens[0], lineno)])
         cycles.append(_parse_index(tokens[1], "cycle", lineno, path_hint))
         values.append([_parse_float(tok, lineno, path_hint) for tok in tokens[2:]])
     if not values:
@@ -295,7 +305,9 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
             f"{path_hint} line 1: header must start with instance_id,cycle"
         )
     n_sensors = len(header) - 2
-    data = [line for line in lines[1:] if line.strip()]
+    data = lines[1:]
+    if not all(map(str.strip, data)):  # the row loop skips blank lines
+        data = [line for line in data if line.strip()]
     instances = _fast_generic(data, len(header), path_hint) if data else None
     if instances is None:
         instances = _rows(

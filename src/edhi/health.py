@@ -237,11 +237,14 @@ def smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
     out = np.empty_like(values)
     n = values.shape[0]
     if n >= window:
+        # not shifted-slice sums: those differ in the last bit from window 8
         out[half_lo : n - half_hi] = sliding_window_view(values, window).mean(axis=-1)
-    # only the cycles whose window is cut by an edge remain
+    # only the cycles whose window is cut by an edge remain; sum / count is
+    # np.mean's own arithmetic without its per-call overhead
     edges = chain(range(min(half_lo, n)), range(max(half_lo, n - half_hi), n))
     for t in edges:
-        out[t] = np.mean(values[max(0, t - half_lo) : t + half_hi + 1])
+        seg = values[max(0, t - half_lo) : t + half_hi + 1]
+        out[t] = seg.sum() / seg.shape[0]
     return out
 
 
@@ -276,7 +279,7 @@ def hi_curve(
     raw = ols_predict(model, z)
     smoothed = smooth_curve(raw, smooth_window)
     k = frac_count(init_frac, smoothed.shape[0])
-    divisor = float(np.mean(smoothed[:k]))
+    divisor = float(smoothed[:k].sum() / k)
     if abs(divisor) >= _DEGENERATE_EPS:
         smoothed = smoothed / divisor
     return HiCurve(values=np.clip(smoothed, 0.0, 1.0))

@@ -8,20 +8,23 @@ Candidates far below the best similarity are discarded; the survivors'
 similarity-weighted mean, capped from above, is the estimate. Candidate
 dispersion doubles as a confidence signal.
 
-``candidate_estimates`` scores every (train, lag) pair of one test instance
-in array passes, in two steps. ``pair_distances`` lays the library curves
-end to end, takes each pair as a window of that flat array and gets every
-d^2 from batched row-by-column products; ``select_candidates`` then applies
-the lag bound tau, one ``exp`` and the alpha cut, and keeps the survivors
-as arrays (``Survivors``) through ``estimate_rul``: ``RulCandidate`` tuples
-are built only when someone reads them. Each product runs the
-same dot kernel as the scalar ``curve_distance``, so candidate sets are
-bitwise those of the pair-by-pair loop that ``curve_distance`` and
-``similarity`` spell out. Pairs are gathered in blocks of at most
-``_BLOCK_VALUES`` window values, so memory stays bounded however large the
-library is. A sweep computes the pairs once per test curve at its largest
-tau and runs only ``select_candidates`` per grid point; the pairs at a
-smaller tau are a subset in the same order, with the same bits.
+The train curves form a ``Library``, laid out once per pipeline: every
+curve end to end in one read-only array, with each curve's start and
+length. ``candidate_estimates`` scores every (train, lag) pair of one test
+instance in array passes, in two steps. ``pair_distances`` takes each pair
+as a window of the library's flat array and gets every d^2 from batched
+row-by-column products; ``select_candidates`` then applies the lag bound
+tau, one ``exp`` and the alpha cut, and keeps the survivors as arrays
+(``Survivors``) through ``estimate_rul``: ``RulCandidate`` tuples are
+built, and the dispersion computed, only when someone reads them. Each
+product runs the same dot kernel as the scalar ``curve_distance``, so
+candidate sets are bitwise those of the pair-by-pair loop that
+``curve_distance`` and ``similarity`` spell out. Pairs are gathered in
+blocks of at most ``_BLOCK_VALUES`` window values, so memory stays bounded
+however large the library is. A sweep computes the pairs once per test
+curve at its largest tau and runs only ``select_candidates`` per grid
+point; the pairs at a smaller tau are a subset in the same order, with the
+same bits.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import RunConfig
 from .health import HiCurve
 
-# float64 window values gathered per block of pairs: 8 MiB
-_BLOCK_VALUES = 1 << 20
+# float64 window values gathered per block of pairs: 512 KiB, small enough
+# to stay in a core's L2 cache from the gather through the products
+_BLOCK_VALUES = 1 << 16
 
 
 class RulCandidate(NamedTuple):
@@ -58,6 +62,66 @@ class RulCandidate(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
+class Library(Sequence):
+    """The matching library: a sequence of (train id, full HI curve) pairs.
+
+    Built once per pipeline (``Library.of``), so that scoring a test curve
+    reads the layout instead of rebuilding it. Equal to any sequence of
+    pairs with the same ids and bitwise the same curves.
+
+    Attributes:
+        ids: Train instance ids, in library order.
+        curves: The train curves; each one's values are a view into ``flat``.
+        lengths: Curve lengths, int64.
+        flat: All curve values end to end, read-only.
+        starts: Offset of each curve in ``flat``.
+    """
+
+    ids: tuple[str, ...]
+    curves: tuple[HiCurve, ...]
+    lengths: np.ndarray
+    flat: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: Library | Sequence[tuple[str, HiCurve]]) -> Library:
+        """A library as it is, or (id, curve) pairs laid out end to end."""
+        if isinstance(pairs, Library):
+            return pairs
+        ids, curves = zip(*pairs) if pairs else ((), ())
+        lengths = np.array([curve.length for curve in curves], dtype=np.int64)
+        flat = np.concatenate([c.values for c in curves]) if curves else np.empty(0)
+        flat.flags.writeable = False
+        starts = np.cumsum(lengths) - lengths
+        views = tuple(
+            HiCurve(values=flat[start : start + n])
+            for start, n in zip(starts.tolist(), lengths.tolist())
+        )
+        return cls(tuple(ids), views, lengths, flat, starts)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(zip(self.ids[k], self.curves[k]))
+        return self.ids[k], self.curves[k]
+
+    def __iter__(self) -> Iterator[tuple[str, HiCurve]]:
+        return zip(self.ids, self.curves)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        other = Library.of(other)
+        return (
+            self.ids == other.ids
+            and np.array_equal(self.lengths, other.lengths)
+            and self.flat.tobytes() == other.flat.tobytes()
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class Survivors:
     """The surviving candidates of one test curve, as parallel arrays.
 
@@ -67,7 +131,7 @@ class Survivors:
     Attributes:
         owner: Index of each survivor's train instance in ``library``.
         lags, similarities, estimates: The ``RulCandidate`` fields.
-        library: Item k starts with train instance k's id: the train set,
+        library: Item k starts with train instance k's id: the ``Library``,
             or the candidate list itself for ``Survivors.of``.
         n_pairs: Feasible pairs with lag <= tau, before the alpha cut.
     """
@@ -98,7 +162,8 @@ class Survivors:
         return RulCandidate(self.library[self.owner[k]][0], *fields)
 
     def __iter__(self) -> Iterator[RulCandidate]:
-        ids = [self.library[k][0] for k in self.owner.tolist()]
+        names = [item[0] for item in self.library]
+        ids = [names[k] for k in self.owner.tolist()]
         columns = (a.tolist() for a in (self.lags, self.similarities, self.estimates))
         # tuple.__new__ builds each RulCandidate from its field tuple without
         # the Python-level NamedTuple constructor: about half the cost each
@@ -112,9 +177,6 @@ class RulEstimate:
     Attributes:
         value: Final estimate, after capping (or the fallback).
         survivors: Surviving candidates the value was averaged over.
-        std_dev: Population standard deviation of candidate estimates;
-            NaN when the fallback fired.
-        spread: Max minus min candidate estimate; NaN on fallback.
         capped: True when the cap lowered the weighted mean.
         fallback: True when no candidate survived and the length-based
             fallback supplied the value.
@@ -122,10 +184,23 @@ class RulEstimate:
 
     value: float
     survivors: Survivors
-    std_dev: float = float("nan")
-    spread: float = float("nan")
     capped: bool = False
     fallback: bool = False
+
+    @property
+    def std_dev(self) -> float:
+        """Population standard deviation of the survivors' estimates; NaN
+        on fallback."""
+        estimates = self.survivors.estimates
+        return float(np.std(estimates)) if estimates.size else float("nan")
+
+    @property
+    def spread(self) -> float:
+        """Max minus min survivor estimate; NaN on fallback."""
+        estimates = self.survivors.estimates
+        if not estimates.size:
+            return float("nan")
+        return float(np.max(estimates) - np.min(estimates))
 
     @property
     def candidates(self) -> list[RulCandidate]:
@@ -195,7 +270,7 @@ class Pairs(NamedTuple):
 
 
 def pair_distances(
-    test: HiCurve, train_set: list[tuple[str, HiCurve]], tau: int
+    test: HiCurve, train_set: Library | list[tuple[str, HiCurve]], tau: int
 ) -> Pairs:
     """Every (train instance, lag) pair with lag in 1..tau, with its d^2.
 
@@ -210,19 +285,18 @@ def pair_distances(
     l_star = test.length
     if l_star == 0:
         raise ValueError("empty test curve")
-    lengths = np.array([curve.length for _, curve in train_set], dtype=np.int64)
+    library = Library.of(train_set)
+    lengths = library.lengths
     n_lags = np.clip(np.minimum(tau, lengths - l_star), 0, None)
     n_pairs = int(n_lags.sum())
     # pair k belongs to train curve owner[k] at lag lags[k]; train-major, lag-minor
-    owner = np.repeat(np.arange(len(train_set)), n_lags)
+    owner = np.repeat(np.arange(len(library)), n_lags)
     lags = np.arange(n_pairs) - np.repeat(np.cumsum(n_lags) - n_lags, n_lags) + 1
     estimates = (lengths[owner] - l_star - lags).astype(np.float64)
     d2 = np.empty(n_pairs)
     if n_pairs:
-        flat = np.concatenate([curve.values for _, curve in train_set])
-        starts = np.cumsum(lengths) - lengths
-        windows = sliding_window_view(flat, l_star)
-        rows = starts[owner] + lags
+        windows = sliding_window_view(library.flat, l_star)
+        rows = library.starts[owner] + lags
         block = max(1, _BLOCK_VALUES // l_star)
         for lo in range(0, n_pairs, block):
             segments = windows[rows[lo : lo + block]]
@@ -234,7 +308,7 @@ def pair_distances(
 
 
 def select_candidates(
-    pairs: Pairs, train_set: list[tuple[str, HiCurve]], config: RunConfig
+    pairs: Pairs, train_set: Library | list[tuple[str, HiCurve]], config: RunConfig
 ) -> Survivors:
     """Weigh and filter the pairs of ``pair_distances`` into candidates.
 
@@ -264,20 +338,21 @@ def select_candidates(
     if config.tau < pairs.tau:
         within = np.flatnonzero(lags <= config.tau)
         owner, lags, d2, estimates = (a[within] for a in (owner, lags, d2, estimates))
+    library = Library.of(train_set)
     sims = np.exp(-d2 / config.lam)
     s_max = sims.max(initial=0.0)  # 0.0 when there is no pair
     if np.isnan(s_max):
-        bad = train_set[owner[np.flatnonzero(np.isnan(sims))[0]]][0]
+        bad = library.ids[owner[np.flatnonzero(np.isnan(sims))[0]]]
         raise ValueError(f"NaN curve distance against train instance {bad}")
     keep = np.flatnonzero((sims >= config.alpha * s_max) & (sims > 0.0))
     return Survivors(
-        owner[keep], lags[keep], sims[keep], estimates[keep], train_set, d2.size
+        owner[keep], lags[keep], sims[keep], estimates[keep], library, d2.size
     )
 
 
 def candidate_estimates(
     test: HiCurve,
-    train_set: list[tuple[str, HiCurve]],
+    train_set: Library | list[tuple[str, HiCurve]],
     config: RunConfig,
 ) -> Survivors:
     """Enumerate and filter candidate matches for one test instance.
@@ -290,7 +365,8 @@ def candidate_estimates(
 
     Args:
         test: Truncated test instance's HI curve.
-        train_set: (id, full run-to-failure curve) pairs.
+        train_set: The library, or (id, full run-to-failure curve) pairs,
+            which are laid out as one first.
         config: Run configuration; reads lam, tau and alpha.
 
     Returns:
@@ -301,15 +377,16 @@ def candidate_estimates(
             (a NaN in the test or a library curve), naming the first train
             instance it occurs against.
     """
-    pairs = pair_distances(test, train_set, config.tau)
-    return select_candidates(pairs, train_set, config)
+    library = Library.of(train_set)
+    pairs = pair_distances(test, library, config.tau)
+    return select_candidates(pairs, library, config)
 
 
 def estimate_rul(
     candidates: Survivors | list[RulCandidate],
     config: RunConfig,
     test_len: int,
-    train_lengths: list[int],
+    train_lengths: Sequence[int],
 ) -> RulEstimate:
     """Similarity-weighted mean of the candidate estimates, capped at r_max.
 
@@ -317,37 +394,30 @@ def estimate_rul(
     at a time, so the mean is bitwise that of a loop over the candidates.
     With no surviving candidates (test longer than every train curve, or the
     similarity filter emptied the set), the fallback returns the largest
-    length headroom any train instance offers, still capped, with dispersion
-    fields set to NaN.
+    length headroom any train instance offers, still capped, and the
+    dispersion reads NaN.
 
     Args:
         candidates: Output of candidate_estimates, or a plain list of
             candidates, which is converted to arrays first.
         config: Run configuration; reads r_max.
         test_len: Observed length of the test instance.
-        train_lengths: Full lengths of all train instances, for the fallback.
+        train_lengths: Full lengths of all train instances, for the fallback
+            (``Library.lengths``, or a list).
 
     Returns:
-        RulEstimate with value, dispersion, and flag fields filled in.
+        RulEstimate with value and flag fields filled in.
     """
     survivors = Survivors.of(candidates)
     if not survivors:
-        headroom = max(
-            (max(length - test_len, 0) for length in train_lengths), default=0
-        )
+        headroom = max(0, max(train_lengths, default=0) - test_len)
         value = min(config.r_max, float(headroom))
         return RulEstimate(
-            value, survivors, fallback=True, capped=headroom > config.r_max
+            value, survivors, fallback=True, capped=bool(headroom > config.r_max)
         )
     sims, estimates = survivors.similarities, survivors.estimates
     value = float(np.cumsum(sims * estimates)[-1] / np.cumsum(sims)[-1])
     capped = value > config.r_max
     if capped:
         value = config.r_max
-    return RulEstimate(
-        value,
-        survivors,
-        std_dev=float(np.std(estimates)),
-        spread=float(np.max(estimates) - np.min(estimates)),
-        capped=capped,
-    )
+    return RulEstimate(value, survivors, capped=capped)

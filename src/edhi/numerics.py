@@ -9,6 +9,7 @@ depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +46,11 @@ class NormStats:
     def n_sensors(self) -> int:
         return self.mean.shape[0]
 
-    @property
+    @cached_property
     def kept(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n_sensors) if j not in set(self.dropped))
+        """Indices of the retained sensors, ascending; computed once."""
+        dropped = set(self.dropped)
+        return tuple(j for j in range(self.n_sensors) if j not in dropped)
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,9 @@ def apply_norm(series: np.ndarray, stats: NormStats) -> np.ndarray:
         raise ValueError(
             f"series has {x.shape[1]} sensors, stats were fit on {stats.n_sensors}"
         )
+    # a column gather even when no sensor is dropped: its Fortran-ordered
+    # result feeds np.cov in pca_fit, where a C-ordered array of the same
+    # values gives other PCA bits, and so other pipeline bytes
     keep = list(stats.kept)
     return (x[:, keep] - stats.mean[keep]) / stats.std[keep]
 

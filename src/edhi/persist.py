@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import RunConfig, config_from_dict
 from .health import HiCurve
+from .matching import Library
 from .numerics import NormStats, OlsModel, PcaModel
 
 MAGIC = b"EDHIPIPE"
@@ -50,15 +51,20 @@ class PipelineBundle:
         pca: Derived-sensor projection.
         lr: Linear HI map.
         hi_train_curves: (train id, full HI curve) pairs, the matching
-            library.
+            library. A plain sequence of pairs is laid out as a ``Library``
+            on construction, once for every test curve scored against it.
         config: The run configuration the pipeline was built with.
     """
 
     norm: NormStats
     pca: PcaModel
     lr: OlsModel
-    hi_train_curves: list[tuple[str, HiCurve]]
+    hi_train_curves: Library
     config: RunConfig
+
+    def __post_init__(self) -> None:
+        library = Library.of(self.hi_train_curves)
+        object.__setattr__(self, "hi_train_curves", library)
 
     def match_config(self) -> RunConfig:
         # matching reads lam, tau, alpha and r_max straight from the run

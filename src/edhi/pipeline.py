@@ -32,6 +32,7 @@ from .health import (
 )
 from .lstm import TrainResult, train
 from .matching import (
+    Library,
     Pairs,
     RulEstimate,
     candidate_estimates,
@@ -75,12 +76,17 @@ class BuildInfo:
 
 @dataclass(frozen=True)
 class InstanceEstimate:
-    """One test instance's outcome in evaluation output order."""
+    """One test instance's outcome in evaluation output order, with the HI
+    curve it was matched with."""
 
     test_id: str
     estimate: RulEstimate
     actual: float | None
-    observed_len: int
+    curve: HiCurve
+
+    @property
+    def observed_len(self) -> int:
+        return self.curve.length
 
 
 def split_instances(
@@ -271,9 +277,9 @@ def predict_one(bundle: PipelineBundle, series: np.ndarray) -> tuple[RulEstimate
     if np.asarray(series).shape[0] == 0:
         raise ValueError("empty series")
     curve = series_hi_curve(bundle, series)
-    cands = candidate_estimates(curve, bundle.hi_train_curves, bundle.config)
-    train_lengths = [c.length for _, c in bundle.hi_train_curves]
-    est = estimate_rul(cands, bundle.config, curve.length, train_lengths)
+    library = bundle.hi_train_curves
+    cands = candidate_estimates(curve, library, bundle.config)
+    est = estimate_rul(cands, bundle.config, curve.length, library.lengths)
     return est, curve
 
 
@@ -293,12 +299,7 @@ def evaluate_pipeline(
     for (uid, series), actual in zip(test_ds.instances, test_ds.rul_labels):
         est, curve = predict_one(bundle, series)
         rows.append(
-            InstanceEstimate(
-                test_id=uid,
-                estimate=est,
-                actual=actual,
-                observed_len=curve.length,
-            )
+            InstanceEstimate(test_id=uid, estimate=est, actual=actual, curve=curve)
         )
         records.append(
             EvalRecord(
@@ -330,8 +331,7 @@ class _SweepBuild:
     validation cases' HI curves and labels, and each curve's pairs at the
     key's largest tau."""
 
-    library: list[tuple[str, HiCurve]]
-    train_lengths: list[int]
+    library: Library
     best_epoch: int | None
     curves: list[HiCurve]
     pairs: list[Pairs]
@@ -351,7 +351,6 @@ def _sweep_build(ds: RunToFailureDataset, config: RunConfig, tau: int) -> _Sweep
     result = info.train_result
     return _SweepBuild(
         library=library,
-        train_lengths=[c.length for _, c in library],
         best_epoch=None if result is None else result.best_epoch,
         curves=curves,
         pairs=[pair_distances(curve, library, tau) for curve in curves],
@@ -364,7 +363,7 @@ def _sweep_score(build: _SweepBuild, config: RunConfig) -> float:
     records = []
     for curve, pairs, actual in zip(build.curves, build.pairs, build.labels):
         cands = select_candidates(pairs, build.library, config)
-        est = estimate_rul(cands, config, curve.length, build.train_lengths)
+        est = estimate_rul(cands, config, curve.length, build.library.lengths)
         records.append(
             EvalRecord(predicted=est.value, actual=actual, observed_len=curve.length)
         )
@@ -391,7 +390,7 @@ def run_sweep(
         (best trial, all trials in enumeration order).
     """
     combos = grid.combinations()
-    if not combos:
+    if not grid.values or not combos:  # no key, or a key with no value
         raise ValueError("empty sweep grid")
     configs = [apply_overrides(base, overrides) for overrides in combos]
     groups: dict[RunConfig, list[int]] = {}

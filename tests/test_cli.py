@@ -256,6 +256,14 @@ class TestEvaluate:
         curve_lines = (curves / "s1.csv").read_text().splitlines()
         assert curve_lines[0] == "cycle,hi"
         assert len(curve_lines) == 1 + truncated["s1"].shape[0]
+        # the matched curve, byte for byte as predict --curve-out writes it
+        single = tmp_path / "s1_hi.csv"
+        assert main([
+            "predict", "--pipeline", str(trained),
+            "--data", str(synth_dir / "truncated.csv"), "--instance", "s1",
+            "--curve-out", str(single),
+        ]) == 0
+        assert (curves / "s1.csv").read_bytes() == single.read_bytes()
 
     def test_label_count_mismatch_fails(self, trained, synth_dir, tmp_path, capsys):
         bad = tmp_path / "short.txt"
@@ -579,6 +587,20 @@ class TestSweep:
         assert lines[1].split(",")[2] == "0.3"
         assert lines[2].split(",")[2] == "0.9"
 
+
+    def test_keyless_config_is_one_error(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "keyless.cfg"
+        cfg.write_text("# nothing to sweep\n")
+        results = tmp_path / "results.csv"
+        code = main([
+            "sweep", "--data", str(synth_dir / "data.csv"),
+            "--config", str(cfg), "--out", str(results),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: empty sweep grid"]
+        assert not results.exists()
 
     def test_untrained_shared_model_warns_once(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"

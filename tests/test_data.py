@@ -331,6 +331,31 @@ class TestFastPathMatchesRowLoop:
             (uid, series.shape) for uid, series in ds.instances
         ]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "instance_id,cycle,s1,s2\n\nb,1,0.5,1\n  \t\nb,2,0.25,2\n\n",
+            "instance_id,cycle,s1,s2\n  b ,1,0.5,1\nb,2,0.25,2\n\ta,1,3,4\n",
+            "instance_id,cycle,s1,s2\r\nb,1,0.5,1\r\nb,2,0.25,2\r\na,1,7,8\r\n",
+            "instance_id,cycle,s1\nb,1,1\na,1,2\nb,2,3\nc,1,4\na,2,5\nb,3,6\n",
+            "instance_id,cycle,s1,s2\nb,1,0.5,1",
+        ],
+        ids=["blank_lines", "padded_ids", "crlf", "interleaved_units", "one_row"],
+    )
+    def test_fast_path_decides_like_the_row_loop(self, text, monkeypatch):
+        decided = []
+        real = data._fast_generic
+
+        def spy(*args):
+            decided.append(real(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(data, "_fast_generic", spy)
+        outcome = _outcome(parse_generic, text)
+        assert decided and decided[0] is not None  # not handed to the loop
+        assert outcome[0] == "ok"
+        assert outcome == _row_loop_outcome(parse_generic, text)
+
     @pytest.mark.parametrize("fast", [True, False])
     def test_first_failing_unit_named(self, fast):
         # b appears first; both b and a skip a cycle

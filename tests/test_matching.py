@@ -7,6 +7,7 @@ bitwise with the per-candidate loop in helpers.reference_estimate_rul.
 """
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from edhi.config import RunConfig
 from edhi.data import SyntheticSpec, generate_synthetic
 from edhi.health import HiCurve
 from edhi.matching import (
+    Library,
     RulCandidate,
     Survivors,
     candidate_estimates,
@@ -202,6 +204,84 @@ def bench_case(rng, n_trains):
 
 def as_tuples(candidates):
     return [(c.train_id, c.lag, c.similarity, c.estimate) for c in candidates]
+
+
+class TestLibrary:
+    def _pairs(self):
+        rng = np.random.default_rng(3)
+        return [
+            (f"u{k}", HiCurve(values=rng.uniform(0, 1, size=n)))
+            for k, n in enumerate((7, 1, 12))
+        ]
+
+    def test_is_a_sequence_of_pairs(self):
+        pairs = self._pairs()
+        library = Library.of(pairs)
+        assert isinstance(library, Sequence)
+        assert len(library) == 3
+        assert library.ids == ("u0", "u1", "u2")
+        assert library.lengths.dtype == np.int64
+        assert library.lengths.tolist() == [7, 1, 12]
+        assert library.starts.tolist() == [0, 7, 8]
+        for (uid, curve), (k, (want_id, want)) in zip(library, enumerate(pairs)):
+            assert uid == want_id == library[k][0] == library.ids[k]
+            assert curve.values.tobytes() == want.values.tobytes()
+            assert library[k][1] is curve
+        assert [uid for uid, _ in library[1:]] == ["u1", "u2"]
+        assert library[-1][0] == "u2"
+        assert dict(library).keys() == {"u0", "u1", "u2"}
+        assert library == pairs and library == Library.of(pairs)
+
+    def test_of_is_idempotent(self):
+        library = Library.of(self._pairs())
+        assert Library.of(library) is library
+
+    def test_equality_is_bitwise(self):
+        pairs = self._pairs()
+        library = Library.of(pairs)
+        nudged = pairs[2][1].values.copy()
+        nudged[5] = np.nextafter(nudged[5], 2.0)
+        assert library != [*pairs[:2], ("u2", HiCurve(values=nudged))]
+        assert library != [*pairs[:2], ("other", pairs[2][1])]
+        assert library != pairs[:2]
+        assert Library.of([]) == [] and len(Library.of([])) == 0
+
+    def test_flat_is_read_only(self):
+        pairs = self._pairs()
+        library = Library.of(pairs)
+        assert not library.flat.flags.writeable
+        with pytest.raises(ValueError):
+            library.flat[0] = 0.5
+        for _, curve in library:
+            assert np.shares_memory(curve.values, library.flat)
+            with pytest.raises(ValueError):
+                curve.values[0] = 0.5
+        # the library holds its own copy of the source curves
+        before = library.flat.tobytes()
+        pairs[0][1].values[0] = -1.0
+        assert library.flat.tobytes() == before
+
+    def test_no_item_assignment(self):
+        library = Library.of(self._pairs())
+        with pytest.raises(TypeError):
+            library[0] = ("u9", HiCurve(values=np.ones(3)))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_and_candidates_bitwise_as_for_a_list(self, seed, n_trains):
+        rng = np.random.default_rng(seed)
+        test, trains, config = bench_case(rng, n_trains)
+        library = Library.of(trains)
+        from_list = pair_distances(test, trains, config.tau)
+        from_library = pair_distances(test, library, config.tau)
+        for a, b in zip(from_list[:4], from_library[:4]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        got = candidate_estimates(test, library, config)
+        expected = candidate_estimates(test, trains, config)
+        assert list(got) == list(expected)
+        for name in ("owner", "lags", "similarities", "estimates"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert got.n_pairs == expected.n_pairs
 
 
 class TestBenchmarkSizes:
@@ -496,6 +576,24 @@ class TestLazyCandidates:
                     assert est.best_match == max(expected, key=lambda c: c[2])
                     assert type(est.best_match) is RulCandidate
         assert nonempty >= 20
+
+    def test_dispersion_is_that_of_the_candidate_loop(self, bench_bundle):
+        # std_dev and spread are computed from the survivors on each read
+        ds, bundle = bench_bundle
+        config, lengths = bundle.config, bundle.hi_train_curves.lengths.tolist()
+        fallbacks = 0
+        for _, series in ds.instances[::10]:
+            # three lives end to end outlast every library curve
+            for cut in (series[: len(series) // 2], np.tile(series, (3, 1))):
+                est, curve = predict_one(bundle, cut)
+                expected = reference_estimate_rul(
+                    est.candidates, config, curve.length, lengths
+                )
+                assert fields_of(est) == estimate_bits(**expected)
+                if est.fallback:
+                    fallbacks += 1
+                    assert math.isnan(est.std_dev) and math.isnan(est.spread)
+        assert fallbacks == 10
 
     def test_fallback_has_no_candidates(self):
         test = HiCurve(values=np.linspace(1, 0, 50))

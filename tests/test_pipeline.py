@@ -9,7 +9,7 @@ import edhi.pipeline
 from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
 from edhi.data import truncate_instance, truncate_random
 from edhi.health import HiCurve
-from edhi.persist import _sections_of, save_pipeline
+from edhi.persist import _sections_of, load_pipeline, save_pipeline
 from edhi.pipeline import (
     StageError,
     _healthy_windows,
@@ -190,13 +190,41 @@ class TestPredict:
         assert est.value >= 0.0
         assert est.value <= bundle.config.r_max
 
-    def test_full_fit_instance_matches_library_curve(self, tiny_ds, tiny_build):
+    def test_full_fit_instance_matches_library_curve(
+        self, tiny_ds, tiny_build, tmp_path
+    ):
+        # scoring a full fit instance must retrace its build bit for bit, so
+        # the build and the scoring path normalise, project and smooth alike
         bundle, info = tiny_build
+        save_pipeline(tmp_path / "pipe.edhi", bundle)
         by_id = dict(tiny_ds.instances)
-        uid = info.fit_ids[2]
-        curve = series_hi_curve(bundle, by_id[uid])
-        library = dict(bundle.hi_train_curves)
-        assert np.array_equal(curve.values, library[uid].values)
+        for scored in (bundle, load_pipeline(tmp_path / "pipe.edhi")):
+            assert list(scored.hi_train_curves.ids) == info.fit_ids
+            for uid, stored in scored.hi_train_curves:
+                curve = series_hi_curve(scored, by_id[uid])
+                assert curve.values.tobytes() == stored.values.tobytes()
+
+    def test_loaded_library_is_not_laid_out_again(
+        self, tiny_ds, tiny_build, tmp_path, monkeypatch
+    ):
+        bundle, _ = tiny_build
+        save_pipeline(tmp_path / "pipe.edhi", bundle)
+        loaded = load_pipeline(tmp_path / "pipe.edhi")
+        test_ds = truncate_random(tiny_ds, 0.2, 0.9, seed=4)
+        calls = []
+        real_concatenate = np.concatenate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        for _, series in test_ds.instances:
+            predict_one(loaded, series)
+        assert calls == []
+        # the counter does see a library laid out from a plain list
+        dataclasses.replace(loaded, hi_train_curves=list(loaded.hi_train_curves))
+        assert calls == [1]
 
     def test_empty_series_rejected(self, tiny_build):
         bundle, _ = tiny_build
@@ -221,6 +249,9 @@ class TestEvaluate:
             assert row.test_id == uid
             assert row.observed_len == series.shape[0]
             assert row.actual is not None
+            # the curve the estimate was matched with, as scoring it alone gives
+            expected = series_hi_curve(bundle, series).values
+            assert row.curve.values.tobytes() == expected.tobytes()
 
     def test_sensor_mismatch_rejected(self, tiny_ds, tiny_build):
         bundle, _ = tiny_build
@@ -246,6 +277,11 @@ class TestSweep:
     def test_empty_dimension_rejected(self, tiny_ds, tiny_config):
         with pytest.raises(ValueError, match="empty sweep grid"):
             run_sweep(tiny_ds, tiny_config, SweepGrid(values={"alpha": []}))
+
+    def test_keyless_grid_rejected(self, tiny_ds, tiny_config):
+        # its one combination, {}, would be an untuned single trial
+        with pytest.raises(ValueError, match="empty sweep grid"):
+            run_sweep(tiny_ds, tiny_config, SweepGrid(values={}))
 
     # grids mixing build fields with scoring fields; taus 2 and 3 fall below
     # most curves' lag headroom, 40 exceeds every curve's
@@ -357,8 +393,8 @@ class TestSweep:
             tail = np.full(60, curve.values[-1])
             tail[20] = np.nan
             values = np.concatenate([curve.values, tail])
-            bundle.hi_train_curves[0] = (uid, HiCurve(values=values))
-            return bundle, info
+            library = [(uid, HiCurve(values=values)), *bundle.hi_train_curves[1:]]
+            return dataclasses.replace(bundle, hi_train_curves=library), info
 
         monkeypatch.setattr(edhi.pipeline, "build_pipeline", build_with_nan)
         base = dataclasses.replace(tiny_config, max_epochs=2, patience=1)
