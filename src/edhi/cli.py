@@ -22,6 +22,7 @@ from .config import (
     parse_sweep_grid,
 )
 from .data import (
+    DEGRADATION_SHAPES,
     RunToFailureDataset,
     SyntheticSpec,
     generate_synthetic,
@@ -265,22 +266,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        n_instances=args.n_instances,
-        n_sensors=args.n_sensors,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        noise_std=args.noise_std,
-        fault_onset_frac=args.fault_onset_frac,
-        degradation_shape=args.shape,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     ds = generate_synthetic(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.csv"
     data_path.write_text(write_generic(ds))
-    print(f"wrote {data_path} ({args.n_instances} instances)")
+    print(f"wrote {data_path} ({spec.n_instances} instances)")
     if args.truncate:
         parts = args.truncate.split(",")
         if len(parts) != 2:
@@ -365,19 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = subs.add_parser("synth", help="generate synthetic run-to-failure data")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--n-instances", type=int, default=40)
-    synth.add_argument("--n-sensors", type=int, default=5)
-    synth.add_argument("--min-len", type=int, default=80)
-    synth.add_argument("--max-len", type=int, default=120)
-    synth.add_argument("--noise-std", type=float, default=0.05)
-    synth.add_argument("--fault-onset-frac", type=float, default=0.3)
-    synth.add_argument(
-        "--shape",
-        choices=("linear", "exponential", "piecewise"),
-        default="exponential",
-        help="degradation drift shape",
-    )
-    synth.add_argument("--seed", type=int, default=0)
+    # one flag per SyntheticSpec field, defaulting to the field's default
+    for f in fields(SyntheticSpec):
+        if f.name == "degradation_shape":
+            synth.add_argument(
+                "--shape",
+                dest=f.name,
+                choices=DEGRADATION_SHAPES,
+                default=f.default,
+                help="degradation drift shape",
+            )
+        else:
+            flag = "--" + f.name.replace("_", "-")
+            synth.add_argument(flag, type=type(f.default), default=f.default)
     synth.add_argument(
         "--truncate",
         metavar="LO,HI",

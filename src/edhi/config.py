@@ -9,6 +9,7 @@ files are flat key=value text; "lambda" is accepted as an alias for the
 from __future__ import annotations
 
 import numbers
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 HI_VARIANTS = (
@@ -19,18 +20,6 @@ HI_VARIANTS = (
     "endpoints",
 )
 
-# fields taking integer values; everything else numeric is a float
-_INT_FIELDS = {
-    "p",
-    "c",
-    "l",
-    "tau",
-    "smooth_window",
-    "seed",
-    "max_epochs",
-    "batch_size",
-    "patience",
-}
 _ALIASES = {"lambda": "lam"}
 # fields read only when scoring (matching, capping and timeliness); a build
 # never reads them, so configs differing only here share one build
@@ -148,6 +137,24 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# every field's annotated type; the fields annotated int take integer values,
+# every other numeric field is a float
+_TYPES = typing.get_type_hints(RunConfig)
+_INT_FIELDS = frozenset(name for name, kind in _TYPES.items() if kind is int)
+
+
+def _field_name(key: str) -> str:
+    """The RunConfig field a config key names, with aliases resolved.
+
+    Raises:
+        ValueError: If no field has that name.
+    """
+    name = _ALIASES.get(key, key)
+    if name not in _TYPES:
+        raise ValueError(f"unknown config key {key!r}")
+    return name
+
+
 def build_key(config: RunConfig, base: RunConfig) -> RunConfig:
     """``config`` with its SCORING_FIELDS reset to ``base``'s values.
 
@@ -163,7 +170,7 @@ def config_from_dict(data: dict) -> RunConfig:
         ValueError: Unless ``data`` names every field exactly once with a
             valid value.
     """
-    known = {f.name for f in fields(RunConfig)}
+    known = set(_TYPES)
     if set(data) != known:
         raise ValueError(
             f"config fields differ: unknown {sorted(set(data) - known)},"
@@ -209,12 +216,9 @@ def apply_overrides(base: RunConfig, overrides: dict[str, str]) -> RunConfig:
         ValueError: On unknown keys, or values that fail coercion or
             validation.
     """
-    known = {f.name for f in fields(RunConfig)}
     updates = {}
     for key, value in overrides.items():
-        name = _ALIASES.get(key, key)
-        if name not in known:
-            raise ValueError(f"unknown config key {key!r}")
+        name = _field_name(key)
         try:
             updates[name] = _coerce(name, value)
         except ValueError as exc:
@@ -249,12 +253,9 @@ def parse_sweep_grid(mapping: dict[str, str]) -> SweepGrid:
     Single-valued keys become one-point dimensions, so the same file can
     drive both a run and a sweep.
     """
-    known = {f.name for f in fields(RunConfig)}
     grid: dict[str, list] = {}
     for key, value in mapping.items():
-        name = _ALIASES.get(key, key)
-        if name not in known:
-            raise ValueError(f"unknown config key {key!r}")
+        name = _field_name(key)
         grid[name] = [part.strip() for part in value.split(",") if part.strip()]
         if not grid[name]:
             raise ValueError(f"config key {key!r} has no values")

@@ -45,7 +45,6 @@ import numpy as np
 
 from .config import RunConfig
 
-_GRAD_KEYS = ("enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
@@ -58,14 +57,6 @@ class LstmParams:
     w: np.ndarray
     b: np.ndarray
 
-    @property
-    def hidden_units(self) -> int:
-        return self.b.shape[0] // 4
-
-    @property
-    def input_dim(self) -> int:
-        return self.w.shape[1] - self.hidden_units
-
 
 @dataclass(frozen=True)
 class LstmState:
@@ -75,27 +66,70 @@ class LstmState:
     cell: np.ndarray
 
 
+def _shapes(p: int, n: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each parameter block, in the order of the flat vector."""
+    return {
+        "enc_w": (4 * n, p + n),
+        "enc_b": (4 * n,),
+        "dec_w": (4 * n, p + n),
+        "dec_b": (4 * n,),
+        "out_w": (n, p),
+        "out_b": (p,),
+    }
+
+
+def _size(p: int, n: int) -> int:
+    return sum(math.prod(shape) for shape in _shapes(p, n).values())
+
+
+def _blocks(vector: np.ndarray, p: int, n: int) -> dict[str, np.ndarray]:
+    """Views of a flat vector as the named blocks of the parameter layout."""
+    if vector.shape != (_size(p, n),):
+        raise ValueError(f"params must have shape ({_size(p, n)},), got {vector.shape}")
+    blocks, at = {}, 0
+    for name, shape in _shapes(p, n).items():
+        blocks[name] = vector[at : at + math.prod(shape)].reshape(shape)
+        at += math.prod(shape)
+    return blocks
+
+
 @dataclass(frozen=True)
 class LstmEdModel:
-    """Encoder/decoder cells plus the linear readout.
+    """Encoder/decoder cells plus the linear readout, over one flat vector.
+
+    Construction checks the length of ``params`` and fixes the last four
+    attributes as views into it, in the block order of _shapes.
 
     Attributes:
+        params: Every parameter, a flat float64 vector.
+        input_dim: p, columns per input row.
+        hidden_units: c, shared by encoder and decoder.
+        window_len: l, the training window length.
         encoder: Gate transform consuming input rows forward in time.
         decoder: Gate transform regenerating rows in reverse.
         out_weight: Readout weight, shape (c, p).
         out_bias: Readout bias, shape (p,).
-        hidden_units: c, shared by encoder and decoder.
-        window_len: l, the training window length.
-        input_dim: p, columns per input row.
     """
 
-    encoder: LstmParams
-    decoder: LstmParams
-    out_weight: np.ndarray
-    out_bias: np.ndarray
+    params: np.ndarray
+    input_dim: int
     hidden_units: int
     window_len: int
-    input_dim: int
+    encoder: LstmParams = field(init=False, repr=False)
+    decoder: LstmParams = field(init=False, repr=False)
+    out_weight: np.ndarray = field(init=False, repr=False)
+    out_bias: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if min(self.input_dim, self.hidden_units, self.window_len) < 1:
+            raise ValueError("input_dim, hidden_units, window_len must be >= 1")
+        params = np.asarray(self.params, dtype=np.float64)
+        blocks = _blocks(params, self.input_dim, self.hidden_units)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "encoder", LstmParams(blocks["enc_w"], blocks["enc_b"]))
+        object.__setattr__(self, "decoder", LstmParams(blocks["dec_w"], blocks["dec_b"]))
+        object.__setattr__(self, "out_weight", blocks["out_w"])
+        object.__setattr__(self, "out_bias", blocks["out_b"])
 
 
 @dataclass(frozen=True)
@@ -128,31 +162,20 @@ def init_model(
         window_len: l, window length the model is trained on.
         seed: RNG seed; same seed gives bit-identical parameters.
     """
-    if input_dim < 1 or hidden_units < 1 or window_len < 1:
-        raise ValueError("input_dim, hidden_units, window_len must be >= 1")
     return _init_from_rng(
         input_dim, hidden_units, window_len, np.random.default_rng(seed)
     )
 
 
 def _init_from_rng(p: int, n: int, l: int, rng: np.random.Generator) -> LstmEdModel:
+    model = LstmEdModel(np.zeros(_size(p, n)), p, n, l)
     rec_bound = 1.0 / np.sqrt(p + n)
-    enc_w = rng.uniform(-rec_bound, rec_bound, size=(4 * n, p + n))
-    dec_w = rng.uniform(-rec_bound, rec_bound, size=(4 * n, p + n))
+    for cell in (model.encoder, model.decoder):
+        cell.w[...] = rng.uniform(-rec_bound, rec_bound, size=cell.w.shape)
+        cell.b[n : 2 * n] = 1.0  # forget gate open at start aids gradient flow
     out_bound = 1.0 / np.sqrt(n)
-    out_w = rng.uniform(-out_bound, out_bound, size=(n, p))
-    enc_b = np.zeros(4 * n)
-    enc_b[n : 2 * n] = 1.0  # forget gate open at start aids gradient flow
-    dec_b = enc_b.copy()
-    return LstmEdModel(
-        encoder=LstmParams(w=enc_w, b=enc_b),
-        decoder=LstmParams(w=dec_w, b=dec_b),
-        out_weight=out_w,
-        out_bias=np.zeros(p),
-        hidden_units=n,
-        window_len=l,
-        input_dim=p,
-    )
+    model.out_weight[...] = rng.uniform(-out_bound, out_bound, size=(n, p))
+    return model
 
 
 @dataclass(frozen=True)
@@ -197,7 +220,7 @@ def _start(
     n, b = h0.shape
     kept = steps if keep else min(steps, 1)
     trace = _Trace(
-        xh=np.empty((steps + 1, params.input_dim + n, b)),
+        xh=np.empty((steps + 1, params.w.shape[1], b)),
         gates=np.empty((kept, 4 * n, b)),
         cell=np.empty((kept + 1, n, b)),
         tanh_cell=np.empty((kept, n, b)),
@@ -209,7 +232,7 @@ def _start(
 
 def _step(params: LstmParams, trace: _Trace, t: int) -> None:
     """Cell step t: reads [x_t | h_t-1] and c_t-1, writes gates, c_t and h_t."""
-    n = params.hidden_units
+    n = trace.cell.shape[1]
     slots = trace.gates.shape[0]
     cells = trace.cell.shape[0]
     gates = trace.gates[t % slots]
@@ -264,7 +287,7 @@ def _step_backward(
     Turns slot t of the _slopes arrays into dL/dpre_t in place; the weight
     gradients come later, from all steps at once (see _weight_grads).
     """
-    n = params.hidden_units
+    n = trace.cell.shape[1]
     dpre, dh_dc = slopes
     dct = dh * dh_dc[t]
     dct += dc
@@ -276,12 +299,13 @@ def _step_backward(
     return params.w[:, -n:].T @ d, dct * trace.gates[t, n : 2 * n]
 
 
-def _weight_grads(trace: _Trace, dgates: np.ndarray):
-    """dL/dW and dL/db of one cell: one GEMM over every step's [x | h] column."""
+def _weight_grads(trace: _Trace, dgates: np.ndarray, out: LstmParams) -> None:
+    """dL/dW and dL/db of one cell into ``out``: one GEMM over every [x | h]."""
     steps, four_n, _ = dgates.shape
     d = dgates.transpose(1, 0, 2).reshape(four_n, -1)
     xh = trace.xh[:steps].transpose(1, 0, 2).reshape(trace.xh.shape[1], -1)
-    return d @ xh.T, d.sum(axis=1)
+    np.matmul(d, xh.T, out=out.w)
+    np.sum(d, axis=1, out=out.b)
 
 
 def _check_window(window, name: str, model: LstmEdModel | None = None) -> np.ndarray:
@@ -432,13 +456,14 @@ def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _forward_backward(model: LstmEdModel, batch: np.ndarray):
-    """Teacher-forced loss and exact gradients for a (B, l, p) batch.
+    """Teacher-forced loss and exact gradient for a (B, l, p) batch.
 
-    The batch gradient is the sum of per-window gradients, matching the
-    summed objective.
+    The gradient is a flat vector laid out like ``model.params``, the sum of
+    per-window gradients, matching the summed objective.
     """
     b, l, p = batch.shape
     n = model.hidden_units
+    grad = LstmEdModel(np.empty_like(model.params), p, n, l)
     enc = _encoder_trace(model, batch, keep=True)
     dec = _decoder_trace(model, batch, enc.xh[-1, p:], enc.final_cell, keep=True)
 
@@ -448,8 +473,8 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     total = float(np.sum(diff * diff))
     dy = 2.0 * diff
     flat_dy = dy.transpose(1, 0, 2).reshape(p, -1)
-    out_w = states.transpose(1, 0, 2).reshape(n, -1) @ flat_dy.T
-    out_b = flat_dy.sum(axis=1)
+    np.matmul(states.transpose(1, 0, 2).reshape(n, -1), flat_dy.T, out=grad.out_weight)
+    np.sum(flat_dy, axis=1, out=grad.out_bias)
     dstates = np.matmul(model.out_weight, dy)
 
     dh = np.zeros((n, b))
@@ -464,17 +489,9 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     for t in range(l - 1, -1, -1):
         dh, dc = _step_backward(model.encoder, enc, t, dh, dc, enc_slopes)
 
-    enc_w, enc_b = _weight_grads(enc, enc_slopes[0])
-    dec_w, dec_b = _weight_grads(dec, dec_slopes[0])
-    grads = {
-        "enc_w": enc_w,
-        "enc_b": enc_b,
-        "dec_w": dec_w,
-        "dec_b": dec_b,
-        "out_w": out_w,
-        "out_b": out_b,
-    }
-    return total, grads
+    _weight_grads(enc, enc_slopes[0], grad.encoder)
+    _weight_grads(dec, dec_slopes[0], grad.decoder)
+    return total, grad.params
 
 
 def grad_bptt(model: LstmEdModel, window: np.ndarray) -> dict[str, np.ndarray]:
@@ -486,36 +503,12 @@ def grad_bptt(model: LstmEdModel, window: np.ndarray) -> dict[str, np.ndarray]:
             gradients.
 
     Returns:
-        Dict with keys enc_w, enc_b, dec_w, dec_b, out_w, out_b, each shaped
-        like the corresponding parameter.
+        Dict with keys enc_w, enc_b, dec_w, dec_b, out_w, out_b, in that
+        order, each shaped like the corresponding parameter. The values are
+        views of one flat gradient vector laid out like ``model.params``.
     """
-    _, grads = _forward_backward(model, _check_window(window, "window", model))
-    return grads
-
-
-def _params_of(model: LstmEdModel) -> dict[str, np.ndarray]:
-    return {
-        "enc_w": model.encoder.w,
-        "enc_b": model.encoder.b,
-        "dec_w": model.decoder.w,
-        "dec_b": model.decoder.b,
-        "out_w": model.out_weight,
-        "out_b": model.out_bias,
-    }
-
-
-def _model_from_params(
-    params: dict[str, np.ndarray], n: int, l: int, p: int
-) -> LstmEdModel:
-    return LstmEdModel(
-        encoder=LstmParams(w=params["enc_w"], b=params["enc_b"]),
-        decoder=LstmParams(w=params["dec_w"], b=params["dec_b"]),
-        out_weight=params["out_w"],
-        out_bias=params["out_b"],
-        hidden_units=n,
-        window_len=l,
-        input_dim=p,
-    )
+    _, grad = _forward_backward(model, _check_window(window, "window", model))
+    return _blocks(grad, model.input_dim, model.hidden_units)
 
 
 def _finite(value: float, which: str, epoch: int) -> float:
@@ -566,20 +559,24 @@ def train(
     rng = np.random.default_rng(config.seed)
     model = _init_from_rng(p, config.c, l, rng)
     val_batch = _check_window(validation, "validation windows", model)
-    params = _params_of(model)
+    params = model.params
 
     def val_loss() -> float:
         preds = decode_train(model, val_batch, encode(model, val_batch))
         return loss(preds, val_batch)
 
     best_val = _finite(val_loss(), "validation", 0)
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params.copy()
     best_epoch = 0
     val_history = [best_val]
     train_history: list[float] = []
 
-    m_state = {k: np.zeros_like(v) for k, v in params.items()}
-    v_state = {k: np.zeros_like(v) for k, v in params.items()}
+    # the moments and the squared gradient share the layout of params; the
+    # norm sums the squares block by block, in layout order
+    m_state = np.zeros_like(params)
+    v_state = np.zeros_like(params)
+    square = np.empty_like(params)
+    square_blocks = _blocks(square, p, config.c).values()
     step = 0
     stale = 0
     n_train = train_batch.shape[0]
@@ -588,40 +585,34 @@ def train(
         epoch_loss = 0.0
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            batch_loss, grads = _forward_backward(model, train_batch[idx])
+            batch_loss, grad = _forward_backward(model, train_batch[idx])
             epoch_loss += batch_loss
 
-            gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            np.multiply(grad, grad, out=square)
+            gnorm = np.sqrt(sum(float(np.sum(block)) for block in square_blocks))
             if gnorm > config.grad_clip_norm:
-                scale = config.grad_clip_norm / gnorm
-                for g in grads.values():
-                    g *= scale
+                grad *= config.grad_clip_norm / gnorm
+                np.multiply(grad, grad, out=square)
 
             step += 1
-            bc1 = 1.0 - _ADAM_BETA1**step
-            bc2 = 1.0 - _ADAM_BETA2**step
-            for key in _GRAD_KEYS:
-                g = grads[key]
-                m = m_state[key]
-                v = v_state[key]
-                m *= _ADAM_BETA1
-                m += (1.0 - _ADAM_BETA1) * g
-                v *= _ADAM_BETA2
-                v += (1.0 - _ADAM_BETA2) * (g * g)
-                denom = v / bc2
-                np.sqrt(denom, out=denom)
-                denom += _ADAM_EPS
-                update = m / bc1
-                update /= denom
-                update *= config.learning_rate
-                params[key] -= update
+            m_state *= _ADAM_BETA1
+            m_state += (1.0 - _ADAM_BETA1) * grad
+            v_state *= _ADAM_BETA2
+            v_state += (1.0 - _ADAM_BETA2) * square
+            denom = v_state / (1.0 - _ADAM_BETA2**step)
+            np.sqrt(denom, out=denom)
+            denom += _ADAM_EPS
+            update = m_state / (1.0 - _ADAM_BETA1**step)
+            update /= denom
+            update *= config.learning_rate
+            params -= update
 
         train_history.append(_finite(epoch_loss, "training", epoch))
         current_val = _finite(val_loss(), "validation", epoch)
         val_history.append(current_val)
         if current_val < best_val:
             best_val = current_val
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params[...] = params
             best_epoch = epoch
             stale = 0
         else:
@@ -630,7 +621,7 @@ def train(
                 break
 
     return TrainResult(
-        model=_model_from_params(best_params, config.c, l, p),
+        model=LstmEdModel(best_params, p, config.c, l),
         train_history=train_history,
         val_history=val_history,
         best_epoch=best_epoch,

@@ -1,10 +1,11 @@
 """Shared test oracles: finite-difference gradient checking, plain per-step
-BPTT, a per-cycle moving average, a per-candidate weighted mean and a
-rebuild-per-point sweep; plus pipeline-file surgery that re-signs edited
-headers and values."""
+BPTT, a plain per-block trainer, a per-cycle moving average, a per-candidate
+weighted mean and a rebuild-per-point sweep; plus pipeline-file surgery that
+re-signs edited headers and values."""
 
 import hashlib
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,7 +14,8 @@ from edhi.config import apply_overrides
 from edhi.data import RunToFailureDataset, truncate_at_fracs
 from edhi.lstm import (
     LstmEdModel,
-    LstmParams,
+    TrainResult,
+    _blocks,
     decode_train,
     encode,
     grad_bptt,
@@ -22,63 +24,49 @@ from edhi.lstm import (
 from edhi.metrics import EvalRecord, timeliness
 from edhi.persist import MAGIC
 
-_PARAM_KEYS = ("enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b")
-
-
-def params_dict(model: LstmEdModel) -> dict:
-    return {
-        "enc_w": model.encoder.w,
-        "enc_b": model.encoder.b,
-        "dec_w": model.decoder.w,
-        "dec_b": model.decoder.b,
-        "out_w": model.out_weight,
-        "out_b": model.out_bias,
-    }
-
-
-def model_from_dict(params: dict, template: LstmEdModel) -> LstmEdModel:
-    return LstmEdModel(
-        encoder=LstmParams(w=params["enc_w"], b=params["enc_b"]),
-        decoder=LstmParams(w=params["dec_w"], b=params["dec_b"]),
-        out_weight=params["out_w"],
-        out_bias=params["out_b"],
-        hidden_units=template.hidden_units,
-        window_len=template.window_len,
-        input_dim=template.input_dim,
-    )
-
-
 def teacher_loss(model: LstmEdModel, window: np.ndarray) -> float:
     """Teacher-forced loss of one (l, p) window, run as a batch of one."""
     batch = window[None]
     return loss(decode_train(model, batch, encode(model, batch)), batch)
 
 
-def grad_check_max_rel_err(model: LstmEdModel, window: np.ndarray, step: float = 1e-5) -> float:
+class GradCheck(NamedTuple):
+    """Worst entry of a finite-difference gradient check: its relative
+    error, its block's name as grad_bptt keys it, and its index there."""
+
+    rel_err: float
+    block: str
+    index: tuple[int, ...]
+
+
+def grad_check_max_rel_err(model: LstmEdModel, window: np.ndarray, step: float = 1e-5) -> GradCheck:
     """Max relative error of BPTT gradients vs central finite differences,
-    for one (l, p) window.
+    for one (l, p) window, with the entry where it occurs.
 
     Entries where both the analytic and numeric gradient are below 1e-8 in
     magnitude count as exact matches (the relative error is undefined there).
     """
     analytic = grad_bptt(model, window[None])
-    base = params_dict(model)
-    worst = 0.0
-    for key in _PARAM_KEYS:
-        flat = base[key].reshape(-1)
-        for idx in range(flat.shape[0]):
-            original = flat[idx]
-            flat[idx] = original + step
+    params = model.params
+    worst = GradCheck(0.0, "", ())
+    at = 0
+    for name, grad in analytic.items():
+        for idx in np.ndindex(grad.shape):
+            original = params[at]
+            params[at] = original + step
             hi = teacher_loss(model, window)
-            flat[idx] = original - step
+            params[at] = original - step
             lo = teacher_loss(model, window)
-            flat[idx] = original
+            params[at] = original
+            at += 1
             numeric = (hi - lo) / (2.0 * step)
-            a = analytic[key].reshape(-1)[idx]
+            a = grad[idx]
             denom = max(abs(a), abs(numeric))
             if denom < 1e-8:
                 continue
-            worst = max(worst, abs(a - numeric) / denom)
+            rel_err = abs(a - numeric) / denom
+            if rel_err > worst.rel_err:
+                worst = GradCheck(rel_err, name, idx)
     return worst
 
 
@@ -153,7 +141,7 @@ def reference_forward_backward(model: LstmEdModel, batch: np.ndarray):
     diff = preds - batch
     total = float(np.sum(diff * diff))
     dpred = 2.0 * diff
-    grads = {key: np.zeros_like(val) for key, val in params_dict(model).items()}
+    grads = _blocks(np.zeros_like(model.params), p, n)
     dh = np.zeros((b, n))
     dc = np.zeros((b, n))
     for s in range(l - 1, -1, -1):
@@ -170,6 +158,90 @@ def reference_forward_backward(model: LstmEdModel, batch: np.ndarray):
             enc.w, enc_caches[t], dh, dc, grads["enc_w"], grads["enc_b"]
         )
     return total, grads
+
+
+def reference_train(windows, config, validation):
+    """Plain per-block trainer: the oracle for lstm.train.
+
+    Built from grad_bptt, encode, decode_train and loss alone, it spells out
+    the training contract. One default_rng(seed) makes the init draws (the
+    encoder's weight, the decoder's, the readout's, each uniform in
+    +-1/sqrt(fan_in); biases zero but the forget gates' 1) and then each
+    epoch's batch order. Each batch's gradient is clipped to
+    grad_clip_norm by its global norm, summed block by block, then takes a
+    bias-corrected Adam step per block. The best validation loss, the
+    untrained model's as epoch 0, picks the checkpoint; patience epochs
+    without a new best stop training.
+
+    Returns (TrainResult, pre-clip gradient norm of every step).
+    """
+    train_batch = np.asarray(windows, dtype=np.float64)
+    val_batch = np.asarray(validation, dtype=np.float64)
+    n_train, l, p = train_batch.shape
+    n = config.c
+    rng = np.random.default_rng(config.seed)
+    rec_bound = 1.0 / np.sqrt(p + n)
+    enc_w = rng.uniform(-rec_bound, rec_bound, size=(4 * n, p + n))
+    dec_w = rng.uniform(-rec_bound, rec_bound, size=(4 * n, p + n))
+    out_w = rng.uniform(-1.0 / np.sqrt(n), 1.0 / np.sqrt(n), size=(n, p))
+    gate_b = np.zeros(4 * n)
+    gate_b[n : 2 * n] = 1.0
+    flat = [enc_w.ravel(), gate_b, dec_w.ravel(), gate_b, out_w.ravel(), np.zeros(p)]
+    model = LstmEdModel(np.concatenate(flat), p, n, l)
+    params = {
+        "enc_w": model.encoder.w,
+        "enc_b": model.encoder.b,
+        "dec_w": model.decoder.w,
+        "dec_b": model.decoder.b,
+        "out_w": model.out_weight,
+        "out_b": model.out_bias,
+    }
+
+    def teacher_forced(batch):
+        return loss(decode_train(model, batch, encode(model, batch)), batch)
+
+    def batch_loss(batch):
+        # train sums a batch's squared errors in the decoder's order, steps
+        # from the last row back, then columns, then windows
+        preds = decode_train(model, batch, encode(model, batch))
+        return loss(*(np.ascontiguousarray(a[:, ::-1].transpose(1, 2, 0)) for a in (preds, batch)))
+
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(v) for k, v in params.items()}
+    val_history = [teacher_forced(val_batch)]
+    best = {k: val.copy() for k, val in params.items()}
+    best_epoch = 0
+    train_history = []
+    norms = []
+    step = 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n_train)
+        epoch_loss = 0.0
+        for lo in range(0, n_train, config.batch_size):
+            batch = train_batch[order[lo : lo + config.batch_size]]
+            epoch_loss += batch_loss(batch)
+            grads = grad_bptt(model, batch)
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            norms.append(norm)
+            if norm > config.grad_clip_norm:
+                grads = {k: g * (config.grad_clip_norm / norm) for k, g in grads.items()}
+            step += 1
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+                m_hat = m[k] / (1.0 - 0.9**step)
+                v_hat = v[k] / (1.0 - 0.999**step)
+                params[k] -= m_hat / (np.sqrt(v_hat) + 1e-8) * config.learning_rate
+        train_history.append(epoch_loss)
+        val_history.append(teacher_forced(val_batch))
+        if val_history[-1] < min(val_history[:-1]):
+            best = {k: val.copy() for k, val in params.items()}
+            best_epoch = epoch
+        elif epoch - best_epoch >= config.patience:
+            break
+    for k, val in best.items():
+        params[k][...] = val
+    return TrainResult(model, train_history, val_history, best_epoch), norms
 
 
 def reference_smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
@@ -278,7 +350,7 @@ def as_format_1(blob: bytes, model: LstmEdModel) -> bytes:
     "model" header key added, the version set to 1, the file re-signed."""
     _, header, payload = split_pipeline(blob)
     payload = bytearray(payload)
-    for name, arr in params_dict(model).items():
+    for name, arr in _blocks(model.params, model.input_dim, model.hidden_units).items():
         data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         header["sections"].append(
             {

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edhi.cli import _load_dataset, _sniff_format, main
-from edhi.data import parse_generic
+from edhi.data import SyntheticSpec, generate_synthetic, parse_generic, write_generic
 from edhi.persist import load_pipeline
 from edhi.pipeline import predict_one
 from helpers import join_pipeline, split_pipeline, with_float
@@ -80,6 +80,12 @@ class TestSynth:
         truncated = parse_generic((synth_dir / "truncated.csv").read_text())
         for uid, series in truncated.instances:
             assert series.shape[0] < full[uid].shape[0]
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        want = write_generic(generate_synthetic(SyntheticSpec()))
+        assert (tmp_path / "data.csv").read_text() == want
+        assert f"({SyntheticSpec().n_instances} instances)" in capsys.readouterr().out
 
     def test_bad_truncate_spec(self, tmp_path):
         code = main(["synth", "--out", str(tmp_path), "--truncate", "0.4"])

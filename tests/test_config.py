@@ -5,7 +5,13 @@ from dataclasses import fields, replace
 
 import pytest
 
-from edhi.config import HI_VARIANTS, RunConfig, apply_overrides, config_from_dict
+from edhi.config import (
+    HI_VARIANTS,
+    RunConfig,
+    apply_overrides,
+    config_from_dict,
+    parse_sweep_grid,
+)
 
 # one invalid value per field
 INVALID = {
@@ -35,6 +41,7 @@ INVALID = {
 FLOAT_FIELDS = [
     f.name for f in fields(RunConfig) if f.type in ("float", "float | None")
 ]
+INT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "int"]
 
 
 def test_invalid_table_covers_every_field():
@@ -74,6 +81,31 @@ def test_wrong_type_is_a_value_error(name, value):
 def test_nan_rejected(name):
     with pytest.raises(ValueError):
         RunConfig(**{name: math.nan})
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_integer_annotated_fields_reject_floats(name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.0$"):
+        RunConfig(**{name: 2.0})
+    with pytest.raises(ValueError, match=f"config key '{name}': bad value '2.0'"):
+        apply_overrides(RunConfig(), {name: "2.0"})
+
+
+def test_int_and_float_fields_cover_the_numeric_fields():
+    numeric = {f.name for f in fields(RunConfig)} - {"hi_variant"}
+    assert set(INT_FIELDS) | set(FLOAT_FIELDS) == numeric
+
+
+@pytest.mark.parametrize("parse", [
+    lambda key: apply_overrides(RunConfig(), {key: "1"}),
+    lambda key: parse_sweep_grid({key: "1,2"}),
+])
+def test_keys_resolved_alike_by_overrides_and_grids(parse):
+    with pytest.raises(ValueError, match="^unknown config key 'bogus'$"):
+        parse("bogus")
+    with pytest.raises(ValueError, match="^unknown config key 'lam_'$"):
+        parse("lam_")
+    parse("lambda")  # the alias of lam
 
 
 def test_valid_edges_accepted():

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from edhi.config import RunConfig
 from edhi.lstm import (
     LstmEdModel,
-    LstmParams,
     LstmState,
     decode_infer,
     decode_train,
     encode,
+    _blocks,
     _forward_backward,
     grad_bptt,
     init_model,
@@ -27,30 +27,22 @@ from edhi.lstm import (
 from helpers import (
     _ref_cell_forward,
     grad_check_max_rel_err,
-    params_dict,
     reference_forward_backward,
+    reference_train,
     teacher_loss,
 )
 
 
+def _zeros(p, c, l):
+    """A model of the given sizes whose every parameter is zero."""
+    return LstmEdModel(np.zeros_like(init_model(p, c, l, seed=0).params), p, c, l)
+
+
 def _zero_model(p=2, c=3, l=4, bias=None):
-    model = init_model(p, c, l, seed=0)
-    zeros = {
-        "enc_w": np.zeros_like(model.encoder.w),
-        "enc_b": np.zeros_like(model.encoder.b),
-        "dec_w": np.zeros_like(model.decoder.w),
-        "dec_b": np.zeros_like(model.decoder.b),
-    }
-    out_bias = np.zeros(p) if bias is None else np.asarray(bias, dtype=np.float64)
-    return LstmEdModel(
-        encoder=LstmParams(w=zeros["enc_w"], b=zeros["enc_b"]),
-        decoder=LstmParams(w=zeros["dec_w"], b=zeros["dec_b"]),
-        out_weight=np.zeros((c, p)),
-        out_bias=out_bias,
-        hidden_units=c,
-        window_len=l,
-        input_dim=p,
-    )
+    model = _zeros(p, c, l)
+    if bias is not None:
+        model.out_bias[...] = bias
+    return model
 
 
 def _zero_state(n):
@@ -60,16 +52,10 @@ def _zero_state(n):
 def _encoder_model(w, b, l):
     """A model whose encoder is (w, b); only encode reads it here."""
     n = b.shape[0] // 4
-    p = w.shape[1] - n
-    return LstmEdModel(
-        encoder=LstmParams(w=w, b=b),
-        decoder=LstmParams(w=np.zeros_like(w), b=np.zeros_like(b)),
-        out_weight=np.zeros((n, p)),
-        out_bias=np.zeros(p),
-        hidden_units=n,
-        window_len=l,
-        input_dim=p,
-    )
+    model = _zeros(w.shape[1] - n, n, l)
+    model.encoder.w[...] = w
+    model.encoder.b[...] = b
+    return model
 
 
 def _ref_encode(w, b, batch):
@@ -316,12 +302,12 @@ class TestGradBptt:
         for seed in range(3):
             model = init_model(2, 4, 5, seed=seed)
             window = np.random.default_rng(100 + seed).uniform(-1, 1, size=(5, 2))
-            assert grad_check_max_rel_err(model, window) < 1e-4
+            assert grad_check_max_rel_err(model, window).rel_err < 1e-4
 
     def test_matches_finite_differences_single_row_window(self):
         model = init_model(2, 3, 1, seed=21)
         window = np.random.default_rng(6).uniform(-1, 1, size=(1, 2))
-        assert grad_check_max_rel_err(model, window) < 1e-4
+        assert grad_check_max_rel_err(model, window).rel_err < 1e-4
 
     def test_duplicated_window_doubles_gradient(self):
         model = init_model(2, 4, 5, seed=23)
@@ -349,7 +335,7 @@ class TestGradBptt:
         want_loss, want = reference_forward_backward(model, batch)
         got_loss, got = _forward_backward(model, batch)
         assert got_loss == pytest.approx(want_loss, rel=1e-12)
-        _assert_grads_match(got, want)
+        _assert_grads_match(_blocks(got, p, c), want)
         _, want_first = reference_forward_backward(model, batch[:1])
         _assert_grads_match(grad_bptt(model, batch[:1]), want_first)
 
@@ -411,8 +397,7 @@ class TestTrain:
         cfg = RunConfig(c=4, max_epochs=8, batch_size=4, patience=8, seed=4)
         a = train(wins[:12], cfg, wins[12:])
         b = train(wins[:12], cfg, wins[12:])
-        for key, val in params_dict(a.model).items():
-            assert np.array_equal(val, params_dict(b.model)[key]), key
+        assert np.array_equal(a.model.params, b.model.params)
         assert a.train_history == b.train_history
         assert a.val_history == b.val_history
         assert a.best_epoch == b.best_epoch
@@ -441,8 +426,7 @@ class TestTrain:
         result = train(wins[:4], cfg, wins[4:])
         assert result.best_epoch == 0
         fresh = init_model(1, 3, 4, seed=6)
-        for key, val in params_dict(result.model).items():
-            assert np.array_equal(val, params_dict(fresh)[key]), key
+        assert np.array_equal(result.model.params, fresh.params)
 
 
     @pytest.mark.parametrize("overflowing", ["training", "validation"])
@@ -454,12 +438,82 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"diverged: {overflowing} loss is inf"):
             train(train_wins[:6], cfg, val_wins[6:])
 
+    # (config, windows: count, l, p, seed); the first clips every step, the
+    # second stops early, the third never beats its untrained model
+    _REFERENCE_CASES = {
+        "clips": (
+            RunConfig(c=4, max_epochs=6, batch_size=4, patience=6, seed=4, grad_clip_norm=0.01),
+            (16, 5, 2, 9),
+        ),
+        "stops-early": (
+            RunConfig(c=3, max_epochs=500, batch_size=4, patience=3, seed=5),
+            (10, 4, 1, 13),
+        ),
+        "best-epoch-0": (
+            RunConfig(c=3, learning_rate=50.0, max_epochs=5, batch_size=4, patience=10, seed=6),
+            (6, 4, 1, 17),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_matches_reference_trainer_bitwise(self, case):
+        cfg, (count, l, p, seed) = self._REFERENCE_CASES[case]
+        wins = np.stack(_sinusoid_windows(count, l, p, seed))
+        cut = count * 3 // 4
+        got = train(wins[:cut], cfg, wins[cut:])
+        want, norms = reference_train(wins[:cut], cfg, wins[cut:])
+        assert got.train_history == want.train_history
+        assert got.val_history == want.val_history
+        assert got.best_epoch == want.best_epoch
+        assert got.model.params.tobytes() == want.model.params.tobytes()
+        if case == "clips":
+            assert min(norms) > cfg.grad_clip_norm
+        elif case == "stops-early":
+            assert len(got.train_history) < cfg.max_epochs
+        else:
+            assert got.best_epoch == 0
+
+
+class TestLstmEdModel:
+    def test_attributes_are_views_of_params(self):
+        model = init_model(2, 3, 4, seed=0)
+        model.params[...] = np.arange(model.params.size)
+        views = (model.encoder.w, model.encoder.b, model.decoder.w, model.decoder.b)
+        blocks = [*views, model.out_weight, model.out_bias]
+        # enc_w, enc_b, dec_w, dec_b, out_w, out_b, back to back
+        np.testing.assert_array_equal(
+            np.concatenate([b.ravel() for b in blocks]), model.params
+        )
+        assert [b.shape for b in blocks] == [(12, 5), (12,), (12, 5), (12,), (3, 2), (2,)]
+        model.out_bias[...] = -1.0
+        np.testing.assert_array_equal(model.params[-2:], [-1.0, -1.0])
+
+    def test_grad_bptt_blocks_are_views_of_one_vector(self):
+        model = init_model(2, 3, 4, seed=1)
+        window = np.random.default_rng(0).uniform(-1, 1, size=(2, 4, 2))
+        grads = grad_bptt(model, window)
+        assert list(grads) == ["enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b"]
+        base = grads["enc_w"].base
+        assert base.shape == model.params.shape
+        assert all(g.base is base for g in grads.values())
+        _, flat = _forward_backward(model, window)
+        np.testing.assert_array_equal(base, flat)
+
+    @pytest.mark.parametrize("size", [0, 1, 151, 153])
+    def test_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match=r"params must have shape \(152,\), got"):
+            LstmEdModel(np.zeros(size), 2, 3, 4)
+
+    def test_sizes_below_one_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            LstmEdModel(np.zeros(152), 2, 3, 0)
+
 
 class TestInitModel:
     def test_forget_bias_one_other_biases_zero(self):
         model = init_model(2, 4, 5, seed=0)
+        n = model.hidden_units
         for params in (model.encoder, model.decoder):
-            n = params.hidden_units
             np.testing.assert_array_equal(params.b[n : 2 * n], np.ones(n))
             np.testing.assert_array_equal(params.b[:n], np.zeros(n))
             np.testing.assert_array_equal(params.b[2 * n :], np.zeros(2 * n))
