@@ -43,6 +43,23 @@ def frac_count(frac: float, length: int) -> int:
     return max(1, math.ceil(frac * length - _FRAC_TOL))
 
 
+def _series_of(series, l: int) -> np.ndarray:
+    """``series`` as a float64 (L, p) array with L >= l >= 1.
+
+    Raises:
+        ValueError: If the series is not 2-D, l < 1, or L < l.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"series must be 2-D, got shape {x.shape}")
+    if l < 1:
+        raise ValueError("window length must be >= 1")
+    big_l = x.shape[0]
+    if big_l < l:
+        raise ValueError(f"series has {big_l} cycles, shorter than window length {l}")
+    return x
+
+
 def sliding_windows(series: np.ndarray, l: int) -> list[tuple[int, np.ndarray]]:
     """All length-l windows at stride 1, with 1-based start cycles.
 
@@ -56,15 +73,8 @@ def sliding_windows(series: np.ndarray, l: int) -> list[tuple[int, np.ndarray]]:
     Raises:
         ValueError: If the series is shorter than l.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"series must be 2-D, got shape {x.shape}")
-    big_l = x.shape[0]
-    if l < 1:
-        raise ValueError("window length must be >= 1")
-    if big_l < l:
-        raise ValueError(f"series has {big_l} cycles, shorter than window length {l}")
-    return [(s + 1, x[s : s + l]) for s in range(big_l - l + 1)]
+    x = _series_of(series, l)
+    return [(s + 1, x[s : s + l]) for s in range(x.shape[0] - l + 1)]
 
 
 def pointwise_reconstruction(model: LstmEdModel, series: np.ndarray) -> np.ndarray:
@@ -80,13 +90,17 @@ def pointwise_reconstruction(model: LstmEdModel, series: np.ndarray) -> np.ndarr
 
     Returns:
         Shape (L, p) averaged reconstruction.
+
+    Raises:
+        ValueError: If the series is not 2-D or is shorter than the window.
     """
-    windows = sliding_windows(series, model.window_len)
-    batch = np.stack([w for _, w in windows], axis=0)
-    states = encode(model, batch)
-    recons = decode_infer(model, states, steps=model.window_len)
-    big_l = np.asarray(series).shape[0]
     l = model.window_len
+    x = _series_of(series, l)
+    # every window as one (L-l+1, l, p) view; the encoder copies it into its
+    # own buffer, so no stacked copy is made here
+    batch = sliding_window_view(x, l, axis=0).transpose(0, 2, 1)
+    recons = decode_infer(model, encode(model, batch), steps=l)
+    big_l = x.shape[0]
     n_windows = recons.shape[0]
     sums = np.zeros((big_l, model.input_dim))
     counts = np.zeros(big_l)

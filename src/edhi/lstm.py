@@ -19,26 +19,44 @@ ValueError naming the expected shape.
 
 Gate layout in the stacked affine transform, in block order: input gate i,
 forget gate f, output gate o, candidate g. The first three pass through the
-logistic function, applied once to the whole i|f|o block as
-0.5 * tanh(0.5 * x) + 0.5 (which cannot overflow), the candidate through tanh.
+logistic function, computed as 0.5 * tanh(0.5 * x) + 0.5 (which cannot
+overflow), the candidate through tanh.
 
 A cell runs a T-step sequence on a batch of B rows over one preallocated
 [x | h] buffer of shape (T+1, p+n, B), feature-major with the batch last so
 that every gate block and state is one contiguous (n, B) block. Slot t holds
 [x_t | h_t-1]: the inputs fill the x rows once and each step writes its h
 straight into the next slot, so a step is one (4n, p+n) @ (p+n, B) GEMM
-against the stacked weight plus elementwise work, with no concatenation.
+plus elementwise work, with no concatenation and no temporary array.
+
+The GEMM runs against a prepared copy of the cell, made once per sequence:
+the stacked weight and bias with their i|f|o rows multiplied by 0.5, and
+the bias tiled to a contiguous (4n, B) block. Scaling by a power of two is
+exact in float64 (barring subnormal values), so (0.5 W) xh + 0.5 b has the
+bits of 0.5 (W xh + b), and one tanh over all 4n rows then gives the
+logistic's tanh(0.5 x) and the candidate's tanh at once. The tiled add
+costs less than broadcasting the bias column on every step. Outputs are bit
+for bit those of the plainly written step in the tests (reference_cell_step).
 The trace the training path keeps also holds every step's gates and cells.
 The backward pass takes every step's local derivatives in one pass over
 that trace, turns them into the step's pre-activation gradient in place,
 takes dh_t-1 from the h columns of the weight only, and after the loop gets
-the weight and bias gradients from one GEMM over the whole buffer. The
-readout and its gradients likewise run once over all decoder states.
+the weight and bias gradients from one GEMM over the whole buffer; it
+reads the model's own weights, never the halved copy. The readout and its
+gradients likewise run once over all decoder states, except in
+autoregressive inference, where each prediction is written straight into
+the x rows of the slot that feeds it back.
+
+``train`` records per epoch, in its TrainResult, the summed training and
+validation losses, the largest pre-clip global gradient norm, the number of
+clipped batches and the wall seconds, all from values the loop computes
+anyway.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,16 +157,27 @@ class TrainResult:
     Attributes:
         model: Parameters from the epoch with the lowest validation loss
             (epoch 0 means the untrained initialization was never beaten).
-        train_history: Summed teacher-forced training loss per epoch.
+        train_history: Summed teacher-forced training loss per epoch, each
+            batch's squared errors summed in (decoder step, column, window)
+            order as the backward pass lays them out. So it can differ in
+            the last bits from loss(decode_train(...)) on the same batches,
+            which sums in (window, row, column) order.
         val_history: Summed validation loss per epoch, index 0 being the
             untrained model's loss.
         best_epoch: Index into val_history of the checkpoint returned.
+        max_grad_norms: Largest pre-clip global gradient norm per epoch.
+        clip_counts: Number of batches per epoch whose gradient was clipped.
+        epoch_seconds: Wall seconds per epoch, validation included; left
+            out of equality, since timings differ between identical runs.
     """
 
     model: LstmEdModel
     train_history: list[float] = field(default_factory=list)
     val_history: list[float] = field(default_factory=list)
     best_epoch: int = 0
+    max_grad_norms: list[float] = field(default_factory=list)
+    clip_counts: list[int] = field(default_factory=list)
+    epoch_seconds: list[float] = field(default_factory=list, compare=False)
 
 
 def init_model(
@@ -194,20 +223,31 @@ class _Trace:
     memory of a large batch at that of its xh buffer.
 
     Attributes:
+        w: The cell's stacked weight, i|f|o rows halved, shape (4n, p+n).
+        bias: The cell's bias, i|f|o rows halved, tiled to shape (4n, B).
         xh: Shape (T+1, p+n, B).
         gates: Shape (T, 4n, B), activated: logistic i|f|o, then tanh g.
         cell: Shape (T+1, n, B), the initial cell state first.
         tanh_cell: Shape (T, n, B), tanh of cell[1:].
+        ig: Shape (n, B), scratch for one step's i * g.
     """
 
+    w: np.ndarray
+    bias: np.ndarray
     xh: np.ndarray
     gates: np.ndarray
     cell: np.ndarray
     tanh_cell: np.ndarray
+    ig: np.ndarray
 
     @property
     def final_cell(self) -> np.ndarray:
         return self.cell[(self.xh.shape[0] - 1) % self.cell.shape[0]]
+
+
+def _tiled(column: np.ndarray, b: int) -> np.ndarray:
+    """A contiguous (k, b) array whose every column is ``column``."""
+    return np.repeat(column[:, None], b, axis=1)
 
 
 def _start(
@@ -219,35 +259,45 @@ def _start(
     """
     n, b = h0.shape
     kept = steps if keep else min(steps, 1)
+    w = params.w.copy()
+    w[: 3 * n] *= 0.5
+    half_b = params.b.copy()
+    half_b[: 3 * n] *= 0.5
     trace = _Trace(
+        w=w,
+        bias=_tiled(half_b, b),
         xh=np.empty((steps + 1, params.w.shape[1], b)),
         gates=np.empty((kept, 4 * n, b)),
         cell=np.empty((kept + 1, n, b)),
         tanh_cell=np.empty((kept, n, b)),
+        ig=np.empty((n, b)),
     )
     trace.xh[0, -n:] = h0
     trace.cell[0] = c0
     return trace
 
 
-def _step(params: LstmParams, trace: _Trace, t: int) -> None:
-    """Cell step t: reads [x_t | h_t-1] and c_t-1, writes gates, c_t and h_t."""
+def _step(trace: _Trace, t: int) -> None:
+    """Cell step t: reads [x_t | h_t-1] and c_t-1, writes gates, c_t and h_t.
+
+    The logistic of the i|f|o rows is 0.5 * tanh(0.5 * pre) + 0.5; the trace's
+    halved weight and bias rows give 0.5 * pre directly, so one tanh covers
+    all four blocks.
+    """
     n = trace.cell.shape[1]
     slots = trace.gates.shape[0]
     cells = trace.cell.shape[0]
     gates = trace.gates[t % slots]
-    np.matmul(params.w, trace.xh[t], out=gates)
-    gates += params.b[:, None]
+    np.matmul(trace.w, trace.xh[t], out=gates)
+    gates += trace.bias
+    np.tanh(gates, out=gates)
     sig = gates[: 3 * n]
     sig *= 0.5
-    np.tanh(sig, out=sig)
-    sig *= 0.5
     sig += 0.5
-    g = gates[3 * n :]
-    np.tanh(g, out=g)
     c = trace.cell[(t + 1) % cells]
     np.multiply(gates[n : 2 * n], trace.cell[t % cells], out=c)
-    c += gates[:n] * g
+    np.multiply(gates[:n], gates[3 * n :], out=trace.ig)
+    c += trace.ig
     tc = trace.tanh_cell[t % slots]
     np.tanh(c, out=tc)
     np.multiply(gates[2 * n : 3 * n], tc, out=trace.xh[t + 1, -n:])
@@ -265,13 +315,23 @@ def _slopes(trace: _Trace):
     g = gates[:, 3 * n :]
     tc = trace.tanh_cell
     dpre = np.empty_like(gates)
-    sig = gates[:, : 3 * n]
-    np.multiply(sig, 1.0 - sig, out=dpre[:, : 3 * n])
+    # every factor is built in its output slot, so the products run in the
+    # other operand order, (1 - sig) * sig, (1 - g*g) * i and (1 - tc*tc) * o;
+    # IEEE multiplication commutes, so the bits are those of sig * (1 - sig)
+    ifo = dpre[:, : 3 * n]
+    np.subtract(1.0, gates[:, : 3 * n], out=ifo)
+    ifo *= gates[:, : 3 * n]
     dpre[:, :n] *= g
     dpre[:, n : 2 * n] *= trace.cell[:-1]
     dpre[:, 2 * n : 3 * n] *= tc
-    np.multiply(gates[:, :n], 1.0 - g * g, out=dpre[:, 3 * n :])
-    return dpre, gates[:, 2 * n : 3 * n] * (1.0 - tc * tc)
+    dg = dpre[:, 3 * n :]
+    np.multiply(g, g, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= gates[:, :n]
+    dh_dc = np.multiply(tc, tc)
+    np.subtract(1.0, dh_dc, out=dh_dc)
+    dh_dc *= gates[:, 2 * n : 3 * n]
+    return dpre, dh_dc
 
 
 def _step_backward(
@@ -285,7 +345,8 @@ def _step_backward(
     """Backprop step t from dL/dh_t and dL/dc_t; returns (dL/dh_t-1, dL/dc_t-1).
 
     Turns slot t of the _slopes arrays into dL/dpre_t in place; the weight
-    gradients come later, from all steps at once (see _weight_grads).
+    gradients come later, from all steps at once (see _weight_grads). Reads
+    the cell's own weight, not the trace's halved copy.
     """
     n = trace.cell.shape[1]
     dpre, dh_dc = slopes
@@ -296,7 +357,8 @@ def _step_backward(
     i_f *= dct
     d[2 * n : 3 * n] *= dh
     d[3 * n :] *= dct
-    return params.w[:, -n:].T @ d, dct * trace.gates[t, n : 2 * n]
+    dct *= trace.gates[t, n : 2 * n]
+    return params.w[:, -n:].T @ d, dct
 
 
 def _weight_grads(trace: _Trace, dgates: np.ndarray, out: LstmParams) -> None:
@@ -345,7 +407,7 @@ def _encoder_trace(model: LstmEdModel, batch: np.ndarray, keep: bool) -> _Trace:
     trace = _start(model.encoder, l, zeros, zeros, keep)
     trace.xh[:l, :p] = batch.transpose(1, 2, 0)
     for t in range(l):
-        _step(model.encoder, trace, t)
+        _step(trace, t)
     return trace
 
 
@@ -365,7 +427,7 @@ def _decoder_trace(
     trace = _start(model.decoder, l - 1, h0, c0, keep)
     trace.xh[: l - 1, :p] = batch[:, :0:-1].transpose(1, 2, 0)
     for s in range(l - 1):
-        _step(model.decoder, trace, s)
+        _step(trace, s)
     return trace
 
 
@@ -437,11 +499,14 @@ def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.nda
     h0, c0 = _state_columns(model, enc_final)
     trace = _start(model.decoder, steps - 1, h0, c0, keep=False)
     xh = trace.xh
+    out_w = model.out_weight.T
+    out_b = _tiled(model.out_bias, h0.shape[1])
     # each state's prediction fills the x rows of its own slot: the next input
-    for s in range(steps - 1):
-        xh[s, :p] = _readout(model, xh[s, p:])
-        _step(model.decoder, trace, s)
-    xh[-1, :p] = _readout(model, xh[-1, p:])
+    for s in range(steps):
+        np.matmul(out_w, xh[s, p:], out=xh[s, :p])
+        xh[s, :p] += out_b
+        if s < steps - 1:
+            _step(trace, s)
     return _time_order(xh[:, :p])
 
 
@@ -481,10 +546,9 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     dc = np.zeros((n, b))
     dec_slopes = _slopes(dec)
     for s in range(l - 2, -1, -1):
-        dh, dc = _step_backward(
-            model.decoder, dec, s, dh + dstates[s + 1], dc, dec_slopes
-        )
-    dh = dh + dstates[0]
+        dh += dstates[s + 1]
+        dh, dc = _step_backward(model.decoder, dec, s, dh, dc, dec_slopes)
+    dh += dstates[0]
     enc_slopes = _slopes(enc)
     for t in range(l - 1, -1, -1):
         dh, dc = _step_backward(model.encoder, enc, t, dh, dc, enc_slopes)
@@ -542,7 +606,8 @@ def train(
         validation: Validation windows, shape (M, l, p) with M >= 1.
 
     Returns:
-        TrainResult carrying the best model and per-epoch loss histories.
+        TrainResult carrying the best model, the per-epoch loss histories
+        and the per-epoch gradient-norm, clipping and timing diagnostics.
 
     Raises:
         ValueError: On empty windows, empty validation, windows of another
@@ -570,6 +635,9 @@ def train(
     best_epoch = 0
     val_history = [best_val]
     train_history: list[float] = []
+    max_grad_norms: list[float] = []
+    clip_counts: list[int] = []
+    epoch_seconds: list[float] = []
 
     # the moments and the squared gradient share the layout of params; the
     # norm sums the squares block by block, in layout order
@@ -581,8 +649,11 @@ def train(
     stale = 0
     n_train = train_batch.shape[0]
     for epoch in range(1, config.max_epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(n_train)
         epoch_loss = 0.0
+        max_gnorm = 0.0
+        clipped = 0
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             batch_loss, grad = _forward_backward(model, train_batch[idx])
@@ -590,7 +661,9 @@ def train(
 
             np.multiply(grad, grad, out=square)
             gnorm = np.sqrt(sum(float(np.sum(block)) for block in square_blocks))
+            max_gnorm = max(max_gnorm, float(gnorm))
             if gnorm > config.grad_clip_norm:
+                clipped += 1
                 grad *= config.grad_clip_norm / gnorm
                 np.multiply(grad, grad, out=square)
 
@@ -608,8 +681,11 @@ def train(
             params -= update
 
         train_history.append(_finite(epoch_loss, "training", epoch))
+        max_grad_norms.append(max_gnorm)
+        clip_counts.append(clipped)
         current_val = _finite(val_loss(), "validation", epoch)
         val_history.append(current_val)
+        epoch_seconds.append(time.perf_counter() - started)
         if current_val < best_val:
             best_val = current_val
             best_params[...] = params
@@ -625,4 +701,7 @@ def train(
         train_history=train_history,
         val_history=val_history,
         best_epoch=best_epoch,
+        max_grad_norms=max_grad_norms,
+        clip_counts=clip_counts,
+        epoch_seconds=epoch_seconds,
     )

@@ -1,7 +1,8 @@
-"""Shared test oracles: finite-difference gradient checking, plain per-step
-BPTT, a plain per-block trainer, a per-cycle moving average, a per-candidate
-weighted mean and a rebuild-per-point sweep; plus pipeline-file surgery that
-re-signs edited headers and values."""
+"""Shared test oracles: a plainly written cell step, finite-difference
+gradient checking, plain per-step BPTT, a plain per-block trainer, a
+per-cycle moving average, a per-candidate weighted mean and a
+rebuild-per-point sweep; plus pipeline-file surgery that re-signs edited
+headers and values."""
 
 import hashlib
 import json
@@ -23,6 +24,24 @@ from edhi.lstm import (
 )
 from edhi.metrics import EvalRecord, timeliness
 from edhi.persist import MAGIC
+
+
+def reference_cell_step(w, b, x, h, c):
+    """One LSTM cell step written out plainly: the bitwise forward oracle.
+
+    Feature-major like lstm's kernel: x is (p, B), h and c are (n, B), w is
+    (4n, p+n) with gates i, f, o, g stacked, b is (4n,). Returns the new
+    (h, c). The logistic is 0.5 * tanh(0.5 * x) + 0.5 on the unscaled
+    pre-activation, which the kernel's halved rows must reproduce bit for bit.
+    """
+    n = h.shape[0]
+    pre = w @ np.concatenate([x, h]) + b[:, None]
+    sig = 0.5 * np.tanh(0.5 * pre[: 3 * n]) + 0.5
+    i, f, o = sig[:n], sig[n : 2 * n], sig[2 * n :]
+    g = np.tanh(pre[3 * n :])
+    c = f * c + i * g
+    return o * np.tanh(c), c
+
 
 def teacher_loss(model: LstmEdModel, window: np.ndarray) -> float:
     """Teacher-forced loss of one (l, p) window, run as a batch of one."""

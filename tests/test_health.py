@@ -90,6 +90,28 @@ class TestPointwiseReconstruction:
                 counts[start0 + j] += 1
         np.testing.assert_allclose(recon, sums / counts[:, None], atol=1e-12)
 
+    @given(st.integers(1, 6), st.integers(0, 30), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bitwise_equal_to_stacked_windows(self, l, extra, p, seed):
+        rng = np.random.default_rng(seed)
+        model = init_model(p, 4, l, seed=seed)
+        series = rng.normal(size=(l + extra, p))
+        stacked = np.stack([w for _, w in sliding_windows(series, l)])
+        recons = decode_infer(model, encode(model, stacked), steps=l)
+        sums = np.zeros_like(series)
+        counts = np.zeros(l + extra)
+        for k, window in enumerate(recons):
+            sums[k : k + l] += window
+            counts[k : k + l] += 1.0
+        assert np.array_equal(pointwise_reconstruction(model, series), sums / counts[:, None])
+
+    def test_bad_series_rejected(self):
+        model = init_model(2, 3, 4, seed=0)
+        with pytest.raises(ValueError, match=r"series must be 2-D, got shape \(8,\)"):
+            pointwise_reconstruction(model, np.zeros(8))
+        with pytest.raises(ValueError, match="series has 3 cycles, shorter than window length 4"):
+            pointwise_reconstruction(model, np.zeros((3, 2)))
+
     def test_coverage_counts(self):
         # interior cycles are covered by exactly l windows, the first and
         # last cycle by exactly one

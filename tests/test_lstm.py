@@ -27,6 +27,7 @@ from edhi.lstm import (
 from helpers import (
     _ref_cell_forward,
     grad_check_max_rel_err,
+    reference_cell_step,
     reference_forward_backward,
     reference_train,
     teacher_loss,
@@ -270,6 +271,85 @@ class TestBatchOnly:
             train(batch, cfg, self.window)
 
 
+def _reference_run(model, batch):
+    """Encoder state, teacher-forced and autoregressive predictions and the
+    training loss of a (B, l, p) batch, one reference_cell_step at a time.
+
+    Predictions are (l, p, B) in decoder order, state s predicting row
+    l-1-s; the loss sums that layout's squared errors, as training does.
+    """
+    b, l, _ = batch.shape
+    enc, dec = model.encoder, model.decoder
+
+    def readout(h):
+        return model.out_weight.T @ h + model.out_bias[:, None]
+
+    h = c = np.zeros((model.hidden_units, b))
+    for t in range(l):
+        h, c = reference_cell_step(enc.w, enc.b, batch[:, t].T, h, c)
+    state = (h, c)
+    forced = [readout(h)]
+    for s in range(1, l):
+        h, c = reference_cell_step(dec.w, dec.b, batch[:, l - s].T, h, c)
+        forced.append(readout(h))
+    h, c = state
+    inferred = [readout(h)]
+    for _ in range(1, l):
+        h, c = reference_cell_step(dec.w, dec.b, inferred[-1], h, c)
+        inferred.append(readout(h))
+    forced, inferred = np.stack(forced), np.stack(inferred)
+    diff = forced - batch[:, ::-1].transpose(1, 2, 0)
+    return state, forced, inferred, float(np.sum(diff * diff))
+
+
+def _assert_kernel_matches_reference(model, batch):
+    (h, c), forced, inferred, want_loss = _reference_run(model, batch)
+    state = encode(model, batch)
+    assert np.array_equal(state.hidden, h.T)
+    assert np.array_equal(state.cell, c.T)
+    time_order = (2, 0, 1)
+    assert np.array_equal(
+        decode_train(model, batch, state), forced[::-1].transpose(time_order)
+    )
+    steps = batch.shape[1]
+    assert np.array_equal(
+        decode_infer(model, state, steps), inferred[::-1].transpose(time_order)
+    )
+    assert _forward_backward(model, batch)[0] == want_loss
+
+
+def _random_model(p, c, l, rng):
+    """A model whose every parameter, biases included, is drawn at random."""
+    model = init_model(p, c, l, seed=0)
+    model.params[...] = rng.normal(size=model.params.shape) * rng.choice([0.3, 1.0, 4.0])
+    return model
+
+
+class TestKernelBitwise:
+    """The cell kernel, whose i|f|o rows are halved, against the plainly
+    written reference_cell_step, with array_equal: every batch width 1-40
+    (each width mod 8 takes its own GEMM tail), and the bench shapes."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_every_batch_width_matches_reference(self, l, p, c, seed):
+        rng = np.random.default_rng(seed)
+        model = _random_model(p, c, l, rng)
+        for b in range(1, 41):
+            _assert_kernel_matches_reference(model, rng.normal(size=(b, l, p)))
+
+    @pytest.mark.parametrize("b", [32, 223])
+    def test_bench_shapes_match_reference(self, b):
+        rng = np.random.default_rng(b)
+        model = init_model(3, 30, 20, seed=b)
+        _assert_kernel_matches_reference(model, rng.normal(size=(b, 20, 3)))
+
+
 class TestLoss:
     def test_perfect_reconstruction_is_zero(self):
         x = np.random.default_rng(0).uniform(size=(4, 2))
@@ -455,13 +535,19 @@ class TestTrain:
         ),
     }
 
-    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
-    def test_matches_reference_trainer_bitwise(self, case):
+    def _train_both(self, case):
+        """(train's result, reference_train's result, its per-step norms,
+        the config, batches per epoch) for one reference case."""
         cfg, (count, l, p, seed) = self._REFERENCE_CASES[case]
         wins = np.stack(_sinusoid_windows(count, l, p, seed))
         cut = count * 3 // 4
         got = train(wins[:cut], cfg, wins[cut:])
         want, norms = reference_train(wins[:cut], cfg, wins[cut:])
+        return got, want, norms, cfg, -(-cut // cfg.batch_size)
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_matches_reference_trainer_bitwise(self, case):
+        got, want, norms, cfg, _ = self._train_both(case)
         assert got.train_history == want.train_history
         assert got.val_history == want.val_history
         assert got.best_epoch == want.best_epoch
@@ -472,6 +558,19 @@ class TestTrain:
             assert len(got.train_history) < cfg.max_epochs
         else:
             assert got.best_epoch == 0
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_epoch_diagnostics_match_reference_norms(self, case):
+        got, _, norms, cfg, per_epoch = self._train_both(case)
+        epochs = [norms[at : at + per_epoch] for at in range(0, len(norms), per_epoch)]
+        assert got.max_grad_norms == [max(epoch) for epoch in epochs]
+        assert got.clip_counts == [
+            sum(norm > cfg.grad_clip_norm for norm in epoch) for epoch in epochs
+        ]
+        assert len(got.epoch_seconds) == len(got.train_history) == len(epochs)
+        assert all(seconds > 0.0 for seconds in got.epoch_seconds)
+        if case == "clips":
+            assert got.clip_counts == [per_epoch] * len(epochs)
 
 
 class TestLstmEdModel:
