@@ -167,8 +167,7 @@ class TrainResult:
         best_epoch: Index into val_history of the checkpoint returned.
         max_grad_norms: Largest pre-clip global gradient norm per epoch.
         clip_counts: Number of batches per epoch whose gradient was clipped.
-        epoch_seconds: Wall seconds per epoch, validation included; left
-            out of equality, since timings differ between identical runs.
+        epoch_seconds: Wall seconds per epoch, validation included.
     """
 
     model: LstmEdModel
@@ -177,7 +176,7 @@ class TrainResult:
     best_epoch: int = 0
     max_grad_norms: list[float] = field(default_factory=list)
     clip_counts: list[int] = field(default_factory=list)
-    epoch_seconds: list[float] = field(default_factory=list, compare=False)
+    epoch_seconds: list[float] = field(default_factory=list)
 
 
 def init_model(
@@ -500,7 +499,7 @@ def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.nda
     trace = _start(model.decoder, steps - 1, h0, c0, keep=False)
     xh = trace.xh
     out_w = model.out_weight.T
-    out_b = _tiled(model.out_bias, h0.shape[1])
+    out_b = model.out_bias[:, None]
     # each state's prediction fills the x rows of its own slot: the next input
     for s in range(steps):
         np.matmul(out_w, xh[s, p:], out=xh[s, :p])
