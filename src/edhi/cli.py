@@ -56,7 +56,10 @@ _CONFIG_HELP = {
     "smooth_window": "moving-average width for HI curves",
     "init_frac": "leading fraction defining initial health",
     "validation_frac": "instance fraction held out for early stopping",
-    "healthy_frac": "leading healthy fraction for training windows ('none' = first window only)",
+    "healthy_frac": (
+        "leading healthy fraction for training windows ('none' = first window"
+        " only, and the endpoints variant then labels the leading 5%% healthy)"
+    ),
     "faulty_frac": "trailing fraction labeled faulty by the endpoints variant",
     "seed": "master seed",
     "tau1": "early-prediction tolerance in cycles",

@@ -84,7 +84,8 @@ class RunConfig:
             and sweep scoring.
         healthy_frac: Leading fraction of each instance treated as healthy
             training input; None trains on just the first window per
-            instance.
+            instance, and the endpoints variant then labels the leading
+            5% of each life healthy.
         faulty_frac: Trailing fraction labeled 0 by the endpoints variant.
         seed: Master seed for splitting, initialization, and batching.
         tau1: Early-prediction tolerance (cycles).

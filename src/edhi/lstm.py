@@ -111,12 +111,13 @@ def _blocks(vector: np.ndarray, p: int, n: int) -> dict[str, np.ndarray]:
     return blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LstmEdModel:
     """Encoder/decoder cells plus the linear readout, over one flat vector.
 
     Construction checks the length of ``params`` and fixes the last four
-    attributes as views into it, in the block order of _shapes.
+    attributes as views into it, in the block order of _shapes. Compared by
+    identity; compare ``params`` for equal values.
 
     Attributes:
         params: Every parameter, a flat float64 vector.
@@ -150,9 +151,10 @@ class LstmEdModel:
         object.__setattr__(self, "out_bias", blocks["out_b"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainResult:
-    """Outcome of one training run.
+    """Outcome of one training run; compared by identity, since
+    ``epoch_seconds`` differs between any two runs.
 
     Attributes:
         model: Parameters from the epoch with the lowest validation loss

@@ -10,7 +10,8 @@ dispersion doubles as a confidence signal.
 
 The train curves form a ``Library``, laid out once per pipeline: every
 curve end to end in one read-only array, with each curve's start and
-length. ``candidate_estimates`` scores every (train, lag) pair of one test
+length. The matching functions take that library and lay nothing out.
+``candidate_estimates`` scores every (train, lag) pair of one test
 instance in array passes, in two steps. ``pair_distances`` takes each pair
 as a window of the library's flat array and gets every d^2 from batched
 row-by-column products; ``select_candidates`` then applies the lag bound
@@ -62,12 +63,12 @@ class RulCandidate(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class Library(Sequence):
-    """The matching library: a sequence of (train id, full HI curve) pairs.
+class Library:
+    """The matching library: train ids and full HI curves, laid out once.
 
-    Built once per pipeline (``Library.of``), so that scoring a test curve
-    reads the layout instead of rebuilding it. Equal to any sequence of
-    pairs with the same ids and bitwise the same curves.
+    Built once per pipeline (``of``), so that scoring a test curve reads the
+    layout instead of rebuilding it. Iterating yields the (train id, curve)
+    pairs in library order. Compared by identity.
 
     Attributes:
         ids: Train instance ids, in library order.
@@ -84,10 +85,8 @@ class Library(Sequence):
     starts: np.ndarray
 
     @classmethod
-    def of(cls, pairs: Library | Sequence[tuple[str, HiCurve]]) -> Library:
-        """A library as it is, or (id, curve) pairs laid out end to end."""
-        if isinstance(pairs, Library):
-            return pairs
+    def of(cls, pairs: Sequence[tuple[str, HiCurve]]) -> Library:
+        """(id, curve) pairs laid out end to end."""
         ids, curves = zip(*pairs) if pairs else ((), ())
         lengths = np.array([curve.length for curve in curves], dtype=np.int64)
         flat = np.concatenate([c.values for c in curves]) if curves else np.empty(0)
@@ -102,23 +101,8 @@ class Library(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(zip(self.ids[k], self.curves[k]))
-        return self.ids[k], self.curves[k]
-
     def __iter__(self) -> Iterator[tuple[str, HiCurve]]:
         return zip(self.ids, self.curves)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        other = Library.of(other)
-        return (
-            self.ids == other.ids
-            and np.array_equal(self.lengths, other.lengths)
-            and self.flat.tobytes() == other.flat.tobytes()
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +113,10 @@ class Survivors:
     ``RulCandidate`` tuples (``str``, ``int``, ``float``, ``float``) on call.
 
     Attributes:
-        owner: Index of each survivor's train instance in ``library``.
+        owner: Index of each survivor's train id in ``ids``.
         lags, similarities, estimates: The ``RulCandidate`` fields.
-        library: Item k starts with train instance k's id: the ``Library``,
-            or the candidate list itself for ``Survivors.of``.
+        ids: The train ids that ``owner`` indexes: the library's ids, or
+            each candidate's own id for ``Survivors.of``.
         n_pairs: Feasible pairs with lag <= tau, before the alpha cut.
     """
 
@@ -140,7 +124,7 @@ class Survivors:
     lags: np.ndarray
     similarities: np.ndarray
     estimates: np.ndarray
-    library: Sequence[tuple]
+    ids: tuple[str, ...]
     n_pairs: int
 
     @classmethod
@@ -150,20 +134,19 @@ class Survivors:
             return candidates
         candidates = list(candidates)
         n = len(candidates)
-        _, lags, sims, ests = zip(*candidates) if n else ((),) * 4
+        ids, lags, sims, ests = zip(*candidates) if n else ((),) * 4
         floats = (np.array(col, dtype=np.float64) for col in (sims, ests))
-        return cls(np.arange(n), np.array(lags, dtype=np.int64), *floats, candidates, n)
+        return cls(np.arange(n), np.array(lags, dtype=np.int64), *floats, ids, n)
 
     def __len__(self) -> int:
         return len(self.lags)
 
     def __getitem__(self, k: int) -> RulCandidate:
         fields = (a[k].item() for a in (self.lags, self.similarities, self.estimates))
-        return RulCandidate(self.library[self.owner[k]][0], *fields)
+        return RulCandidate(self.ids[self.owner[k]], *fields)
 
     def __iter__(self) -> Iterator[RulCandidate]:
-        names = [item[0] for item in self.library]
-        ids = [names[k] for k in self.owner.tolist()]
+        ids = map(self.ids.__getitem__, self.owner.tolist())
         columns = (a.tolist() for a in (self.lags, self.similarities, self.estimates))
         # tuple.__new__ builds each RulCandidate from its field tuple without
         # the Python-level NamedTuple constructor: about half the cost each
@@ -251,11 +234,11 @@ def similarity(d_squared: float, lam: float) -> float:
 class Pairs(NamedTuple):
     """The feasible (train instance, lag) pairs of one test curve.
 
-    Parallel arrays, one entry per pair, in the train set's own order and
+    Parallel arrays, one entry per pair, in the library's own order and
     then ascending lag.
 
     Attributes:
-        owner: Index of the pair's train instance in the train set.
+        owner: Index of the pair's train instance in the library.
         lags: Alignment offset t >= 1 into the train curve.
         d2: Squared curve distance, bitwise that of ``curve_distance``.
         estimates: Train cycles remaining past the aligned segment.
@@ -269,9 +252,7 @@ class Pairs(NamedTuple):
     tau: int
 
 
-def pair_distances(
-    test: HiCurve, train_set: Library | list[tuple[str, HiCurve]], tau: int
-) -> Pairs:
+def pair_distances(test: HiCurve, library: Library, tau: int) -> Pairs:
     """Every (train instance, lag) pair with lag in 1..tau, with its d^2.
 
     A pair is feasible when the whole test curve fits inside the lag-shifted
@@ -285,7 +266,6 @@ def pair_distances(
     l_star = test.length
     if l_star == 0:
         raise ValueError("empty test curve")
-    library = Library.of(train_set)
     lengths = library.lengths
     n_lags = np.clip(np.minimum(tau, lengths - l_star), 0, None)
     n_pairs = int(n_lags.sum())
@@ -307,9 +287,7 @@ def pair_distances(
     return Pairs(owner, lags, d2, estimates, tau)
 
 
-def select_candidates(
-    pairs: Pairs, train_set: Library | list[tuple[str, HiCurve]], config: RunConfig
-) -> Survivors:
+def select_candidates(pairs: Pairs, library: Library, config: RunConfig) -> Survivors:
     """Weigh and filter the pairs of ``pair_distances`` into candidates.
 
     Only pairs with lag <= config.tau take part, so pairs enumerated once
@@ -321,7 +299,7 @@ def select_candidates(
 
     Args:
         pairs: Output of pair_distances for the test curve.
-        train_set: The train set the pairs were enumerated against.
+        library: The library the pairs were enumerated against.
         config: Run configuration; reads tau, lam and alpha.
 
     Returns:
@@ -338,7 +316,6 @@ def select_candidates(
     if config.tau < pairs.tau:
         within = np.flatnonzero(lags <= config.tau)
         owner, lags, d2, estimates = (a[within] for a in (owner, lags, d2, estimates))
-    library = Library.of(train_set)
     sims = np.exp(-d2 / config.lam)
     s_max = sims.max(initial=0.0)  # 0.0 when there is no pair
     if np.isnan(s_max):
@@ -346,27 +323,24 @@ def select_candidates(
         raise ValueError(f"NaN curve distance against train instance {bad}")
     keep = np.flatnonzero((sims >= config.alpha * s_max) & (sims > 0.0))
     return Survivors(
-        owner[keep], lags[keep], sims[keep], estimates[keep], library, d2.size
+        owner[keep], lags[keep], sims[keep], estimates[keep], library.ids, d2.size
     )
 
 
 def candidate_estimates(
-    test: HiCurve,
-    train_set: Library | list[tuple[str, HiCurve]],
-    config: RunConfig,
+    test: HiCurve, library: Library, config: RunConfig
 ) -> Survivors:
     """Enumerate and filter candidate matches for one test instance.
 
     Every (train instance, lag) pair with lag in 1..tau and the whole test
     curve fitting inside the train curve produces a candidate; see
     ``pair_distances`` and ``select_candidates``, which this composes.
-    Order is the train set's own order, then ascending lag, so reruns are
+    Order is the library's own order, then ascending lag, so reruns are
     bit-identical.
 
     Args:
         test: Truncated test instance's HI curve.
-        train_set: The library, or (id, full run-to-failure curve) pairs,
-            which are laid out as one first.
+        library: The train ids and full run-to-failure curves, laid out.
         config: Run configuration; reads lam, tau and alpha.
 
     Returns:
@@ -377,7 +351,6 @@ def candidate_estimates(
             (a NaN in the test or a library curve), naming the first train
             instance it occurs against.
     """
-    library = Library.of(train_set)
     pairs = pair_distances(test, library, config.tau)
     return select_candidates(pairs, library, config)
 

@@ -50,9 +50,9 @@ class PipelineBundle:
         norm: Pooled normalization statistics.
         pca: Derived-sensor projection.
         lr: Linear HI map.
-        hi_train_curves: (train id, full HI curve) pairs, the matching
-            library. A plain sequence of pairs is laid out as a ``Library``
-            on construction, once for every test curve scored against it.
+        hi_train_curves: The matching library of (train id, full HI
+            curve) pairs, laid out once for every test curve scored
+            against it.
         config: The run configuration the pipeline was built with.
     """
 
@@ -61,10 +61,6 @@ class PipelineBundle:
     lr: OlsModel
     hi_train_curves: Library
     config: RunConfig
-
-    def __post_init__(self) -> None:
-        library = Library.of(self.hi_train_curves)
-        object.__setattr__(self, "hi_train_curves", library)
 
     def match_config(self) -> RunConfig:
         # matching reads lam, tau, alpha and r_max straight from the run
@@ -218,8 +214,8 @@ def _unpack(header: dict, payload: bytes) -> PipelineBundle:
         norm=norm,
         pca=PcaModel(components=components),
         lr=OlsModel(theta=theta, theta0=float(theta0[0])),
-        hi_train_curves=[
-            (uid, HiCurve(values=arrays[n])) for uid, n in zip(ids, curves)
-        ],
+        hi_train_curves=Library.of(
+            [(uid, HiCurve(values=arrays[n])) for uid, n in zip(ids, curves)]
+        ),
         config=config_from_dict(header["config"]),
     )

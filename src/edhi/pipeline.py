@@ -145,25 +145,20 @@ def _train_model(
     derived_fit: list[np.ndarray], derived_val: list[np.ndarray], config: RunConfig
 ) -> TrainResult:
     """Train the encoder-decoder on the healthy windows of both splits."""
-    train_windows = []
-    for z in derived_fit:
-        train_windows.extend(_healthy_windows(z, config.l, config.healthy_frac))
-    val_windows = []
-    for z in derived_val:
-        val_windows.extend(_healthy_windows(z, config.l, config.healthy_frac))
-    if not train_windows:
-        raise StageError(
-            "train-lstm",
-            f"no instance yields a healthy window of length {config.l}",
-        )
-    if not val_windows:
-        raise StageError(
-            "train-lstm",
-            f"no validation instance yields a healthy window of length {config.l}",
-        )
-    return _stage(
-        "train-lstm", train, np.stack(train_windows), config, np.stack(val_windows)
-    )
+    splits = ((derived_fit, "instance"), (derived_val, "validation instance"))
+    batches = []
+    for derived, which in splits:
+        windows = []
+        for z in derived:
+            windows.extend(_healthy_windows(z, config.l, config.healthy_frac))
+        if not windows:
+            raise StageError(
+                "train-lstm",
+                f"no {which} yields a healthy window of length {config.l}",
+            )
+        batches.append(np.stack(windows))
+    train_batch, val_batch = batches
+    return _stage("train-lstm", train, train_batch, config, val_batch)
 
 
 def build_pipeline(
@@ -253,7 +248,7 @@ def build_pipeline(
         norm=norm,
         pca=pca,
         lr=lr,
-        hi_train_curves=library,
+        hi_train_curves=Library.of(library),
         config=config,
     )
     info = BuildInfo(

@@ -14,6 +14,7 @@ from edhi.config import RunConfig
 from edhi.lstm import (
     LstmEdModel,
     LstmState,
+    TrainResult,
     decode_infer,
     decode_train,
     encode,
@@ -606,6 +607,14 @@ class TestLstmEdModel:
     def test_sizes_below_one_rejected(self):
         with pytest.raises(ValueError, match="must be >= 1"):
             LstmEdModel(np.zeros(152), 2, 3, 0)
+
+    def test_records_compare_by_identity(self):
+        # equal parameters in distinct arrays neither raise nor compare equal
+        same = TrainResult(init_model(2, 3, 4, 0)) == TrainResult(init_model(2, 3, 4, 0))
+        assert same is False
+        result = TrainResult(init_model(2, 3, 4, 0))
+        assert result == result
+        assert init_model(2, 3, 4, 0) != result.model
 
 
 class TestInitModel:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from edhi.config import RunConfig
 from edhi.health import HiCurve
+from edhi.matching import Library
 from edhi.numerics import NormStats, OlsModel, PcaModel
 from edhi.persist import (
     FORMAT_VERSION,
@@ -31,10 +32,12 @@ def _bundle(seed=0):
         ),
         pca=PcaModel(components=rng.normal(size=(2, 3))),
         lr=OlsModel(theta=rng.normal(size=2), theta0=0.37),
-        hi_train_curves=[
-            ("u1", HiCurve(values=rng.uniform(0, 1, size=12))),
-            ("u2", HiCurve(values=rng.uniform(0, 1, size=9))),
-        ],
+        hi_train_curves=Library.of(
+            [
+                ("u1", HiCurve(values=rng.uniform(0, 1, size=12))),
+                ("u2", HiCurve(values=rng.uniform(0, 1, size=9))),
+            ]
+        ),
         config=RunConfig(p=2, c=3, l=4),
     )
 
@@ -69,12 +72,12 @@ class TestRoundTrip:
             norm=bundle.norm,
             pca=bundle.pca,
             lr=bundle.lr,
-            hi_train_curves=[],
+            hi_train_curves=Library.of([]),
             config=bundle.config,
         )
         path = tmp_path / "bare.bin"
         save_pipeline(path, bare)
-        assert load_pipeline(path).hi_train_curves == []
+        assert len(load_pipeline(path).hi_train_curves) == 0
 
 
 class TestCorruption:

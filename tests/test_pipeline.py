@@ -7,8 +7,9 @@ import pytest
 
 import edhi.pipeline
 from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
-from edhi.data import truncate_instance, truncate_random
+from edhi.data import RunToFailureDataset, truncate_instance, truncate_random
 from edhi.health import HiCurve
+from edhi.matching import Library
 from edhi.persist import _sections_of, load_pipeline, save_pipeline
 from edhi.pipeline import (
     StageError,
@@ -79,8 +80,24 @@ class TestBuild:
 
     def test_window_longer_than_every_life_refused(self, tiny_ds, tiny_config):
         config = dataclasses.replace(tiny_config, l=200)
-        with pytest.raises(StageError, match="train-lstm"):
+        message = "^train-lstm: no instance yields a healthy window of length 200$"
+        with pytest.raises(StageError, match=message):
             build_pipeline(tiny_ds, config)
+
+    def test_validation_without_a_window_refused(self, tiny_ds, tiny_config):
+        _, val_idx = split_instances(
+            tiny_ds, tiny_config.validation_frac, tiny_config.seed
+        )
+        instances = [
+            (uid, series[:5] if k in val_idx else series)
+            for k, (uid, series) in enumerate(tiny_ds.instances)
+        ]
+        ds = RunToFailureDataset(instances=instances, sensor_names=tiny_ds.sensor_names)
+        message = (
+            "^train-lstm: no validation instance yields a healthy window of length 8$"
+        )
+        with pytest.raises(StageError, match=message):
+            build_pipeline(ds, tiny_config)
 
     def test_diverged_training_fails_train_lstm_stage(self, tiny_ds, tiny_config):
         config = dataclasses.replace(tiny_config, learning_rate=1e200, max_epochs=3)
@@ -222,9 +239,6 @@ class TestPredict:
         for _, series in test_ds.instances:
             predict_one(loaded, series)
         assert calls == []
-        # the counter does see a library laid out from a plain list
-        dataclasses.replace(loaded, hi_train_curves=list(loaded.hi_train_curves))
-        assert calls == [1]
 
     def test_empty_series_rejected(self, tiny_build):
         bundle, _ = tiny_build
@@ -389,11 +403,11 @@ class TestSweep:
 
         def build_with_nan(ds, config):
             bundle, info = real_build(ds, config)
-            uid, curve = bundle.hi_train_curves[0]
+            (uid, curve), *rest = bundle.hi_train_curves
             tail = np.full(60, curve.values[-1])
             tail[20] = np.nan
             values = np.concatenate([curve.values, tail])
-            library = [(uid, HiCurve(values=values)), *bundle.hi_train_curves[1:]]
+            library = Library.of([(uid, HiCurve(values=values)), *rest])
             return dataclasses.replace(bundle, hi_train_curves=library), info
 
         monkeypatch.setattr(edhi.pipeline, "build_pipeline", build_with_nan)
