@@ -10,6 +10,7 @@ to stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -114,12 +115,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return apply_overrides(config, _cli_overrides(args))
 
 
+# leading whitespace (blank lines included), then the first line's first
+# field: up to a comma or any line boundary that str.splitlines knows
+_FIRST_FIELD = re.compile(r"\s*([^,\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)")
+
+
 def _sniff_format(text: str) -> str:
-    for line in text.splitlines():
-        if line.strip():
-            first = line.split(",")[0].strip()
-            return "generic" if first == "instance_id" else "turbofan"
-    raise ValueError("empty data file")
+    # reads only the head of the file; splitting it into lines here would
+    # split the whole file once more before its parser does
+    match = _FIRST_FIELD.match(text)
+    if match.start(1) == len(text):
+        raise ValueError("empty data file")
+    return "generic" if match.group(1).strip() == "instance_id" else "turbofan"
 
 
 def _load_dataset(

@@ -35,9 +35,11 @@ TURBOFAN_COLUMNS = 26  # unit, cycle, 3 settings, 21 sensors
 DEGRADATION_SHAPES = ("linear", "exponential", "piecewise")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunToFailureDataset:
     """Instances plus optional truncation ground truth, validated on construction.
+
+    Compared by identity: the instances hold arrays.
 
     Attributes:
         instances: (id, series) pairs; series shape (L_u, m), cycle t at

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .lstm import LstmEdModel, decode_infer, encode
 from .numerics import OlsModel, ols_fit, ols_predict
@@ -27,9 +27,12 @@ _DEGENERATE_EPS = 1e-12
 _FRAC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HiCurve:
-    """Per-cycle health values for one instance, cycle t at values[t-1]."""
+    """Per-cycle health values for one instance, cycle t at values[t-1].
+
+    Compared by identity; compare ``values`` with ``np.array_equal`` instead.
+    """
 
     values: np.ndarray
 
@@ -251,14 +254,20 @@ def smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
     out = np.empty_like(values)
     n = values.shape[0]
     if n >= window:
-        # not shifted-slice sums: those differ in the last bit from window 8
-        out[half_lo : n - half_hi] = sliding_window_view(values, window).mean(axis=-1)
+        # the window sums of np.mean without its per-call checks: one add
+        # reduce over a strided view of every full window, then / window
+        # (not shifted-slice sums: those differ in the last bit from window 8)
+        (stride,) = values.strides
+        windows = as_strided(
+            values, (n - window + 1, window), (stride, stride), writeable=False
+        )
+        out[half_lo : n - half_hi] = np.add.reduce(windows, axis=-1) / window
     # only the cycles whose window is cut by an edge remain; sum / count is
     # np.mean's own arithmetic without its per-call overhead
     edges = chain(range(min(half_lo, n)), range(max(half_lo, n - half_hi), n))
     for t in edges:
         seg = values[max(0, t - half_lo) : t + half_hi + 1]
-        out[t] = seg.sum() / seg.shape[0]
+        out[t] = np.add.reduce(seg) / seg.shape[0]
     return out
 
 
@@ -291,9 +300,9 @@ def hi_curve(
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("derived series must be a nonempty matrix")
     raw = ols_predict(model, z)
-    smoothed = smooth_curve(raw, smooth_window)
+    smoothed = smooth_curve(raw, smooth_window)  # a new array, changed in place
     k = frac_count(init_frac, smoothed.shape[0])
     divisor = float(smoothed[:k].sum() / k)
     if abs(divisor) >= _DEGENERATE_EPS:
-        smoothed = smoothed / divisor
-    return HiCurve(values=np.clip(smoothed, 0.0, 1.0))
+        smoothed /= divisor
+    return HiCurve(values=np.clip(smoothed, 0.0, 1.0, out=smoothed))

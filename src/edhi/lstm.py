@@ -68,17 +68,20 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LstmParams:
-    """One cell's stacked gate transform: weight (4n, p+n), bias (4n,)."""
+    """One cell's stacked gate transform: weight (4n, p+n), bias (4n,).
+
+    Compared by identity.
+    """
 
     w: np.ndarray
     b: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LstmState:
-    """Hidden and cell states of a batch, each shape (B, n)."""
+    """Hidden and cell states of a batch, each shape (B, n); compared by identity."""
 
     hidden: np.ndarray
     cell: np.ndarray

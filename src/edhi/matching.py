@@ -12,20 +12,23 @@ The train curves form a ``Library``, laid out once per pipeline: every
 curve end to end in one read-only array, with each curve's start and
 length. The matching functions take that library and lay nothing out.
 ``candidate_estimates`` scores every (train, lag) pair of one test
-instance in array passes, in two steps. ``pair_distances`` takes each pair
-as a window of the library's flat array and gets every d^2 from batched
-row-by-column products; ``select_candidates`` then applies the lag bound
-tau, one ``exp`` and the alpha cut, and keeps the survivors as arrays
-(``Survivors``) through ``estimate_rul``: ``RulCandidate`` tuples are
-built, and the dispersion computed, only when someone reads them. Each
-product runs the same dot kernel as the scalar ``curve_distance``, so
-candidate sets are bitwise those of the pair-by-pair loop that
-``curve_distance`` and ``similarity`` spell out. Pairs are gathered in
-blocks of at most ``_BLOCK_VALUES`` window values, so memory stays bounded
-however large the library is. A sweep computes the pairs once per test
-curve at its largest tau and runs only ``select_candidates`` per grid
-point; the pairs at a smaller tau are a subset in the same order, with the
-same bits.
+instance in array passes, in two steps. ``pair_distances`` finds the
+feasible pairs with one comparison of lags against each curve's headroom,
+takes each pair as a window of a strided view of the library's flat
+array, subtracts the window from the test row and gets every d^2 from
+batched row-by-column products; ``select_candidates`` then applies the lag
+bound tau, one ``exp`` and the alpha cut (one comparison), and keeps the
+survivors as arrays (``Survivors``) through ``estimate_rul``:
+``RulCandidate`` tuples are built, and the dispersion computed, only when
+someone reads them. Each subtraction takes the operands the scalar
+``curve_distance`` takes and each product runs its dot kernel, so candidate
+sets are bitwise those of the pair-by-pair loop that ``curve_distance``
+and ``similarity`` spell out. Pairs are gathered in blocks of at most
+``_BLOCK_VALUES`` window values and subtracted from a block of test rows
+filled once per call, so memory stays bounded however large the library
+is. A sweep computes the pairs once per test curve at its largest tau and
+runs only ``select_candidates`` per grid point; the pairs at a smaller tau
+are a subset in the same order, with the same bits.
 """
 
 from __future__ import annotations
@@ -36,14 +39,16 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .config import RunConfig
 from .health import HiCurve
 
-# float64 window values gathered per block of pairs: 512 KiB, small enough
-# to stay in a core's L2 cache from the gather through the products
-_BLOCK_VALUES = 1 << 16
+# float64 window values gathered per block of pairs: 256 KiB. With the test
+# rows the block is subtracted from, 512 KiB stay in a core's L2 cache from
+# the gather through the products. On score_fd001's curves (2-vCPU host)
+# 2^14 and 2^16 values per block both took longer
+_BLOCK_VALUES = 1 << 15
 
 
 class RulCandidate(NamedTuple):
@@ -266,23 +271,31 @@ def pair_distances(test: HiCurve, library: Library, tau: int) -> Pairs:
     l_star = test.length
     if l_star == 0:
         raise ValueError("empty test curve")
-    lengths = library.lengths
-    n_lags = np.clip(np.minimum(tau, lengths - l_star), 0, None)
-    n_pairs = int(n_lags.sum())
+    spans = library.lengths - l_star  # the largest lag each train curve fits
+    t = min(tau, max(0, int(spans.max(initial=0))))
     # pair k belongs to train curve owner[k] at lag lags[k]; train-major, lag-minor
-    owner = np.repeat(np.arange(len(library)), n_lags)
-    lags = np.arange(n_pairs) - np.repeat(np.cumsum(n_lags) - n_lags, n_lags) + 1
-    estimates = (lengths[owner] - l_star - lags).astype(np.float64)
+    owner, lags = np.nonzero(np.arange(1, t + 1) <= spans[:, None])
+    lags += 1
+    n_pairs = lags.size
+    estimates = (spans[owner] - lags).astype(np.float64)
     d2 = np.empty(n_pairs)
     if n_pairs:
-        windows = sliding_window_view(library.flat, l_star)
+        flat = library.flat
+        windows = as_strided(
+            flat, (flat.size - l_star + 1, l_star), 2 * flat.strides, writeable=False
+        )
         rows = library.starts[owner] + lags
-        block = max(1, _BLOCK_VALUES // l_star)
+        block = min(max(1, _BLOCK_VALUES // l_star), n_pairs)
+        # the test row repeated once per block row: a same-shape subtraction
+        # runs at about half the cost of a broadcast one, with the same bits
+        test_rows = np.empty((block, l_star))
+        test_rows[...] = test.values
         for lo in range(0, n_pairs, block):
-            segments = windows[rows[lo : lo + block]]
-            diff = np.subtract(test.values, segments, out=segments)
+            diff = windows[rows[lo : lo + block]]  # a gathered copy
+            np.subtract(test_rows[: diff.shape[0]], diff, out=diff)
             # (1, L*) @ (L*, 1) per pair: the dot kernel of the 1-D diff @ diff
-            d2[lo : lo + block] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+            out = d2[lo : lo + block, None, None]
+            np.matmul(diff[:, None, :], diff[:, :, None], out=out)
         d2 /= l_star
     return Pairs(owner, lags, d2, estimates, tau)
 
@@ -316,12 +329,16 @@ def select_candidates(pairs: Pairs, library: Library, config: RunConfig) -> Surv
     if config.tau < pairs.tau:
         within = np.flatnonzero(lags <= config.tau)
         owner, lags, d2, estimates = (a[within] for a in (owner, lags, d2, estimates))
-    sims = np.exp(-d2 / config.lam)
+    # d2 / -lam has the bits of -d2 / lam: IEEE division is sign-symmetric
+    sims = d2 / -config.lam
+    np.exp(sims, out=sims)
     s_max = sims.max(initial=0.0)  # 0.0 when there is no pair
     if np.isnan(s_max):
         bad = library.ids[owner[np.flatnonzero(np.isnan(sims))[0]]]
         raise ValueError(f"NaN curve distance against train instance {bad}")
-    keep = np.flatnonzero((sims >= config.alpha * s_max) & (sims > 0.0))
+    # a positive cutoff also drops every zero similarity
+    cutoff = config.alpha * s_max
+    keep = np.flatnonzero(sims >= cutoff if cutoff > 0.0 else sims > 0.0)
     return Survivors(
         owner[keep], lags[keep], sims[keep], estimates[keep], library.ids, d2.size
     )

@@ -22,14 +22,16 @@ def _as_float_matrix(x, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-sensor pooled mean/std plus the indices of zero-variance sensors.
+
+    Compared by identity: mean and std are arrays.
 
     Attributes:
         mean: Pooled mean per original sensor, shape (m,).
@@ -52,10 +54,17 @@ class NormStats:
         dropped = set(self.dropped)
         return tuple(j for j in range(self.n_sensors) if j not in dropped)
 
+    @cached_property
+    def _kept_index(self) -> np.ndarray:
+        """``kept`` as an index array, so a gather converts no tuple."""
+        return np.array(self.kept, dtype=np.intp)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     """Orthonormal principal directions over the retained sensors.
+
+    Compared by identity.
 
     Attributes:
         components: Shape (p, d); row k is the k-th principal direction,
@@ -69,9 +78,12 @@ class PcaModel:
         return self.components.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OlsModel:
-    """Affine map from derived sensors to a scalar: theta @ z + theta0."""
+    """Affine map from derived sensors to a scalar: theta @ z + theta0.
+
+    Compared by identity.
+    """
 
     theta: np.ndarray
     theta0: float
@@ -137,7 +149,7 @@ def apply_norm(series: np.ndarray, stats: NormStats) -> np.ndarray:
     # a column gather even when no sensor is dropped: its Fortran-ordered
     # result feeds np.cov in pca_fit, where a C-ordered array of the same
     # values gives other PCA bits, and so other pipeline bytes
-    keep = list(stats.kept)
+    keep = stats._kept_index
     return (x[:, keep] - stats.mean[keep]) / stats.std[keep]
 
 

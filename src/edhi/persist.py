@@ -42,9 +42,9 @@ _REQUIRED = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineBundle:
-    """Everything needed to score new instances.
+    """Everything needed to score new instances; compared by identity.
 
     Attributes:
         norm: Pooled normalization statistics.

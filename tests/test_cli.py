@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edhi.cli import _load_dataset, _sniff_format, main
 from edhi.data import SyntheticSpec, generate_synthetic, parse_generic, write_generic
@@ -641,8 +643,42 @@ class TestFormats:
     def test_sniffing(self):
         assert _sniff_format("instance_id,cycle,s1\na,1,0.5\n") == "generic"
         assert _sniff_format(self._turbofan_text()) == "turbofan"
+        # leading blank lines are skipped
+        assert _sniff_format("\n \n\t\ninstance_id,cycle,s1\na,1,0.5\n") == "generic"
+        assert _sniff_format("\r\n\n" + self._turbofan_text()) == "turbofan"
         with pytest.raises(ValueError, match="empty data file"):
             _sniff_format("\n  \n")
+
+    @pytest.mark.parametrize("sep", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_sniffing_ends_the_line_where_splitlines_does(self, sep):
+        assert _sniff_format(f" {sep}{sep}instance_id{sep}1 1 0.5") == "generic"
+        assert _sniff_format(f"x{sep}instance_id,cycle") == "turbofan"
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["instance_id", "1 1 0.5", ",", " ", "\t", "\xa0", "x"]
+                + ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1f", "\x85", "\u2028"]
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=300)
+    def test_sniffing_reads_the_first_non_blank_line(self, parts):
+        def by_lines(text):  # the first non-blank line, from every line
+            for line in text.splitlines():
+                if line.strip():
+                    first = line.split(",")[0].strip()
+                    return "generic" if first == "instance_id" else "turbofan"
+            return "empty"
+
+        text = "".join(parts)
+        try:
+            got = _sniff_format(text)
+        except ValueError as err:
+            assert str(err) == "empty data file"
+            got = "empty"
+        assert got == by_lines(text)
 
     def test_turbofan_load(self, tmp_path):
         path = tmp_path / "fleet.txt"

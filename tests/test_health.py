@@ -288,10 +288,21 @@ class TestFitHiModel:
             fit_hi_model([np.zeros((3, 1))], [])
 
 
+# finite readings with signed zeros and subnormals drawn often
+_SMOOTH_ELEMENTS = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+)
+
+
 class TestSmoothCurve:
-    def test_width_one_is_identity(self):
-        x = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        np.testing.assert_array_equal(smooth_curve(x, 1), x)
+    @given(arrays(np.float64, st.integers(0, 80), elements=_SMOOTH_ELEMENTS))
+    def test_width_one_is_identity(self, values):
+        # a copy, bytes and all: it keeps -0.0, where np.mean of one -0.0
+        # gives +0.0 under numpy 2, so width 1 is checked here and not
+        # against the mean loop
+        got = smooth_curve(values, 1)
+        assert got is not values
+        assert got.tobytes() == values.tobytes()
 
     def test_interior_average_width_three(self):
         x = np.array([0.0, 3.0, 6.0, 9.0, 12.0])
@@ -306,18 +317,14 @@ class TestSmoothCurve:
             smooth_curve(np.zeros(3), 0)
 
     @given(
-        arrays(
-            np.float64,
-            st.integers(0, 80),
-            elements=st.floats(-1e6, 1e6, allow_nan=False),
-        ),
-        st.integers(1, 25),
+        arrays(np.float64, st.integers(0, 80), elements=_SMOOTH_ELEMENTS),
+        st.integers(2, 25),
     )
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_to_per_cycle_loop(self, values, window):
-        np.testing.assert_array_equal(
-            smooth_curve(values, window), reference_smooth_curve(values, window)
-        )
+        # bytes, not assert_array_equal, which takes -0.0 for 0.0
+        got = smooth_curve(values, window)
+        assert got.tobytes() == reference_smooth_curve(values, window).tobytes()
 
 
 class TestHiCurveFinal:

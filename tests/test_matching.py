@@ -354,6 +354,77 @@ class TestBenchmarkSizes:
             candidate_estimates(test, trains, config)
 
 
+def loop_pairs(test, library, tau):
+    """(owner, lag, d2, estimate) of every feasible pair, one curve_distance each."""
+    rows = []
+    for k, (_, curve) in enumerate(library):
+        for lag in range(1, tau + 1):
+            if lag + test.length <= curve.length:
+                estimate = float(curve.length - test.length - lag)
+                rows.append((k, lag, curve_distance(test, curve, lag), estimate))
+    return rows
+
+
+def signed_zero_curve(rng, length):
+    """A degradation curve with -0.0, +0.0 and subnormal values mixed in."""
+    values = degradation_curve(rng, length)
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308])
+    at = rng.random(length) < 0.2
+    values[at] = rng.choice(specials, size=int(at.sum()))
+    return values
+
+
+class TestPairDistancesBitwise:
+    """Every d2 against curve_distance byte for byte, however pairs are blocked."""
+
+    def _case(self, kind):
+        rng = np.random.default_rng(11)
+        test_len, tau = {
+            "blocks": (120, 60),  # several blocks at the module's block size
+            "one_block": (20, 5),  # fewer pairs than one block holds
+            "few_lags": (150, 40),  # every curve offers fewer than tau lags
+            "tau_past_every_curve": (60, 10**9),  # the lag grid stays bounded
+        }[kind]
+        if kind == "one_block":
+            lengths = [30, 26, 21, 19]
+        elif kind == "few_lags":
+            lengths = list(rng.integers(140, test_len + 40, size=40))
+        else:
+            lengths = list(rng.integers(2, 401, size=80))
+        curves = [HiCurve(values=signed_zero_curve(rng, int(n))) for n in lengths]
+        library = Library.of([(f"u{k}", curve) for k, curve in enumerate(curves)])
+        test = HiCurve(values=signed_zero_curve(rng, 400)[:test_len])
+        return test, library, tau
+
+    @pytest.mark.parametrize("block_values", [None, 1], ids=["module_block", "block_1"])
+    @pytest.mark.parametrize(
+        "kind", ["blocks", "one_block", "few_lags", "tau_past_every_curve"]
+    )
+    def test_d2_bytes_are_curve_distance(self, monkeypatch, block_values, kind):
+        if block_values is not None:
+            monkeypatch.setattr(matching, "_BLOCK_VALUES", block_values)
+        test, library, tau = self._case(kind)
+        pairs = pair_distances(test, library, tau)
+        owner, lags, d2, estimates = zip(*loop_pairs(test, library, min(tau, 400)))
+        assert pairs.owner.tolist() == list(owner)
+        assert pairs.lags.tolist() == list(lags)
+        assert pairs.d2.tobytes() == np.array(d2).tobytes()
+        assert pairs.estimates.tobytes() == np.array(estimates).tobytes()
+        assert pairs.tau == tau
+
+    def test_cases_cover_what_they_name(self):
+        test, library, tau = self._case("blocks")
+        n = pair_distances(test, library, tau).d2.size
+        assert n > matching._BLOCK_VALUES // test.length * 3
+        test, library, tau = self._case("one_block")
+        n = pair_distances(test, library, tau).d2.size
+        assert 0 < n < matching._BLOCK_VALUES // test.length
+        test, library, tau = self._case("few_lags")
+        assert max(library.lengths) - test.length < tau
+        test, library, tau = self._case("tau_past_every_curve")
+        assert tau > max(library.lengths)
+
+
 class TestEstimateRul:
     def test_equal_weights_average(self):
         cands = [

@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edhi.config import RunConfig
+from edhi.data import RunToFailureDataset
 from edhi.health import HiCurve
+from edhi.lstm import LstmParams, LstmState
 from edhi.matching import Library
 from edhi.numerics import NormStats, OlsModel, PcaModel
 from edhi.persist import (
@@ -40,6 +42,28 @@ def _bundle(seed=0):
         ),
         config=RunConfig(p=2, c=3, l=4),
     )
+
+
+# records that hold arrays, each built twice from equal parts
+_ARRAY_RECORDS = {
+    "HiCurve": lambda: HiCurve(values=np.ones(3)),
+    "PcaModel": lambda: PcaModel(components=np.eye(2)),
+    "OlsModel": lambda: OlsModel(theta=np.ones(2), theta0=0.0),
+    "NormStats": lambda: NormStats(mean=np.zeros(3), std=np.ones(3), dropped=(1,)),
+    "PipelineBundle": _bundle,
+    "RunToFailureDataset": lambda: RunToFailureDataset([("a", np.ones((3, 2)))]),
+    "LstmParams": lambda: LstmParams(w=np.ones((4, 3)), b=np.ones(4)),
+    "LstmState": lambda: LstmState(hidden=np.ones((1, 2)), cell=np.ones((1, 2))),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_RECORDS.values(), ids=_ARRAY_RECORDS.keys())
+def test_records_holding_arrays_compare_by_identity(make):
+    # distinct but equal arrays neither raise nor compare equal
+    one, other = make(), make()
+    assert (one == other) is False
+    assert (one != other) is True
+    assert one == one
 
 
 class TestRoundTrip:
