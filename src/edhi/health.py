@@ -244,11 +244,13 @@ def fit_hi_model(derived: list[np.ndarray], targets: list[HiCurve]) -> OlsModel:
 
 
 def smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average; the window shrinks near the edges."""
+    """Centered moving average; the window shrinks near the edges.
+
+    Every width runs the same sums, width 1 included: each value comes back
+    in a new array as 0.0 + value, so an exact -0.0 reads +0.0 at every width.
+    """
     if window < 1:
         raise ValueError("smoothing window must be >= 1")
-    if window == 1:
-        return values.copy()
     half_lo = (window - 1) // 2
     half_hi = window // 2
     out = np.empty_like(values)

@@ -26,13 +26,24 @@ sets are bitwise those of the pair-by-pair loop that ``curve_distance``
 and ``similarity`` spell out. Pairs are gathered in blocks of at most
 ``_BLOCK_VALUES`` window values and subtracted from a block of test rows
 filled once per call, so memory stays bounded however large the library
-is. A sweep computes the pairs once per test curve at its largest tau and
-runs only ``select_candidates`` per grid point; the pairs at a smaller tau
-are a subset in the same order, with the same bits.
+is.
+
+``select_candidates`` is two steps: ``weigh_pairs`` applies the lag bound
+tau and the similarities at lambda and finds the best similarity
+(``Weighed``), and ``alpha_cut`` keeps the pairs at or above alpha times
+it. ``estimate_rul`` wraps ``weighted_rul``, the weighted mean, cap and
+fallback on survivor arrays. A sweep shares work down three levels: the
+grid points of one build share each test curve's pairs, computed once at
+their largest tau (the pairs at a smaller tau are a subset in the same
+order, with the same bits); the points that also share lambda and tau
+share one weighing per curve; and each point runs only ``alpha_cut`` and
+``weighted_rul``, the arithmetic ``predict_one`` runs through
+``candidate_estimates`` and ``estimate_rul``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -300,15 +311,73 @@ def pair_distances(test: HiCurve, library: Library, tau: int) -> Pairs:
     return Pairs(owner, lags, d2, estimates, tau)
 
 
+class Weighed(NamedTuple):
+    """The pairs of one test curve within a lag bound, weighed at one lambda.
+
+    What ``select_candidates`` computes before its alpha cut: a sweep weighs
+    each test curve once per (lam, tau) and cuts at each of its alphas.
+
+    Attributes:
+        owner, lags, estimates: The ``Pairs`` fields of the pairs with
+            lag <= tau, in pair order.
+        similarities: exp(-d^2/lambda) per pair, bitwise that of
+            ``similarity``.
+        s_max: The best similarity; 0.0 when there is no pair.
+    """
+
+    owner: np.ndarray
+    lags: np.ndarray
+    estimates: np.ndarray
+    similarities: np.ndarray
+    s_max: float
+
+
+def weigh_pairs(pairs: Pairs, library: Library, tau: int, lam: float) -> Weighed:
+    """The pairs of ``pair_distances`` with lag <= tau, weighed at lam.
+
+    Pairs enumerated once at a sweep's largest tau thus serve each of its
+    smaller taus, and one weighing serves every alpha.
+
+    Raises:
+        ValueError: When tau exceeds the pairs' tau, or a pair's distance is
+            NaN (a NaN in the test or a library curve), naming the first
+            train instance it occurs against.
+    """
+    if tau > pairs.tau:
+        raise ValueError(f"pairs enumerated to lag {pairs.tau}, tau is {tau}")
+    owner, lags, d2, estimates, _ = pairs
+    if tau < pairs.tau:
+        within = np.flatnonzero(lags <= tau)
+        owner, lags, d2, estimates = (a[within] for a in (owner, lags, d2, estimates))
+    # d2 / -lam has the bits of -d2 / lam: IEEE division is sign-symmetric
+    sims = d2 / -lam
+    np.exp(sims, out=sims)
+    s_max = float(sims.max(initial=0.0))  # 0.0 when there is no pair
+    if math.isnan(s_max):
+        bad = library.ids[owner[np.flatnonzero(np.isnan(sims))[0]]]
+        raise ValueError(f"NaN curve distance against train instance {bad}")
+    return Weighed(owner, lags, estimates, sims, s_max)
+
+
+def alpha_cut(weighed: Weighed, alpha: float) -> np.ndarray:
+    """Indices of the weighed pairs whose similarity is at least alpha * s_max.
+
+    Pairs whose similarity underflows to exactly zero are dropped as well,
+    since they cannot carry weight.
+    """
+    sims = weighed.similarities
+    cutoff = alpha * weighed.s_max
+    # a positive cutoff also drops every zero similarity
+    return (sims >= cutoff if cutoff > 0.0 else sims > 0.0).nonzero()[0]
+
+
 def select_candidates(pairs: Pairs, library: Library, config: RunConfig) -> Survivors:
     """Weigh and filter the pairs of ``pair_distances`` into candidates.
 
-    Only pairs with lag <= config.tau take part, so pairs enumerated once
-    at a sweep's largest tau serve each of its smaller taus. The cutoff
-    alpha * s_max is taken against the best similarity over those pairs;
-    candidates whose similarity underflows to exactly zero are dropped as
-    well, since they cannot carry weight. Each similarity is bitwise that
-    of ``similarity``.
+    ``weigh_pairs`` at config.tau and config.lam, then ``alpha_cut`` at
+    config.alpha: only pairs with lag <= config.tau take part, and the
+    cutoff alpha * s_max is taken against the best similarity over those
+    pairs.
 
     Args:
         pairs: Output of pair_distances for the test curve.
@@ -323,24 +392,11 @@ def select_candidates(pairs: Pairs, library: Library, config: RunConfig) -> Surv
             distance is NaN (a NaN in the test or a library curve), naming
             the first train instance it occurs against.
     """
-    if config.tau > pairs.tau:
-        raise ValueError(f"pairs enumerated to lag {pairs.tau}, tau is {config.tau}")
-    owner, lags, d2, estimates, _ = pairs
-    if config.tau < pairs.tau:
-        within = np.flatnonzero(lags <= config.tau)
-        owner, lags, d2, estimates = (a[within] for a in (owner, lags, d2, estimates))
-    # d2 / -lam has the bits of -d2 / lam: IEEE division is sign-symmetric
-    sims = d2 / -config.lam
-    np.exp(sims, out=sims)
-    s_max = sims.max(initial=0.0)  # 0.0 when there is no pair
-    if np.isnan(s_max):
-        bad = library.ids[owner[np.flatnonzero(np.isnan(sims))[0]]]
-        raise ValueError(f"NaN curve distance against train instance {bad}")
-    # a positive cutoff also drops every zero similarity
-    cutoff = config.alpha * s_max
-    keep = np.flatnonzero(sims >= cutoff if cutoff > 0.0 else sims > 0.0)
+    weighed = weigh_pairs(pairs, library, config.tau, config.lam)
+    keep = alpha_cut(weighed, config.alpha)
+    owner, lags, estimates, sims, _ = weighed
     return Survivors(
-        owner[keep], lags[keep], sims[keep], estimates[keep], library.ids, d2.size
+        owner[keep], lags[keep], sims[keep], estimates[keep], library.ids, lags.size
     )
 
 
@@ -372,6 +428,29 @@ def candidate_estimates(
     return select_candidates(pairs, library, config)
 
 
+def weighted_rul(
+    similarities: np.ndarray,
+    estimates: np.ndarray,
+    r_max: float,
+    test_len: int,
+    train_lengths: Sequence[int],
+) -> tuple[float, bool, bool]:
+    """The arithmetic of ``estimate_rul`` on survivor arrays.
+
+    Returns:
+        (value, capped, fallback), as in ``RulEstimate``.
+    """
+    if not similarities.size:
+        headroom = max(0, max(train_lengths, default=0) - test_len)
+        return min(r_max, float(headroom)), bool(headroom > r_max), True
+    # cumsum, not sum: it adds in candidate order, as a loop would
+    weighted = (similarities * estimates).cumsum()
+    value = float(weighted[-1] / similarities.cumsum()[-1])
+    if value > r_max:
+        return r_max, True, False
+    return value, False, False
+
+
 def estimate_rul(
     candidates: Survivors | list[RulCandidate],
     config: RunConfig,
@@ -385,7 +464,7 @@ def estimate_rul(
     With no surviving candidates (test longer than every train curve, or the
     similarity filter emptied the set), the fallback returns the largest
     length headroom any train instance offers, still capped, and the
-    dispersion reads NaN.
+    dispersion reads NaN. The arithmetic is ``weighted_rul``'s.
 
     Args:
         candidates: Output of candidate_estimates, or a plain list of
@@ -399,15 +478,8 @@ def estimate_rul(
         RulEstimate with value and flag fields filled in.
     """
     survivors = Survivors.of(candidates)
-    if not survivors:
-        headroom = max(0, max(train_lengths, default=0) - test_len)
-        value = min(config.r_max, float(headroom))
-        return RulEstimate(
-            value, survivors, fallback=True, capped=bool(headroom > config.r_max)
-        )
     sims, estimates = survivors.similarities, survivors.estimates
-    value = float(np.cumsum(sims * estimates)[-1] / np.cumsum(sims)[-1])
-    capped = value > config.r_max
-    if capped:
-        value = config.r_max
-    return RulEstimate(value, survivors, capped=capped)
+    value, capped, fallback = weighted_rul(
+        sims, estimates, config.r_max, test_len, train_lengths
+    )
+    return RulEstimate(value, survivors, capped=capped, fallback=fallback)

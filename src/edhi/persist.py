@@ -132,8 +132,9 @@ def load_pipeline(path: str | Path) -> PipelineBundle:
     Raises:
         ValueError: On a wrong magic string, an unsupported format version,
             a truncated file, a checksum mismatch, a header that does not
-            describe a pipeline (missing or mistyped keys, sections that
-            disagree with it or with each other, an invalid config), or
+            describe a pipeline (missing or mistyped keys, a repeated
+            section or train id, sections that disagree with it or with
+            each other, an invalid config), or
             values no build writes (a non-finite float, or a kept sensor
             whose std is not positive), naming the section.
     """
@@ -173,6 +174,8 @@ def _unpack(header: dict, payload: bytes) -> PipelineBundle:
     arrays: dict[str, np.ndarray] = {}
     for sec in header["sections"]:
         name, start, nbytes = sec["name"], sec["offset"], sec["nbytes"]
+        if name in arrays:
+            raise ValueError(f"duplicate section {name!r}")
         if sec["dtype"] != _dtype_of(name):
             raise ValueError(f"section {name}: dtype {sec['dtype']!r}")
         if not 0 <= start <= start + nbytes <= len(payload):
@@ -185,6 +188,11 @@ def _unpack(header: dict, payload: bytes) -> PipelineBundle:
     ids = header["train_ids"]
     if not isinstance(ids, list) or not all(isinstance(uid, str) for uid in ids):
         raise ValueError("train_ids is not a list of strings")
+    seen = set()
+    for uid in ids:
+        if uid in seen:
+            raise ValueError(f"duplicate train id {uid!r}")
+        seen.add(uid)
     curves = [f"curve_{k}" for k in range(len(ids))]
     missing = set(_REQUIRED).union(curves) - set(arrays)
     if missing:

@@ -11,7 +11,7 @@ of the library. Every stage failure is re-raised with the stage's name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +35,13 @@ from .matching import (
     Library,
     Pairs,
     RulEstimate,
+    Weighed,
+    alpha_cut,
     candidate_estimates,
     estimate_rul,
     pair_distances,
-    select_candidates,
+    weigh_pairs,
+    weighted_rul,
 )
 from .metrics import EvalRecord, MetricsReport, full_report, timeliness
 from .numerics import apply_norm, fit_norm_stats, ols_fit, pca_fit, pca_transform
@@ -323,14 +326,26 @@ class SweepTrial:
 @dataclass(frozen=True)
 class _SweepBuild:
     """What a sweep computes once per build key: the build's library, the
-    validation cases' HI curves and labels, and each curve's pairs at the
-    key's largest tau."""
+    validation cases' HI curves and labels, each curve's pairs at the key's
+    largest tau, and, filled on first need, each curve's pairs weighed per
+    (lam, tau)."""
 
     library: Library
     best_epoch: int | None
     curves: list[HiCurve]
     pairs: list[Pairs]
     labels: list[float]
+    weights: dict[tuple[float, int], list[Weighed]] = field(default_factory=dict)
+
+    def weighed(self, config: RunConfig) -> list[Weighed]:
+        """Each curve's pairs weighed at config's lam and tau."""
+        key = (config.lam, config.tau)
+        if key not in self.weights:
+            self.weights[key] = [
+                weigh_pairs(pairs, self.library, config.tau, config.lam)
+                for pairs in self.pairs
+            ]
+        return self.weights[key]
 
 
 def _sweep_build(ds: RunToFailureDataset, config: RunConfig, tau: int) -> _SweepBuild:
@@ -354,14 +369,16 @@ def _sweep_build(ds: RunToFailureDataset, config: RunConfig, tau: int) -> _Sweep
 
 
 def _sweep_score(build: _SweepBuild, config: RunConfig) -> float:
-    """Timeliness of one grid point: predict_one's matching tail per case."""
+    """Timeliness of one grid point: predict_one's alpha cut and estimate
+    per case, on the weights the point's lam and tau share."""
+    lengths = build.library.lengths
+    cases = zip(build.curves, build.weighed(config), build.labels)
     records = []
-    for curve, pairs, actual in zip(build.curves, build.pairs, build.labels):
-        cands = select_candidates(pairs, build.library, config)
-        est = estimate_rul(cands, config, curve.length, build.library.lengths)
-        records.append(
-            EvalRecord(predicted=est.value, actual=actual, observed_len=curve.length)
-        )
+    for curve, weighed, actual in cases:
+        keep = alpha_cut(weighed, config.alpha)
+        sims, estimates = weighed.similarities[keep], weighed.estimates[keep]
+        value, _, _ = weighted_rul(sims, estimates, config.r_max, curve.length, lengths)
+        records.append(EvalRecord(value, actual, curve.length))
     return timeliness(records, config.tau1, config.tau2)
 
 
@@ -372,14 +389,18 @@ def run_sweep(
 
     Every grid point is scored on the validation split of a pipeline built
     on the same data with the same seed, truncated at the five standard
-    life fractions. Grid points that differ only in SCORING_FIELDS share
-    one build key (``build_key``): they share one build, one set of
-    validation HI curves and one set of pair distances, computed at their
-    largest tau, and each point runs only the tau/lambda/alpha cut, the
-    r_max cap and the timeliness score. Keys are built one at a time, in
-    order of first appearance. Scores are bitwise those of a separate
-    build and ``predict_one`` per point. Lowest score wins; ties
-    keep the earliest grid point in the deterministic enumeration order.
+    life fractions. Work is shared down four levels. Grid points that
+    differ only in SCORING_FIELDS share one build key (``build_key``): one
+    build and one set of validation HI curves. Each curve's pair distances
+    are computed once per key, at its points' largest tau. Points that also
+    share lam and tau share each curve's weighed pairs (the lag bound, the
+    similarities and the best one), computed the first time a point needs
+    them. Each point then runs only the alpha cut, the weighted mean with
+    its r_max cap and fallback, and the timeliness score. Keys are built one
+    at a time, in order of first appearance, and each key's points are
+    scored in grid order. Scores are bitwise those of a separate build and
+    ``predict_one`` per point. Lowest score wins; ties keep the earliest
+    grid point in the deterministic enumeration order.
 
     Returns:
         (best trial, all trials in enumeration order).

@@ -304,6 +304,26 @@ class TestEvaluate:
         assert code == 1
         assert "corrupt" in capsys.readouterr().err
 
+    def test_repeated_train_id_one_error_line(
+        self, trained, synth_dir, tmp_path, capsys
+    ):
+        version, header, payload = split_pipeline(trained.read_bytes())
+        ids = header["train_ids"]
+        ids[1] = ids[0]
+        bad = tmp_path / "repeated.edhi"
+        bad.write_bytes(join_pipeline(version, header, payload))
+        code = main([
+            "evaluate", "--pipeline", str(bad),
+            "--data", str(synth_dir / "truncated.csv"),
+            "--rul", str(synth_dir / "rul.txt"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: pipeline file {bad}: duplicate train id {ids[0]!r}"
+        ]
+
     def test_tau_overrides_change_header(self, trained, synth_dir, capsys):
         code = main([
             "evaluate", "--pipeline", str(trained),

@@ -297,12 +297,11 @@ _SMOOTH_ELEMENTS = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from(
 class TestSmoothCurve:
     @given(arrays(np.float64, st.integers(0, 80), elements=_SMOOTH_ELEMENTS))
     def test_width_one_is_identity(self, values):
-        # a copy, bytes and all: it keeps -0.0, where np.mean of one -0.0
-        # gives +0.0 under numpy 2, so width 1 is checked here and not
-        # against the mean loop
+        # a new array, bytes and all, except that -0.0 becomes +0.0 as it
+        # does in every wider window's mean
         got = smooth_curve(values, 1)
         assert got is not values
-        assert got.tobytes() == values.tobytes()
+        assert got.tobytes() == np.where(values == 0.0, 0.0, values).tobytes()
 
     def test_interior_average_width_three(self):
         x = np.array([0.0, 3.0, 6.0, 9.0, 12.0])
@@ -318,7 +317,7 @@ class TestSmoothCurve:
 
     @given(
         arrays(np.float64, st.integers(0, 80), elements=_SMOOTH_ELEMENTS),
-        st.integers(2, 25),
+        st.integers(1, 25),
     )
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_to_per_cycle_loop(self, values, window):

@@ -6,6 +6,7 @@ must agree bitwise, weighted means to 1e-12. estimate_rul must also agree
 bitwise with the per-candidate loop in helpers.reference_estimate_rul.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,12 +22,14 @@ from edhi.matching import (
     Library,
     RulCandidate,
     Survivors,
+    alpha_cut,
     candidate_estimates,
     curve_distance,
     estimate_rul,
     pair_distances,
     select_candidates,
     similarity,
+    weigh_pairs,
 )
 from edhi.pipeline import build_pipeline, predict_one
 from helpers import reference_estimate_rul
@@ -298,12 +301,28 @@ class TestBenchmarkSizes:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 80), st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
     def test_pairs_at_a_larger_tau_serve_a_smaller_one(self, seed, n_trains, extra):
-        # a sweep enumerates pairs once at its largest tau
+        # a sweep enumerates pairs once at its largest tau, weighs them once
+        # per (lam, tau) and cuts that weighing at each of its alphas
         rng = np.random.default_rng(seed)
         test, trains, config = bench_case(rng, n_trains)
         pairs = pair_distances(test, trains, config.tau + extra)
         got = select_candidates(pairs, trains, config)
         assert as_tuples(got) == brute_force_candidates(test, trains, config)
+        weighed = weigh_pairs(pairs, trains, config.tau, config.lam)
+        assert weighed.lags.size == got.n_pairs
+        for alpha in (config.alpha, float(rng.uniform(0.0, 1.0))):
+            keep = alpha_cut(weighed, alpha)
+            cut = [
+                (trains.ids[o], lag, s, e)
+                for o, lag, s, e in zip(
+                    weighed.owner[keep].tolist(),
+                    weighed.lags[keep].tolist(),
+                    weighed.similarities[keep].tolist(),
+                    weighed.estimates[keep].tolist(),
+                )
+            ]
+            expected = dataclasses.replace(config, alpha=alpha)
+            assert cut == brute_force_candidates(test, trains, expected)
 
     def test_tau_beyond_the_pairs_rejected(self):
         rng = np.random.default_rng(5)

@@ -306,6 +306,32 @@ class TestMalformedHeader:
         with pytest.raises(ValueError, match=f"pipeline file {path}"):
             load_pipeline(path)
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            pytest.param(
+                lambda h: h["train_ids"].__setitem__(1, h["train_ids"][0]),
+                "duplicate train id 'u1'",
+                id="repeated-train-id",
+            ),
+            pytest.param(
+                lambda h: h["sections"].append(dict(h["sections"][0])),
+                "duplicate section 'norm_mean'",
+                id="repeated-section",
+            ),
+        ],
+    )
+    def test_duplicate_is_named(self, tmp_path, edit, reason):
+        # each edit keeps every section readable, so only the repeat is wrong
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())
+        version, header, payload = split_pipeline(path.read_bytes())
+        edit(header)
+        path.write_bytes(join_pipeline(version, header, payload))
+        with pytest.raises(ValueError) as err:
+            load_pipeline(path)
+        assert str(err.value) == f"pipeline file {path}: {reason}"
+
     @given(st.data())
     @settings(
         max_examples=300,

@@ -314,8 +314,18 @@ class TestSweep:
                 "tau": ["40", "3"],
                 "r_max": ["8", "60"],
             },
+            # one build; each (lam, tau) weighing serves four points that
+            # differ in alpha, r_max and tau1. At lam 1e-300 every
+            # similarity underflows to zero, so every estimate falls back
+            {
+                "lam": ["1e-300", "0.05"],
+                "tau": ["40", "3"],
+                "alpha": ["0.3", "0.9"],
+                "r_max": ["8", "60"],
+                "tau1": ["5", "13"],
+            },
         ],
-        ids=["variant-smoothing", "healthy-frac"],
+        ids=["variant-smoothing", "healthy-frac", "shared-weights"],
     )
     def test_scores_bitwise_equal_per_point_rebuilds(
         self, tiny_ds, tiny_config, values
@@ -327,6 +337,13 @@ class TestSweep:
         assert scores == [s.hex() for s in naive_sweep_scores(tiny_ds, base, grid)]
         assert len(set(scores)) > len(scores) // 2
         assert best is trials[scores.index(min(t.score for t in trials).hex())]
+        # a fallback reads neither alpha nor tau
+        fallback = {}
+        for trial, score in zip(trials, scores):
+            if trial.config.lam == 1e-300:
+                c = trial.config
+                fallback.setdefault((c.r_max, c.tau1), set()).add(score)
+        assert all(len(group) == 1 for group in fallback.values())
 
     def test_one_build_and_training_per_build_key(
         self, tiny_ds, tiny_config, monkeypatch
@@ -375,6 +392,36 @@ class TestSweep:
         assert [t.best_epoch for t in trials] == [
             best_epoch[t.config.hi_variant] for t in trials
         ]
+
+    def test_one_weighing_per_curve_lam_and_tau(
+        self, tiny_ds, tiny_config, monkeypatch
+    ):
+        base = dataclasses.replace(tiny_config, max_epochs=2, patience=1)
+        weighings = []
+        real_weigh = edhi.pipeline.weigh_pairs
+
+        def counting_weigh(pairs, library, tau, lam):
+            weighings.append((lam, tau))
+            return real_weigh(pairs, library, tau, lam)
+
+        monkeypatch.setattr(edhi.pipeline, "weigh_pairs", counting_weigh)
+        grid = SweepGrid(
+            values={
+                "alpha": ["0.3", "0.9"],
+                "smooth_window": ["1", "3"],
+                "lam": ["0.01", "0.1"],
+                "tau": ["3", "40"],
+                "r_max": ["8", "60"],
+            }
+        )
+        _, trials = run_sweep(tiny_ds, base, grid)
+        assert len(trials) == 32
+        # two builds, each weighing its validation curves once per (lam, tau)
+        n_curves = len(weighings) // 8
+        assert n_curves == 5 * round(base.validation_frac * len(tiny_ds.instances))
+        per_build = [(lam, tau) for lam in (0.01, 0.1) for tau in (3, 40)]
+        expected = [key for key in per_build for _ in range(n_curves)]
+        assert weighings == expected + expected
 
     def test_scoring_fields_do_not_change_the_build(self, tiny_ds, tiny_config):
         other = dataclasses.replace(
