@@ -9,15 +9,19 @@ indices must run 1..L contiguously per instance, which the matching math
 relies on.
 
 Both formats share one row loop, and every parse ends in one grouping
-routine that sorts the rows by unit and cycle and checks each unit's cycles.
-The generic parser first tries to read every column with one
-``np.loadtxt`` call, which codes the unit ids as it reads, instead of the
-loop. It keeps that table only when the loop would have read the same rows:
-every line parsed, every row the same width, every value finite and every
-cycle an integer. Anything else
-(including tokens only Python's ``float`` accepts, such as ``1_0``) goes to
-the loop, which reports it, so messages and line numbers do not depend on
-the fast path. The turbofan parser is the row loop alone.
+routine that checks each unit's cycles. Rows that already run unit by unit,
+cycles 1..L, are split in place; any other order is sorted by unit and cycle
+into a copy first. The generic parser first tries to read every column with
+one ``np.loadtxt`` pass instead of the loop. Its lines reach loadtxt in
+pieces of about ``_PIECE_CHARS`` characters, so the whole file is never
+held as one list of lines, and loadtxt codes the unit ids as it reads. It
+keeps that table only when the loop would have read the same rows: every
+line parsed, every row the same width, every value finite and every cycle
+an integer. The sensor columns are then moved to the front of loadtxt's own
+buffer, so ordered rows are grouped without a copy of the readings.
+Anything else (including tokens only Python's ``float`` accepts, such as
+``1_0``) goes to the loop, which reports it, so messages and line numbers do
+not depend on the fast path. The turbofan parser is the row loop alone.
 
 The synthetic generator produces seeded run-to-failure instances whose
 sensors drift from a healthy baseline once a fault sets in.
@@ -27,12 +31,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 TURBOFAN_COLUMNS = 26  # unit, cycle, 3 settings, 21 sensors
 DEGRADATION_SHAPES = ("linear", "exponential", "piecewise")
+_PIECE_CHARS = 1 << 20  # generic CSV text reaches loadtxt in ~1 MB pieces
+_COMPACT_ROWS = 1 << 12  # rows moved per step when compacting loadtxt's table
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,38 +149,89 @@ def _group_table(
     """Rows with unit codes into per-unit matrices ordered by cycle.
 
     Unit k is names[k]; codes number units in order of first appearance.
+    Rows that already run unit by unit, each unit's cycles 1..L, are split
+    in place: every unit's matrix is a view of ``values``. Any other order is
+    sorted by unit and cycle into one copy, which the units then share.
+    Either way each matrix is a C-contiguous block of one array.
 
     Raises:
         ValueError: Naming the first unit, in that order, whose cycles are
             not exactly 1..L.
     """
     counts = np.bincount(codes, minlength=len(names))
-    order = np.lexsort((cycles, codes))
-    firsts = np.repeat(np.cumsum(counts) - counts, counts)
-    bad = np.flatnonzero(cycles[order] != np.arange(len(codes)) - firsts + 1)
-    if bad.size:
-        unit = names[codes[order[bad[0]]]]
-        raise ValueError(f"{path_hint}: unit {unit} cycles are not contiguous 1..L")
-    blocks = np.split(values[order], np.cumsum(counts)[:-1])
-    return list(zip(names, blocks))
+    ends = np.cumsum(counts)
+    # row r's cycle when the rows run unit by unit: r + 1 - its unit's first row
+    expected = np.arange(1, len(codes) + 1)
+    expected -= np.repeat(ends - counts, counts)
+    if not (np.all(codes[1:] >= codes[:-1]) and np.array_equal(cycles, expected)):
+        order = np.lexsort((cycles, codes))
+        bad = np.flatnonzero(cycles[order] != expected)
+        if bad.size:
+            unit = names[codes[order[bad[0]]]]
+            raise ValueError(
+                f"{path_hint}: unit {unit} cycles are not contiguous 1..L"
+            )
+        values = values[order]
+    return list(zip(names, np.split(values, ends[:-1])))
+
+
+def _pieces(text: str, start: int) -> Iterator[list[str]]:
+    """The lines of text[start:], about _PIECE_CHARS characters at a time.
+
+    start must begin a line. Each piece but the last ends just after a
+    "\n", which never splits a "\r\n", so the pieces' lines, joined, are
+    exactly ``text[start:].splitlines()``.
+    """
+    while start < len(text):
+        end = text.find("\n", start + _PIECE_CHARS - 1) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
+def _drop_leading_columns(table: np.ndarray, k: int) -> np.ndarray:
+    """table[:, k:] as a C-contiguous array in table's own buffer.
+
+    Rows move to the front of the buffer _COMPACT_ROWS at a time. A row's
+    new place never lies past its old one, so no row is overwritten before
+    it moves, and numpy buffers any overlap within a step.
+    """
+    n, width = table.shape
+    m = width - k
+    flat = table.reshape(-1)  # loadtxt returns a fresh C-ordered table: a view
+    for lo in range(0, n, _COMPACT_ROWS):
+        hi = min(lo + _COMPACT_ROWS, n)
+        flat[lo * m : hi * m].reshape(hi - lo, m)[...] = table[lo:hi, k:]
+    return flat[: n * m].reshape(n, m)
 
 
 def _fast_generic(
-    lines: list[str], width: int, path_hint: str
+    pieces: Iterable[list[str]], width: int, path_hint: str
 ) -> list[tuple[str, np.ndarray]] | None:
     """Generic CSV rows by loadtxt, or None where the row loop must decide.
 
-    None whenever loadtxt rejects a line, skips one, or finds another width,
-    or any value is non-finite or any cycle non-integral: the row loop then
-    parses and reports. loadtxt reads the lines as they are, in one pass,
-    and codes each unit id token as it goes.
+    ``pieces`` are the data lines, header excluded, in consecutive lists.
+    They reach one loadtxt pass as they are read, blank lines dropped piece
+    by piece, and loadtxt codes each unit id token as it goes. None whenever
+    loadtxt rejects a line, skips one, or finds another width, or any value
+    is non-finite or any cycle non-integral: the row loop then parses and
+    reports. The readings are grouped in loadtxt's own table, compacted to
+    the sensor columns.
     """
     tokens = _FirstSeen()
+    count = 0
+
+    def data_lines(lines: list[str]) -> list[str]:
+        nonlocal count
+        if not all(map(str.strip, lines)):  # the row loop skips blank lines
+            lines = [line for line in lines if line.strip()]
+        count += len(lines)
+        return lines
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "input contained no data"
             table = np.loadtxt(
-                lines,
+                chain.from_iterable(map(data_lines, pieces)),
                 dtype=np.float64,
                 delimiter=",",
                 comments=None,
@@ -183,7 +242,8 @@ def _fast_generic(
     except ValueError:
         return None
     if (
-        table.shape != (len(lines), width)
+        not count
+        or table.shape != (count, width)
         or not np.isfinite(table).all()
         or np.any(table[:, 1] % 1)
     ):
@@ -192,7 +252,9 @@ def _fast_generic(
     codes = _FirstSeen()
     unit_of_token = np.array([codes[token.strip()] for token in tokens], dtype=np.intp)
     unit_codes = unit_of_token[table[:, 0].astype(np.intp)]
-    return _group_table(list(codes), unit_codes, table[:, 1], table[:, 2:], path_hint)
+    cycles = table[:, 1].copy()
+    values = _drop_leading_columns(table, 2)
+    return _group_table(list(codes), unit_codes, cycles, values, path_hint)
 
 
 def _rows(
@@ -298,22 +360,21 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
     Raises:
         ValueError: On a malformed header or row, with line numbers.
     """
-    lines = text.splitlines()
-    if not lines:
+    # the first line with its line break, as splitlines reads it
+    head = text[: text.find("\n") + 1 or len(text)].splitlines(keepends=True)
+    if not head:
         raise ValueError(f"{path_hint}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in head[0].splitlines()[0].split(",")]
     if len(header) < 3 or header[0] != "instance_id" or header[1] != "cycle":
         raise ValueError(
             f"{path_hint} line 1: header must start with instance_id,cycle"
         )
     n_sensors = len(header) - 2
-    data = lines[1:]
-    if not all(map(str.strip, data)):  # the row loop skips blank lines
-        data = [line for line in data if line.strip()]
-    instances = _fast_generic(data, len(header), path_hint) if data else None
+    pieces = _pieces(text, len(head[0]))
+    instances = _fast_generic(pieces, len(header), path_hint)
     if instances is None:
         instances = _rows(
-            lines[1:],
+            text.splitlines()[1:],
             2,
             lambda line: [t.strip() for t in line.split(",")],
             len(header),

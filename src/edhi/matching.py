@@ -32,11 +32,12 @@ is.
 tau and the similarities at lambda and finds the best similarity
 (``Weighed``), and ``alpha_cut`` keeps the pairs at or above alpha times
 it. ``estimate_rul`` wraps ``weighted_rul``, the weighted mean, cap and
-fallback on survivor arrays. A sweep shares work down three levels: the
+fallback on survivor arrays. A sweep shares work down four levels: the
 grid points of one build share each test curve's pairs, computed once at
-their largest tau (the pairs at a smaller tau are a subset in the same
-order, with the same bits); the points that also share lambda and tau
-share one weighing per curve; and each point runs only ``alpha_cut`` and
+their largest tau; the points that share a smaller tau share each curve's
+pairs cut to it (``pairs_within``: a subset in the same order, with the
+same bits); the points that also share lambda share one weighing per
+curve; and each point runs only ``alpha_cut`` and
 ``weighted_rul``, the arithmetic ``predict_one`` runs through
 ``candidate_estimates`` and ``estimate_rul``.
 """
@@ -311,6 +312,23 @@ def pair_distances(test: HiCurve, library: Library, tau: int) -> Pairs:
     return Pairs(owner, lags, d2, estimates, tau)
 
 
+def pairs_within(pairs: Pairs, tau: int) -> Pairs:
+    """The pairs with lag <= tau, in pair order: bitwise what
+    ``pair_distances`` returns at tau. The pairs themselves when tau is
+    their own.
+
+    Raises:
+        ValueError: When tau exceeds the pairs' tau.
+    """
+    if tau > pairs.tau:
+        raise ValueError(f"pairs enumerated to lag {pairs.tau}, tau is {tau}")
+    if tau == pairs.tau:
+        return pairs
+    within = np.flatnonzero(pairs.lags <= tau)
+    owner, lags, d2, estimates = (a[within] for a in pairs[:4])
+    return Pairs(owner, lags, d2, estimates, tau)
+
+
 class Weighed(NamedTuple):
     """The pairs of one test curve within a lag bound, weighed at one lambda.
 
@@ -335,20 +353,16 @@ class Weighed(NamedTuple):
 def weigh_pairs(pairs: Pairs, library: Library, tau: int, lam: float) -> Weighed:
     """The pairs of ``pair_distances`` with lag <= tau, weighed at lam.
 
-    Pairs enumerated once at a sweep's largest tau thus serve each of its
-    smaller taus, and one weighing serves every alpha.
+    Pairs enumerated past tau are cut to it first (``pairs_within``), so
+    pairs enumerated once at a sweep's largest tau serve each of its smaller
+    taus, and one weighing serves every alpha.
 
     Raises:
         ValueError: When tau exceeds the pairs' tau, or a pair's distance is
             NaN (a NaN in the test or a library curve), naming the first
             train instance it occurs against.
     """
-    if tau > pairs.tau:
-        raise ValueError(f"pairs enumerated to lag {pairs.tau}, tau is {tau}")
-    owner, lags, d2, estimates, _ = pairs
-    if tau < pairs.tau:
-        within = np.flatnonzero(lags <= tau)
-        owner, lags, d2, estimates = (a[within] for a in (owner, lags, d2, estimates))
+    owner, lags, d2, estimates, _ = pairs_within(pairs, tau)
     # d2 / -lam has the bits of -d2 / lam: IEEE division is sign-symmetric
     sims = d2 / -lam
     np.exp(sims, out=sims)

@@ -40,6 +40,7 @@ from .matching import (
     candidate_estimates,
     estimate_rul,
     pair_distances,
+    pairs_within,
     weigh_pairs,
     weighted_rul,
 )
@@ -327,23 +328,27 @@ class SweepTrial:
 class _SweepBuild:
     """What a sweep computes once per build key: the build's library, the
     validation cases' HI curves and labels, each curve's pairs at the key's
-    largest tau, and, filled on first need, each curve's pairs weighed per
-    (lam, tau)."""
+    largest tau, and, filled on first need, each curve's pairs cut to each
+    smaller tau and weighed per (lam, tau)."""
 
     library: Library
     best_epoch: int | None
     curves: list[HiCurve]
     pairs: list[Pairs]
     labels: list[float]
+    within: dict[int, list[Pairs]] = field(default_factory=dict)
     weights: dict[tuple[float, int], list[Weighed]] = field(default_factory=dict)
 
     def weighed(self, config: RunConfig) -> list[Weighed]:
         """Each curve's pairs weighed at config's lam and tau."""
-        key = (config.lam, config.tau)
+        tau = config.tau
+        key = (config.lam, tau)
         if key not in self.weights:
+            if tau not in self.within:
+                self.within[tau] = [pairs_within(pairs, tau) for pairs in self.pairs]
             self.weights[key] = [
-                weigh_pairs(pairs, self.library, config.tau, config.lam)
-                for pairs in self.pairs
+                weigh_pairs(pairs, self.library, tau, config.lam)
+                for pairs in self.within[tau]
             ]
         return self.weights[key]
 
@@ -389,18 +394,19 @@ def run_sweep(
 
     Every grid point is scored on the validation split of a pipeline built
     on the same data with the same seed, truncated at the five standard
-    life fractions. Work is shared down four levels. Grid points that
+    life fractions. Work is shared down five levels. Grid points that
     differ only in SCORING_FIELDS share one build key (``build_key``): one
     build and one set of validation HI curves. Each curve's pair distances
-    are computed once per key, at its points' largest tau. Points that also
-    share lam and tau share each curve's weighed pairs (the lag bound, the
-    similarities and the best one), computed the first time a point needs
-    them. Each point then runs only the alpha cut, the weighted mean with
-    its r_max cap and fallback, and the timeliness score. Keys are built one
-    at a time, in order of first appearance, and each key's points are
-    scored in grid order. Scores are bitwise those of a separate build and
-    ``predict_one`` per point. Lowest score wins; ties keep the earliest
-    grid point in the deterministic enumeration order.
+    are computed once per key, at its points' largest tau, and cut once to
+    each smaller tau the first time a point needs it. Points that also share
+    lam share each curve's weighed pairs (the similarities and the best
+    one), computed the first time a point needs them. Each point then runs
+    only the alpha cut, the weighted mean with its r_max cap and fallback,
+    and the timeliness score. Keys are built one at a time, in order of
+    first appearance, and each key's points are scored in grid order.
+    Scores are bitwise those of a separate build and ``predict_one`` per
+    point. Lowest score wins; ties keep the earliest grid point in the
+    deterministic enumeration order.
 
     Returns:
         (best trial, all trials in enumeration order).

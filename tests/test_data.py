@@ -1,5 +1,8 @@
 """Tests for dataset parsing, synthesis, and truncation."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,24 +312,31 @@ class TestFastPathMatchesRowLoop:
                 _fleet_rows(m),
                 st.lists(st.tuples(_EDITS, st.integers(0, 20)), max_size=3),
                 st.sampled_from(["\n", "\r\n"]),
+                st.integers(1, 12),
             )
         )
     )
     @settings(max_examples=400, deadline=None)
     def test_generic(self, case):
-        m, rows, edits, newline = case
+        m, rows, edits, newline, piece_chars = case
         for edit, k in edits:
             _edit(rows, edit, k % len(rows))
         header = "instance_id,cycle," + ",".join(f"s{j}" for j in range(m))
         text = header + newline + _render(rows, newline)
-        assert _outcome(parse_generic, text) == _row_loop_outcome(parse_generic, text)
+        expected = _row_loop_outcome(parse_generic, text)
+        assert _outcome(parse_generic, text) == expected
+        # pieces of a few characters: cuts land mid-file, next to "\r\n"
+        # and around blank lines
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_PIECE_CHARS", piece_chars)
+            assert _outcome(parse_generic, text) == expected
 
     def test_fast_path_takes_well_formed_files(self):
         # the differential test above would pass with the fast path always
         # declining; clean files must not fall back to the row loop
         ds = generate_synthetic(SyntheticSpec(n_instances=4, n_sensors=3, seed=2))
         lines = write_generic(ds).splitlines()
-        instances = data._fast_generic(lines[1:], 5, "f")
+        instances = data._fast_generic([lines[1:]], 5, "f")
         assert [(uid, series.shape) for uid, series in instances] == [
             (uid, series.shape) for uid, series in ds.instances
         ]
@@ -368,6 +378,132 @@ class TestFastPathMatchesRowLoop:
         ds = parse_generic(text)
         assert [uid for uid, _ in ds.instances] == ["b", "a"]
         np.testing.assert_array_equal(ds.instances[0][1], [[0.1], [0.2]])
+
+    def test_units_interleaved_across_pieces(self, monkeypatch):
+        ds = generate_synthetic(SyntheticSpec(n_instances=5, n_sensors=3, seed=4))
+        header, *rows = write_generic(ds).splitlines()
+        # by cycle: each piece holds rows of several units, and every unit's
+        # rows span many pieces
+        rows.sort(key=lambda row: int(row.split(",")[1]))
+        text = "\n".join([header] + rows) + "\n"
+        decided = []
+        real = data._fast_generic
+
+        def spy(*args):
+            decided.append(real(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(data, "_PIECE_CHARS", 300)
+        monkeypatch.setattr(data, "_fast_generic", spy)
+        outcome = _outcome(parse_generic, text)
+        assert decided[0] is not None
+        assert outcome == _row_loop_outcome(parse_generic, text)
+        assert outcome == _outcome(lambda t, hint: ds, text)
+
+    def test_multi_piece_arrays_match_the_sorted_copy(self, monkeypatch):
+        ds = generate_synthetic(SyntheticSpec(n_instances=6, n_sensors=4, seed=5))
+        text = write_generic(ds)
+        header, *rows = text.splitlines()
+        # each unit's rows backwards: the row loop sorts them into a copy
+        units = itertools.groupby(rows, key=lambda row: row.split(",")[0])
+        backwards = [row for _, unit in units for row in reversed(list(unit))]
+        reference = _row_loop_outcome(
+            parse_generic, "\n".join([header] + backwards) + "\n"
+        )
+        monkeypatch.setattr(data, "_PIECE_CHARS", 1000)
+        assert len(list(data._pieces(text, 0))) > 10
+        parsed = parse_generic(text)
+        assert _outcome(lambda t, hint: parsed, text) == reference
+        # one C-contiguous block of one array per unit, as the copy gives
+        for (_, got), (_, want) in zip(parsed.instances, ds.instances):
+            assert got.flags.c_contiguous
+            assert got.strides == np.ascontiguousarray(want).strides
+        starts = [s.__array_interface__["data"][0] for _, s in parsed.instances]
+        ends = [start + s.nbytes for start, (_, s) in zip(starts, parsed.instances)]
+        assert starts[1:] == ends[:-1]
+
+    def test_parse_peak_memory_below_twice_the_values(self):
+        # ~5 MB at the C-MAPSS files' precision: no list of every line and
+        # no sorted copy of the readings is held while parsing
+        ds = generate_synthetic(
+            SyntheticSpec(n_instances=110, n_sensors=21, min_len=200, max_len=300)
+        )
+        row_format = ",".join(["%.5f"] * ds.n_sensors)
+        lines = ["instance_id,cycle," + ",".join(ds.sensor_names)]
+        for uid, series in ds.instances:
+            for t, row in enumerate(series.tolist(), start=1):
+                lines.append(f"{uid},{t}," + row_format % tuple(row))
+        text = "\n".join(lines) + "\n"
+        del lines
+        assert len(text) > 4_500_000
+        tracemalloc.start()
+        try:
+            parsed = parse_generic(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = sum(series.nbytes for _, series in parsed.instances)
+        assert peak < 2 * values
+
+
+class TestPieces:
+    @given(
+        st.text(st.sampled_from("ab,\r\n\x0b\x1c\u2028 "), max_size=60),
+        st.integers(1, 8),
+    )
+    def test_lines_join_to_splitlines(self, text, piece_chars):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_PIECE_CHARS", piece_chars)
+            for start in {0, len(text.splitlines(keepends=True)[0]) if text else 0}:
+                pieces = list(data._pieces(text, start))
+                assert [line for piece in pieces for line in piece] == (
+                    text[start:].splitlines()
+                )
+
+    @pytest.mark.parametrize(
+        "piece_chars, pieces",
+        [
+            (1, [["a,1"], ["bb,2"], [""], ["c,3"], ["d"]]),
+            (4, [["a,1"], ["bb,2"], ["", "c,3"], ["d"]]),
+            (1 << 20, [["a,1", "bb,2", "", "c,3", "d"]]),
+        ],
+    )
+    def test_pieces_end_after_a_newline(self, piece_chars, pieces, monkeypatch):
+        monkeypatch.setattr(data, "_PIECE_CHARS", piece_chars)
+        assert list(data._pieces("a,1\r\nbb,2\r\n\r\nc,3\nd", 0)) == pieces
+
+
+class TestGroupTable:
+    def test_ordered_rows_split_in_place(self):
+        values = np.arange(10.0).reshape(5, 2)
+        codes, cycles = np.array([0, 0, 0, 1, 1]), np.array([1.0, 2, 3, 1, 2])
+        groups = data._group_table(["a", "b"], codes, cycles, values, "f")
+        assert [uid for uid, _ in groups] == ["a", "b"]
+        assert all(np.shares_memory(block, values) for _, block in groups)
+        np.testing.assert_array_equal(groups[1][1], values[3:])
+
+    def test_unordered_rows_sorted_into_a_copy(self):
+        values = np.arange(10.0).reshape(5, 2)
+        codes, cycles = np.array([0, 1, 0, 0, 1]), np.array([1.0, 1, 3, 2, 2])
+        groups = data._group_table(["a", "b"], codes, cycles, values, "f")
+        assert not any(np.shares_memory(block, values) for _, block in groups)
+        np.testing.assert_array_equal(groups[0][1], values[[0, 3, 2]])
+        np.testing.assert_array_equal(groups[1][1], values[[1, 4]])
+
+    def test_ordered_codes_with_a_gap_rejected(self):
+        codes, cycles = np.array([0, 0, 1]), np.array([1.0, 3, 1])
+        with pytest.raises(ValueError, match="unit a cycles are not contiguous"):
+            data._group_table(["a", "b"], codes, cycles, np.zeros((3, 1)), "f")
+
+    @given(st.integers(1, 40), st.integers(0, 3), st.integers(1, 4), st.integers(1, 9))
+    def test_drop_leading_columns(self, n, k, m, block):
+        table = np.arange(n * (k + m), dtype=np.float64).reshape(n, k + m)
+        want = table[:, k:].copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_COMPACT_ROWS", block)
+            got = data._drop_leading_columns(table, k)
+        assert got.flags.c_contiguous and np.shares_memory(got, table)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGenerateSynthetic:

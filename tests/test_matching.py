@@ -27,6 +27,7 @@ from edhi.matching import (
     curve_distance,
     estimate_rul,
     pair_distances,
+    pairs_within,
     select_candidates,
     similarity,
     weigh_pairs,
@@ -323,6 +324,21 @@ class TestBenchmarkSizes:
             ]
             expected = dataclasses.replace(config, alpha=alpha)
             assert cut == brute_force_candidates(test, trains, expected)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(0, 30))
+    @settings(max_examples=20, deadline=None)
+    def test_pairs_within_a_smaller_tau_are_its_pairs(self, seed, n_trains, extra):
+        rng = np.random.default_rng(seed)
+        test, trains, config = bench_case(rng, n_trains)
+        pairs = pair_distances(test, trains, config.tau + extra)
+        got = pairs_within(pairs, config.tau)
+        want = pair_distances(test, trains, config.tau)
+        assert got.tau == want.tau == config.tau
+        for a, b in zip(got[:4], want[:4]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert pairs_within(pairs, pairs.tau) is pairs
+        with pytest.raises(ValueError, match="pairs enumerated to lag"):
+            pairs_within(pairs, pairs.tau + 1)
 
     def test_tau_beyond_the_pairs_rejected(self):
         rng = np.random.default_rng(5)

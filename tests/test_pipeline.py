@@ -1,10 +1,12 @@
 """End-to-end pipeline orchestration tests on a tiny synthetic dataset."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import edhi.matching
 import edhi.pipeline
 from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
 from edhi.data import RunToFailureDataset, truncate_instance, truncate_random
@@ -422,6 +424,36 @@ class TestSweep:
         per_build = [(lam, tau) for lam in (0.01, 0.1) for tau in (3, 40)]
         expected = [key for key in per_build for _ in range(n_curves)]
         assert weighings == expected + expected
+
+    def test_one_restriction_per_curve_and_smaller_tau(
+        self, tiny_ds, tiny_config, monkeypatch
+    ):
+        base = dataclasses.replace(tiny_config, max_epochs=2, patience=1)
+        cuts = []
+        real_within = edhi.matching.pairs_within
+
+        def counting_within(pairs, tau):
+            if tau < pairs.tau:
+                cuts.append((pairs.tau, tau))
+            return real_within(pairs, tau)
+
+        # weigh_pairs would cut pairs enumerated past its tau itself
+        monkeypatch.setattr(edhi.matching, "pairs_within", counting_within)
+        monkeypatch.setattr(edhi.pipeline, "pairs_within", counting_within)
+        grid = SweepGrid(
+            values={
+                "alpha": ["0.3", "0.9"],
+                "smooth_window": ["1", "3"],
+                "lam": ["0.01", "0.1"],
+                "tau": ["3", "40", "10"],
+            }
+        )
+        _, trials = run_sweep(tiny_ds, base, grid)
+        assert len(trials) == 24
+        # two builds, each cutting its curves once to each tau below 40,
+        # whatever the lams and alphas that share it
+        n_curves = 5 * round(base.validation_frac * len(tiny_ds.instances))
+        assert Counter(cuts) == {(40, 3): 2 * n_curves, (40, 10): 2 * n_curves}
 
     def test_scoring_fields_do_not_change_the_build(self, tiny_ds, tiny_config):
         other = dataclasses.replace(
