@@ -251,6 +251,7 @@ def _fast_generic(
     # tokens that differ only in padding name one unit
     codes = _FirstSeen()
     unit_of_token = np.array([codes[token.strip()] for token in tokens], dtype=np.intp)
+    # ids and cycles are read out before the readings move over them
     unit_codes = unit_of_token[table[:, 0].astype(np.intp)]
     cycles = table[:, 1].copy()
     values = _drop_leading_columns(table, 2)

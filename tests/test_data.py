@@ -342,17 +342,22 @@ class TestFastPathMatchesRowLoop:
         ]
 
     @pytest.mark.parametrize(
-        "text",
+        "text, piece_chars",
         [
-            "instance_id,cycle,s1,s2\n\nb,1,0.5,1\n  \t\nb,2,0.25,2\n\n",
-            "instance_id,cycle,s1,s2\n  b ,1,0.5,1\nb,2,0.25,2\n\ta,1,3,4\n",
-            "instance_id,cycle,s1,s2\r\nb,1,0.5,1\r\nb,2,0.25,2\r\na,1,7,8\r\n",
-            "instance_id,cycle,s1\nb,1,1\na,1,2\nb,2,3\nc,1,4\na,2,5\nb,3,6\n",
-            "instance_id,cycle,s1,s2\nb,1,0.5,1",
+            ("instance_id,cycle,s1,s2\n\nb,1,0.5,1\n  \t\nb,2,0.25,2\n\n", 1 << 20),
+            ("instance_id,cycle,s1,s2\n  b ,1,0.5,1\nb,2,0.25,2\n\ta,1,3,4\n", 1 << 20),
+            ("instance_id,cycle,s1,s2\r\nb,1,0.5,1\r\nb,2,0.25,2\r\na,1,7,8\r\n", 1 << 20),
+            ("instance_id,cycle,s1\nb,1,1\na,1,2\nb,2,3\nc,1,4\na,2,5\nb,3,6\n", 1 << 20),
+            ("instance_id,cycle,s1,s2\nb,1,0.5,1", 1 << 20),
+            # about a line per piece: the units interleave across pieces
+            ("instance_id,cycle,s1\nb,1,1\na,1,2\nb,2,3\nc,1,4\na,2,5\nb,3,6\n", 7),
         ],
-        ids=["blank_lines", "padded_ids", "crlf", "interleaved_units", "one_row"],
+        ids=[
+            "blank_lines", "padded_ids", "crlf", "interleaved_units", "one_row",
+            "interleaved_across_pieces",
+        ],
     )
-    def test_fast_path_decides_like_the_row_loop(self, text, monkeypatch):
+    def test_fast_path_decides_like_the_row_loop(self, text, piece_chars, monkeypatch):
         decided = []
         real = data._fast_generic
 
@@ -360,6 +365,7 @@ class TestFastPathMatchesRowLoop:
             decided.append(real(*args))
             return decided[-1]
 
+        monkeypatch.setattr(data, "_PIECE_CHARS", piece_chars)
         monkeypatch.setattr(data, "_fast_generic", spy)
         outcome = _outcome(parse_generic, text)
         assert decided and decided[0] is not None  # not handed to the loop
@@ -379,27 +385,6 @@ class TestFastPathMatchesRowLoop:
         assert [uid for uid, _ in ds.instances] == ["b", "a"]
         np.testing.assert_array_equal(ds.instances[0][1], [[0.1], [0.2]])
 
-    def test_units_interleaved_across_pieces(self, monkeypatch):
-        ds = generate_synthetic(SyntheticSpec(n_instances=5, n_sensors=3, seed=4))
-        header, *rows = write_generic(ds).splitlines()
-        # by cycle: each piece holds rows of several units, and every unit's
-        # rows span many pieces
-        rows.sort(key=lambda row: int(row.split(",")[1]))
-        text = "\n".join([header] + rows) + "\n"
-        decided = []
-        real = data._fast_generic
-
-        def spy(*args):
-            decided.append(real(*args))
-            return decided[-1]
-
-        monkeypatch.setattr(data, "_PIECE_CHARS", 300)
-        monkeypatch.setattr(data, "_fast_generic", spy)
-        outcome = _outcome(parse_generic, text)
-        assert decided[0] is not None
-        assert outcome == _row_loop_outcome(parse_generic, text)
-        assert outcome == _outcome(lambda t, hint: ds, text)
-
     def test_multi_piece_arrays_match_the_sorted_copy(self, monkeypatch):
         ds = generate_synthetic(SyntheticSpec(n_instances=6, n_sensors=4, seed=5))
         text = write_generic(ds)
@@ -407,17 +392,20 @@ class TestFastPathMatchesRowLoop:
         # each unit's rows backwards: the row loop sorts them into a copy
         units = itertools.groupby(rows, key=lambda row: row.split(",")[0])
         backwards = [row for _, unit in units for row in reversed(list(unit))]
-        reference = _row_loop_outcome(
-            parse_generic, "\n".join([header] + backwards) + "\n"
-        )
+        monkeypatch.setattr(data, "_fast_generic", lambda *args: None)
+        sorted_copy = parse_generic("\n".join([header] + backwards) + "\n")
+        monkeypatch.undo()
         monkeypatch.setattr(data, "_PIECE_CHARS", 1000)
         assert len(list(data._pieces(text, 0))) > 10
         parsed = parse_generic(text)
-        assert _outcome(lambda t, hint: parsed, text) == reference
-        # one C-contiguous block of one array per unit, as the copy gives
-        for (_, got), (_, want) in zip(parsed.instances, ds.instances):
-            assert got.flags.c_contiguous
-            assert got.strides == np.ascontiguousarray(want).strides
+
+        def layout(series):
+            return series.flags.c_contiguous, series.strides, series.tobytes()
+
+        assert [(uid, layout(s)) for uid, s in parsed.instances] == [
+            (uid, layout(s)) for uid, s in sorted_copy.instances
+        ]
+        # one block of one array per unit, in unit order
         starts = [s.__array_interface__["data"][0] for _, s in parsed.instances]
         ends = [start + s.nbytes for start, (_, s) in zip(starts, parsed.instances)]
         assert starts[1:] == ends[:-1]
