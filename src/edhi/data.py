@@ -212,19 +212,16 @@ def _fast_generic(
     ``pieces`` are the data lines, header excluded, in consecutive lists.
     They reach one loadtxt pass as they are read, blank lines dropped piece
     by piece, and loadtxt codes each unit id token as it goes. None whenever
-    loadtxt rejects a line, skips one, or finds another width, or any value
-    is non-finite or any cycle non-integral: the row loop then parses and
-    reports. The readings are grouped in loadtxt's own table, compacted to
-    the sensor columns.
+    loadtxt rejects a line or finds another width, there is no line, or any
+    value is non-finite or any cycle non-integral: the row loop then parses
+    and reports. The readings are grouped in loadtxt's own table, compacted
+    to the sensor columns.
     """
     tokens = _FirstSeen()
-    count = 0
 
     def data_lines(lines: list[str]) -> list[str]:
-        nonlocal count
         if not all(map(str.strip, lines)):  # the row loop skips blank lines
             lines = [line for line in lines if line.strip()]
-        count += len(lines)
         return lines
 
     try:
@@ -241,9 +238,14 @@ def _fast_generic(
             )
     except ValueError:
         return None
+    # The rows need no count: with comments=None and no quote character,
+    # loadtxt makes each line it is given, none blank and none holding a
+    # line break, into one row or raises. Probed on numpy 2.4 with every
+    # character below U+3100 as a line, alone, after a space and tripled:
+    # none was skipped.
     if (
-        not count
-        or table.shape != (count, width)
+        not len(table)
+        or table.shape[1] != width
         or not np.isfinite(table).all()
         or np.any(table[:, 1] % 1)
     ):

@@ -7,10 +7,24 @@ that read it), construct target HI curves, fit the linear HI map, and
 store the fitting split's final curves as the matching library. Validation
 instances steer early stopping and sweep scoring, so their curves stay out
 of the library. Every stage failure is re-raised with the stage's name.
+
+The reconstruction-error targets are the one stage that runs on two cores.
+On Linux, with at least two usable CPUs (``os.sched_getaffinity``), no
+other thread in the process (neither a Python thread nor a BLAS pool, so
+BLAS must run on one thread, as with ``OPENBLAS_NUM_THREADS=1``), at least
+two fit units and enough reconstruction work (``_FORK_MIN_WORK``), the units
+are cut into two contiguous runs of about equal window count and the second
+is built in one forked child. Each unit is still reconstructed as one batch
+of its windows, so the curves, the pipeline file and the training log are
+bitwise those of the serial loop. Anywhere else the stage runs serially;
+``taskset -c 0`` keeps a build on one core.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +44,7 @@ from .health import (
     sliding_windows,
     target_hi_from_error,
 )
-from .lstm import TrainResult, train
+from .lstm import LstmEdModel, TrainResult, train
 from .matching import (
     Library,
     Pairs,
@@ -52,6 +66,14 @@ from .persist import PipelineBundle
 SWEEP_TRUNCATION_FRACS = tuple(np.linspace(0.20, 0.96, 5))
 # target HI variants built from the encoder-decoder's reconstruction error
 _RECON_VARIANTS = ("recon_error", "recon_error_squared")
+# Reconstruction work (windows x 4c(p+c)) below which the target units are
+# not split with a forked worker. Forked against serial target loops on a
+# 2-vCPU host, BLAS on one thread, median of 21 alternating pairs, with 0 and
+# 150 MB resident: 4.7e5 (16 units, c=8) lost, +8% and +27%; 9.4e5 (the
+# sweep_grid fleet, 32 units, c=8) and 2.4e6 (8 units, c=30) won 6-11%, a
+# few ms, inside a build's noise; 5.1e6 and 7.7e6 (c=30) won 30-35% in 21 of
+# 21 pairs; the FD001-shaped fleet (6.4e7) won 42%.
+_FORK_MIN_WORK = 4e6
 
 
 class StageError(RuntimeError):
@@ -165,6 +187,96 @@ def _train_model(
     return _stage("train-lstm", train, train_batch, config, val_batch)
 
 
+def _serial_recon_targets(
+    model: LstmEdModel, derived: list[np.ndarray], squared: bool
+) -> list[HiCurve]:
+    """Each unit's target HI from its whole-series reconstruction, in order."""
+    curves = []
+    for z in derived:
+        recon = _stage("target-hi", pointwise_reconstruction, model, z)
+        errors = reconstruction_error(z, recon)
+        curves.append(target_hi_from_error(errors, squared=squared))
+    return curves
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return 1 if getaffinity is None else len(getaffinity(0))
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one OS thread: no other Python thread and
+    no native one, such as a BLAS pool's. False where /proc cannot say."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _fork_split(model: LstmEdModel, derived: list[np.ndarray]) -> int | None:
+    """Where to cut the units into two runs of about equal window count, or
+    None when the targets should be built serially."""
+    if len(derived) < 2:
+        return None
+    windows = np.array([max(z.shape[0] - model.window_len + 1, 0) for z in derived])
+    c, p = model.hidden_units, model.input_dim
+    if windows.sum() * 4 * c * (p + c) < _FORK_MIN_WORK:
+        return None
+    # A child forked beside other threads inherits their locks but not the
+    # threads. A BLAS pool would also run in both processes and fight over
+    # the cores: with OpenBLAS on two threads, forked FD001 targets took
+    # 1.45 s against 0.56 s serially.
+    if _usable_cpus() < 2 or not _single_threaded():
+        return None
+    done = np.cumsum(windows)[:-1]  # windows in the first k units, k = 1..n-1
+    return int(np.argmin(np.abs(2 * done - windows.sum()))) + 1
+
+
+def _recon_targets(
+    model: LstmEdModel, derived: list[np.ndarray], squared: bool
+) -> list[HiCurve]:
+    """``_serial_recon_targets``, with the units past ``_fork_split`` built
+    in a forked child where that can win.
+
+    The child sends its curves back pickled through a pipe. Every unit is
+    still reconstructed as one batch of its windows, so the curves are
+    bitwise the serial loop's. If the child exits nonzero for any reason,
+    its units are built again here, so a failure raises what the serial
+    loop raises, for the same unit.
+    """
+    split = _fork_split(model, derived)
+    if split is None:
+        return _serial_recon_targets(model, derived, squared)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            curves = _serial_recon_targets(model, derived[split:], squared)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(curves, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            # no atexit handlers, no second flush of inherited buffers
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            head = _serial_recon_targets(model, derived[:split], squared)
+            # to EOF before waitpid: a child blocked on a full pipe never exits
+            sent = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if status == 0:
+        return head + pickle.loads(sent)
+    return head + _serial_recon_targets(model, derived[split:], squared)
+
+
 def build_pipeline(
     ds: RunToFailureDataset, config: RunConfig
 ) -> tuple[PipelineBundle, BuildInfo]:
@@ -173,6 +285,14 @@ def build_pipeline(
     Args:
         ds: Full-life training instances.
         config: Run configuration; validation_frac must be > 0.
+
+    The reconstruction-error target curves are built on two cores when
+    that can win (see the module docstring): a forked child builds the
+    second half of the fit units and sends its curves back, and it has
+    exited and been reaped before this returns or raises. A child that
+    fails for any reason costs only time, since its units are then built
+    again in this process, so errors are those of a serial build, raised
+    for the same unit.
 
     Returns:
         (bundle, info): the persistable pipeline and the build details.
@@ -224,21 +344,18 @@ def build_pipeline(
             "fit-lr", ols_fit, np.concatenate(rows, axis=0), np.concatenate(targets)
         )
     else:
-        target_curves = []
-        for z in derived_fit:
-            if config.hi_variant in _RECON_VARIANTS:
-                recon = _stage("target-hi", pointwise_reconstruction, result.model, z)
-                errors = reconstruction_error(z, recon)
-                curve = target_hi_from_error(
-                    errors, squared=config.hi_variant == "recon_error_squared"
-                )
-            elif config.hi_variant == "exponential":
-                curve = _stage(
-                    "target-hi", exponential_target_hi, z.shape[0], config.beta
-                )
-            else:
-                curve = _stage("target-hi", linear_target_hi, z.shape[0])
-            target_curves.append(curve)
+        if config.hi_variant in _RECON_VARIANTS:
+            squared = config.hi_variant == "recon_error_squared"
+            target_curves = _recon_targets(result.model, derived_fit, squared)
+        elif config.hi_variant == "exponential":
+            target_curves = [
+                _stage("target-hi", exponential_target_hi, z.shape[0], config.beta)
+                for z in derived_fit
+            ]
+        else:
+            target_curves = [
+                _stage("target-hi", linear_target_hi, z.shape[0]) for z in derived_fit
+            ]
         lr = _stage("fit-lr", fit_hi_model, derived_fit, target_curves)
 
     library = []

@@ -1,6 +1,10 @@
 """End-to-end pipeline orchestration tests on a tiny synthetic dataset."""
 
 import dataclasses
+import os
+import pickle
+import signal
+import threading
 from collections import Counter
 
 import numpy as np
@@ -9,11 +13,18 @@ import pytest
 import edhi.matching
 import edhi.pipeline
 from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
-from edhi.data import RunToFailureDataset, truncate_instance, truncate_random
+from edhi.data import (
+    RunToFailureDataset,
+    SyntheticSpec,
+    generate_synthetic,
+    truncate_instance,
+    truncate_random,
+)
 from edhi.health import HiCurve
 from edhi.matching import Library
 from edhi.persist import _sections_of, load_pipeline, save_pipeline
 from edhi.pipeline import (
+    _RECON_VARIANTS,
     StageError,
     _healthy_windows,
     build_pipeline,
@@ -196,6 +207,148 @@ class TestVariants:
         )
         bundle, _ = build_pipeline(tiny_ds, config)
         assert bundle.config.healthy_frac == 0.5
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoCoreTargets:
+    """The recon targets built with a forked worker equal the serial ones."""
+
+    @staticmethod
+    def patched(mp, forked):
+        """Forking or not, whatever the fleet, CPU count and BLAS pool."""
+        mp.setattr(edhi.pipeline, "_single_threaded", lambda: True)
+        mp.setattr(edhi.pipeline, "_usable_cpus", lambda: 2 if forked else 1)
+        if forked:
+            mp.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
+
+    def saved(self, monkeypatch, tmp_path, ds, config, forked):
+        with monkeypatch.context() as mp:
+            self.patched(mp, forked)
+            bundle, _ = build_pipeline(ds, config)
+        _no_child_left()
+        path = tmp_path / f"{'forked' if forked else 'serial'}.edhi"
+        save_pipeline(path, bundle)
+        return path.read_bytes()
+
+    def error(self, monkeypatch, ds, config, forked):
+        with monkeypatch.context() as mp:
+            self.patched(mp, forked)
+            with pytest.raises(StageError) as err:
+                build_pipeline(ds, config)
+        _no_child_left()
+        return str(err.value)
+
+    @pytest.mark.parametrize("variant", _RECON_VARIANTS)
+    def test_forked_build_saves_serial_bytes(
+        self, tiny_ds, tiny_config, variant, forks, monkeypatch, tmp_path
+    ):
+        config = dataclasses.replace(tiny_config, hi_variant=variant)
+        serial = self.saved(monkeypatch, tmp_path, tiny_ds, config, forked=False)
+        assert forks == []
+        forked = self.saved(monkeypatch, tmp_path, tiny_ds, config, forked=True)
+        assert len(forks) == 1
+        assert forked == serial
+
+    def test_fleet_above_the_crossover_forks(self, forks, monkeypatch, tmp_path):
+        # 12 units of 128-362 cycles at c=30: ~8e6 work on ~10 fit units
+        spec = SyntheticSpec(n_instances=12, n_sensors=4, min_len=128, max_len=362)
+        ds = generate_synthetic(spec)
+        config = RunConfig(max_epochs=1, patience=2)
+        monkeypatch.setattr(edhi.pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(edhi.pipeline, "_single_threaded", lambda: True)
+        bundle, _ = build_pipeline(ds, config)
+        _no_child_left()
+        assert len(forks) == 1
+        save_pipeline(tmp_path / "forked.edhi", bundle)
+        serial = self.saved(monkeypatch, tmp_path, ds, config, forked=False)
+        assert (tmp_path / "forked.edhi").read_bytes() == serial
+
+    def test_small_fleet_one_cpu_or_another_thread_stays_serial(
+        self, tiny_ds, tiny_config, forks, monkeypatch
+    ):
+        with monkeypatch.context() as mp:
+            mp.setattr(edhi.pipeline, "_usable_cpus", lambda: 2)
+            mp.setattr(edhi.pipeline, "_single_threaded", lambda: True)
+            build_pipeline(tiny_ds, tiny_config)  # below the crossover
+            mp.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
+            mp.setattr(edhi.pipeline, "_usable_cpus", lambda: 1)
+            build_pipeline(tiny_ds, tiny_config)
+        # the real thread probe, with a Python thread running
+        monkeypatch.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
+        monkeypatch.setattr(edhi.pipeline, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert not edhi.pipeline._single_threaded()
+            build_pipeline(tiny_ds, tiny_config)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+
+    @pytest.mark.parametrize(
+        "short", [{0: 5}, {-1: 5}, {0: 6, -1: 5}], ids=["parent", "child", "both"]
+    )
+    def test_short_unit_raises_the_serial_error(
+        self, tiny_ds, tiny_config, short, forks, monkeypatch
+    ):
+        # the first fit unit is always in the parent's run, the last always
+        # in the child's; a unit shorter than l=8 cannot be reconstructed
+        fit_idx, _ = split_instances(
+            tiny_ds, tiny_config.validation_frac, tiny_config.seed
+        )
+        cut = {fit_idx[k]: length for k, length in short.items()}
+        instances = [
+            (uid, series[: cut.get(i, len(series))])
+            for i, (uid, series) in enumerate(tiny_ds.instances)
+        ]
+        ds = RunToFailureDataset(instances=instances, sensor_names=tiny_ds.sensor_names)
+        serial = self.error(monkeypatch, ds, tiny_config, forked=False)
+        first = min(short, key=lambda k: k % len(fit_idx))
+        assert serial == (
+            f"target-hi: series has {short[first]} cycles, "
+            "shorter than window length 8"
+        )
+        assert self.error(monkeypatch, ds, tiny_config, forked=True) == serial
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fault", ["raises", "killed"])
+    def test_failed_child_costs_only_time(
+        self, tiny_ds, tiny_config, fault, forks, monkeypatch, tmp_path
+    ):
+        serial = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=False)
+
+        def failing_dump(*args):  # only the child pickles
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise pickle.PicklingError("no pickling here")
+
+        monkeypatch.setattr(pickle, "dump", failing_dump)
+        forked = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=True)
+        assert len(forks) == 1
+        assert forked == serial
 
 
 class TestPredict:
