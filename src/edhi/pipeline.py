@@ -22,6 +22,7 @@ bitwise those of the serial loop. Anywhere else the stage runs serially;
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -242,8 +243,8 @@ def _recon_targets(
     The child sends its curves back pickled through a pipe. Every unit is
     still reconstructed as one batch of its windows, so the curves are
     bitwise the serial loop's. If the child exits nonzero for any reason,
-    its units are built again here, so a failure raises what the serial
-    loop raises, for the same unit.
+    or was reaped elsewhere, its units are built again here, so a failure
+    raises what the serial loop raises, for the same unit.
     """
     split = _fork_split(model, derived)
     if split is None:
@@ -268,23 +269,29 @@ def _recon_targets(
             # to EOF before waitpid: a child blocked on a full pipe never exits
             sent = pipe.read()
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        with contextlib.suppress(ProcessLookupError):  # reaped elsewhere
+            os.kill(pid, signal.SIGKILL)
+        _reap(pid)
         raise
-    _, status = os.waitpid(pid, 0)
-    if status == 0:
+    if _reap(pid) == 0:
         return head + pickle.loads(sent)
     return head + _serial_recon_targets(model, derived[split:], squared)
+
+
+def _reap(pid: int) -> int | None:
+    """Wait for a child; its wait status, or None if something else reaped
+    it (a process that ignores SIGCHLD, or a handler that waits for any
+    child)."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return None
 
 
 def build_pipeline(
     ds: RunToFailureDataset, config: RunConfig
 ) -> tuple[PipelineBundle, BuildInfo]:
     """Train the full pipeline on a run-to-failure dataset.
-
-    Args:
-        ds: Full-life training instances.
-        config: Run configuration; validation_frac must be > 0.
 
     The reconstruction-error target curves are built on two cores when
     that can win (see the module docstring): a forked child builds the
@@ -293,6 +300,10 @@ def build_pipeline(
     fails for any reason costs only time, since its units are then built
     again in this process, so errors are those of a serial build, raised
     for the same unit.
+
+    Args:
+        ds: Full-life training instances.
+        config: Run configuration; validation_frac must be > 0.
 
     Returns:
         (bundle, info): the persistable pipeline and the build details.

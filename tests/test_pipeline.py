@@ -5,6 +5,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -349,6 +350,43 @@ class TestTwoCoreTargets:
         forked = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=True)
         assert len(forks) == 1
         assert forked == serial
+
+
+    def test_child_reaped_elsewhere_costs_only_time(
+        self, tiny_ds, tiny_config, forks, monkeypatch, tmp_path
+    ):
+        # a process that ignores SIGCHLD has its children reaped for it:
+        # waitpid finds none, so the child's units are built again here, and
+        # a parent that fails after its child is gone raises its own error
+        serial = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=False)
+        fit_idx, _ = split_instances(
+            tiny_ds, tiny_config.validation_frac, tiny_config.seed
+        )
+        instances = [
+            (uid, series[:5] if i == fit_idx[0] else series)
+            for i, (uid, series) in enumerate(tiny_ds.instances)
+        ]
+        short = RunToFailureDataset(
+            instances=instances, sensor_names=tiny_ds.sensor_names
+        )
+        expected = self.error(monkeypatch, short, tiny_config, forked=False)
+        parent, real = os.getpid(), edhi.pipeline.pointwise_reconstruction
+
+        def late_in_parent(*args):
+            if os.getpid() == parent:
+                time.sleep(0.5)  # the child's run is over by then
+            return real(*args)
+
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            forked = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=True)
+            monkeypatch.setattr(edhi.pipeline, "pointwise_reconstruction", late_in_parent)
+            message = self.error(monkeypatch, short, tiny_config, forked=True)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert forked == serial
+        assert message == expected
+        assert len(forks) == 2
 
 
 class TestPredict:
