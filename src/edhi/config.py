@@ -46,7 +46,7 @@ _RULES = {
     "beta": _OPEN_UNIT,
     "smooth_window": _at_least(1),
     "init_frac": _UNIT,
-    "validation_frac": (lambda v: 0 <= v < 1, "in [0,1)"),
+    "validation_frac": _OPEN_UNIT,
     "healthy_frac": _UNIT_UPPER,
     "faulty_frac": _UNIT_UPPER,
     "seed": _at_least(0),

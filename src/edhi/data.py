@@ -372,7 +372,6 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
         raise ValueError(
             f"{path_hint} line 1: header must start with instance_id,cycle"
         )
-    n_sensors = len(header) - 2
     pieces = _pieces(text, len(head[0]))
     instances = _fast_generic(pieces, len(header), path_hint)
     if instances is None:
@@ -384,10 +383,8 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
             lambda token, lineno: token,
             path_hint,
         )
-    ds = RunToFailureDataset(instances=instances, sensor_names=header[2:])
-    if ds.n_sensors != n_sensors:
-        raise ValueError(f"{path_hint}: sensor column mismatch")
-    return ds
+    # both paths take only header-wide rows, so every series has its sensors
+    return RunToFailureDataset(instances=instances, sensor_names=header[2:])
 
 
 def write_generic(ds: RunToFailureDataset) -> str:

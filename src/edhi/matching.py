@@ -12,34 +12,34 @@ The train curves form a ``Library``, laid out once per pipeline: every
 curve end to end in one read-only array, with each curve's start and
 length. The matching functions take that library and lay nothing out.
 ``candidate_estimates`` scores every (train, lag) pair of one test
-instance in array passes, in two steps. ``pair_distances`` finds the
+instance in array passes, in three steps. ``pair_distances`` finds the
 feasible pairs with one comparison of lags against each curve's headroom,
 takes each pair as a window of a strided view of the library's flat
 array, subtracts the window from the test row and gets every d^2 from
-batched row-by-column products; ``select_candidates`` then applies the lag
-bound tau, one ``exp`` and the alpha cut (one comparison), and keeps the
-survivors as arrays (``Survivors``) through ``estimate_rul``:
-``RulCandidate`` tuples are built, and the dispersion computed, only when
-someone reads them. Each subtraction takes the operands the scalar
-``curve_distance`` takes and each product runs its dot kernel, so candidate
-sets are bitwise those of the pair-by-pair loop that ``curve_distance``
-and ``similarity`` spell out. Pairs are gathered in blocks of at most
-``_BLOCK_VALUES`` window values and subtracted from a block of test rows
-filled once per call, so memory stays bounded however large the library
-is.
+batched row-by-column products. ``weigh_pairs`` applies the lag bound tau
+and one ``exp`` at lambda, and finds the best similarity. ``alpha_cut``
+returns the indices of the pairs at or above alpha times it, and
+``Candidates.take`` keeps them. Each subtraction takes the operands the
+scalar ``curve_distance`` takes and each product runs its dot kernel, so
+candidate sets are bitwise those of the pair-by-pair loop that
+``curve_distance`` and ``similarity`` spell out. Pairs are gathered in
+blocks of at most ``_BLOCK_VALUES`` window values and subtracted from a
+block of test rows filled once per call, so memory stays bounded however
+large the library is.
 
-``select_candidates`` is two steps: ``weigh_pairs`` applies the lag bound
-tau and the similarities at lambda and finds the best similarity
-(``Weighed``), and ``alpha_cut`` keeps the pairs at or above alpha times
-it. ``estimate_rul`` wraps ``weighted_rul``, the weighted mean, cap and
-fallback on survivor arrays. A sweep shares work down four levels: the
-grid points of one build share each test curve's pairs, computed once at
-their largest tau; the points that share a smaller tau share each curve's
-pairs cut to it (``pairs_within``: a subset in the same order, with the
-same bits); the points that also share lambda share one weighing per
-curve; and each point runs only ``alpha_cut`` and
-``weighted_rul``, the arithmetic ``predict_one`` runs through
-``candidate_estimates`` and ``estimate_rul``.
+One record, ``Candidates``, holds both the weighed pairs and the survivors
+taken from them, as parallel arrays with the best similarity and the
+pair count before the cut. It stays arrays through ``estimate_rul``:
+``RulCandidate`` tuples are built, and the dispersion computed, only when
+someone reads them. ``estimate_rul`` wraps ``weighted_rul``, the weighted
+mean, cap and fallback on survivor arrays. A sweep shares work down four
+levels: the grid points of one build share each test curve's pairs,
+computed once at their largest tau; the points that share a smaller tau
+share each curve's pairs cut to it (``pairs_within``: a subset in the same
+order, with the same bits); the points that also share lambda share one
+weighing per curve; and each point runs only ``alpha_cut`` and
+``weighted_rul`` on index arrays, the arithmetic ``predict_one`` runs
+through ``candidate_estimates`` and ``estimate_rul``.
 """
 
 from __future__ import annotations
@@ -123,17 +123,21 @@ class Library:
 
 
 @dataclass(frozen=True, eq=False)
-class Survivors:
-    """The surviving candidates of one test curve, as parallel arrays.
+class Candidates:
+    """The candidates of one test curve as parallel arrays: every weighed
+    pair within tau, or the survivors of an alpha cut. Compared by identity.
 
-    ``len()`` is the survivor count; indexing and iteration build
+    ``len()`` is the candidate count; indexing and iteration build
     ``RulCandidate`` tuples (``str``, ``int``, ``float``, ``float``) on call.
 
     Attributes:
-        owner: Index of each survivor's train id in ``ids``.
-        lags, similarities, estimates: The ``RulCandidate`` fields.
+        owner: Index of each candidate's train id in ``ids``.
+        lags, similarities, estimates: The ``RulCandidate`` fields;
+            similarities are bitwise those of ``similarity``.
         ids: The train ids that ``owner`` indexes: the library's ids, or
-            each candidate's own id for ``Survivors.of``.
+            each candidate's own id for ``Candidates.of``.
+        s_max: The best similarity of the pairs before any cut; 0.0 when
+            there is no pair.
         n_pairs: Feasible pairs with lag <= tau, before the alpha cut.
     """
 
@@ -142,18 +146,33 @@ class Survivors:
     similarities: np.ndarray
     estimates: np.ndarray
     ids: tuple[str, ...]
+    s_max: float
     n_pairs: int
 
     @classmethod
-    def of(cls, candidates: Survivors | list[RulCandidate]) -> Survivors:
-        """Survivors as they are, or a plain list as arrays, each one a pair."""
-        if isinstance(candidates, Survivors):
+    def of(cls, candidates: Candidates | list[RulCandidate]) -> Candidates:
+        """Candidates as they are, or a plain list as arrays, each one a pair."""
+        if isinstance(candidates, Candidates):
             return candidates
         candidates = list(candidates)
         n = len(candidates)
         ids, lags, sims, ests = zip(*candidates) if n else ((),) * 4
-        floats = (np.array(col, dtype=np.float64) for col in (sims, ests))
-        return cls(np.arange(n), np.array(lags, dtype=np.int64), *floats, ids, n)
+        lags = np.array(lags, dtype=np.int64)
+        sims, ests = (np.array(col, dtype=np.float64) for col in (sims, ests))
+        return cls(np.arange(n), lags, sims, ests, ids, float(sims.max(initial=0.0)), n)
+
+    def take(self, keep: np.ndarray) -> Candidates:
+        """The candidates at indices ``keep``, with this record's ``s_max``
+        and ``n_pairs``."""
+        return Candidates(
+            self.owner[keep],
+            self.lags[keep],
+            self.similarities[keep],
+            self.estimates[keep],
+            self.ids,
+            self.s_max,
+            self.n_pairs,
+        )
 
     def __len__(self) -> int:
         return len(self.lags)
@@ -183,7 +202,7 @@ class RulEstimate:
     """
 
     value: float
-    survivors: Survivors
+    survivors: Candidates
     capped: bool = False
     fallback: bool = False
 
@@ -329,33 +348,16 @@ def pairs_within(pairs: Pairs, tau: int) -> Pairs:
     return Pairs(owner, lags, d2, estimates, tau)
 
 
-class Weighed(NamedTuple):
-    """The pairs of one test curve within a lag bound, weighed at one lambda.
-
-    What ``select_candidates`` computes before its alpha cut: a sweep weighs
-    each test curve once per (lam, tau) and cuts at each of its alphas.
-
-    Attributes:
-        owner, lags, estimates: The ``Pairs`` fields of the pairs with
-            lag <= tau, in pair order.
-        similarities: exp(-d^2/lambda) per pair, bitwise that of
-            ``similarity``.
-        s_max: The best similarity; 0.0 when there is no pair.
-    """
-
-    owner: np.ndarray
-    lags: np.ndarray
-    estimates: np.ndarray
-    similarities: np.ndarray
-    s_max: float
-
-
-def weigh_pairs(pairs: Pairs, library: Library, tau: int, lam: float) -> Weighed:
+def weigh_pairs(pairs: Pairs, library: Library, tau: int, lam: float) -> Candidates:
     """The pairs of ``pair_distances`` with lag <= tau, weighed at lam.
 
     Pairs enumerated past tau are cut to it first (``pairs_within``), so
     pairs enumerated once at a sweep's largest tau serve each of its smaller
     taus, and one weighing serves every alpha.
+
+    Returns:
+        Every pair within tau, in pair order, with ``s_max`` their best
+        similarity and ``n_pairs`` their count.
 
     Raises:
         ValueError: When tau exceeds the pairs' tau, or a pair's distance is
@@ -370,10 +372,10 @@ def weigh_pairs(pairs: Pairs, library: Library, tau: int, lam: float) -> Weighed
     if math.isnan(s_max):
         bad = library.ids[owner[np.flatnonzero(np.isnan(sims))[0]]]
         raise ValueError(f"NaN curve distance against train instance {bad}")
-    return Weighed(owner, lags, estimates, sims, s_max)
+    return Candidates(owner, lags, sims, estimates, library.ids, s_max, lags.size)
 
 
-def alpha_cut(weighed: Weighed, alpha: float) -> np.ndarray:
+def alpha_cut(weighed: Candidates, alpha: float) -> np.ndarray:
     """Indices of the weighed pairs whose similarity is at least alpha * s_max.
 
     Pairs whose similarity underflows to exactly zero are dropped as well,
@@ -385,43 +387,15 @@ def alpha_cut(weighed: Weighed, alpha: float) -> np.ndarray:
     return (sims >= cutoff if cutoff > 0.0 else sims > 0.0).nonzero()[0]
 
 
-def select_candidates(pairs: Pairs, library: Library, config: RunConfig) -> Survivors:
-    """Weigh and filter the pairs of ``pair_distances`` into candidates.
-
-    ``weigh_pairs`` at config.tau and config.lam, then ``alpha_cut`` at
-    config.alpha: only pairs with lag <= config.tau take part, and the
-    cutoff alpha * s_max is taken against the best similarity over those
-    pairs.
-
-    Args:
-        pairs: Output of pair_distances for the test curve.
-        library: The library the pairs were enumerated against.
-        config: Run configuration; reads tau, lam and alpha.
-
-    Returns:
-        Surviving candidates in pair order; may be empty.
-
-    Raises:
-        ValueError: When config.tau exceeds the pairs' tau, or a pair's
-            distance is NaN (a NaN in the test or a library curve), naming
-            the first train instance it occurs against.
-    """
-    weighed = weigh_pairs(pairs, library, config.tau, config.lam)
-    keep = alpha_cut(weighed, config.alpha)
-    owner, lags, estimates, sims, _ = weighed
-    return Survivors(
-        owner[keep], lags[keep], sims[keep], estimates[keep], library.ids, lags.size
-    )
-
-
 def candidate_estimates(
     test: HiCurve, library: Library, config: RunConfig
-) -> Survivors:
+) -> Candidates:
     """Enumerate and filter candidate matches for one test instance.
 
     Every (train instance, lag) pair with lag in 1..tau and the whole test
-    curve fitting inside the train curve produces a candidate; see
-    ``pair_distances`` and ``select_candidates``, which this composes.
+    curve fitting inside the train curve produces a candidate
+    (``pair_distances``), weighed at lam (``weigh_pairs``); the candidates
+    at or above alpha times the best similarity survive (``alpha_cut``).
     Order is the library's own order, then ascending lag, so reruns are
     bit-identical.
 
@@ -439,7 +413,8 @@ def candidate_estimates(
             instance it occurs against.
     """
     pairs = pair_distances(test, library, config.tau)
-    return select_candidates(pairs, library, config)
+    weighed = weigh_pairs(pairs, library, config.tau, config.lam)
+    return weighed.take(alpha_cut(weighed, config.alpha))
 
 
 def weighted_rul(
@@ -466,7 +441,7 @@ def weighted_rul(
 
 
 def estimate_rul(
-    candidates: Survivors | list[RulCandidate],
+    candidates: Candidates | list[RulCandidate],
     config: RunConfig,
     test_len: int,
     train_lengths: Sequence[int],
@@ -491,7 +466,7 @@ def estimate_rul(
     Returns:
         RulEstimate with value and flag fields filled in.
     """
-    survivors = Survivors.of(candidates)
+    survivors = Candidates.of(candidates)
     sims, estimates = survivors.similarities, survivors.estimates
     value, capped, fallback = weighted_rul(
         sims, estimates, config.r_max, test_len, train_lengths

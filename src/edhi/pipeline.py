@@ -47,10 +47,10 @@ from .health import (
 )
 from .lstm import LstmEdModel, TrainResult, train
 from .matching import (
+    Candidates,
     Library,
     Pairs,
     RulEstimate,
-    Weighed,
     alpha_cut,
     candidate_estimates,
     estimate_rul,
@@ -110,10 +110,6 @@ class InstanceEstimate:
     estimate: RulEstimate
     actual: float | None
     curve: HiCurve
-
-    @property
-    def observed_len(self) -> int:
-        return self.curve.length
 
 
 def split_instances(
@@ -303,7 +299,7 @@ def build_pipeline(
 
     Args:
         ds: Full-life training instances.
-        config: Run configuration; validation_frac must be > 0.
+        config: Run configuration.
 
     Returns:
         (bundle, info): the persistable pipeline and the build details.
@@ -312,8 +308,6 @@ def build_pipeline(
         StageError: Naming the failing stage: split, normalize, pca,
             train-lstm, target-hi, fit-lr, or hi-curves.
     """
-    if config.validation_frac <= 0:
-        raise StageError("split", "validation split required for early stopping")
     fit_idx, val_idx = _stage(
         "split", split_instances, ds, config.validation_frac, config.seed
     )
@@ -465,9 +459,9 @@ class _SweepBuild:
     pairs: list[Pairs]
     labels: list[float]
     within: dict[int, list[Pairs]] = field(default_factory=dict)
-    weights: dict[tuple[float, int], list[Weighed]] = field(default_factory=dict)
+    weights: dict[tuple[float, int], list[Candidates]] = field(default_factory=dict)
 
-    def weighed(self, config: RunConfig) -> list[Weighed]:
+    def weighed(self, config: RunConfig) -> list[Candidates]:
         """Each curve's pairs weighed at config's lam and tau."""
         tau = config.tau
         key = (config.lam, tau)

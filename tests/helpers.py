@@ -1,4 +1,4 @@
-"""Shared test oracles: a plainly written cell step, finite-difference
+"""Shared test oracles: a plainly written cell step, complex-step
 gradient checking, plain per-step BPTT, a plain per-block trainer, a
 per-cycle moving average, a per-candidate weighted mean and a
 rebuild-per-point sweep; plus pipeline-file surgery that re-signs edited
@@ -43,42 +43,63 @@ def reference_cell_step(w, b, x, h, c):
     return o * np.tanh(c), c
 
 
-def teacher_loss(model: LstmEdModel, window: np.ndarray) -> float:
-    """Teacher-forced loss of one (l, p) window, run as a batch of one."""
-    batch = window[None]
-    return loss(decode_train(model, batch, encode(model, batch)), batch)
+def complex_teacher_loss(params: np.ndarray, p: int, n: int, window: np.ndarray):
+    """Teacher-forced loss of one (l, p) window, one reference_cell_step at
+    a time, over a flat parameter vector laid out like ``model.params``.
+
+    Every operation is analytic, so a complex ``params`` gives the complex
+    loss a complex-step derivative reads; the lstm kernels would drop the
+    imaginary part into their float64 buffers.
+    """
+    enc_w, enc_b, dec_w, dec_b, out_w, out_b = _blocks(params, p, n).values()
+    l = window.shape[0]
+    rows = window[:, :, None]  # row t as a (p, 1) column: a batch of one
+    h = c = np.zeros((n, 1), dtype=params.dtype)
+    for t in range(l):
+        h, c = reference_cell_step(enc_w, enc_b, rows[t], h, c)
+    total = 0.0
+    # state s (the encoder's final state first) predicts row l-1-s; the
+    # decoder step that makes state s is fed true row l-s
+    for s in range(l):
+        if s:
+            h, c = reference_cell_step(dec_w, dec_b, rows[l - s], h, c)
+        diff = out_w.T @ h + out_b[:, None] - rows[l - 1 - s]
+        total = total + np.sum(diff * diff)
+    return total
 
 
 class GradCheck(NamedTuple):
-    """Worst entry of a finite-difference gradient check: its relative
-    error, its block's name as grad_bptt keys it, and its index there."""
+    """Worst entry of a complex-step gradient check: its relative error,
+    its block's name as grad_bptt keys it, and its index there."""
 
     rel_err: float
     block: str
     index: tuple[int, ...]
 
 
-def grad_check_max_rel_err(model: LstmEdModel, window: np.ndarray, step: float = 1e-5) -> GradCheck:
-    """Max relative error of BPTT gradients vs central finite differences,
+def grad_check_max_rel_err(
+    model: LstmEdModel, window: np.ndarray, step: float = 1e-30
+) -> GradCheck:
+    """Max relative error of BPTT gradients vs complex-step derivatives,
     for one (l, p) window, with the entry where it occurs.
 
+    Each reference derivative is Im f(theta + i*step*e_k) / step, with f
+    ``complex_teacher_loss``: no difference of two nearby losses is taken,
+    so it carries no subtraction round-off, however small the entry.
     Entries where both the analytic and numeric gradient are below 1e-8 in
     magnitude count as exact matches (the relative error is undefined there).
     """
     analytic = grad_bptt(model, window[None])
-    params = model.params
+    p, n = model.input_dim, model.hidden_units
+    params = model.params.astype(np.complex128)
     worst = GradCheck(0.0, "", ())
     at = 0
     for name, grad in analytic.items():
         for idx in np.ndindex(grad.shape):
-            original = params[at]
-            params[at] = original + step
-            hi = teacher_loss(model, window)
-            params[at] = original - step
-            lo = teacher_loss(model, window)
-            params[at] = original
+            params[at] += 1j * step
+            numeric = complex_teacher_loss(params, p, n, window).imag / step
+            params[at] = model.params[at]
             at += 1
-            numeric = (hi - lo) / (2.0 * step)
             a = grad[idx]
             denom = max(abs(a), abs(numeric))
             if denom < 1e-8:

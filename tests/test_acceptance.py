@@ -81,7 +81,7 @@ def test_criterion_1_gradients_match_finite_differences(verdict):
     at = f"{worst.block}[{', '.join(map(str, worst.index))}]"
     verdict(
         worst.rel_err < 1e-4 and elapsed < 60.0,
-        f"criterion 1: analytic gradients vs finite differences, 20 models, "
+        f"criterion 1: analytic gradients vs complex-step derivatives, 20 models, "
         f"max rel err {worst.rel_err:.3e} < 1e-4 at {at} of model seed {seed} "
         f"in {elapsed:.1f}s",
     )

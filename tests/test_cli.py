@@ -173,14 +173,18 @@ class TestTrain:
         assert err[0].startswith("error: train-lstm: training diverged")
         assert not (tmp_path / "x.edhi").exists()
 
-    def test_zero_validation_frac_fails(self, synth_dir, tmp_path, capsys):
+    def test_zero_validation_frac_fails(self, tmp_path, capsys):
+        # refused by the config, before the data file is read
         code = main([
-            "train", "--data", str(synth_dir / "data.csv"),
+            "train", "--data", str(tmp_path / "missing.csv"),
             "--out", str(tmp_path / "x.edhi"),
             "--validation-frac", "0",
         ] + TRAIN_FLAGS)
         assert code == 1
-        assert "validation split required for early stopping" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "validation_frac must be in (0,1)" in err[0]
+        assert not (tmp_path / "x.edhi").exists()
 
     def test_flag_beats_config_file(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -110,8 +110,16 @@ def test_keys_resolved_alike_by_overrides_and_grids(parse):
 
 def test_valid_edges_accepted():
     RunConfig(healthy_frac=None)
-    RunConfig(healthy_frac=1.0, alpha=0.0, validation_frac=0.0, seed=0)
+    RunConfig(healthy_frac=1.0, alpha=0.0, seed=0)
     assert RunConfig(r_max=60).r_max == 60
+
+
+def test_validation_frac_is_an_open_unit():
+    # a build needs validation units for early stopping and a fit split
+    for value in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^validation_frac must be in \(0,1\)"):
+            RunConfig(validation_frac=value)
+    assert RunConfig(validation_frac=1e-9).validation_frac == 1e-9
 
 
 def test_config_from_dict_round_trip_and_field_set():

@@ -19,16 +19,15 @@ from edhi.config import RunConfig
 from edhi.data import SyntheticSpec, generate_synthetic
 from edhi.health import HiCurve
 from edhi.matching import (
+    Candidates,
     Library,
     RulCandidate,
-    Survivors,
     alpha_cut,
     candidate_estimates,
     curve_distance,
     estimate_rul,
     pair_distances,
     pairs_within,
-    select_candidates,
     similarity,
     weigh_pairs,
 )
@@ -307,23 +306,16 @@ class TestBenchmarkSizes:
         rng = np.random.default_rng(seed)
         test, trains, config = bench_case(rng, n_trains)
         pairs = pair_distances(test, trains, config.tau + extra)
-        got = select_candidates(pairs, trains, config)
-        assert as_tuples(got) == brute_force_candidates(test, trains, config)
         weighed = weigh_pairs(pairs, trains, config.tau, config.lam)
-        assert weighed.lags.size == got.n_pairs
+        assert len(weighed) == weighed.n_pairs
+        assert weighed.ids is trains.ids
+        want = candidate_estimates(test, trains, config)
+        assert weighed.n_pairs == want.n_pairs and weighed.s_max == want.s_max
         for alpha in (config.alpha, float(rng.uniform(0.0, 1.0))):
-            keep = alpha_cut(weighed, alpha)
-            cut = [
-                (trains.ids[o], lag, s, e)
-                for o, lag, s, e in zip(
-                    weighed.owner[keep].tolist(),
-                    weighed.lags[keep].tolist(),
-                    weighed.similarities[keep].tolist(),
-                    weighed.estimates[keep].tolist(),
-                )
-            ]
+            cut = weighed.take(alpha_cut(weighed, alpha))
+            assert (cut.s_max, cut.n_pairs) == (weighed.s_max, weighed.n_pairs)
             expected = dataclasses.replace(config, alpha=alpha)
-            assert cut == brute_force_candidates(test, trains, expected)
+            assert as_tuples(cut) == brute_force_candidates(test, trains, expected)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(0, 30))
     @settings(max_examples=20, deadline=None)
@@ -345,7 +337,7 @@ class TestBenchmarkSizes:
         test, trains, _ = bench_case(rng, 10)
         pairs = pair_distances(test, trains, 10)
         with pytest.raises(ValueError, match="pairs enumerated to lag 10, tau is 11"):
-            select_candidates(pairs, trains, RunConfig(tau=11))
+            weigh_pairs(pairs, trains, 11, RunConfig().lam)
 
     def test_empty_library(self):
         test = HiCurve(values=np.linspace(1, 0, 50))
@@ -604,12 +596,13 @@ class TestEstimateRulBitwise:
             estimates = rng.uniform(0.0, 400.0, size=n)
         else:
             estimates = np.full(n, float(rng.integers(0, 400)))
-        survivors = Survivors(
+        survivors = Candidates(
             rng.integers(0, 7, size=n),
             rng.integers(1, 61, size=n),
             similarities,
             estimates,
             tuple(f"u{k}" for k in range(7)),
+            float(similarities.max(initial=0.0)),
             n,
         )
         config = RunConfig(r_max=r_max)
@@ -625,6 +618,7 @@ class TestEstimateRulBitwise:
         assert from_list.candidates == from_arrays.candidates == cands
         assert from_list.best_match == from_arrays.best_match
         assert from_list.n_pairs == from_arrays.n_pairs == n
+        assert from_list.survivors.s_max == from_arrays.survivors.s_max
 
 
 @pytest.fixture(scope="module")
@@ -656,6 +650,8 @@ class TestLazyCandidates:
                 )
                 if expected:
                     nonempty += 1
+                    # the best pair survives any cut at alpha <= 1
+                    assert est.survivors.s_max == Candidates.of(expected).s_max
                     assert est.survivors[-1] == got[-1]
                     assert est.best_match == max(expected, key=lambda c: c[2])
                     assert type(est.best_match) is RulCandidate
@@ -708,8 +704,13 @@ class TestLazyCandidates:
             RulCandidate(train_id="u0", lag=1, similarity=0.5, estimate=30.0),
             RulCandidate(train_id="u1", lag=3, similarity=0.2, estimate=18.0),
         ]
-        survivors = Survivors.of(cands)
+        survivors = Candidates.of(cands)
         assert survivors.ids == ("u1", "u1", "u0", "u1")
+        assert survivors.s_max == 0.9 and survivors.n_pairs == 4
+        assert Candidates.of(survivors) is survivors
+        assert survivors != Candidates.of(cands)  # compared by identity
+        none = survivors.take(np.array([], dtype=np.int64))
+        assert len(none) == 0 and (none.s_max, none.n_pairs) == (0.9, 4)
         assert [survivors[k].train_id for k in range(4)] == ["u1", "u1", "u0", "u1"]
         assert list(survivors) == cands
         est = estimate_rul(cands, RunConfig(), test_len=10, train_lengths=[40, 50])

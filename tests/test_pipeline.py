@@ -88,7 +88,10 @@ class TestHealthyWindows:
 
 class TestBuild:
     def test_zero_validation_frac_refused(self, tiny_ds, tiny_config):
-        config = dataclasses.replace(tiny_config, validation_frac=0.0)
+        with pytest.raises(ValueError, match=r"^validation_frac must be in \(0,1\)"):
+            dataclasses.replace(tiny_config, validation_frac=0.0)
+        # a share that rounds to no unit passes the config but not the split
+        config = dataclasses.replace(tiny_config, validation_frac=1e-9)
         with pytest.raises(StageError, match="validation split required"):
             build_pipeline(tiny_ds, config)
 
@@ -454,7 +457,7 @@ class TestEvaluate:
         assert len(rows) == report.n
         for row, (uid, series) in zip(rows, test_ds.instances):
             assert row.test_id == uid
-            assert row.observed_len == series.shape[0]
+            assert row.curve.length == series.shape[0]
             assert row.actual is not None
             # the curve the estimate was matched with, as scoring it alone gives
             expected = series_hi_curve(bundle, series).values
