@@ -12,16 +12,28 @@ Both formats share one row loop, and every parse ends in one grouping
 routine that checks each unit's cycles. Rows that already run unit by unit,
 cycles 1..L, are split in place; any other order is sorted by unit and cycle
 into a copy first. The generic parser first tries to read every column with
-one ``np.loadtxt`` pass instead of the loop. Its lines reach loadtxt in
-pieces of about ``_PIECE_CHARS`` characters, so the whole file is never
-held as one list of lines, and loadtxt codes the unit ids as it reads. It
-keeps that table only when the loop would have read the same rows: every
-line parsed, every row the same width, every value finite and every cycle
-an integer. The sensor columns are then moved to the front of loadtxt's own
-buffer, so ordered rows are grouped without a copy of the readings.
-Anything else (including tokens only Python's ``float`` accepts, such as
-``1_0``) goes to the loop, which reports it, so messages and line numbers do
-not depend on the fast path. The turbofan parser is the row loop alone.
+``np.loadtxt`` instead of the loop. Its lines reach loadtxt in pieces of
+about ``_PIECE_CHARS`` characters, so the whole file is never held as one
+list of lines, and loadtxt codes the unit ids as it reads. It keeps that
+table only when the loop would have read the same rows: every line parsed,
+every row the same width, every value finite and every cycle an integer.
+The sensor columns are then moved to the front of the table's own buffer,
+so ordered rows are grouped without a copy of the readings. Anything else
+(including tokens only Python's ``float`` accepts, such as ``1_0``) goes to
+the loop, which reports it, so messages and line numbers do not depend on
+the fast path. The turbofan parser is the row loop alone.
+
+Only the generic parse forks, and only for files of at least
+``_FORK_MIN_CHARS`` characters of data lines, on Linux, with at least two
+usable CPUs and no other thread in the process (so BLAS on one thread, as
+with ``OPENBLAS_NUM_THREADS=1``; see ``_fork``). The data lines are then cut
+after the first "\n" past their middle and a forked child reads the second
+span with the same loadtxt pass and checks while this process reads the
+first. The child's rows are appended after the parent's and its unit id
+codes after the parent's, so units keep their order of first appearance and
+are grouped as in one read; the result is bitwise that of one read. Either
+span failing the fast path sends the whole text to the row loop, and a
+child that fails costs only time: its span is read again here.
 
 The synthetic generator produces seeded run-to-failure instances whose
 sensors drift from a healthy baseline once a fault sets in.
@@ -30,17 +42,27 @@ sensors drift from a healthy baseline once a fault sets in.
 from __future__ import annotations
 
 import math
+import pickle
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
+from . import _fork
+
 TURBOFAN_COLUMNS = 26  # unit, cycle, 3 settings, 21 sensors
 DEGRADATION_SHAPES = ("linear", "exponential", "piecewise")
 _PIECE_CHARS = 1 << 20  # generic CSV text reaches loadtxt in ~1 MB pieces
 _COMPACT_ROWS = 1 << 12  # rows moved per step when compacting loadtxt's table
+# Characters of data lines below which a generic CSV is read in one span,
+# not split with a forked child. Split against one-span parses of
+# FD001-shaped text on a 2-vCPU host, BLAS on one thread, ~140 MB resident,
+# medians of 15 alternating runs in each of two rounds: 0.25-0.5 MB lost
+# 55-147%, 1 MB lost 18-37% (3-6 ms), 1.5 MB tied (-1%, +5%), 2 MB won
+# 3-10% and 3-4 MB won 6-17%; the 24 MB score_fd001 text went ~400 -> ~265 ms.
+_FORK_MIN_CHARS = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,17 +197,17 @@ def _group_table(
     return list(zip(names, np.split(values, ends[:-1])))
 
 
-def _pieces(text: str, start: int) -> Iterator[list[str]]:
-    """The lines of text[start:], about _PIECE_CHARS characters at a time.
+def _pieces(text: str, start: int, end: int) -> Iterator[list[str]]:
+    """The lines of text[start:end], about _PIECE_CHARS characters at a time.
 
-    start must begin a line. Each piece but the last ends just after a
-    "\n", which never splits a "\r\n", so the pieces' lines, joined, are
-    exactly ``text[start:].splitlines()``.
+    start must begin a line, and end must end one or the text. Each piece
+    but the last ends just after a "\n", which never splits a "\r\n", so the
+    pieces' lines, joined, are exactly ``text[start:end].splitlines()``.
     """
-    while start < len(text):
-        end = text.find("\n", start + _PIECE_CHARS - 1) + 1 or len(text)
-        yield text[start:end].splitlines()
-        start = end
+    while start < end:
+        stop = text.find("\n", start + _PIECE_CHARS - 1, end) + 1 or end
+        yield text[start:stop].splitlines()
+        start = stop
 
 
 def _drop_leading_columns(table: np.ndarray, k: int) -> np.ndarray:
@@ -197,25 +219,36 @@ def _drop_leading_columns(table: np.ndarray, k: int) -> np.ndarray:
     """
     n, width = table.shape
     m = width - k
-    flat = table.reshape(-1)  # loadtxt returns a fresh C-ordered table: a view
+    flat = table.reshape(-1)  # the table owns a C-ordered buffer: a view
     for lo in range(0, n, _COMPACT_ROWS):
         hi = min(lo + _COMPACT_ROWS, n)
         flat[lo * m : hi * m].reshape(hi - lo, m)[...] = table[lo:hi, k:]
     return flat[: n * m].reshape(n, m)
 
 
-def _fast_generic(
-    pieces: Iterable[list[str]], width: int, path_hint: str
-) -> list[tuple[str, np.ndarray]] | None:
-    """Generic CSV rows by loadtxt, or None where the row loop must decide.
+@dataclass(eq=False)
+class _Table:
+    """loadtxt's rows of some data lines, each row's first column the code
+    of its unit id token: token k is ``tokens[k]``.
 
-    ``pieces`` are the data lines, header excluded, in consecutive lists.
-    They reach one loadtxt pass as they are read, blank lines dropped piece
-    by piece, and loadtxt codes each unit id token as it goes. None whenever
-    loadtxt rejects a line or finds another width, there is no line, or any
-    value is non-finite or any cycle non-integral: the row loop then parses
-    and reports. The readings are grouped in loadtxt's own table, compacted
-    to the sensor columns.
+    The rows are ``table[room:]``: a table read from a forked child leaves
+    room at its front for the rows of the lines before its own.
+    """
+
+    tokens: list[str]
+    table: np.ndarray
+    room: int = 0
+
+
+def _read_span(text: str, start: int, end: int, width: int) -> _Table | None:
+    """The data lines in text[start:end] by loadtxt, or None where the row
+    loop must decide.
+
+    The lines reach one loadtxt pass piece by piece, blank lines dropped,
+    and loadtxt codes each unit id token as it goes. None whenever loadtxt
+    rejects a line or finds another width, or any value is non-finite or
+    any cycle non-integral: the row loop then parses and reports. A span of
+    blank lines gives a table of no rows.
     """
     tokens = _FirstSeen()
 
@@ -228,7 +261,7 @@ def _fast_generic(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "input contained no data"
             table = np.loadtxt(
-                chain.from_iterable(map(data_lines, pieces)),
+                chain.from_iterable(map(data_lines, _pieces(text, start, end))),
                 dtype=np.float64,
                 delimiter=",",
                 comments=None,
@@ -243,16 +276,86 @@ def _fast_generic(
     # line break, into one row or raises. Probed on numpy 2.4 with every
     # character below U+3100 as a line, alone, after a space and tripled:
     # none was skipped.
+    if not len(table):
+        return _Table([], np.empty((0, width)))
     if (
-        not len(table)
-        or table.shape[1] != width
+        table.shape[1] != width
         or not np.isfinite(table).all()
         or np.any(table[:, 1] % 1)
     ):
         return None
+    return _Table(list(tokens), table)
+
+
+def _send_span(span: _Table | None, pipe) -> None:
+    """A forked child's span: a pickled (tokens, rows), or None, then the
+    table's bytes."""
+    pickle.dump(None if span is None else (span.tokens, len(span.table)), pipe)
+    if span is not None:
+        pipe.write(memoryview(span.table).cast("B"))
+
+
+def _receive_span(pipe, head: _Table | None) -> _Table | None:
+    """The span ``_send_span`` wrote, its rows read straight into the end of
+    a table with room for head's rows in front, or None if either span
+    failed the fast path. Rows cut short by a child that died are dropped
+    with the child's exit status (``_fork.run_split``)."""
+    sent = pickle.load(pipe)
+    if sent is None or head is None:
+        return None
+    tokens, rows = sent
+    room, width = head.table.shape
+    table = np.empty((room + rows, width))
+    pipe.readinto(memoryview(table[room:]).cast("B"))
+    return _Table(tokens, table, room)
+
+
+def _join(head: _Table | None, tail: _Table | None) -> _Table | None:
+    """head's rows then tail's, in one table and one token list.
+
+    Tail's token codes move past head's, so every unit id token keeps its
+    place in order of first appearance, as in one read of both spans.
+    """
+    if head is None or tail is None:
+        return None
+    n = len(head.table)
+    if tail.room == n:  # the child's rows, behind room for head's
+        table = tail.table
+        table[:n] = head.table
+    else:  # a span read here
+        table = np.concatenate((head.table, tail.table))
+    table[n:, 0] += len(head.tokens)
+    return _Table(head.tokens + tail.tokens, table)
+
+
+def _split_at(text: str, start: int) -> int | None:
+    """Where to cut the data lines from start into two spans, one for a
+    forked child, or None to read them in one.
+
+    The cut falls just after the first "\n" at or past the middle of the
+    data lines, so neither span splits a line or a "\r\n".
+    """
+    if len(text) - start < _FORK_MIN_CHARS or not _fork.can_fork():
+        return None
+    cut = text.find("\n", (start + len(text)) // 2) + 1
+    return cut if 0 < cut < len(text) else None
+
+
+def _units(span: _Table, path_hint: str) -> list[tuple[str, np.ndarray]] | None:
+    """A table of every data line, grouped into units; None if it has no
+    rows, where the row loop reports the empty file.
+
+    The readings are grouped in the table's own buffer, compacted to the
+    sensor columns.
+    """
+    table = span.table
+    if not len(table):
+        return None
     # tokens that differ only in padding name one unit
     codes = _FirstSeen()
-    unit_of_token = np.array([codes[token.strip()] for token in tokens], dtype=np.intp)
+    unit_of_token = np.array(
+        [codes[token.strip()] for token in span.tokens], dtype=np.intp
+    )
     # ids and cycles are read out before the readings move over them
     unit_codes = unit_of_token[table[:, 0].astype(np.intp)]
     cycles = table[:, 1].copy()
@@ -360,6 +463,10 @@ def parse_turbofan(
 def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
     """Parse the generic CSV format: header then instance_id,cycle,sensors.
 
+    Large files are read on two cores where that can win (see the module
+    docstring); a forked child has exited and been reaped before this
+    returns or raises, and the result is bitwise that of one read.
+
     Raises:
         ValueError: On a malformed header or row, with line numbers.
     """
@@ -372,8 +479,20 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
         raise ValueError(
             f"{path_hint} line 1: header must start with instance_id,cycle"
         )
-    pieces = _pieces(text, len(head[0]))
-    instances = _fast_generic(pieces, len(header), path_hint)
+    start, width = len(head[0]), len(header)
+    cut = _split_at(text, start)
+    if cut is None:
+        span = _read_span(text, start, len(text), width)
+    else:
+        span = _join(
+            *_fork.run_split(
+                lambda: _read_span(text, start, cut, width),
+                lambda: _read_span(text, cut, len(text), width),
+                _send_span,
+                _receive_span,
+            )
+        )
+    instances = None if span is None else _units(span, path_hint)
     if instances is None:
         instances = _rows(
             text.splitlines()[1:],

@@ -8,28 +8,26 @@ store the fitting split's final curves as the matching library. Validation
 instances steer early stopping and sweep scoring, so their curves stay out
 of the library. Every stage failure is re-raised with the stage's name.
 
-The reconstruction-error targets are the one stage that runs on two cores.
-On Linux, with at least two usable CPUs (``os.sched_getaffinity``), no
-other thread in the process (neither a Python thread nor a BLAS pool, so
-BLAS must run on one thread, as with ``OPENBLAS_NUM_THREADS=1``), at least
-two fit units and enough reconstruction work (``_FORK_MIN_WORK``), the units
-are cut into two contiguous runs of about equal window count and the second
-is built in one forked child. Each unit is still reconstructed as one batch
-of its windows, so the curves, the pipeline file and the training log are
-bitwise those of the serial loop. Anywhere else the stage runs serially;
+The reconstruction-error targets are the build's one stage that runs on two
+cores, through the fork helper it shares with the CSV parse (``_fork``). On
+Linux, with at least two usable CPUs (``os.sched_getaffinity``), no other
+thread in the process (neither a Python thread nor a BLAS pool, so BLAS must
+run on one thread, as with ``OPENBLAS_NUM_THREADS=1``), at least two fit
+units and enough reconstruction work (``_FORK_MIN_WORK``), the units are cut
+into two contiguous runs of about equal window count and the second is built
+in one forked child. Each unit is still reconstructed as one batch of its
+windows, so the curves, the pipeline file and the training log are bitwise
+those of the serial loop. Anywhere else the stage runs serially;
 ``taskset -c 0`` keeps a build on one core.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fork
 from .config import RunConfig, SweepGrid, apply_overrides, build_key
 from .data import RunToFailureDataset, truncate_at_fracs
 from .health import (
@@ -196,21 +194,6 @@ def _serial_recon_targets(
     return curves
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    return 1 if getaffinity is None else len(getaffinity(0))
-
-
-def _single_threaded() -> bool:
-    """Whether this process runs one OS thread: no other Python thread and
-    no native one, such as a BLAS pool's. False where /proc cannot say."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
 def _fork_split(model: LstmEdModel, derived: list[np.ndarray]) -> int | None:
     """Where to cut the units into two runs of about equal window count, or
     None when the targets should be built serially."""
@@ -218,13 +201,7 @@ def _fork_split(model: LstmEdModel, derived: list[np.ndarray]) -> int | None:
         return None
     windows = np.array([max(z.shape[0] - model.window_len + 1, 0) for z in derived])
     c, p = model.hidden_units, model.input_dim
-    if windows.sum() * 4 * c * (p + c) < _FORK_MIN_WORK:
-        return None
-    # A child forked beside other threads inherits their locks but not the
-    # threads. A BLAS pool would also run in both processes and fight over
-    # the cores: with OpenBLAS on two threads, forked FD001 targets took
-    # 1.45 s against 0.56 s serially.
-    if _usable_cpus() < 2 or not _single_threaded():
+    if windows.sum() * 4 * c * (p + c) < _FORK_MIN_WORK or not _fork.can_fork():
         return None
     done = np.cumsum(windows)[:-1]  # windows in the first k units, k = 1..n-1
     return int(np.argmin(np.abs(2 * done - windows.sum()))) + 1
@@ -234,54 +211,21 @@ def _recon_targets(
     model: LstmEdModel, derived: list[np.ndarray], squared: bool
 ) -> list[HiCurve]:
     """``_serial_recon_targets``, with the units past ``_fork_split`` built
-    in a forked child where that can win.
+    in a forked child where that can win (``_fork.run_split``).
 
-    The child sends its curves back pickled through a pipe. Every unit is
-    still reconstructed as one batch of its windows, so the curves are
-    bitwise the serial loop's. If the child exits nonzero for any reason,
-    or was reaped elsewhere, its units are built again here, so a failure
-    raises what the serial loop raises, for the same unit.
+    The child sends its curves back pickled. Every unit is still
+    reconstructed as one batch of its windows, so the curves are bitwise
+    the serial loop's. A failed child's units are built again here, so a
+    failure raises what the serial loop raises, for the same unit.
     """
     split = _fork_split(model, derived)
     if split is None:
         return _serial_recon_targets(model, derived, squared)
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            curves = _serial_recon_targets(model, derived[split:], squared)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(curves, pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            # no atexit handlers, no second flush of inherited buffers
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            head = _serial_recon_targets(model, derived[:split], squared)
-            # to EOF before waitpid: a child blocked on a full pipe never exits
-            sent = pipe.read()
-    except BaseException:
-        with contextlib.suppress(ProcessLookupError):  # reaped elsewhere
-            os.kill(pid, signal.SIGKILL)
-        _reap(pid)
-        raise
-    if _reap(pid) == 0:
-        return head + pickle.loads(sent)
-    return head + _serial_recon_targets(model, derived[split:], squared)
-
-
-def _reap(pid: int) -> int | None:
-    """Wait for a child; its wait status, or None if something else reaped
-    it (a process that ignores SIGCHLD, or a handler that waits for any
-    child)."""
-    try:
-        return os.waitpid(pid, 0)[1]
-    except ChildProcessError:
-        return None
+    head, tail = _fork.run_split(
+        lambda: _serial_recon_targets(model, derived[:split], squared),
+        lambda: _serial_recon_targets(model, derived[split:], squared),
+    )
+    return head + tail
 
 
 def build_pipeline(

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import edhi._fork
 import edhi.matching
 import edhi.pipeline
 from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
@@ -35,7 +36,7 @@ from edhi.pipeline import (
     series_hi_curve,
     split_instances,
 )
-from helpers import naive_sweep_scores
+from helpers import fork_probes, naive_sweep_scores, no_child_left
 
 
 class TestSplit:
@@ -213,35 +214,13 @@ class TestVariants:
         assert bundle.config.healthy_frac == 0.5
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children this process forks while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestTwoCoreTargets:
     """The recon targets built with a forked worker equal the serial ones."""
 
     @staticmethod
     def patched(mp, forked):
         """Forking or not, whatever the fleet, CPU count and BLAS pool."""
-        mp.setattr(edhi.pipeline, "_single_threaded", lambda: True)
-        mp.setattr(edhi.pipeline, "_usable_cpus", lambda: 2 if forked else 1)
+        fork_probes(mp, 2 if forked else 1)
         if forked:
             mp.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
 
@@ -249,7 +228,7 @@ class TestTwoCoreTargets:
         with monkeypatch.context() as mp:
             self.patched(mp, forked)
             bundle, _ = build_pipeline(ds, config)
-        _no_child_left()
+        no_child_left()
         path = tmp_path / f"{'forked' if forked else 'serial'}.edhi"
         save_pipeline(path, bundle)
         return path.read_bytes()
@@ -259,7 +238,7 @@ class TestTwoCoreTargets:
             self.patched(mp, forked)
             with pytest.raises(StageError) as err:
                 build_pipeline(ds, config)
-        _no_child_left()
+        no_child_left()
         return str(err.value)
 
     @pytest.mark.parametrize("variant", _RECON_VARIANTS)
@@ -278,10 +257,9 @@ class TestTwoCoreTargets:
         spec = SyntheticSpec(n_instances=12, n_sensors=4, min_len=128, max_len=362)
         ds = generate_synthetic(spec)
         config = RunConfig(max_epochs=1, patience=2)
-        monkeypatch.setattr(edhi.pipeline, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(edhi.pipeline, "_single_threaded", lambda: True)
+        fork_probes(monkeypatch, 2)
         bundle, _ = build_pipeline(ds, config)
-        _no_child_left()
+        no_child_left()
         assert len(forks) == 1
         save_pipeline(tmp_path / "forked.edhi", bundle)
         serial = self.saved(monkeypatch, tmp_path, ds, config, forked=False)
@@ -291,20 +269,19 @@ class TestTwoCoreTargets:
         self, tiny_ds, tiny_config, forks, monkeypatch
     ):
         with monkeypatch.context() as mp:
-            mp.setattr(edhi.pipeline, "_usable_cpus", lambda: 2)
-            mp.setattr(edhi.pipeline, "_single_threaded", lambda: True)
+            fork_probes(mp, 2)
             build_pipeline(tiny_ds, tiny_config)  # below the crossover
             mp.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
-            mp.setattr(edhi.pipeline, "_usable_cpus", lambda: 1)
+            mp.setattr(edhi._fork, "_usable_cpus", lambda: 1)
             build_pipeline(tiny_ds, tiny_config)
         # the real thread probe, with a Python thread running
         monkeypatch.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
-        monkeypatch.setattr(edhi.pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(edhi._fork, "_usable_cpus", lambda: 2)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert not edhi.pipeline._single_threaded()
+            assert not edhi._fork._single_threaded()
             build_pipeline(tiny_ds, tiny_config)
         finally:
             release.set()
