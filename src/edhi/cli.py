@@ -86,15 +86,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         )
 
 
-def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--data", required=True, help="series file")
-    sub.add_argument(
-        "--format",
-        dest="file_format",
-        choices=("auto", "generic", "turbofan"),
-        default="auto",
-        help="series file layout (default: sniff)",
-    )
+_DATA_HELP = "series file: generic CSV or turbofan text, told apart by its first line"
 
 
 def _cli_overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -115,26 +107,26 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return apply_overrides(config, _cli_overrides(args))
 
 
-# leading whitespace (blank lines included), then the first line's first
-# field: up to a comma or any line boundary that str.splitlines knows
-_FIRST_FIELD = re.compile(r"\s*([^,\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)")
+# leading whitespace (blank lines included), then the rest of the first
+# line: up to any line boundary that str.splitlines knows
+_FIRST_LINE = re.compile(r"\s*([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)")
 
 
 def _sniff_format(text: str) -> str:
+    """generic if the first non-blank line holds a comma or starts with the
+    token instance_id, else turbofan: no turbofan row holds either."""
     # reads only the head of the file; splitting it into lines here would
     # split the whole file once more before its parser does
-    match = _FIRST_FIELD.match(text)
-    if match.start(1) == len(text):
+    line = _FIRST_LINE.match(text).group(1)
+    if not line:
         raise ValueError("empty data file")
-    return "generic" if match.group(1).strip() == "instance_id" else "turbofan"
+    generic = "," in line or line.split()[0] == "instance_id"
+    return "generic" if generic else "turbofan"
 
 
-def _load_dataset(
-    path: str, file_format: str, rul_path: str | None = None
-) -> RunToFailureDataset:
+def _load_dataset(path: str, rul_path: str | None = None) -> RunToFailureDataset:
     text = Path(path).read_text()
-    fmt = _sniff_format(text) if file_format == "auto" else file_format
-    if fmt == "generic":
+    if _sniff_format(text) == "generic":
         ds = parse_generic(text, path)
     else:
         ds = parse_turbofan_series(text, path)
@@ -163,7 +155,7 @@ def _flag(value: bool) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    ds = _load_dataset(args.data, args.file_format)
+    ds = _load_dataset(args.data)
     bundle, info = build_pipeline(ds, config)
     out = Path(args.out)
     save_pipeline(out, bundle)
@@ -206,7 +198,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     taus = {"tau1": args.tau1, "tau2": args.tau2}
     taus = {key: value for key, value in taus.items() if value is not None}
     bundle = replace(bundle, config=apply_overrides(bundle.config, taus))
-    ds = _load_dataset(args.data, args.file_format, rul_path=args.rul)
+    ds = _load_dataset(args.data, rul_path=args.rul)
     report, rows = evaluate_pipeline(bundle, ds)
     print(report.as_table())
     zeros = sum(1 for actual in ds.rul_labels if actual == 0)
@@ -239,7 +231,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     bundle = load_pipeline(args.pipeline)
-    ds = _load_dataset(args.data, args.file_format)
+    ds = _load_dataset(args.data)
     if args.instance is not None:
         by_id = dict(ds.instances)
         if args.instance not in by_id:
@@ -303,7 +295,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = RunConfig()
     base = apply_overrides(base, _cli_overrides(args))
     grid = parse_sweep_grid(parse_config_text(Path(args.config).read_text()))
-    ds = _load_dataset(args.data, args.file_format)
+    ds = _load_dataset(args.data)
     best, trials = run_sweep(ds, base, grid)
     # one warning per shared build whose encoder-decoder stayed untrained
     untrained: dict[RunConfig, list[str]] = {}
@@ -341,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     train = subs.add_parser("train", help="fit a pipeline and save it")
-    _add_data_flags(train)
+    train.add_argument("--data", required=True, help=_DATA_HELP)
     train.add_argument("--config", help="key=value config file")
     train.add_argument("--out", default="pipeline.edhi", help="pipeline output path")
     train.add_argument("--log", help="training log path (default: <out>.log)")
@@ -350,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = subs.add_parser("evaluate", help="score a pipeline on a labeled test set")
     ev.add_argument("--pipeline", required=True, help="saved pipeline path")
-    _add_data_flags(ev)
+    ev.add_argument("--data", required=True, help=_DATA_HELP)
     ev.add_argument("--rul", required=True, help="true RUL per test instance")
     ev.add_argument("--tau1", metavar="V", help="early tolerance override")
     ev.add_argument("--tau2", metavar="V", help="late tolerance override")
@@ -360,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred = subs.add_parser("predict", help="estimate RUL for one instance")
     pred.add_argument("--pipeline", required=True, help="saved pipeline path")
-    _add_data_flags(pred)
+    pred.add_argument("--data", required=True, help=_DATA_HELP)
     pred.add_argument("--instance", help="instance id when the file has several")
     pred.add_argument("--curve-out", help="write the instance's HI curve here")
     pred.set_defaults(func=cmd_predict)
@@ -389,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synth)
 
     sweep = subs.add_parser("sweep", help="grid-search config values")
-    _add_data_flags(sweep)
+    sweep.add_argument("--data", required=True, help=_DATA_HELP)
     sweep.add_argument(
         "--config", required=True, help="config file; comma lists form the grid"
     )

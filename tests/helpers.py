@@ -6,6 +6,7 @@ headers and values, and the probes of the two-core tests."""
 
 import hashlib
 import json
+import math
 import os
 from typing import NamedTuple
 
@@ -20,6 +21,7 @@ from edhi.lstm import (
     LstmEdModel,
     TrainResult,
     _blocks,
+    _shapes,
     decode_train,
     encode,
     grad_bptt,
@@ -36,28 +38,37 @@ def reference_cell_step(w, b, x, h, c):
     (4n, p+n) with gates i, f, o, g stacked, b is (4n,). Returns the new
     (h, c). The logistic is 0.5 * tanh(0.5 * x) + 0.5 on the unscaled
     pre-activation, which the kernel's halved rows must reproduce bit for bit.
+    Leading axes on all five stack independent cells, each stepped as alone.
     """
-    n = h.shape[0]
-    pre = w @ np.concatenate([x, h]) + b[:, None]
-    sig = 0.5 * np.tanh(0.5 * pre[: 3 * n]) + 0.5
-    i, f, o = sig[:n], sig[n : 2 * n], sig[2 * n :]
-    g = np.tanh(pre[3 * n :])
+    n = h.shape[-2]
+    pre = w @ np.concatenate([x, h], axis=-2) + b[..., None]
+    sig = 0.5 * np.tanh(0.5 * pre[..., : 3 * n, :]) + 0.5
+    i, f, o = sig[..., :n, :], sig[..., n : 2 * n, :], sig[..., 2 * n :, :]
+    g = np.tanh(pre[..., 3 * n :, :])
     c = f * c + i * g
     return o * np.tanh(c), c
 
 
 def complex_teacher_loss(params: np.ndarray, p: int, n: int, window: np.ndarray):
-    """Teacher-forced loss of one (l, p) window, one reference_cell_step at
-    a time, over a flat parameter vector laid out like ``model.params``.
+    """Teacher-forced losses of one (l, p) window, one reference_cell_step
+    at a time, under each row of a (K, P) stack of parameter vectors laid
+    out like ``model.params``.
 
-    Every operation is analytic, so a complex ``params`` gives the complex
-    loss a complex-step derivative reads; the lstm kernels would drop the
+    Every operation is analytic, so complex ``params`` give the complex
+    losses a complex-step derivative reads; the lstm kernels would drop the
     imaginary part into their float64 buffers.
     """
-    enc_w, enc_b, dec_w, dec_b, out_w, out_b = _blocks(params, p, n).values()
+    k = len(params)
+    shapes = list(_shapes(p, n).values())
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    enc_w, enc_b, dec_w, dec_b, out_w, out_b = (
+        block.reshape(k, *shape)
+        for block, shape in zip(np.split(params, cuts, axis=1), shapes)
+    )
     l = window.shape[0]
-    rows = window[:, :, None]  # row t as a (p, 1) column: a batch of one
-    h = c = np.zeros((n, 1), dtype=params.dtype)
+    # row t as a (p, 1) column, a batch of one, for each of the K cells
+    rows = np.broadcast_to(window[:, None, :, None], (l, k, p, 1))
+    h = c = np.zeros((k, n, 1), dtype=params.dtype)
     for t in range(l):
         h, c = reference_cell_step(enc_w, enc_b, rows[t], h, c)
     total = 0.0
@@ -66,8 +77,8 @@ def complex_teacher_loss(params: np.ndarray, p: int, n: int, window: np.ndarray)
     for s in range(l):
         if s:
             h, c = reference_cell_step(dec_w, dec_b, rows[l - s], h, c)
-        diff = out_w.T @ h + out_b[:, None] - rows[l - 1 - s]
-        total = total + np.sum(diff * diff)
+        diff = out_w.swapaxes(1, 2) @ h + out_b[:, :, None] - rows[l - 1 - s]
+        total = total + np.sum(diff * diff, axis=(1, 2))
     return total
 
 
@@ -93,15 +104,19 @@ def grad_check_max_rel_err(
     magnitude count as exact matches (the relative error is undefined there).
     """
     analytic = grad_bptt(model, window[None])
-    p, n = model.input_dim, model.hidden_units
-    params = model.params.astype(np.complex128)
+    # row k steps parameter k alone: every derivative from one stacked pass,
+    # bitwise those of one pass per parameter
+    size = model.params.size
+    params = np.tile(model.params.astype(np.complex128), (size, 1))
+    params[np.arange(size), np.arange(size)] += 1j * step
+    derivatives = complex_teacher_loss(
+        params, model.input_dim, model.hidden_units, window
+    ).imag / step
     worst = GradCheck(0.0, "", ())
     at = 0
     for name, grad in analytic.items():
         for idx in np.ndindex(grad.shape):
-            params[at] += 1j * step
-            numeric = complex_teacher_loss(params, p, n, window).imag / step
-            params[at] = model.params[at]
+            numeric = derivatives[at]
             at += 1
             a = grad[idx]
             denom = max(abs(a), abs(numeric))

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edhi.cli import _load_dataset, _sniff_format, main
-from edhi.data import SyntheticSpec, generate_synthetic, parse_generic, write_generic
+from edhi.data import (
+    SyntheticSpec,
+    generate_synthetic,
+    parse_generic,
+    parse_turbofan_series,
+    write_generic,
+)
 from edhi.persist import load_pipeline
 from edhi.pipeline import predict_one
 from helpers import join_pipeline, split_pipeline, with_float
@@ -423,6 +429,21 @@ class TestQuickStartFleet:
         assert err == [f"error: {bad} line 4: non-integer cycle '{fields[1]}'"]
         assert not (tmp_path / "est.csv").exists()
 
+    @pytest.mark.parametrize("prefix", ["s", ""], ids=["ids_s1", "ids_1"])
+    def test_headerless_csv_names_the_missing_header(
+        self, quick_start, tmp_path, capsys, prefix
+    ):
+        # a comma on the first line reads as generic CSV, whatever the ids
+        fleet = quick_start / "fleet"
+        rows = (fleet / "truncated.csv").read_text().splitlines()[1:]
+        bad = tmp_path / "headerless.csv"
+        bad.write_text("".join(prefix + row[1:] + "\n" for row in rows))
+        assert bad.read_text().startswith(prefix + "1,1,")
+        code = _evaluate(quick_start, bad, fleet / "rul.txt", tmp_path / "est.csv")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad} line 1: header must start with instance_id,cycle"]
+        assert not (tmp_path / "est.csv").exists()
 
     def test_negative_label_one_error_line(self, quick_start, tmp_path, capsys):
         fleet = quick_start / "fleet"
@@ -670,6 +691,10 @@ class TestFormats:
         # leading blank lines are skipped
         assert _sniff_format("\n \n\t\ninstance_id,cycle,s1\na,1,0.5\n") == "generic"
         assert _sniff_format("\r\n\n" + self._turbofan_text()) == "turbofan"
+        # a comma means CSV, header or not; so does a leading instance_id
+        assert _sniff_format("s1,1,0.5\n") == "generic"
+        assert _sniff_format("1,1,0.5\n") == "generic"
+        assert _sniff_format("instance_id cycle s1\n") == "generic"
         with pytest.raises(ValueError, match="empty data file"):
             _sniff_format("\n  \n")
 
@@ -677,6 +702,7 @@ class TestFormats:
     def test_sniffing_ends_the_line_where_splitlines_does(self, sep):
         assert _sniff_format(f" {sep}{sep}instance_id{sep}1 1 0.5") == "generic"
         assert _sniff_format(f"x{sep}instance_id,cycle") == "turbofan"
+        assert _sniff_format(f"1 1 0.5{sep}1,1,0.5") == "turbofan"
 
     @given(
         st.lists(
@@ -692,8 +718,8 @@ class TestFormats:
         def by_lines(text):  # the first non-blank line, from every line
             for line in text.splitlines():
                 if line.strip():
-                    first = line.split(",")[0].strip()
-                    return "generic" if first == "instance_id" else "turbofan"
+                    generic = "," in line or line.split()[0] == "instance_id"
+                    return "generic" if generic else "turbofan"
             return "empty"
 
         text = "".join(parts)
@@ -704,24 +730,83 @@ class TestFormats:
             got = "empty"
         assert got == by_lines(text)
 
+    @pytest.mark.parametrize(
+        "kind, edit, parses",
+        [
+            ("generic", lambda text: text, True),
+            ("generic", lambda text: text.replace("\n", "\r\n"), True),
+            # no header on line 1: the parse fails, the sniffed one alike
+            ("generic", lambda text: "\n \n" + text, False),
+            ("generic", lambda text: "instance_id,cycle,a\nu,1,0.5\n\nu,2,1e3\n", True),
+            ("turbofan", lambda text: text, True),
+            ("turbofan", lambda text: "\n\t\r\n" + text, True),
+            ("turbofan", lambda text: text.replace("\n", "\r\n"), True),
+        ],
+        ids=[
+            "synth", "synth_crlf", "synth_leading_blanks", "hand_written",
+            "turbofan", "turbofan_leading_blanks", "turbofan_crlf",
+        ],
+    )
+    def test_sniffed_parse_is_the_parse_of_its_format(
+        self, tmp_path, kind, edit, parses
+    ):
+        if kind == "generic":
+            ds = generate_synthetic(SyntheticSpec(n_instances=3, n_sensors=2, seed=1))
+            text, parse = edit(write_generic(ds)), parse_generic
+        else:
+            text, parse = edit(self._turbofan_text()), parse_turbofan_series
+        path = tmp_path / "fleet.txt"
+        path.write_text(text, newline="")
+
+        def outcome(load):
+            try:
+                ds = load()
+            except ValueError as exc:
+                return str(exc)
+            series = [(uid, s.dtype, s.shape, s.tobytes()) for uid, s in ds.instances]
+            return ds.sensor_names, series
+
+        assert _sniff_format(text) == kind
+        # what the file read under an explicit format used to run
+        expected = outcome(lambda: parse(path.read_text(), str(path)))
+        assert isinstance(expected, tuple) == parses
+        assert outcome(lambda: _load_dataset(str(path))) == expected
+
     def test_turbofan_load(self, tmp_path):
         path = tmp_path / "fleet.txt"
         path.write_text(self._turbofan_text())
-        ds = _load_dataset(str(path), "auto")
+        ds = _load_dataset(str(path))
         assert len(ds.instances) == 2
         assert ds.n_sensors == 24
         assert ds.instances[0][0] == "1"
 
-    def test_explicit_format_overrides_sniffing(self, tmp_path):
+    def test_turbofan_short_row_names_its_line(self, tmp_path):
+        lines = self._turbofan_text().splitlines()
+        lines[4] = lines[4].rsplit(" ", 1)[0]
         path = tmp_path / "fleet.txt"
-        path.write_text(self._turbofan_text())
-        with pytest.raises(ValueError, match="header must start"):
-            _load_dataset(str(path), "generic")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            _load_dataset(str(path))
+        assert str(err.value) == f"{path} line 5: expected 26 columns, got 25"
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict", "sweep"])
+    def test_format_flag_is_refused(self, command, capsys):
+        required = {
+            "train": [],
+            "evaluate": ["--pipeline", "p.edhi", "--rul", "rul.txt"],
+            "predict": ["--pipeline", "p.edhi"],
+            "sweep": ["--config", "grid.cfg"],
+        }[command]
+        argv = [command, "--data", "d.csv", *required, "--format", "generic"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format generic" in capsys.readouterr().err
 
     def test_rul_labels_attach(self, tmp_path):
         path = tmp_path / "fleet.txt"
         path.write_text(self._turbofan_text())
         rul = tmp_path / "rul.txt"
         rul.write_text("12\n30\n")
-        ds = _load_dataset(str(path), "turbofan", rul_path=str(rul))
+        ds = _load_dataset(str(path), rul_path=str(rul))
         assert ds.rul_labels == [12.0, 30.0]

@@ -1,5 +1,6 @@
 """Tests for dataset parsing, synthesis, and truncation."""
 
+import io
 import itertools
 import os
 import pickle
@@ -231,6 +232,17 @@ def _force_split(mp):
     fork_probes(mp, 2)
 
 
+def _split_here(first, second, send, receive):
+    """``_fork.run_split`` without the fork: ``second()`` runs in this
+    process, and its result still crosses the pipe as the child's would,
+    through ``send`` into a buffer and ``receive`` out of it."""
+    pipe = io.BytesIO()
+    send(second(), pipe)
+    pipe.seek(0)
+    mine = first()
+    return mine, receive(pipe, mine)
+
+
 def _row_loop_outcome(parse, text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_read_span", lambda *args: None)
@@ -343,8 +355,11 @@ class TestFastPathMatchesRowLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_PIECE_CHARS", piece_chars)
             assert _outcome(parse_generic, text) == expected
-            # and cut in two, the second half read by a forked child
+            # and cut in two, the second half read as a forked child reads
+            # it and sent through its pipe format; the fork itself is
+            # TestTwoCoreParse's
             _force_split(mp)
+            mp.setattr(edhi._fork, "run_split", _split_here)
             assert _outcome(parse_generic, text) == expected
         no_child_left()
 
