@@ -267,21 +267,34 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _truncate_range(text: str) -> tuple[float, float]:
+    """--truncate's LO,HI, or one ValueError naming the flag."""
+    try:
+        lo, hi = (float(part) for part in text.split(","))
+        if not 0.0 < lo <= hi < 1.0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"--truncate expects LO,HI with 0 < LO <= HI < 1, got {text!r}"
+        ) from None
+    return lo, hi
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     ds = generate_synthetic(spec)
+    # the test copy is cut before anything is written, so a bad --truncate
+    # leaves no data.csv behind
+    truncated = None
+    if args.truncate:
+        seed = args.truncate_seed if args.truncate_seed is not None else args.seed + 1
+        truncated = truncate_random(ds, *_truncate_range(args.truncate), seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.csv"
     data_path.write_text(write_generic(ds))
     print(f"wrote {data_path} ({spec.n_instances} instances)")
-    if args.truncate:
-        parts = args.truncate.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--truncate expects LO,HI, got {args.truncate!r}")
-        lo, hi = (float(part) for part in parts)
-        seed = args.truncate_seed if args.truncate_seed is not None else args.seed + 1
-        truncated = truncate_random(ds, lo, hi, seed)
+    if truncated is not None:
         trunc_path = out_dir / "truncated.csv"
         rul_path = out_dir / "rul.txt"
         trunc_path.write_text(write_generic(truncated))

@@ -22,12 +22,16 @@ forget gate f, output gate o, candidate g. The first three pass through the
 logistic function, computed as 0.5 * tanh(0.5 * x) + 0.5 (which cannot
 overflow), the candidate through tanh.
 
-A cell runs a T-step sequence on a batch of B rows over one preallocated
-[x | h] buffer of shape (T+1, p+n, B), feature-major with the batch last so
-that every gate block and state is one contiguous (n, B) block. Slot t holds
-[x_t | h_t-1]: the inputs fill the x rows once and each step writes its h
-straight into the next slot, so a step is one (4n, p+n) @ (p+n, B) GEMM
-plus elementwise work, with no concatenation and no temporary array.
+A cell runs a T-step sequence on a batch of B rows over preallocated
+[x | h] slots of shape (p+n, B), feature-major with the batch last so that
+every gate block and state is one contiguous (n, B) block. Slot t holds
+[x_t | h_t-1] and each step writes its h straight into the next slot, so a
+step is one (4n, p+n) @ (p+n, B) GEMM plus elementwise work, with no
+concatenation and no temporary array. Training keeps T+1 slots, whose x
+rows the inputs fill once, for the backward pass. Inference (``encode``,
+``decode_train``, ``decode_infer``) rolls two slots, copying each x_t into
+its slot, so beyond the predictions it returns its memory is O(B (p+n))
+whatever T.
 
 The GEMM runs against a prepared copy of the cell, made once per sequence:
 the stacked weight and bias with their i|f|o rows multiplied by 0.5, and
@@ -42,10 +46,10 @@ The backward pass takes every step's local derivatives in one pass over
 that trace, turns them into the step's pre-activation gradient in place,
 takes dh_t-1 from the h columns of the weight only, and after the loop gets
 the weight and bias gradients from one GEMM over the whole buffer; it
-reads the model's own weights, never the halved copy. The readout and its
-gradients likewise run once over all decoder states, except in
-autoregressive inference, where each prediction is written straight into
-the x rows of the slot that feeds it back.
+reads the model's own weights, never the halved copy. In training, the readout
+and its gradients likewise run once over all decoder states. Inference
+reads each decoder state out as it is made, and autoregressive inference
+also copies each prediction into the x rows of the slot that feeds it back.
 
 ``train`` records per epoch, in its TrainResult, the summed training and
 validation losses, the largest pre-clip global gradient norm, the number of
@@ -217,25 +221,29 @@ class _Trace:
 
     Arrays are feature-major, batch last, so every gate block and state is a
     contiguous (n, B) block. Column b of slot t of ``xh`` is [x_t | h_t-1]
-    of batch row b: h_t sits in the h rows of slot t+1, and
-    ``xh[:, -n:]`` holds every state from the initial one. The x rows of the
-    last slot are never read.
+    of batch row b, and step t writes h_t into the h rows of the next slot.
 
-    A trace kept for the backward pass holds every step's gates and cells.
-    Inference needs only the latest, so its trace reuses one gate slot and
-    two cell slots (step t uses slot t modulo the length), which keeps the
-    memory of a large batch at that of its xh buffer.
+    A trace kept for the backward pass holds every step: T+1 xh slots, filled
+    with the inputs once, so ``xh[:, -n:]`` holds every state from the
+    initial one (the x rows of the last slot are never read), plus every
+    step's gates and cells. Inference needs only the current step and the
+    next, so its trace rolls: step t uses xh slot t modulo 2, copying x_t in
+    first, one gate slot and two cell slots. Its memory is then O(B (p+n)),
+    whatever T. The shapes below are a kept trace's; a rolled trace has K =
+    min(T, 1) in place of T.
 
     Attributes:
+        steps: T.
         w: The cell's stacked weight, i|f|o rows halved, shape (4n, p+n).
         bias: The cell's bias, i|f|o rows halved, tiled to shape (4n, B).
-        xh: Shape (T+1, p+n, B).
+        xh: Shape (T+1, p+n, B), so (K+1, p+n, B) rolled, like ``cell``.
         gates: Shape (T, 4n, B), activated: logistic i|f|o, then tanh g.
         cell: Shape (T+1, n, B), the initial cell state first.
-        tanh_cell: Shape (T, n, B), tanh of cell[1:].
+        tanh_cell: Shape (T, n, B), tanh of the cell states after it.
         ig: Shape (n, B), scratch for one step's i * g.
     """
 
+    steps: int
     w: np.ndarray
     bias: np.ndarray
     xh: np.ndarray
@@ -245,8 +253,12 @@ class _Trace:
     ig: np.ndarray
 
     @property
+    def final_hidden(self) -> np.ndarray:
+        return self.xh[self.steps % self.xh.shape[0], -self.cell.shape[1] :]
+
+    @property
     def final_cell(self) -> np.ndarray:
-        return self.cell[(self.xh.shape[0] - 1) % self.cell.shape[0]]
+        return self.cell[self.steps % self.cell.shape[0]]
 
 
 def _tiled(column: np.ndarray, b: int) -> np.ndarray:
@@ -259,7 +271,8 @@ def _start(
 ) -> _Trace:
     """Empty trace for ``steps`` steps from state (h0, c0), both (n, B).
 
-    ``keep`` holds every step's gates and cells for the backward pass.
+    ``keep`` holds every step's [x | h], gates and cells for the backward
+    pass; otherwise the trace rolls (see _Trace).
     """
     n, b = h0.shape
     kept = steps if keep else min(steps, 1)
@@ -268,9 +281,10 @@ def _start(
     half_b = params.b.copy()
     half_b[: 3 * n] *= 0.5
     trace = _Trace(
+        steps=steps,
         w=w,
         bias=_tiled(half_b, b),
-        xh=np.empty((steps + 1, params.w.shape[1], b)),
+        xh=np.empty((kept + 1, params.w.shape[1], b)),
         gates=np.empty((kept, 4 * n, b)),
         cell=np.empty((kept + 1, n, b)),
         tanh_cell=np.empty((kept, n, b)),
@@ -284,15 +298,16 @@ def _start(
 def _step(trace: _Trace, t: int) -> None:
     """Cell step t: reads [x_t | h_t-1] and c_t-1, writes gates, c_t and h_t.
 
-    The logistic of the i|f|o rows is 0.5 * tanh(0.5 * pre) + 0.5; the trace's
-    halved weight and bias rows give 0.5 * pre directly, so one tanh covers
-    all four blocks.
+    The caller of a rolled trace copies x_t into its slot first. The logistic
+    of the i|f|o rows is 0.5 * tanh(0.5 * pre) + 0.5; the trace's halved
+    weight and bias rows give 0.5 * pre directly, so one tanh covers all four
+    blocks.
     """
     n = trace.cell.shape[1]
     slots = trace.gates.shape[0]
-    cells = trace.cell.shape[0]
+    cells = trace.cell.shape[0]  # also the number of xh slots
     gates = trace.gates[t % slots]
-    np.matmul(trace.w, trace.xh[t], out=gates)
+    np.matmul(trace.w, trace.xh[t % cells], out=gates)
     gates += trace.bias
     np.tanh(gates, out=gates)
     sig = gates[: 3 * n]
@@ -304,7 +319,7 @@ def _step(trace: _Trace, t: int) -> None:
     c += trace.ig
     tc = trace.tanh_cell[t % slots]
     np.tanh(c, out=tc)
-    np.multiply(gates[2 * n : 3 * n], tc, out=trace.xh[t + 1, -n:])
+    np.multiply(gates[2 * n : 3 * n], tc, out=trace.xh[(t + 1) % cells, -n:])
 
 
 def _slopes(trace: _Trace):
@@ -409,26 +424,30 @@ def _encoder_trace(model: LstmEdModel, batch: np.ndarray, keep: bool) -> _Trace:
     b, l, p = batch.shape
     zeros = np.zeros((model.hidden_units, b))
     trace = _start(model.encoder, l, zeros, zeros, keep)
-    trace.xh[:l, :p] = batch.transpose(1, 2, 0)
-    for t in range(l):
-        _step(trace, t)
+    rows = batch.transpose(1, 2, 0)
+    if keep:
+        trace.xh[:l, :p] = rows
+        for t in range(l):
+            _step(trace, t)
+    else:
+        x_rows = [xh[:p] for xh in trace.xh]
+        for t in range(l):
+            x_rows[t % 2][...] = rows[t]
+            _step(trace, t)
     return trace
 
 
 def _decoder_trace(
-    model: LstmEdModel,
-    batch: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-    keep: bool,
+    model: LstmEdModel, batch: np.ndarray, h0: np.ndarray, c0: np.ndarray
 ) -> _Trace:
-    """Teacher-forced decoder from state (h0, c0), both (n, B).
+    """Teacher-forced decoder from state (h0, c0), both (n, B), kept for the
+    backward pass.
 
     Step s is fed true row l-1-s of the batch, so its l states (the
     inherited one first) predict rows l-1 down to 0.
     """
     l, p = model.window_len, model.input_dim
-    trace = _start(model.decoder, l - 1, h0, c0, keep)
+    trace = _start(model.decoder, l - 1, h0, c0, keep=True)
     trace.xh[: l - 1, :p] = batch[:, :0:-1].transpose(1, 2, 0)
     for s in range(l - 1):
         _step(trace, s)
@@ -438,6 +457,9 @@ def _decoder_trace(
 def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
     """Run the encoder over a batch of l-row windows from the zero state.
 
+    The cell runs on two rolling [x | h] slots, so the buffers are
+    O(B (p+c)) whatever l.
+
     Args:
         model: The encoder-decoder model.
         window: Shape (B, l, p).
@@ -446,8 +468,9 @@ def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
         Final encoder states after the l-th step, each (B, n).
     """
     trace = _encoder_trace(model, _check_window(window, "window", model), keep=False)
-    h = trace.xh[-1, model.input_dim :]
-    return LstmState(hidden=h.T.copy(), cell=trace.final_cell.T.copy())
+    return LstmState(
+        hidden=trace.final_hidden.T.copy(), cell=trace.final_cell.T.copy()
+    )
 
 
 def _readout(model: LstmEdModel, h: np.ndarray) -> np.ndarray:
@@ -460,6 +483,36 @@ def _time_order(preds: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(preds[::-1].transpose(2, 0, 1))
 
 
+def _decode(
+    model: LstmEdModel,
+    h0: np.ndarray,
+    c0: np.ndarray,
+    steps: int,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Decoder predictions from state (h0, c0), both (n, B), as a
+    (B, steps, p) array in time order, on a rolled trace.
+
+    State s (the inherited one first) is read out into a (steps, p, B)
+    buffer as soon as it is made. Step s is then fed rows[s], a (p, B) true
+    row, or without ``rows`` the prediction just made.
+    """
+    p = model.input_dim
+    preds = np.empty((steps, p, h0.shape[1]))
+    trace = _start(model.decoder, steps - 1, h0, c0, keep=False)
+    x_rows = [xh[:p] for xh in trace.xh]
+    states = [xh[p:] for xh in trace.xh]
+    out_w = model.out_weight.T
+    out_b = model.out_bias[:, None]
+    for s, pred in enumerate(preds):
+        np.matmul(out_w, states[s % 2], out=pred)
+        pred += out_b
+        if s < steps - 1:
+            x_rows[s % 2][...] = pred if rows is None else rows[s]
+            _step(trace, s)
+    return _time_order(preds)
+
+
 def decode_train(
     model: LstmEdModel, window: np.ndarray, enc_final: LstmState
 ) -> np.ndarray:
@@ -468,7 +521,9 @@ def decode_train(
     The decoder starts from the encoder's final state and emits its first
     prediction (for the last row) before consuming any input; each subsequent
     step is fed the true row just predicted. Output rows are re-ordered so row
-    t of the result predicts row t of the window.
+    t of the result predicts row t of the window. Beyond the (l, p, B)
+    predictions, the buffers are O(B (p+c)) whatever l: two rolling [x | h]
+    slots.
 
     Args:
         model: The encoder-decoder model.
@@ -482,12 +537,15 @@ def decode_train(
     h0, c0 = _state_columns(model, enc_final)
     if h0.shape[1] != w.shape[0]:
         raise ValueError(f"{h0.shape[1]} states for {w.shape[0]} windows")
-    trace = _decoder_trace(model, w, h0, c0, keep=False)
-    return _time_order(_readout(model, trace.xh[:, model.input_dim :]))
+    return _decode(model, h0, c0, w.shape[1], w[:, :0:-1].transpose(1, 2, 0))
 
 
 def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.ndarray:
     """Autoregressive decode: feed each prediction back as the next input.
+
+    Beyond the (steps, p, B) predictions, the buffers are O(B (p+c))
+    whatever ``steps``: two rolling [x | h] slots, each prediction copied
+    into the x rows of the slot that feeds it back.
 
     Args:
         model: The encoder-decoder model.
@@ -499,19 +557,7 @@ def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.nda
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    p = model.input_dim
-    h0, c0 = _state_columns(model, enc_final)
-    trace = _start(model.decoder, steps - 1, h0, c0, keep=False)
-    xh = trace.xh
-    out_w = model.out_weight.T
-    out_b = model.out_bias[:, None]
-    # each state's prediction fills the x rows of its own slot: the next input
-    for s in range(steps):
-        np.matmul(out_w, xh[s, p:], out=xh[s, :p])
-        xh[s, :p] += out_b
-        if s < steps - 1:
-            _step(trace, s)
-    return _time_order(xh[:, :p])
+    return _decode(model, *_state_columns(model, enc_final), steps)
 
 
 def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -534,7 +580,7 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     n = model.hidden_units
     grad = LstmEdModel(np.empty_like(model.params), p, n, l)
     enc = _encoder_trace(model, batch, keep=True)
-    dec = _decoder_trace(model, batch, enc.xh[-1, p:], enc.final_cell, keep=True)
+    dec = _decoder_trace(model, batch, enc.xh[-1, p:], enc.final_cell)
 
     # decoder state s (the encoder's final state first) predicts row l-1-s
     states = dec.xh[:, p:]

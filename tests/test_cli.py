@@ -99,6 +99,16 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path), "--truncate", "0.4"])
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["0.4,x", "0.9,0.4"])
+    def test_bad_truncate_value_writes_nothing(self, tmp_path, capsys, spec):
+        out = tmp_path / "bad_trunc"
+        assert main(["synth", "--out", str(out), "--truncate", spec]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: --truncate ")
+        assert repr(spec) in err[0]
+        assert not (out / "data.csv").exists()
+
 
 class TestTrain:
     def test_writes_pipeline_and_log(self, trained, capsys):

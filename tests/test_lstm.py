@@ -5,6 +5,8 @@ The gradient oracle is a complex-step derivative over every parameter entry
 best-checkpoint contracts.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -328,7 +330,9 @@ def _random_model(p, c, l, rng):
 class TestKernelBitwise:
     """The cell kernel, whose i|f|o rows are halved, against the plainly
     written reference_cell_step, with array_equal: every batch width 1-40
-    (each width mod 8 takes its own GEMM tail), and the bench shapes."""
+    (each width mod 8 takes its own GEMM tail), and the bench shapes: a
+    training batch, a unit's reconstruction and train_fd001's validation
+    batch."""
 
     @given(
         st.integers(1, 6),
@@ -343,11 +347,47 @@ class TestKernelBitwise:
         for b in range(1, 41):
             _assert_kernel_matches_reference(model, rng.normal(size=(b, l, p)))
 
-    @pytest.mark.parametrize("b", [32, 223])
+    @pytest.mark.parametrize("b", [32, 223, 1178])
     def test_bench_shapes_match_reference(self, b):
         rng = np.random.default_rng(b)
         model = init_model(3, 30, 20, seed=b)
         _assert_kernel_matches_reference(model, rng.normal(size=(b, 20, 3)))
+
+
+def _traced_peak(run):
+    """Peak bytes traced while ``run()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestInferenceMemory:
+    """Inference rolls two [x | h] slots, so beyond its (B, l, p) predictions
+    (held twice: in decoder order, then in time order) its memory does not
+    grow with the window length l. A trace of every step would add
+    (l+1) (p+c) B floats."""
+
+    B, P, C = 2000, 3, 30
+
+    def _excess(self, l, decode):
+        model = init_model(self.P, self.C, l, seed=l)
+        batch = np.random.default_rng(l).normal(size=(self.B, l, self.P))
+        if decode == "infer":
+            state = encode(model, batch)
+            peak, preds = _traced_peak(lambda: decode_infer(model, state, l))
+        else:
+            peak, preds = _traced_peak(
+                lambda: decode_train(model, batch, encode(model, batch))
+            )
+        return peak - 2 * preds.nbytes
+
+    @pytest.mark.parametrize("decode", ["train", "infer"])
+    def test_peak_does_not_grow_with_window_length(self, decode):
+        short, long = self._excess(10, decode), self._excess(40, decode)
+        assert long < 1.1 * short
 
 
 class TestLoss:
