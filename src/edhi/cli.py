@@ -23,7 +23,6 @@ from .config import (
     parse_sweep_grid,
 )
 from .data import (
-    DEGRADATION_SHAPES,
     RunToFailureDataset,
     SyntheticSpec,
     generate_synthetic,
@@ -70,14 +69,16 @@ _CONFIG_HELP = {
     "batch_size": "windows per training batch",
     "grad_clip_norm": "global gradient norm clip",
     "patience": "early-stopping patience in epochs",
+    "degradation_shape": "degradation drift: linear, exponential or piecewise",
 }
+# the fields not spelled --<field-name> alone
+_FLAGS = {"lam": ("--lam", "--lambda"), "degradation_shape": ("--shape",)}
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_argument_group("config overrides")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        names = [flag, "--lambda"] if f.name == "lam" else [flag]
+def _add_config_flags(sub: argparse.ArgumentParser, record: type) -> None:
+    group = sub.add_argument_group("settings")
+    for f in fields(record):
+        names = _FLAGS.get(f.name, ("--" + f.name.replace("_", "-"),))
         group.add_argument(
             *names,
             dest=f"cfg_{f.name}",
@@ -89,9 +90,9 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 _DATA_HELP = "series file: generic CSV or turbofan text, told apart by its first line"
 
 
-def _cli_overrides(args: argparse.Namespace) -> dict[str, str]:
+def _cli_overrides(args: argparse.Namespace, record: type) -> dict[str, str]:
     out = {}
-    for f in fields(RunConfig):
+    for f in fields(record):
         value = getattr(args, f"cfg_{f.name}", None)
         if value is not None:
             out[f.name] = value
@@ -104,7 +105,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         config = apply_overrides(
             config, parse_config_text(Path(args.config).read_text())
         )
-    return apply_overrides(config, _cli_overrides(args))
+    return apply_overrides(config, _cli_overrides(args, RunConfig))
 
 
 # leading whitespace (blank lines included), then the rest of the first
@@ -199,6 +200,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     taus = {key: value for key, value in taus.items() if value is not None}
     bundle = replace(bundle, config=apply_overrides(bundle.config, taus))
     ds = _load_dataset(args.data, rul_path=args.rul)
+    if args.curves_dir:
+        # each curve file is named after its instance, so an id that is not
+        # a plain file name would put it outside --curves-dir
+        for uid, _ in ds.instances:
+            if uid in (".", "..") or "/" in uid or "\0" in uid:
+                raise ValueError(
+                    f"instance id {uid!r} is not a plain file name;"
+                    " --curves-dir names each curve file after its instance"
+                )
     report, rows = evaluate_pipeline(bundle, ds)
     print(report.as_table())
     zeros = sum(1 for actual in ds.rul_labels if actual == 0)
@@ -281,14 +291,13 @@ def _truncate_range(text: str) -> tuple[float, float]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
+    spec = apply_overrides(SyntheticSpec(), _cli_overrides(args, SyntheticSpec))
     ds = generate_synthetic(spec)
     # the test copy is cut before anything is written, so a bad --truncate
     # leaves no data.csv behind
     truncated = None
     if args.truncate:
-        seed = args.truncate_seed if args.truncate_seed is not None else args.seed + 1
-        truncated = truncate_random(ds, *_truncate_range(args.truncate), seed)
+        truncated = truncate_random(ds, *_truncate_range(args.truncate), spec.seed + 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.csv"
@@ -306,7 +315,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = RunConfig()
-    base = apply_overrides(base, _cli_overrides(args))
+    base = apply_overrides(base, _cli_overrides(args, RunConfig))
     grid = parse_sweep_grid(parse_config_text(Path(args.config).read_text()))
     ds = _load_dataset(args.data)
     best, trials = run_sweep(ds, base, grid)
@@ -350,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", help="key=value config file")
     train.add_argument("--out", default="pipeline.edhi", help="pipeline output path")
     train.add_argument("--log", help="training log path (default: <out>.log)")
-    _add_config_flags(train)
+    _add_config_flags(train, RunConfig)
     train.set_defaults(func=cmd_train)
 
     ev = subs.add_parser("evaluate", help="score a pipeline on a labeled test set")
@@ -372,25 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = subs.add_parser("synth", help="generate synthetic run-to-failure data")
     synth.add_argument("--out", required=True, help="output directory")
-    # one flag per SyntheticSpec field, defaulting to the field's default
-    for f in fields(SyntheticSpec):
-        if f.name == "degradation_shape":
-            synth.add_argument(
-                "--shape",
-                dest=f.name,
-                choices=DEGRADATION_SHAPES,
-                default=f.default,
-                help="degradation drift shape",
-            )
-        else:
-            flag = "--" + f.name.replace("_", "-")
-            synth.add_argument(flag, type=type(f.default), default=f.default)
     synth.add_argument(
         "--truncate",
         metavar="LO,HI",
-        help="also write a test copy truncated at a uniform life fraction",
+        help="also write a test copy truncated at a uniform life fraction,"
+        " drawn with seed + 1",
     )
-    synth.add_argument("--truncate-seed", type=int, help="default: seed + 1")
+    _add_config_flags(synth, SyntheticSpec)
     synth.set_defaults(func=cmd_synth)
 
     sweep = subs.add_parser("sweep", help="grid-search config values")
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", required=True, help="config file; comma lists form the grid"
     )
     sweep.add_argument("--out", help="per-trial results CSV")
-    _add_config_flags(sweep)
+    _add_config_flags(sweep, RunConfig)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

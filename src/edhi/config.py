@@ -8,8 +8,8 @@ files are flat key=value text; "lambda" is accepted as an alias for the
 
 from __future__ import annotations
 
+import functools
 import numbers
-import typing
 from dataclasses import dataclass, field, fields, replace
 
 HI_VARIANTS = (
@@ -20,7 +20,7 @@ HI_VARIANTS = (
     "endpoints",
 )
 
-_ALIASES = {"lambda": "lam"}
+_ALIASES = {"lambda": "lam", "shape": "degradation_shape"}
 # fields read only when scoring (matching, capping and timeliness); a build
 # never reads them, so configs differing only here share one build
 SCORING_FIELDS = ("tau", "alpha", "lam", "r_max", "tau1", "tau2")
@@ -138,20 +138,24 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# every field's annotated type; the fields annotated int take integer values,
-# every other numeric field is a float
-_TYPES = typing.get_type_hints(RunConfig)
-_INT_FIELDS = frozenset(name for name, kind in _TYPES.items() if kind is int)
+@functools.cache
+def _field_types(record: type) -> dict[str, str]:
+    """Each field of a record type with its annotation as written:
+    "int", "float", "float | None" or "str"."""
+    return {f.name: f.type for f in fields(record)}
 
 
-def _field_name(key: str) -> str:
-    """The RunConfig field a config key names, with aliases resolved.
+_INT_FIELDS = frozenset(n for n, k in _field_types(RunConfig).items() if k == "int")
+
+
+def _field_name(key: str, record: type = RunConfig) -> str:
+    """The field of ``record`` a config key names, with aliases resolved.
 
     Raises:
         ValueError: If no field has that name.
     """
     name = _ALIASES.get(key, key)
-    if name not in _TYPES:
+    if name not in _field_types(record):
         raise ValueError(f"unknown config key {key!r}")
     return name
 
@@ -171,7 +175,7 @@ def config_from_dict(data: dict) -> RunConfig:
         ValueError: Unless ``data`` names every field exactly once with a
             valid value.
     """
-    known = set(_TYPES)
+    known = set(_field_types(RunConfig))
     if set(data) != known:
         raise ValueError(
             f"config fields differ: unknown {sorted(set(data) - known)},"
@@ -198,30 +202,30 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _coerce(name: str, value: str):
-    if name == "hi_variant":
+def _coerce(kind: str, value: str):
+    if kind == "str":
         return value
-    if name == "healthy_frac":
-        if value.lower() in ("none", ""):
-            return None
-        return float(value)
-    if name in _INT_FIELDS:
-        return int(value)
-    return float(value)
+    if kind == "float | None" and value.lower() in ("none", ""):
+        return None
+    return int(value) if kind == "int" else float(value)
 
 
-def apply_overrides(base: RunConfig, overrides: dict[str, str]) -> RunConfig:
-    """Apply string-valued settings (config file or CLI flags) onto a base.
+def apply_overrides(base, overrides: dict[str, str]):
+    """Apply string-valued settings (config file or CLI flags) onto a base
+    record, a RunConfig or a SyntheticSpec: each value is coerced by its
+    field's annotation, then the record validates it.
 
     Raises:
         ValueError: On unknown keys, or values that fail coercion or
             validation.
     """
+    record = type(base)
+    kinds = _field_types(record)
     updates = {}
     for key, value in overrides.items():
-        name = _field_name(key)
+        name = _field_name(key, record)
         try:
-            updates[name] = _coerce(name, value)
+            updates[name] = _coerce(kinds[name], value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: bad value {value!r}") from exc
     return replace(base, **updates)

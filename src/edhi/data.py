@@ -119,8 +119,10 @@ class SyntheticSpec:
             raise ValueError(
                 f"need 2 <= min_len <= max_len, got {self.min_len}, {self.max_len}"
             )
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}"
+            )
         if not 0.0 < self.fault_onset_frac < 1.0:
             raise ValueError(
                 f"fault_onset_frac must be in (0,1), got {self.fault_onset_frac}"
@@ -130,6 +132,8 @@ class SyntheticSpec:
                 f"unknown shape {self.degradation_shape!r}, "
                 f"expected one of {DEGRADATION_SHAPES}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_float(token: str, lineno: int, path_hint: str) -> float:

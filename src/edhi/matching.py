@@ -16,8 +16,8 @@ instance in array passes, in three steps. ``pair_distances`` finds the
 feasible pairs with one comparison of lags against each curve's headroom,
 takes each pair as a window of a strided view of the library's flat
 array, subtracts the window from the test row and gets every d^2 from
-batched row-by-column products. ``weigh_pairs`` applies the lag bound tau
-and one ``exp`` at lambda, and finds the best similarity. ``alpha_cut``
+batched row-by-column products. ``weigh_pairs`` applies one ``exp`` at
+lambda to every pair it is given and finds the best similarity. ``alpha_cut``
 returns the indices of the pairs at or above alpha times it, and
 ``Candidates.take`` keeps them. Each subtraction takes the operands the
 scalar ``curve_distance`` takes and each product runs its dot kernel, so
@@ -348,23 +348,19 @@ def pairs_within(pairs: Pairs, tau: int) -> Pairs:
     return Pairs(owner, lags, d2, estimates, tau)
 
 
-def weigh_pairs(pairs: Pairs, library: Library, tau: int, lam: float) -> Candidates:
-    """The pairs of ``pair_distances`` with lag <= tau, weighed at lam.
-
-    Pairs enumerated past tau are cut to it first (``pairs_within``), so
-    pairs enumerated once at a sweep's largest tau serve each of its smaller
-    taus, and one weighing serves every alpha.
+def weigh_pairs(pairs: Pairs, library: Library, lam: float) -> Candidates:
+    """Every one of the pairs, weighed at lam; one weighing serves every alpha.
 
     Returns:
-        Every pair within tau, in pair order, with ``s_max`` their best
-        similarity and ``n_pairs`` their count.
+        The pairs in pair order, with ``s_max`` their best similarity and
+        ``n_pairs`` their count.
 
     Raises:
-        ValueError: When tau exceeds the pairs' tau, or a pair's distance is
-            NaN (a NaN in the test or a library curve), naming the first
-            train instance it occurs against.
+        ValueError: When a pair's distance is NaN (a NaN in the test or a
+            library curve), naming the first train instance it occurs
+            against.
     """
-    owner, lags, d2, estimates, _ = pairs_within(pairs, tau)
+    owner, lags, d2, estimates, _ = pairs
     # d2 / -lam has the bits of -d2 / lam: IEEE division is sign-symmetric
     sims = d2 / -lam
     np.exp(sims, out=sims)
@@ -413,7 +409,7 @@ def candidate_estimates(
             instance it occurs against.
     """
     pairs = pair_distances(test, library, config.tau)
-    weighed = weigh_pairs(pairs, library, config.tau, config.lam)
+    weighed = weigh_pairs(pairs, library, config.lam)
     return weighed.take(alpha_cut(weighed, config.alpha))
 
 

@@ -413,7 +413,7 @@ class _SweepBuild:
             if tau not in self.within:
                 self.within[tau] = [pairs_within(pairs, tau) for pairs in self.pairs]
             self.weights[key] = [
-                weigh_pairs(pairs, self.library, tau, config.lam)
+                weigh_pairs(pairs, self.library, config.lam)
                 for pairs in self.within[tau]
             ]
         return self.weights[key]

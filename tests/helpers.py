@@ -380,17 +380,26 @@ def split_pipeline(blob: bytes) -> tuple[int, dict, bytes]:
     return version, header, blob[start + header_len : -32]
 
 
-def join_pipeline(version: int, header: dict, payload: bytes) -> bytes:
-    """A signed pipeline file, laid out as save_pipeline lays it out."""
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+def join_pipeline(version: int, header: dict | bytes, payload: bytes) -> bytes:
+    """A signed pipeline file, laid out as save_pipeline lays it out; a
+    header given as bytes is written as it is."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     body = (
         MAGIC
         + version.to_bytes(4, "little")
-        + len(header_bytes).to_bytes(8, "little")
-        + header_bytes
+        + len(header).to_bytes(8, "little")
+        + header
         + payload
     )
     return body + hashlib.sha256(body).digest()
+
+
+def section_past_payload(header: dict, name: str) -> dict:
+    """``header`` with section ``name`` running past the end of any payload."""
+    section = next(sec for sec in header["sections"] if sec["name"] == name)
+    section["nbytes"] = 1 << 40
+    return header
 
 
 def with_float(blob: bytes, section: str, index: int, value: float) -> bytes:

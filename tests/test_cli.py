@@ -13,11 +13,13 @@ from edhi.data import (
     generate_synthetic,
     parse_generic,
     parse_turbofan_series,
+    truncate_random,
     write_generic,
+    write_rul_labels,
 )
 from edhi.persist import load_pipeline
 from edhi.pipeline import predict_one
-from helpers import join_pipeline, split_pipeline, with_float
+from helpers import join_pipeline, section_past_payload, split_pipeline, with_float
 
 TRAIN_FLAGS = [
     "--p", "2", "--c", "5", "--l", "6", "--tau", "8",
@@ -108,6 +110,49 @@ class TestSynth:
         assert err[0].startswith("error: --truncate ")
         assert repr(spec) in err[0]
         assert not (out / "data.csv").exists()
+
+    def test_shape_flag_and_test_copy_seed(self, tmp_path):
+        assert main([
+            "synth", "--out", str(tmp_path), "--n-instances", "3", "--seed", "4",
+            "--shape", "linear", "--truncate", "0.4,0.9",
+        ]) == 0
+        spec = SyntheticSpec(n_instances=3, seed=4, degradation_shape="linear")
+        ds = generate_synthetic(spec)
+        assert (tmp_path / "data.csv").read_text() == write_generic(ds)
+        # the test copy is drawn with the spec's seed + 1
+        cut = truncate_random(ds, 0.4, 0.9, seed=5)
+        assert (tmp_path / "truncated.csv").read_text() == write_generic(cut)
+        assert (tmp_path / "rul.txt").read_text() == write_rul_labels(cut.rul_labels)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-instances", "2.5", "config key 'n_instances': bad value '2.5'"),
+            ("--n-instances", "0", "n_instances must be >= 1, got 0"),
+            ("--min-len", "1", "need 2 <= min_len <= max_len, got 1, 120"),
+            ("--noise-std", "nan", "noise_std must be finite and >= 0, got nan"),
+            ("--noise-std", "inf", "noise_std must be finite and >= 0, got inf"),
+            ("--noise-std", "-1", "noise_std must be finite and >= 0, got -1.0"),
+            ("--fault-onset-frac", "1", "fault_onset_frac must be in (0,1), got 1.0"),
+            (
+                "--shape",
+                "bogus",
+                "unknown shape 'bogus', expected one of"
+                " ('linear', 'exponential', 'piecewise')",
+            ),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_setting_one_error_line_naming_it(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "bad"
+        code = main(["synth", "--out", str(out), "--truncate", "0.4,0.9", flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 class TestTrain:
@@ -343,6 +388,41 @@ class TestEvaluate:
         assert captured.err.splitlines() == [
             f"error: pipeline file {bad}: duplicate train id {ids[0]!r}"
         ]
+
+    @pytest.mark.parametrize("uid", ["../escaped", "a/b", "..", ".", "nul\0id"])
+    def test_id_that_is_no_file_name_refused_with_curves_dir(
+        self, trained, synth_dir, tmp_path, capsys, uid
+    ):
+        text = (synth_dir / "truncated.csv").read_text()
+        data = tmp_path / "ids.csv"
+        data.write_text(text.replace("\ns2,", f"\n{uid},"))
+        estimates = tmp_path / "run" / "estimates.csv"
+        curves = tmp_path / "run" / "curves"
+        code = main([
+            "evaluate", "--pipeline", str(trained), "--data", str(data),
+            "--rul", str(synth_dir / "rul.txt"),
+            "--out", str(estimates), "--curves-dir", str(curves),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: instance id {uid!r} is not a plain file name;"
+            " --curves-dir names each curve file after its instance"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ids.csv"]
+
+    def test_blank_label_file_one_error_line(self, trained, synth_dir, tmp_path, capsys):
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n  \n")
+        code = main([
+            "evaluate", "--pipeline", str(trained),
+            "--data", str(synth_dir / "truncated.csv"), "--rul", str(blank),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {blank}: no labels"]
 
     def test_tau_overrides_change_header(self, trained, synth_dir, capsys):
         code = main([
@@ -597,6 +677,32 @@ class TestPredict:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: pipeline file {bad}:")
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            pytest.param(lambda h: b"{not json", "unreadable header", id="not-json"),
+            pytest.param(
+                lambda h: section_past_payload(h, "lr_theta"),
+                "truncated section lr_theta",
+                id="section-past-payload",
+            ),
+        ],
+    )
+    def test_unreadable_signed_pipeline_one_error_line(
+        self, trained, synth_dir, tmp_path, capsys, edit, reason
+    ):
+        version, header, payload = split_pipeline(trained.read_bytes())
+        bad = tmp_path / "unreadable.edhi"
+        bad.write_bytes(join_pipeline(version, edit(header), payload))
+        code = main([
+            "predict", "--pipeline", str(bad),
+            "--data", str(synth_dir / "truncated.csv"), "--instance", "s3",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: pipeline file {bad}: {reason}"]
+
 
     @pytest.mark.parametrize(
         "section, value, reason",
@@ -650,6 +756,29 @@ class TestSweep:
         assert lines[1].split(",")[2] == "0.3"
         assert lines[2].split(",")[2] == "0.9"
 
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alpha=0.3\nbogus\n", "config line 2: expected key=value, got 'bogus'"),
+            ("alpha= , \n", "config key 'alpha' has no values"),
+        ],
+    )
+    def test_bad_grid_file_one_error_line(
+        self, synth_dir, tmp_path, capsys, text, message
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        results = tmp_path / "results.csv"
+        code = main([
+            "sweep", "--data", str(synth_dir / "data.csv"),
+            "--config", str(cfg), "--out", str(results),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not results.exists()
 
     def test_keyless_config_is_one_error(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "keyless.cfg"

@@ -10,8 +10,10 @@ from edhi.config import (
     RunConfig,
     apply_overrides,
     config_from_dict,
+    parse_config_text,
     parse_sweep_grid,
 )
+from edhi.data import SyntheticSpec
 
 # one invalid value per field
 INVALID = {
@@ -105,6 +107,9 @@ def test_keys_resolved_alike_by_overrides_and_grids(parse):
         parse("bogus")
     with pytest.raises(ValueError, match="^unknown config key 'lam_'$"):
         parse("lam_")
+    # the alias of a SyntheticSpec field names no RunConfig field
+    with pytest.raises(ValueError, match="^unknown config key 'shape'$"):
+        parse("shape")
     parse("lambda")  # the alias of lam
 
 
@@ -138,6 +143,30 @@ def test_apply_overrides_alias_and_coercion():
     assert cfg.lam == 0.01 and cfg.healthy_frac is None
     with pytest.raises(ValueError, match="bad value"):
         apply_overrides(RunConfig(), {"p": "two"})
+
+
+def test_apply_overrides_on_a_synthetic_spec():
+    spec = apply_overrides(
+        SyntheticSpec(), {"n_instances": "3", "noise_std": "0.1", "shape": "linear"}
+    )
+    assert spec == SyntheticSpec(
+        n_instances=3, noise_std=0.1, degradation_shape="linear"
+    )
+    with pytest.raises(ValueError, match="^config key 'n_instances': bad value '2.5'$"):
+        apply_overrides(SyntheticSpec(), {"n_instances": "2.5"})
+    with pytest.raises(ValueError, match="^unknown config key 'lam'$"):
+        apply_overrides(SyntheticSpec(), {"lam": "1"})
+
+
+def test_config_line_without_equals_named():
+    with pytest.raises(ValueError) as err:
+        parse_config_text("alpha=0.5\n\n  bogus  # a note\n")
+    assert str(err.value) == "config line 3: expected key=value, got '  bogus  # a note'"
+
+
+def test_grid_key_without_values_named():
+    with pytest.raises(ValueError, match="^config key 'lambda' has no values$"):
+        parse_sweep_grid({"alpha": "0.5", "lambda": " , "})
 
 
 class TestMatchFields:

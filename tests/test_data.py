@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import math
 import os
 import pickle
 import signal
@@ -146,6 +147,18 @@ class TestParseGeneric:
         text = "instance_id,cycle,s1\na,1,0.5\na,3,0.6\n"
         with pytest.raises(ValueError, match="contiguous"):
             parse_generic(text)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_rul_labels, "\n  \n", "in.txt: no labels"),
+            (parse_generic, "", "in.txt: empty file"),
+        ],
+    )
+    def test_empty_input_named(self, parse, text, message):
+        with pytest.raises(ValueError) as err:
+            parse(text, "in.txt")
+        assert str(err.value) == message
 
     def test_negative_rul_label_rejected_with_line(self):
         with pytest.raises(ValueError, match="rul.txt line 3: negative RUL '-4.0'"):
@@ -798,6 +811,19 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(fault_onset_frac=1.0)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"noise_std": math.nan}, "noise_std must be finite and >= 0, got nan"),
+            ({"noise_std": math.inf}, "noise_std must be finite and >= 0, got inf"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_non_finite_noise_and_negative_seed_named(self, setting, message):
+        with pytest.raises(ValueError) as err:
+            SyntheticSpec(**setting)
+        assert str(err.value) == message
+
 
 class TestTruncation:
     def test_truncate_instance_midlife(self):
@@ -813,6 +839,10 @@ class TestTruncation:
         assert prefix.shape[0] == 1 and rul == 9.0
         prefix, rul = truncate_instance(series, 1.0)
         assert prefix.shape[0] == 9 and rul == 1.0
+
+    def test_one_cycle_series_refused(self):
+        with pytest.raises(ValueError, match="^need at least 2 cycles to truncate$"):
+            truncate_instance(np.zeros((1, 3)), 0.5)
 
     def test_truncate_random_within_bounds(self):
         ds = generate_synthetic(SyntheticSpec(n_instances=6, seed=0))

@@ -306,7 +306,7 @@ class TestBenchmarkSizes:
         rng = np.random.default_rng(seed)
         test, trains, config = bench_case(rng, n_trains)
         pairs = pair_distances(test, trains, config.tau + extra)
-        weighed = weigh_pairs(pairs, trains, config.tau, config.lam)
+        weighed = weigh_pairs(pairs_within(pairs, config.tau), trains, config.lam)
         assert len(weighed) == weighed.n_pairs
         assert weighed.ids is trains.ids
         want = candidate_estimates(test, trains, config)
@@ -332,12 +332,10 @@ class TestBenchmarkSizes:
         with pytest.raises(ValueError, match="pairs enumerated to lag"):
             pairs_within(pairs, pairs.tau + 1)
 
-    def test_tau_beyond_the_pairs_rejected(self):
-        rng = np.random.default_rng(5)
-        test, trains, _ = bench_case(rng, 10)
-        pairs = pair_distances(test, trains, 10)
-        with pytest.raises(ValueError, match="pairs enumerated to lag 10, tau is 11"):
-            weigh_pairs(pairs, trains, 11, RunConfig().lam)
+    def test_empty_test_curve_refused(self):
+        library = Library.of([("u1", HiCurve(values=np.linspace(1, 0, 20)))])
+        with pytest.raises(ValueError, match="^empty test curve$"):
+            pair_distances(HiCurve(values=np.empty(0)), library, 5)
 
     def test_empty_library(self):
         test = HiCurve(values=np.linspace(1, 0, 50))

@@ -21,7 +21,13 @@ from edhi.persist import (
     save_pipeline,
 )
 from edhi.pipeline import predict_one
-from helpers import as_format_1, join_pipeline, split_pipeline, with_float
+from helpers import (
+    as_format_1,
+    join_pipeline,
+    section_past_payload,
+    split_pipeline,
+    with_float,
+)
 
 LSTM_SECTIONS = {"enc_w", "enc_b", "dec_w", "dec_b", "out_w", "out_b"}
 
@@ -328,6 +334,26 @@ class TestMalformedHeader:
         version, header, payload = split_pipeline(path.read_bytes())
         edit(header)
         path.write_bytes(join_pipeline(version, header, payload))
+        with pytest.raises(ValueError) as err:
+            load_pipeline(path)
+        assert str(err.value) == f"pipeline file {path}: {reason}"
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            pytest.param(lambda h: b"{not json", "unreadable header", id="not-json"),
+            pytest.param(
+                lambda h: section_past_payload(h, "lr_theta"),
+                "truncated section lr_theta",
+                id="section-past-payload",
+            ),
+        ],
+    )
+    def test_signed_but_unreadable_is_named(self, tmp_path, edit, reason):
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())
+        version, header, payload = split_pipeline(path.read_bytes())
+        path.write_bytes(join_pipeline(version, edit(header), payload))
         with pytest.raises(ValueError) as err:
             load_pipeline(path)
         assert str(err.value) == f"pipeline file {path}: {reason}"

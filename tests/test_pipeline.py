@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import edhi._fork
-import edhi.matching
 import edhi.pipeline
 from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
 from edhi.data import (
@@ -287,6 +286,18 @@ class TestTwoCoreTargets:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
+        assert forks == []
+
+    def test_one_fit_unit_stays_serial(self, tiny_ds, tiny_config, forks, monkeypatch):
+        # one unit cannot be cut into two runs, whatever its work
+        ds = RunToFailureDataset(
+            instances=tiny_ds.instances[:2], sensor_names=tiny_ds.sensor_names
+        )
+        config = dataclasses.replace(tiny_config, validation_frac=0.5, max_epochs=2)
+        with monkeypatch.context() as mp:
+            self.patched(mp, forked=True)
+            _, info = build_pipeline(ds, config)
+        assert len(info.fit_ids) == 1
         assert forks == []
 
     @pytest.mark.parametrize(
@@ -573,9 +584,9 @@ class TestSweep:
         weighings = []
         real_weigh = edhi.pipeline.weigh_pairs
 
-        def counting_weigh(pairs, library, tau, lam):
-            weighings.append((lam, tau))
-            return real_weigh(pairs, library, tau, lam)
+        def counting_weigh(pairs, library, lam):
+            weighings.append((lam, pairs.tau))
+            return real_weigh(pairs, library, lam)
 
         monkeypatch.setattr(edhi.pipeline, "weigh_pairs", counting_weigh)
         grid = SweepGrid(
@@ -601,15 +612,13 @@ class TestSweep:
     ):
         base = dataclasses.replace(tiny_config, max_epochs=2, patience=1)
         cuts = []
-        real_within = edhi.matching.pairs_within
+        real_within = edhi.pipeline.pairs_within
 
         def counting_within(pairs, tau):
             if tau < pairs.tau:
                 cuts.append((pairs.tau, tau))
             return real_within(pairs, tau)
 
-        # weigh_pairs would cut pairs enumerated past its tau itself
-        monkeypatch.setattr(edhi.matching, "pairs_within", counting_within)
         monkeypatch.setattr(edhi.pipeline, "pairs_within", counting_within)
         grid = SweepGrid(
             values={
