@@ -43,47 +43,17 @@ from .pipeline import (
     run_sweep,
 )
 
-_CONFIG_HELP = {
-    "p": "derived sensors kept after projection",
-    "c": "LSTM hidden units",
-    "l": "window length",
-    "tau": "maximum matching time-lag",
-    "alpha": "similarity cutoff fraction of the best match",
-    "r_max": "cap on RUL estimates",
-    "lam": "similarity kernel width",
-    "beta": "exponential target HI shape",
-    "hi_variant": "target HI construction",
-    "smooth_window": "moving-average width for HI curves",
-    "init_frac": "leading fraction defining initial health",
-    "validation_frac": "instance fraction held out for early stopping",
-    "healthy_frac": (
-        "leading healthy fraction for training windows ('none' = first window"
-        " only, and the endpoints variant then labels the leading 5%% healthy)"
-    ),
-    "faulty_frac": "trailing fraction labeled faulty by the endpoints variant",
-    "seed": "master seed",
-    "tau1": "early-prediction tolerance in cycles",
-    "tau2": "late-prediction tolerance in cycles",
-    "learning_rate": "optimizer step size",
-    "max_epochs": "training epoch limit",
-    "batch_size": "windows per training batch",
-    "grad_clip_norm": "global gradient norm clip",
-    "patience": "early-stopping patience in epochs",
-    "degradation_shape": "degradation drift: linear, exponential or piecewise",
-}
-# the fields not spelled --<field-name> alone
-_FLAGS = {"lam": ("--lam", "--lambda"), "degradation_shape": ("--shape",)}
-
-
 def _add_config_flags(sub: argparse.ArgumentParser, record: type) -> None:
+    """One flag per field of a settings record, spelled as its declaration
+    says (``config.setting``), into ``cfg_<field>``."""
     group = sub.add_argument_group("settings")
     for f in fields(record):
-        names = _FLAGS.get(f.name, ("--" + f.name.replace("_", "-"),))
+        names = f.metadata["spellings"] or (f.name,)
         group.add_argument(
-            *names,
+            *("--" + name.replace("_", "-") for name in names),
             dest=f"cfg_{f.name}",
             metavar="V",
-            help=_CONFIG_HELP.get(f.name, ""),
+            help=f.metadata["help"].replace("%", "%%"),
         )
 
 

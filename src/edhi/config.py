@@ -1,16 +1,18 @@
 """Run configuration: one flat record covering every pipeline stage.
 
 Defaults are tuned for the turbofan benchmark (p=3, c=30, l=20, tau=40,
-alpha=0.87, r_max=125, lambda=0.0005). Config
-files are flat key=value text; "lambda" is accepted as an alias for the
-``lam`` field since the bare word is reserved in Python.
+alpha=0.87, r_max=125, lambda=0.0005). Config files are flat key=value
+text. Each field of a settings record (``RunConfig``, ``SyntheticSpec``) is
+declared once by ``setting``, with its rule, help text and any other
+spellings ("lambda" for ``lam``, since the bare word is reserved in Python);
+``validate`` checks a record against them.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 
 HI_VARIANTS = (
     "recon_error",
@@ -20,44 +22,78 @@ HI_VARIANTS = (
     "endpoints",
 )
 
-_ALIASES = {"lambda": "lam", "shape": "degradation_shape"}
 # fields read only when scoring (matching, capping and timeliness); a build
 # never reads them, so configs differing only here share one build
 SCORING_FIELDS = ("tau", "alpha", "lam", "r_max", "tau1", "tau2")
 
 
-def _at_least(lo):
-    return (lambda v: v >= lo), f">= {lo}"
+def setting(default, rule, help: str, spellings: tuple[str, ...] = ()) -> Field:
+    """A settings field: its default, its rule (``bound``, ``at_least``,
+    ``one_of`` or ``ANY``), its --help text and, if its flags and config
+    keys are not spelled by its field name alone, their names (each is a
+    config key beside the field name)."""
+    return field(
+        default=default, metadata={"rule": rule, "help": help, "spellings": spellings}
+    )
 
 
-_POSITIVE = (lambda v: v > 0, "> 0")
-_UNIT = (lambda v: 0 <= v <= 1, "in [0,1]")
-_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0,1)")
-_UNIT_UPPER = (lambda v: 0 < v <= 1, "in (0,1]")
-# field -> (check, requirement); NaN fails every check
-_RULES = {
-    "p": _at_least(1),
-    "c": _at_least(1),
-    "l": _at_least(1),
-    "tau": _at_least(1),
-    "alpha": _UNIT,
-    "r_max": _at_least(1),
-    "lam": _POSITIVE,
-    "beta": _OPEN_UNIT,
-    "smooth_window": _at_least(1),
-    "init_frac": _UNIT,
-    "validation_frac": _OPEN_UNIT,
-    "healthy_frac": _UNIT_UPPER,
-    "faulty_frac": _UNIT_UPPER,
-    "seed": _at_least(0),
-    "tau1": _POSITIVE,
-    "tau2": _POSITIVE,
-    "learning_rate": _POSITIVE,
-    "max_epochs": _at_least(1),
-    "batch_size": _at_least(1),
-    "grad_clip_norm": _POSITIVE,
-    "patience": _at_least(1),
+def bound(check, requirement: str):
+    """A rule: (check, message); message(name, value) says why check failed."""
+    return check, lambda name, value: f"{name} must be {requirement}, got {value!r}"
+
+
+def at_least(lo):
+    return bound(lambda v: v >= lo, f">= {lo}")
+
+
+def one_of(choices: tuple[str, ...], noun: str):
+    def message(name, value):
+        return f"unknown {noun} {value!r}, expected one of {choices}"
+
+    return (lambda v: v in choices), message
+
+
+# NaN fails every bound
+POSITIVE = bound(lambda v: v > 0, "> 0")
+UNIT = bound(lambda v: 0 <= v <= 1, "in [0,1]")
+OPEN_UNIT = bound(lambda v: 0 < v < 1, "in (0,1)")
+UNIT_UPPER = bound(lambda v: 0 < v <= 1, "in (0,1]")
+ANY = (lambda v: True, None)  # for fields the record checks together
+
+# annotation -> (accepted type, what a message calls it)
+_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "float | None": (numbers.Real, "a number"),
+    "str": (str, "a string"),
 }
+
+
+@functools.cache
+def _checks(record: type) -> tuple:
+    """(name, None allowed, accepted type, its name, check, message) for
+    each field of a settings record type."""
+    return tuple(
+        (f.name, f.type == "float | None", *_KINDS[f.type], *f.metadata["rule"])
+        for f in fields(record)
+    )
+
+
+def validate(record) -> None:
+    """Check each field of a settings record by its annotation (int, float,
+    ``float | None`` or str; never a bool), then by its rule.
+
+    Raises:
+        ValueError: Naming the first field that fails.
+    """
+    for name, optional, kind, what, check, message in _checks(type(record)):
+        value = getattr(record, name)
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        if not check(value):
+            raise ValueError(message(name, value))
 
 
 @dataclass(frozen=True)
@@ -66,98 +102,80 @@ class RunConfig:
 
     Construction validates every field, so any RunConfig in hand (built
     directly, by ``dataclasses.replace``, from overrides, or from a stored
-    pipeline) is valid. Invalid types or values raise ValueError.
-
-    Attributes:
-        p: Principal components kept as derived sensors.
-        c: LSTM hidden units.
-        l: Window length.
-        tau: Maximum matching time-lag.
-        alpha: Similarity cutoff fraction of the best similarity.
-        r_max: Cap on the RUL estimate.
-        lam: Similarity kernel width (config-file alias: "lambda").
-        beta: Shape parameter of the exponential target HI.
-        hi_variant: Target-HI construction; one of HI_VARIANTS.
-        smooth_window: Moving-average width for final HI curves.
-        init_frac: Leading fraction defining initial health.
-        validation_frac: Instance fraction held out for early stopping
-            and sweep scoring.
-        healthy_frac: Leading fraction of each instance treated as healthy
-            training input; None trains on just the first window per
-            instance, and the endpoints variant then labels the leading
-            5% of each life healthy.
-        faulty_frac: Trailing fraction labeled 0 by the endpoints variant.
-        seed: Master seed for splitting, initialization, and batching.
-        tau1: Early-prediction tolerance (cycles).
-        tau2: Late-prediction tolerance (cycles).
-        learning_rate, max_epochs, batch_size, grad_clip_norm, patience:
-            Optimizer settings for training.
+    pipeline) is valid. Invalid types or values raise ValueError. Each
+    field's help text says what it sets; ``validation_frac``'s instances
+    also score sweep points.
     """
 
-    p: int = 3
-    c: int = 30
-    l: int = 20
-    tau: int = 40
-    alpha: float = 0.87
-    r_max: float = 125.0
-    lam: float = 0.0005
-    beta: float = 0.05
-    hi_variant: str = "recon_error_squared"
-    smooth_window: int = 5
-    init_frac: float = 0.05
-    validation_frac: float = 0.2
-    healthy_frac: float | None = None
-    faulty_frac: float = 0.05
-    seed: int = 0
-    tau1: float = 13.0
-    tau2: float = 10.0
-    learning_rate: float = 1e-3
-    max_epochs: int = 500
-    batch_size: int = 32
-    grad_clip_norm: float = 10.0
-    patience: int = 10
+    p: int = setting(3, at_least(1), "derived sensors kept after projection")
+    c: int = setting(30, at_least(1), "LSTM hidden units")
+    l: int = setting(20, at_least(1), "window length")
+    tau: int = setting(40, at_least(1), "maximum matching time-lag")
+    alpha: float = setting(0.87, UNIT, "similarity cutoff fraction of the best match")
+    r_max: float = setting(125.0, at_least(1), "cap on RUL estimates")
+    lam: float = setting(
+        0.0005, POSITIVE, "similarity kernel width", spellings=("lam", "lambda")
+    )
+    beta: float = setting(0.05, OPEN_UNIT, "exponential target HI shape")
+    hi_variant: str = setting(
+        "recon_error_squared",
+        one_of(HI_VARIANTS, "HI variant"),
+        "target HI construction",
+    )
+    smooth_window: int = setting(5, at_least(1), "moving-average width for HI curves")
+    init_frac: float = setting(0.05, UNIT, "leading fraction defining initial health")
+    validation_frac: float = setting(
+        0.2, OPEN_UNIT, "instance fraction held out for early stopping"
+    )
+    healthy_frac: float | None = setting(
+        None,
+        UNIT_UPPER,
+        "leading healthy fraction for training windows ('none' = first window"
+        " only, and the endpoints variant then labels the leading 5% healthy)",
+    )
+    faulty_frac: float = setting(
+        0.05, UNIT_UPPER, "trailing fraction labeled faulty by the endpoints variant"
+    )
+    seed: int = setting(0, at_least(0), "master seed")
+    tau1: float = setting(13.0, POSITIVE, "early-prediction tolerance in cycles")
+    tau2: float = setting(10.0, POSITIVE, "late-prediction tolerance in cycles")
+    learning_rate: float = setting(1e-3, POSITIVE, "optimizer step size")
+    max_epochs: int = setting(500, at_least(1), "training epoch limit")
+    batch_size: int = setting(32, at_least(1), "windows per training batch")
+    grad_clip_norm: float = setting(10.0, POSITIVE, "global gradient norm clip")
+    patience: int = setting(10, at_least(1), "early-stopping patience in epochs")
 
     def __post_init__(self) -> None:
-        if self.hi_variant not in HI_VARIANTS:
-            raise ValueError(
-                f"unknown HI variant {self.hi_variant!r}, expected one of {HI_VARIANTS}"
-            )
-        for name, (check, requirement) in _RULES.items():
-            value = getattr(self, name)
-            if name == "healthy_frac" and value is None:
-                continue
-            integral = name in _INT_FIELDS
-            kind = numbers.Integral if integral else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if integral else "a number"
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-            if not check(value):
-                raise ValueError(f"{name} must be {requirement}, got {value!r}")
+        validate(self)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @functools.cache
-def _field_types(record: type) -> dict[str, str]:
-    """Each field of a record type with its annotation as written:
-    "int", "float", "float | None" or "str"."""
-    return {f.name: f.type for f in fields(record)}
+def _keys(record: type) -> dict[str, Field]:
+    """Each config key of a settings record type -> the field it sets."""
+    return {k: f for f in fields(record) for k in (f.name, *f.metadata["spellings"])}
 
 
-_INT_FIELDS = frozenset(n for n, k in _field_types(RunConfig).items() if k == "int")
-
-
-def _field_name(key: str, record: type = RunConfig) -> str:
-    """The field of ``record`` a config key names, with aliases resolved.
+def _resolve(keys, record: type):
+    """Yield each config key with the field of ``record`` it sets, in turn.
 
     Raises:
-        ValueError: If no field has that name.
+        ValueError: On a key no field goes by, or on a second key for one
+            field, naming both.
     """
-    name = _ALIASES.get(key, key)
-    if name not in _field_types(record):
-        raise ValueError(f"unknown config key {key!r}")
-    return name
+    seen: dict[str, str] = {}
+    for key in keys:
+        f = _keys(record).get(key)
+        if f is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if f.name in seen:
+            raise ValueError(
+                f"config keys {seen[f.name]!r} and {key!r} both set {f.name}"
+            )
+        seen[f.name] = key
+        yield key, f
 
 
 def build_key(config: RunConfig, base: RunConfig) -> RunConfig:
@@ -175,7 +193,7 @@ def config_from_dict(data: dict) -> RunConfig:
         ValueError: Unless ``data`` names every field exactly once with a
             valid value.
     """
-    known = set(_field_types(RunConfig))
+    known = {f.name for f in fields(RunConfig)}
     if set(data) != known:
         raise ValueError(
             f"config fields differ: unknown {sorted(set(data) - known)},"
@@ -188,17 +206,24 @@ def parse_config_text(text: str) -> dict[str, str]:
     """Parse flat key=value lines; # starts a comment, blank lines skipped.
 
     Raises:
-        ValueError: On a line without '=', with the line number.
+        ValueError: On a line without '=', with the line number, or on a
+            key given twice, with both line numbers.
     """
     out: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in linenos:
+            raise ValueError(
+                f"config line {lineno}: key {key!r} already set on line {linenos[key]}"
+            )
+        linenos[key] = lineno
+        out[key] = value
     return out
 
 
@@ -216,16 +241,14 @@ def apply_overrides(base, overrides: dict[str, str]):
     field's annotation, then the record validates it.
 
     Raises:
-        ValueError: On unknown keys, or values that fail coercion or
-            validation.
+        ValueError: On unknown keys, two keys for one field, or values that
+            fail coercion or validation.
     """
-    record = type(base)
-    kinds = _field_types(record)
     updates = {}
-    for key, value in overrides.items():
-        name = _field_name(key, record)
+    for key, f in _resolve(overrides, type(base)):
+        value = overrides[key]
         try:
-            updates[name] = _coerce(kinds[name], value)
+            updates[f.name] = _coerce(f.type, value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: bad value {value!r}") from exc
     return replace(base, **updates)
@@ -257,11 +280,15 @@ def parse_sweep_grid(mapping: dict[str, str]) -> SweepGrid:
 
     Single-valued keys become one-point dimensions, so the same file can
     drive both a run and a sweep.
+
+    Raises:
+        ValueError: On unknown keys, two keys for one field, or a key with
+            no values.
     """
     grid: dict[str, list] = {}
-    for key, value in mapping.items():
-        name = _field_name(key)
-        grid[name] = [part.strip() for part in value.split(",") if part.strip()]
-        if not grid[name]:
+    for key, f in _resolve(mapping, RunConfig):
+        values = [part.strip() for part in mapping[key].split(",") if part.strip()]
+        if not values:
             raise ValueError(f"config key {key!r} has no values")
+        grid[f.name] = values
     return SweepGrid(values=grid)

@@ -51,6 +51,7 @@ from itertools import chain
 import numpy as np
 
 from . import _fork
+from .config import ANY, OPEN_UNIT, at_least, bound, one_of, setting, validate
 
 TURBOFAN_COLUMNS = 26  # unit, cycle, 3 settings, 21 sensors
 DEGRADATION_SHAPES = ("linear", "exponential", "piecewise")
@@ -99,41 +100,36 @@ class RunToFailureDataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Settings for the synthetic generator, validated on construction."""
+    """Settings for the synthetic generator, validated on construction like
+    ``RunConfig``: wrong types and values raise ValueError."""
 
-    n_instances: int = 40
-    n_sensors: int = 5
-    min_len: int = 80
-    max_len: int = 120
-    noise_std: float = 0.05
-    fault_onset_frac: float = 0.3
-    degradation_shape: str = "exponential"
-    seed: int = 0
+    n_instances: int = setting(40, at_least(1), "units to generate")
+    n_sensors: int = setting(5, at_least(1), "sensors per unit")
+    # both lengths are checked together in __post_init__
+    min_len: int = setting(80, ANY, "shortest life in cycles")
+    max_len: int = setting(120, ANY, "longest life in cycles")
+    noise_std: float = setting(
+        0.05,
+        bound(lambda v: 0 <= v < math.inf, "finite and >= 0"),
+        "standard deviation of the sensor noise",
+    )
+    fault_onset_frac: float = setting(
+        0.3, OPEN_UNIT, "life fraction at which degradation sets in"
+    )
+    degradation_shape: str = setting(
+        "exponential",
+        one_of(DEGRADATION_SHAPES, "shape"),
+        "degradation drift: linear, exponential or piecewise",
+        spellings=("shape",),
+    )
+    seed: int = setting(0, at_least(0), "master seed")
 
     def __post_init__(self) -> None:
-        if self.n_instances < 1:
-            raise ValueError(f"n_instances must be >= 1, got {self.n_instances}")
-        if self.n_sensors < 1:
-            raise ValueError(f"n_sensors must be >= 1, got {self.n_sensors}")
+        validate(self)
         if not 2 <= self.min_len <= self.max_len:
             raise ValueError(
                 f"need 2 <= min_len <= max_len, got {self.min_len}, {self.max_len}"
             )
-        if not 0 <= self.noise_std < math.inf:
-            raise ValueError(
-                f"noise_std must be finite and >= 0, got {self.noise_std}"
-            )
-        if not 0.0 < self.fault_onset_frac < 1.0:
-            raise ValueError(
-                f"fault_onset_frac must be in (0,1), got {self.fault_onset_frac}"
-            )
-        if self.degradation_shape not in DEGRADATION_SHAPES:
-            raise ValueError(
-                f"unknown shape {self.degradation_shape!r}, "
-                f"expected one of {DEGRADATION_SHAPES}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_float(token: str, lineno: int, path_hint: str) -> float:
@@ -295,7 +291,8 @@ def _send_span(span: _Table | None, pipe) -> None:
     """A forked child's span: a pickled (tokens, rows), or None, then the
     table's bytes."""
     pickle.dump(None if span is None else (span.tokens, len(span.table)), pipe)
-    if span is not None:
+    # a memoryview of no rows cannot be cast, and there is nothing to send
+    if span is not None and len(span.table):
         pipe.write(memoryview(span.table).cast("B"))
 
 
@@ -310,7 +307,8 @@ def _receive_span(pipe, head: _Table | None) -> _Table | None:
     tokens, rows = sent
     room, width = head.table.shape
     table = np.empty((room + rows, width))
-    pipe.readinto(memoryview(table[room:]).cast("B"))
+    if rows:
+        pipe.readinto(memoryview(table[room:]).cast("B"))
     return _Table(tokens, table, room)
 
 

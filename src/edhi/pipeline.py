@@ -270,10 +270,12 @@ def build_pipeline(
         _stage("normalize", apply_norm, series, norm) for _, series in val_instances
     ]
 
-    pooled = np.concatenate(normalized_fit, axis=0)
-    pca = _stage("pca", pca_fit, pooled, config.p)
+    pca = _stage("pca", pca_fit, np.concatenate(normalized_fit, axis=0), config.p)
     derived_fit = [pca_transform(z, pca) for z in normalized_fit]
     derived_val = [pca_transform(z, pca) for z in normalized_val]
+    # the normalized copies are ~m/p times the derived sensors; not held
+    # through training
+    del normalized_fit, normalized_val
 
     result = None
     if _uses_model(config):

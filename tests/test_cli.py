@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edhi.cli import _load_dataset, _sniff_format, main
+from edhi.cli import _load_dataset, _sniff_format, build_parser, main
 from edhi.data import (
     SyntheticSpec,
     generate_synthetic,
@@ -271,6 +271,32 @@ class TestTrain:
         ])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "alpha=0.5\n# a note\nalpha=0.9\n",
+                "config line 3: key 'alpha' already set on line 1",
+            ),
+            ("lambda=0.01\nlam=0.02\n", "config keys 'lambda' and 'lam' both set lam"),
+        ],
+    )
+    def test_key_given_twice_one_error_line(
+        self, synth_dir, tmp_path, capsys, text, message
+    ):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x.edhi"
+        code = main([
+            "train", "--data", str(synth_dir / "data.csv"),
+            "--config", str(cfg), "--out", str(out),
+        ] + TRAIN_FLAGS)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -762,6 +788,14 @@ class TestSweep:
         [
             ("alpha=0.3\nbogus\n", "config line 2: expected key=value, got 'bogus'"),
             ("alpha= , \n", "config key 'alpha' has no values"),
+            (
+                "alpha=0.3\nalpha=0.9\n",
+                "config line 2: key 'alpha' already set on line 1",
+            ),
+            (
+                "lam=0.01,0.02\nlambda=0.05\n",
+                "config keys 'lam' and 'lambda' both set lam",
+            ),
         ],
     )
     def test_bad_grid_file_one_error_line(
@@ -949,3 +983,93 @@ class TestFormats:
         rul.write_text("12\n30\n")
         ds = _load_dataset(str(path), rul_path=str(rul))
         assert ds.rul_labels == [12.0, 30.0]
+
+
+# train's and sweep's settings flags, one per RunConfig field
+RUN_SETTINGS = [
+    (("--p",), "cfg_p"),
+    (("--c",), "cfg_c"),
+    (("--l",), "cfg_l"),
+    (("--tau",), "cfg_tau"),
+    (("--alpha",), "cfg_alpha"),
+    (("--r-max",), "cfg_r_max"),
+    (("--lam", "--lambda"), "cfg_lam"),
+    (("--beta",), "cfg_beta"),
+    (("--hi-variant",), "cfg_hi_variant"),
+    (("--smooth-window",), "cfg_smooth_window"),
+    (("--init-frac",), "cfg_init_frac"),
+    (("--validation-frac",), "cfg_validation_frac"),
+    (("--healthy-frac",), "cfg_healthy_frac"),
+    (("--faulty-frac",), "cfg_faulty_frac"),
+    (("--seed",), "cfg_seed"),
+    (("--tau1",), "cfg_tau1"),
+    (("--tau2",), "cfg_tau2"),
+    (("--learning-rate",), "cfg_learning_rate"),
+    (("--max-epochs",), "cfg_max_epochs"),
+    (("--batch-size",), "cfg_batch_size"),
+    (("--grad-clip-norm",), "cfg_grad_clip_norm"),
+    (("--patience",), "cfg_patience"),
+]
+HELP = [(("-h", "--help"), "help")]
+SURFACE = {
+    "train": HELP + [
+        (("--data",), "data"),
+        (("--config",), "config"),
+        (("--out",), "out"),
+        (("--log",), "log"),
+    ] + RUN_SETTINGS,
+    "evaluate": HELP + [
+        (("--pipeline",), "pipeline"),
+        (("--data",), "data"),
+        (("--rul",), "rul"),
+        (("--tau1",), "tau1"),
+        (("--tau2",), "tau2"),
+        (("--out",), "out"),
+        (("--curves-dir",), "curves_dir"),
+    ],
+    "predict": HELP + [
+        (("--pipeline",), "pipeline"),
+        (("--data",), "data"),
+        (("--instance",), "instance"),
+        (("--curve-out",), "curve_out"),
+    ],
+    "synth": HELP + [
+        (("--out",), "out"),
+        (("--truncate",), "truncate"),
+        (("--n-instances",), "cfg_n_instances"),
+        (("--n-sensors",), "cfg_n_sensors"),
+        (("--min-len",), "cfg_min_len"),
+        (("--max-len",), "cfg_max_len"),
+        (("--noise-std",), "cfg_noise_std"),
+        (("--fault-onset-frac",), "cfg_fault_onset_frac"),
+        (("--shape",), "cfg_degradation_shape"),
+        (("--seed",), "cfg_seed"),
+    ],
+    "sweep": HELP + [
+        (("--data",), "data"),
+        (("--config",), "config"),
+        (("--out",), "out"),
+    ] + RUN_SETTINGS,
+}
+
+
+class TestSurface:
+    def _subparsers(self):
+        parser = build_parser()
+        return next(a for a in parser._actions if a.dest == "command").choices
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_option_strings_and_dests(self, command):
+        actions = self._subparsers()[command]._actions
+        got = [(tuple(a.option_strings), a.dest) for a in actions]
+        assert got == SURFACE[command]
+
+    @pytest.mark.parametrize("command", ["train", "synth", "sweep"])
+    def test_every_setting_has_help(self, command):
+        for action in self._subparsers()[command]._actions:
+            if action.dest.startswith("cfg_"):
+                assert action.help, action.dest
+
+    def test_percent_in_a_help_text_prints_as_is(self):
+        text = " ".join(self._subparsers()["train"].format_help().split())
+        assert "labels the leading 5% healthy" in text

@@ -8,6 +8,7 @@ import pytest
 from edhi.config import (
     HI_VARIANTS,
     RunConfig,
+    _resolve,
     apply_overrides,
     config_from_dict,
     parse_config_text,
@@ -201,3 +202,63 @@ class TestHiVariant:
     def test_bad_beta_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(hi_variant="exponential", beta=1.2)
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize("record", [RunConfig, SyntheticSpec])
+    def test_every_field_declares_a_rule_and_help(self, record):
+        for f in fields(record):
+            check, message = f.metadata["rule"]
+            assert callable(check), f.name
+            assert f.metadata["help"].strip(), f.name
+
+    @pytest.mark.parametrize(
+        "record, key, name",
+        [(RunConfig, f.name, f.name) for f in fields(RunConfig)]
+        + [(SyntheticSpec, f.name, f.name) for f in fields(SyntheticSpec)]
+        + [(RunConfig, "lambda", "lam")]
+        + [(SyntheticSpec, "shape", "degradation_shape")],
+    )
+    def test_every_key_resolves_to_its_field(self, record, key, name):
+        assert [(k, f.name) for k, f in _resolve([key], record)] == [(key, name)]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"n_instances": 2.5}, "n_instances must be an integer, got 2.5"),
+            ({"n_sensors": True}, "n_sensors must be an integer, got True"),
+            ({"min_len": 30.5, "max_len": 40}, "min_len must be an integer, got 30.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"noise_std": "0.1"}, "noise_std must be a number, got '0.1'"),
+            ({"degradation_shape": 3}, "degradation_shape must be a string, got 3"),
+        ],
+    )
+    def test_synthetic_spec_refuses_wrong_types(self, setting, message):
+        with pytest.raises(ValueError) as err:
+            SyntheticSpec(**setting)
+        assert str(err.value) == message
+
+
+class TestKeysOnce:
+    def test_config_key_repeated_names_both_lines(self):
+        with pytest.raises(ValueError) as err:
+            parse_config_text("alpha=0.5\n\n  alpha = 0.9  # again\n")
+        assert str(err.value) == "config line 3: key 'alpha' already set on line 1"
+
+    @pytest.mark.parametrize("parse", [
+        lambda mapping: apply_overrides(RunConfig(), mapping),
+        parse_sweep_grid,
+    ])
+    def test_two_spellings_of_one_field_named(self, parse):
+        with pytest.raises(ValueError) as err:
+            parse({"lam": "0.01", "lambda": "0.05"})
+        assert str(err.value) == "config keys 'lam' and 'lambda' both set lam"
+
+    def test_two_spellings_of_a_synth_field_named(self):
+        with pytest.raises(ValueError) as err:
+            apply_overrides(
+                SyntheticSpec(), {"shape": "linear", "degradation_shape": "linear"}
+            )
+        assert str(err.value) == (
+            "config keys 'shape' and 'degradation_shape' both set degradation_shape"
+        )

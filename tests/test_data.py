@@ -584,6 +584,13 @@ class TestTwoCoreParse:
         line = text.splitlines().index(bad) + 1
         assert message.startswith(f"f line {line}: ")
 
+    def test_span_of_no_rows_crosses_the_pipe(self):
+        pipe = io.BytesIO()
+        data._send_span(data._Table([], np.empty((0, 3))), pipe)
+        pipe.seek(0)
+        tail = data._receive_span(pipe, data._Table(["a"], np.ones((2, 3))))
+        assert (tail.tokens, tail.table.shape, tail.room) == ([], (2, 3), 2)
+
     @pytest.mark.parametrize("fault", ["raises", "killed"])
     def test_failed_child_gives_the_serial_result(self, fault, forks, monkeypatch):
         text = _cut_between(*_CUTS["interleaved_units"])

@@ -6,6 +6,7 @@ import pickle
 import signal
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -120,6 +121,38 @@ class TestBuild:
         config = dataclasses.replace(tiny_config, learning_rate=1e200, max_epochs=3)
         with pytest.raises(StageError, match="train-lstm: training diverged"):
             build_pipeline(tiny_ds, config)
+
+    def test_normalized_copies_freed_before_training(self, monkeypatch):
+        # 30 sensors to the 3 kept: the normalized copies of the fleet, and
+        # the pooled one PCA is fitted on, outweigh the derived sensors 10:1
+        spec = SyntheticSpec(
+            n_instances=16, n_sensors=30, min_len=60, max_len=100, seed=1
+        )
+        ds = generate_synthetic(spec)
+        fleet = sum(series.nbytes for _, series in ds.instances)
+        config = RunConfig(
+            p=3, c=8, l=10, healthy_frac=0.5, max_epochs=1, patience=2, seed=1
+        )
+        live = []
+        train = edhi.pipeline.train
+
+        def spy(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(edhi.pipeline, "train", spy)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build_pipeline(ds, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # when training starts: 0.56x, the derived sensors and the healthy
+        # windows; 2.3x when the copies lived through training
+        assert live[0] - start < fleet
+        # 3.3x; 5.1x when the copies lived through training
+        assert peak < 4 * fleet
 
     def test_split_is_disjoint_and_complete(self, tiny_ds, tiny_build):
         _, info = tiny_build
