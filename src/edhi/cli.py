@@ -1,10 +1,12 @@
 """Command line front end: train, evaluate, predict, synth, sweep.
 
 Config resolution order for train and sweep is defaults, then the
---config file, then individual flags, so a flag always wins. Every
-command prints human-readable output; machine-readable results go to the
-paths given by --out and friends. Any error prints one ``error:`` line
-to stderr and exits nonzero.
+--config file, then individual flags, so a flag always wins; a setting
+given by two flags (``--alpha`` twice, or ``--lam`` and ``--lambda``) is
+refused, as a config file that sets it twice is. Every command prints
+human-readable output; machine-readable results go to the paths given by
+--out and friends. Any error prints one ``error:`` line to stderr and
+exits nonzero.
 """
 
 from __future__ import annotations
@@ -43,6 +45,22 @@ from .pipeline import (
     run_sweep,
 )
 
+
+class _Setting(argparse.Action):
+    """A settings flag: stores its value, and refuses a second flag for the
+    same field, whether the same flag again or another spelling of it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        first = getattr(namespace, f"{self.dest}_flag", None)
+        if first is not None:
+            name = self.dest.removeprefix("cfg_")
+            raise ValueError(
+                f"flags {first!r} and {option_string!r} both set {name}"
+            )
+        setattr(namespace, f"{self.dest}_flag", option_string)
+        setattr(namespace, self.dest, values)
+
+
 def _add_config_flags(sub: argparse.ArgumentParser, record: type) -> None:
     """One flag per field of a settings record, spelled as its declaration
     says (``config.setting``), into ``cfg_<field>``."""
@@ -52,6 +70,7 @@ def _add_config_flags(sub: argparse.ArgumentParser, record: type) -> None:
         group.add_argument(
             *("--" + name.replace("_", "-") for name in names),
             dest=f"cfg_{f.name}",
+            action=_Setting,
             metavar="V",
             help=f.metadata["help"].replace("%", "%%"),
         )
@@ -336,8 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pipeline", required=True, help="saved pipeline path")
     ev.add_argument("--data", required=True, help=_DATA_HELP)
     ev.add_argument("--rul", required=True, help="true RUL per test instance")
-    ev.add_argument("--tau1", metavar="V", help="early tolerance override")
-    ev.add_argument("--tau2", metavar="V", help="late tolerance override")
+    ev.add_argument(
+        "--tau1", action=_Setting, metavar="V", help="early tolerance override"
+    )
+    ev.add_argument(
+        "--tau2", action=_Setting, metavar="V", help="late tolerance override"
+    )
     ev.add_argument("--out", help="per-instance estimates CSV")
     ev.add_argument("--curves-dir", help="directory for per-instance HI curves")
     ev.set_defaults(func=cmd_evaluate)
@@ -372,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # inside the try: a settings flag given twice raises while parsing
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

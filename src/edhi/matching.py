@@ -32,14 +32,9 @@ taken from them, as parallel arrays with the best similarity and the
 pair count before the cut. It stays arrays through ``estimate_rul``:
 ``RulCandidate`` tuples are built, and the dispersion computed, only when
 someone reads them. ``estimate_rul`` wraps ``weighted_rul``, the weighted
-mean, cap and fallback on survivor arrays. A sweep shares work down four
-levels: the grid points of one build share each test curve's pairs,
-computed once at their largest tau; the points that share a smaller tau
-share each curve's pairs cut to it (``pairs_within``: a subset in the same
-order, with the same bits); the points that also share lambda share one
-weighing per curve; and each point runs only ``alpha_cut`` and
-``weighted_rul`` on index arrays, the arithmetic ``predict_one`` runs
-through ``candidate_estimates`` and ``estimate_rul``.
+mean, cap and fallback on survivor arrays. ``pairs_within`` cuts pairs
+found at one tau to a smaller one: a subset in the same order, with the
+same bits as ``pair_distances`` at the smaller tau.
 """
 
 from __future__ import annotations

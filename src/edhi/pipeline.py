@@ -23,7 +23,7 @@ those of the serial loop. Anywhere else the stage runs serially;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -392,67 +392,56 @@ class SweepTrial:
     best_epoch: int | None
 
 
-@dataclass(frozen=True)
-class _SweepBuild:
-    """What a sweep computes once per build key: the build's library, the
-    validation cases' HI curves and labels, each curve's pairs at the key's
-    largest tau, and, filled on first need, each curve's pairs cut to each
-    smaller tau and weighed per (lam, tau)."""
-
-    library: Library
-    best_epoch: int | None
-    curves: list[HiCurve]
-    pairs: list[Pairs]
-    labels: list[float]
-    within: dict[int, list[Pairs]] = field(default_factory=dict)
-    weights: dict[tuple[float, int], list[Candidates]] = field(default_factory=dict)
-
-    def weighed(self, config: RunConfig) -> list[Candidates]:
-        """Each curve's pairs weighed at config's lam and tau."""
-        tau = config.tau
-        key = (config.lam, tau)
-        if key not in self.weights:
-            if tau not in self.within:
-                self.within[tau] = [pairs_within(pairs, tau) for pairs in self.pairs]
-            self.weights[key] = [
-                weigh_pairs(pairs, self.library, config.lam)
-                for pairs in self.within[tau]
-            ]
-        return self.weights[key]
-
-
-def _sweep_build(ds: RunToFailureDataset, config: RunConfig, tau: int) -> _SweepBuild:
-    bundle, info = build_pipeline(ds, config)
-    by_id = dict(ds.instances)
-    val_ds = RunToFailureDataset(
-        instances=[(uid, by_id[uid]) for uid in info.val_ids],
-        sensor_names=ds.sensor_names,
+def _validation_cases(
+    bundle: PipelineBundle, instances: list[tuple[str, np.ndarray]]
+) -> tuple[list[HiCurve], list[float]]:
+    """The validation units cut at SWEEP_TRUNCATION_FRACS: each case's HI
+    curve under the bundle, and its true RUL."""
+    cases = truncate_at_fracs(
+        RunToFailureDataset(instances=instances), list(SWEEP_TRUNCATION_FRACS)
     )
-    cases = truncate_at_fracs(val_ds, list(SWEEP_TRUNCATION_FRACS))
-    library = bundle.hi_train_curves
     curves = [series_hi_curve(bundle, series) for _, series in cases.instances]
-    result = info.train_result
-    return _SweepBuild(
-        library=library,
-        best_epoch=None if result is None else result.best_epoch,
-        curves=curves,
-        pairs=[pair_distances(curve, library, tau) for curve in curves],
-        labels=cases.rul_labels,
-    )
+    return curves, cases.rul_labels
 
 
-def _sweep_score(build: _SweepBuild, config: RunConfig) -> float:
-    """Timeliness of one grid point: predict_one's alpha cut and estimate
-    per case, on the weights the point's lam and tau share."""
-    lengths = build.library.lengths
-    cases = zip(build.curves, build.weighed(config), build.labels)
-    records = []
-    for curve, weighed, actual in cases:
-        keep = alpha_cut(weighed, config.alpha)
-        sims, estimates = weighed.similarities[keep], weighed.estimates[keep]
-        value, _, _ = weighted_rul(sims, estimates, config.r_max, curve.length, lengths)
-        records.append(EvalRecord(value, actual, curve.length))
-    return timeliness(records, config.tau1, config.tau2)
+def _matching_scores(
+    curves: list[HiCurve],
+    labels: list[float],
+    library: Library,
+    configs: list[RunConfig],
+) -> list[float]:
+    """Timeliness of each config's matching on the cases, in config order.
+
+    The configs share one library, so they share work down four levels.
+    Each curve's pairs are found once, at the configs' largest tau. The
+    configs that share a smaller tau share each curve's pairs cut to it
+    (``pairs_within``), cut the first time a config needs them. The configs
+    that also share lam share each curve's weighed pairs, weighed the first
+    time a config needs them. Each config then runs only predict_one's alpha
+    cut, weighted mean, r_max cap and fallback per case, on index arrays,
+    and the timeliness score. Scores are bitwise those of ``predict_one``.
+    """
+    top = max(config.tau for config in configs)
+    pairs = [pair_distances(curve, library, top) for curve in curves]
+    within: dict[int, list[Pairs]] = {}
+    weighed: dict[tuple[float, int], list[Candidates]] = {}
+    scores = []
+    for config in configs:
+        tau, lam = config.tau, config.lam
+        if (lam, tau) not in weighed:
+            if tau not in within:
+                within[tau] = [pairs_within(p, tau) for p in pairs]
+            weighed[lam, tau] = [weigh_pairs(p, library, lam) for p in within[tau]]
+        records = []
+        for curve, cands, actual in zip(curves, weighed[lam, tau], labels):
+            keep = alpha_cut(cands, config.alpha)
+            sims, estimates = cands.similarities[keep], cands.estimates[keep]
+            value, _, _ = weighted_rul(
+                sims, estimates, config.r_max, curve.length, library.lengths
+            )
+            records.append(EvalRecord(value, actual, curve.length))
+        scores.append(timeliness(records, config.tau1, config.tau2))
+    return scores
 
 
 def run_sweep(
@@ -462,19 +451,13 @@ def run_sweep(
 
     Every grid point is scored on the validation split of a pipeline built
     on the same data with the same seed, truncated at the five standard
-    life fractions. Work is shared down five levels. Grid points that
-    differ only in SCORING_FIELDS share one build key (``build_key``): one
-    build and one set of validation HI curves. Each curve's pair distances
-    are computed once per key, at its points' largest tau, and cut once to
-    each smaller tau the first time a point needs it. Points that also share
-    lam share each curve's weighed pairs (the similarities and the best
-    one), computed the first time a point needs them. Each point then runs
-    only the alpha cut, the weighted mean with its r_max cap and fallback,
-    and the timeliness score. Keys are built one at a time, in order of
-    first appearance, and each key's points are scored in grid order.
-    Scores are bitwise those of a separate build and ``predict_one`` per
-    point. Lowest score wins; ties keep the earliest grid point in the
-    deterministic enumeration order.
+    life fractions. Grid points that differ only in SCORING_FIELDS share one
+    build key (``build_key``): one build and one set of validation HI
+    curves, which ``_matching_scores`` scores for every point of the key.
+    Keys are built one at a time, in order of first appearance, and each
+    key's points are scored in grid order. Scores are bitwise those of a
+    separate build and ``predict_one`` per point. Lowest score wins; ties
+    keep the earliest grid point in the deterministic enumeration order.
 
     Returns:
         (best trial, all trials in enumeration order).
@@ -487,15 +470,17 @@ def run_sweep(
     for k, config in enumerate(configs):
         groups.setdefault(build_key(config, base), []).append(k)
     trials = [None] * len(combos)
+    by_id = dict(ds.instances)
     for key, members in groups.items():
-        build = _sweep_build(ds, key, max(configs[k].tau for k in members))
-        for k in members:
-            trials[k] = SweepTrial(
-                overrides=combos[k],
-                config=configs[k],
-                score=_sweep_score(build, configs[k]),
-                best_epoch=build.best_epoch,
-            )
-        del build  # one build alive at a time
+        bundle, info = build_pipeline(ds, key)
+        val = [(uid, by_id[uid]) for uid in info.val_ids]
+        curves, labels = _validation_cases(bundle, val)
+        points = [configs[k] for k in members]
+        scores = _matching_scores(curves, labels, bundle.hi_train_curves, points)
+        result = info.train_result
+        best_epoch = None if result is None else result.best_epoch
+        for k, score in zip(members, scores):
+            trials[k] = SweepTrial(combos[k], configs[k], score, best_epoch)
+        del bundle, info, result, curves  # one build alive at a time
     best = min(trials, key=lambda t: t.score)
     return best, trials

@@ -1,8 +1,9 @@
 """Shared test oracles: a plainly written cell step, complex-step
 gradient checking, plain per-step BPTT, a plain per-block trainer, a
-per-cycle moving average, a per-candidate weighted mean and a
-rebuild-per-point sweep; plus pipeline-file surgery that re-signs edited
-headers and values, and the probes of the two-core tests."""
+per-cycle moving average, a per-candidate weighted mean, a
+rebuild-per-point sweep and the null RUL estimator; plus pipeline-file
+surgery that re-signs edited headers and values, and the probes of the
+two-core tests."""
 
 import hashlib
 import json
@@ -368,6 +369,17 @@ def naive_sweep_scores(ds, base, grid):
             est, curve = edhi.pipeline.predict_one(bundle, series)
             records.append(EvalRecord(est.value, actual, curve.length))
         yield timeliness(records, config.tau1, config.tau2)
+
+
+def null_rul_records(train_ds, test_ds, r_max):
+    """The null estimator's EvalRecords. It ignores the sensors: each test
+    instance's estimate is the mean training life minus its observed
+    cycles, floored at 0 and capped at r_max."""
+    mean_life = float(np.mean([series.shape[0] for _, series in train_ds.instances]))
+    return [
+        EvalRecord(min(max(mean_life - len(series), 0.0), r_max), actual, len(series))
+        for (_, series), actual in zip(test_ds.instances, test_ds.rul_labels)
+    ]
 
 
 def split_pipeline(blob: bytes) -> tuple[int, dict, bytes]:

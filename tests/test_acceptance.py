@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from helpers import grad_check_max_rel_err
+from helpers import grad_check_max_rel_err, null_rul_records
 from test_matching import brute_force_candidates, brute_force_weighted_mean, random_curve_case
 
 from edhi.cli import main as cli_main
 from edhi.config import RunConfig
 from edhi.data import (
+    RunToFailureDataset,
     SyntheticSpec,
     generate_synthetic,
     parse_turbofan,
@@ -319,4 +320,34 @@ def test_criterion_9_training_is_byte_deterministic(verdict, tmp_path):
         blobs[0] == blobs[1],
         f"criterion 9: two same-seed training runs wrote byte-identical "
         f"pipelines ({len(blobs[0])} bytes)",
+    )
+
+
+def test_criterion_10_beats_the_null_estimator_on_held_out_units(verdict):
+    # one fleet, so the held-out units degrade like the training units; the
+    # bounds sit between the measured values (pipeline MAE 17.68, S 1443;
+    # null 45.29, 60300) and the null's
+    t0 = time.time()
+    spec = SyntheticSpec(
+        n_instances=200, n_sensors=21, min_len=128, max_len=362, seed=1
+    )
+    ds = generate_synthetic(spec)
+    train_ds = RunToFailureDataset(
+        instances=ds.instances[:100], sensor_names=ds.sensor_names
+    )
+    held = RunToFailureDataset(
+        instances=ds.instances[100:], sensor_names=ds.sensor_names
+    )
+    test_ds = truncate_random(held, 0.4, 0.9, 8)
+    config = RunConfig(healthy_frac=0.3, max_epochs=2, seed=1)
+    bundle, _ = build_pipeline(train_ds, config)
+    report, _ = evaluate_pipeline(bundle, test_ds)
+    null_records = null_rul_records(train_ds, test_ds, config.r_max)
+    null = full_report(null_records, config.tau1, config.tau2)
+    elapsed = time.time() - t0
+    verdict(
+        report.mae <= 0.5 * null.mae and report.s <= 0.1 * null.s,
+        f"criterion 10: 100 train / 100 held-out units of one fleet, MAE "
+        f"{report.mae:.2f} <= 0.5 x null {null.mae:.2f}, S {report.s:.0f} <= "
+        f"0.1 x null {null.s:.0f} in {elapsed:.1f}s",
     )

@@ -848,6 +848,78 @@ class TestSweep:
         assert "untrained" in warnings[0]
 
 
+class TestRepeatedFlag:
+    """A setting given by two flags is refused, as a config file that sets
+    it twice is: one error line naming both flags, exit 1, nothing written."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--alpha", "0.3", "--alpha", "0.4"],
+                "'--alpha' and '--alpha' both set alpha",
+            ),
+            (["--lam", "1", "--lambda", "2"], "'--lam' and '--lambda' both set lam"),
+            (["--lambda", "1", "--lam=2"], "'--lambda' and '--lam' both set lam"),
+            (["--tau1", "1", "--tau1", "1"], "'--tau1' and '--tau1' both set tau1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_train_and_sweep(
+        self, synth_dir, tmp_path, capsys, command, flags, message
+    ):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("alpha=0.3,0.9\n" if command == "sweep" else "p=2\n")
+        out = tmp_path / "out"
+        code = main([
+            command, "--data", str(synth_dir / "data.csv"),
+            "--config", str(cfg), "--out", str(out),
+        ] + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: flags {message}"]
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "1", "--seed", "2"], "'--seed' and '--seed' both set seed"),
+            (
+                ["--shape", "linear", "--shape", "linear"],
+                "'--shape' and '--shape' both set degradation_shape",
+            ),
+        ],
+    )
+    def test_synth(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "fleet"
+        code = main(["synth", "--out", str(out), "--truncate", "0.4,0.9"] + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: flags {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tau1", "--tau2"])
+    def test_evaluate_tolerance(self, trained, synth_dir, tmp_path, capsys, flag):
+        out = tmp_path / "estimates.csv"
+        code = main([
+            "evaluate", "--pipeline", str(trained),
+            "--data", str(synth_dir / "truncated.csv"),
+            "--rul", str(synth_dir / "rul.txt"),
+            "--out", str(out), "--curves-dir", str(tmp_path / "curves"),
+            flag, "20", flag, "15",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = flag[2:]
+        assert captured.err.splitlines() == [
+            f"error: flags {flag!r} and {flag!r} both set {name}"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFormats:
     def _turbofan_text(self, units=2, cycles=10):
         rng = np.random.default_rng(0)

@@ -7,6 +7,7 @@ import signal
 import threading
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -609,6 +610,32 @@ class TestSweep:
         assert [t.best_epoch for t in trials] == [
             best_epoch[t.config.hi_variant] for t in trials
         ]
+
+    def test_previous_build_freed_before_the_next(
+        self, tiny_ds, tiny_config, monkeypatch
+    ):
+        base = dataclasses.replace(tiny_config, max_epochs=2, patience=1)
+        refs = []
+        real_build = edhi.pipeline.build_pipeline
+
+        def watched_build(ds, config):
+            assert all(ref() is None for ref in refs), "an earlier build is alive"
+            bundle, info = real_build(ds, config)
+            refs.append(weakref.ref(bundle.hi_train_curves))
+            refs.append(weakref.ref(info.train_result))
+            return bundle, info
+
+        monkeypatch.setattr(edhi.pipeline, "build_pipeline", watched_build)
+        grid = SweepGrid(
+            values={
+                "smooth_window": ["1", "3"],
+                "alpha": ["0.3", "0.9"],
+                "tau": ["3", "40"],
+            }
+        )
+        _, trials = run_sweep(tiny_ds, base, grid)
+        assert len(trials) == 8 and len(refs) == 4
+        assert all(ref() is None for ref in refs)
 
     def test_one_weighing_per_curve_lam_and_tau(
         self, tiny_ds, tiny_config, monkeypatch
