@@ -5,7 +5,19 @@ run-to-failure series into one-dimensional health-index curves; remaining
 useful life is then estimated by similarity-weighted matching against the
 training curves. See the pipeline module for the end-to-end recipe and the
 cli module for the command line.
+
+Importing edhi sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset. A GEMM that BLAS splits across
+threads can sum in another order, so the thread count changes a build's
+bits, and a BLAS thread pool keeps the two-core stages serial. BLAS reads
+the variables when numpy is first imported, so a process that imported
+numpy before edhi keeps the thread count it started with.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .config import RunConfig, SweepGrid, parse_config_text, parse_sweep_grid
 from .data import (

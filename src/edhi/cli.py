@@ -281,18 +281,22 @@ def _truncate_range(text: str) -> tuple[float, float]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = apply_overrides(SyntheticSpec(), _cli_overrides(args, SyntheticSpec))
-    ds = generate_synthetic(spec)
-    # the test copy is cut before anything is written, so a bad --truncate
-    # leaves no data.csv behind
-    truncated = None
-    if args.truncate:
-        truncated = truncate_random(ds, *_truncate_range(args.truncate), spec.seed + 1)
+    # checked before anything is written, so a bad --truncate leaves no data.csv
+    frac_range = _truncate_range(args.truncate) if args.truncate else None
+    n = spec.n_instances
+    # with --truncate, one draw of 2n units: the stream draws the drift signs
+    # and then each unit in turn, so units 1..n keep the n-unit fleet's bytes
+    # and units n+1..2n are held-out units of the same physics
+    fleet = generate_synthetic(replace(spec, n_instances=2 * n) if frac_range else spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.csv"
-    data_path.write_text(write_generic(ds))
-    print(f"wrote {data_path} ({spec.n_instances} instances)")
-    if truncated is not None:
+    lives = RunToFailureDataset(fleet.instances[:n], sensor_names=fleet.sensor_names)
+    data_path.write_text(write_generic(lives))
+    print(f"wrote {data_path} ({n} instances)")
+    if frac_range:
+        held = RunToFailureDataset(fleet.instances[n:], sensor_names=fleet.sensor_names)
+        truncated = truncate_random(held, *frac_range, spec.seed + 1)
         trunc_path = out_dir / "truncated.csv"
         rul_path = out_dir / "rul.txt"
         trunc_path.write_text(write_generic(truncated))
@@ -377,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--truncate",
         metavar="LO,HI",
-        help="also write a test copy truncated at a uniform life fraction,"
-        " drawn with seed + 1",
+        help="also write n held-out units of the same fleet (ids n+1..2n),"
+        " each truncated at a uniform life fraction drawn with seed + 1",
     )
     _add_config_flags(synth, SyntheticSpec)
     synth.set_defaults(func=cmd_synth)

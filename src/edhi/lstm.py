@@ -7,10 +7,11 @@ very first prediction comes straight from the inherited encoder state, before
 the decoder consumes any input.
 
 Training is teacher-forced (the true row is fed at each decoder step);
-inference is autoregressive (each prediction is fed back). Both paths share
-one cell-step function so they cannot drift apart. Gradients are exact
-reverse-mode backpropagation through the unrolled network; everything here is
-hand-written over numpy arrays in float64.
+inference is autoregressive (each prediction is fed back). Every pass, of
+either cell, in training or inference, is one call of one driver (_run)
+around one cell-step function, so the paths cannot drift apart. Gradients
+are exact reverse-mode backpropagation through the unrolled network;
+everything here is hand-written over numpy arrays in float64.
 
 Every entry point works on batches only: windows are (B, l, p) arrays and
 states (B, n) arrays, one row per window. A single window is the batch
@@ -25,13 +26,14 @@ overflow), the candidate through tanh.
 A cell runs a T-step sequence on a batch of B rows over preallocated
 [x | h] slots of shape (p+n, B), feature-major with the batch last so that
 every gate block and state is one contiguous (n, B) block. Slot t holds
-[x_t | h_t-1] and each step writes its h straight into the next slot, so a
-step is one (4n, p+n) @ (p+n, B) GEMM plus elementwise work, with no
-concatenation and no temporary array. Training keeps T+1 slots, whose x
-rows the inputs fill once, for the backward pass. Inference (``encode``,
-``decode_train``, ``decode_infer``) rolls two slots, copying each x_t into
-its slot, so beyond the predictions it returns its memory is O(B (p+n))
-whatever T.
+[x_t | h_t-1]: the driver copies x_t into it, and each step writes its h
+straight into the next slot, so a step is one (4n, p+n) @ (p+n, B) GEMM
+plus elementwise work, with no concatenation and no temporary array. The
+driver's ``keep`` flag is the only difference between a training pass and
+an inference pass: training keeps T+1 slots, with every step's gates and
+cells, for the backward pass, while inference (``encode``,
+``decode_train``, ``decode_infer``) rolls two slots, so beyond the
+predictions it returns its memory is O(B (p+n)) whatever T.
 
 The GEMM runs against a prepared copy of the cell, made once per sequence:
 the stacked weight and bias with their i|f|o rows multiplied by 0.5, and
@@ -41,15 +43,15 @@ bits of 0.5 (W xh + b), and one tanh over all 4n rows then gives the
 logistic's tanh(0.5 x) and the candidate's tanh at once. The tiled add
 costs less than broadcasting the bias column on every step. Outputs are bit
 for bit those of the plainly written step in the tests (reference_cell_step).
-The trace the training path keeps also holds every step's gates and cells.
-The backward pass takes every step's local derivatives in one pass over
-that trace, turns them into the step's pre-activation gradient in place,
-takes dh_t-1 from the h columns of the weight only, and after the loop gets
-the weight and bias gradients from one GEMM over the whole buffer; it
-reads the model's own weights, never the halved copy. In training, the readout
-and its gradients likewise run once over all decoder states. Inference
-reads each decoder state out as it is made, and autoregressive inference
-also copies each prediction into the x rows of the slot that feeds it back.
+The decoder's passes read each state out as it is made, the same way in
+training and inference; autoregressive inference then copies each
+prediction into the x rows of the slot that feeds it back. The backward
+pass takes every step's local derivatives in one pass over a kept trace,
+turns them into the step's pre-activation gradient in place, takes dh_t-1
+from the h columns of the weight only, and after the loop gets the weight
+and bias gradients from one GEMM over the whole buffer; it reads the
+model's own weights, never the halved copy. The readout's gradients
+likewise come from one GEMM over all decoder states.
 
 ``train`` records per epoch, in its TrainResult, the summed training and
 validation losses, the largest pre-clip global gradient norm, the number of
@@ -223,14 +225,14 @@ class _Trace:
     contiguous (n, B) block. Column b of slot t of ``xh`` is [x_t | h_t-1]
     of batch row b, and step t writes h_t into the h rows of the next slot.
 
-    A trace kept for the backward pass holds every step: T+1 xh slots, filled
-    with the inputs once, so ``xh[:, -n:]`` holds every state from the
-    initial one (the x rows of the last slot are never read), plus every
-    step's gates and cells. Inference needs only the current step and the
-    next, so its trace rolls: step t uses xh slot t modulo 2, copying x_t in
-    first, one gate slot and two cell slots. Its memory is then O(B (p+n)),
-    whatever T. The shapes below are a kept trace's; a rolled trace has K =
-    min(T, 1) in place of T.
+    A kept trace (training) holds every step for the backward pass: T+1 xh
+    slots, so ``xh[:, -n:]`` holds every state from the initial one (the x
+    rows of the last slot are never written), plus every step's gates and
+    cells. A rolled trace (inference) holds only the current step and the
+    next: step t uses xh slot t modulo 2, one gate slot and two cell slots,
+    so its memory is O(B (p+n)) whatever T. The shapes below are a kept
+    trace's; a rolled trace has K = min(T, 1) in place of T. _run fills
+    either kind with the same loop.
 
     Attributes:
         steps: T.
@@ -261,47 +263,63 @@ class _Trace:
         return self.cell[self.steps % self.cell.shape[0]]
 
 
-def _tiled(column: np.ndarray, b: int) -> np.ndarray:
-    """A contiguous (k, b) array whose every column is ``column``."""
-    return np.repeat(column[:, None], b, axis=1)
-
-
-def _start(
-    params: LstmParams, steps: int, h0: np.ndarray, c0: np.ndarray, keep: bool
+def _run(
+    model: LstmEdModel,
+    cell: LstmParams,
+    h0: np.ndarray,
+    c0: np.ndarray,
+    steps: int,
+    keep: bool,
+    rows: np.ndarray | None = None,
+    preds: np.ndarray | None = None,
 ) -> _Trace:
-    """Empty trace for ``steps`` steps from state (h0, c0), both (n, B).
+    """Run ``cell`` for ``steps`` steps from state (h0, c0), both (n, B).
 
-    ``keep`` holds every step's [x | h], gates and cells for the backward
-    pass; otherwise the trace rolls (see _Trace).
+    The one driver of every pass: ``keep`` holds every step for the backward
+    pass, otherwise the trace rolls (see _Trace). Step t is fed ``rows[t]``,
+    a (p, B) row. With ``preds``, a (steps+1, p, B) buffer, each state (the
+    initial one first) is read out into it as soon as it is made, and
+    without ``rows`` each step is fed the prediction just made.
     """
     n, b = h0.shape
+    p = model.input_dim
     kept = steps if keep else min(steps, 1)
-    w = params.w.copy()
+    w = cell.w.copy()
     w[: 3 * n] *= 0.5
-    half_b = params.b.copy()
+    half_b = cell.b.copy()
     half_b[: 3 * n] *= 0.5
     trace = _Trace(
         steps=steps,
         w=w,
-        bias=_tiled(half_b, b),
-        xh=np.empty((kept + 1, params.w.shape[1], b)),
+        bias=np.repeat(half_b[:, None], b, axis=1),
+        xh=np.empty((kept + 1, p + n, b)),
         gates=np.empty((kept, 4 * n, b)),
         cell=np.empty((kept + 1, n, b)),
         tanh_cell=np.empty((kept, n, b)),
         ig=np.empty((n, b)),
     )
-    trace.xh[0, -n:] = h0
+    trace.xh[0, p:] = h0
     trace.cell[0] = c0
+    slots = trace.xh.shape[0]
+    out_w = model.out_weight.T
+    out_b = model.out_bias[:, None]
+    for t in range(steps + 1):
+        xh = trace.xh[t % slots]
+        if preds is not None:
+            np.matmul(out_w, xh[p:], out=preds[t])
+            preds[t] += out_b
+        if t < steps:
+            xh[:p] = preds[t] if rows is None else rows[t]
+            _step(trace, t)
     return trace
 
 
 def _step(trace: _Trace, t: int) -> None:
     """Cell step t: reads [x_t | h_t-1] and c_t-1, writes gates, c_t and h_t.
 
-    The caller of a rolled trace copies x_t into its slot first. The logistic
-    of the i|f|o rows is 0.5 * tanh(0.5 * pre) + 0.5; the trace's halved
-    weight and bias rows give 0.5 * pre directly, so one tanh covers all four
-    blocks.
+    _run copies x_t into its slot first. The logistic of the i|f|o rows is
+    0.5 * tanh(0.5 * pre) + 0.5; the trace's halved weight and bias rows give
+    0.5 * pre directly, so one tanh covers all four blocks.
     """
     n = trace.cell.shape[1]
     slots = trace.gates.shape[0]
@@ -419,41 +437,6 @@ def _state_columns(model: LstmEdModel, state: LstmState):
     return h.T, c.T
 
 
-def _encoder_trace(model: LstmEdModel, batch: np.ndarray, keep: bool) -> _Trace:
-    """Encoder over a (B, l, p) batch from the zero state."""
-    b, l, p = batch.shape
-    zeros = np.zeros((model.hidden_units, b))
-    trace = _start(model.encoder, l, zeros, zeros, keep)
-    rows = batch.transpose(1, 2, 0)
-    if keep:
-        trace.xh[:l, :p] = rows
-        for t in range(l):
-            _step(trace, t)
-    else:
-        x_rows = [xh[:p] for xh in trace.xh]
-        for t in range(l):
-            x_rows[t % 2][...] = rows[t]
-            _step(trace, t)
-    return trace
-
-
-def _decoder_trace(
-    model: LstmEdModel, batch: np.ndarray, h0: np.ndarray, c0: np.ndarray
-) -> _Trace:
-    """Teacher-forced decoder from state (h0, c0), both (n, B), kept for the
-    backward pass.
-
-    Step s is fed true row l-1-s of the batch, so its l states (the
-    inherited one first) predict rows l-1 down to 0.
-    """
-    l, p = model.window_len, model.input_dim
-    trace = _start(model.decoder, l - 1, h0, c0, keep=True)
-    trace.xh[: l - 1, :p] = batch[:, :0:-1].transpose(1, 2, 0)
-    for s in range(l - 1):
-        _step(trace, s)
-    return trace
-
-
 def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
     """Run the encoder over a batch of l-row windows from the zero state.
 
@@ -467,50 +450,18 @@ def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
     Returns:
         Final encoder states after the l-th step, each (B, n).
     """
-    trace = _encoder_trace(model, _check_window(window, "window", model), keep=False)
+    w = _check_window(window, "window", model)
+    zeros = np.zeros((model.hidden_units, w.shape[0]))
+    rows = w.transpose(1, 2, 0)
+    trace = _run(model, model.encoder, zeros, zeros, w.shape[1], False, rows)
     return LstmState(
         hidden=trace.final_hidden.T.copy(), cell=trace.final_cell.T.copy()
     )
 
 
-def _readout(model: LstmEdModel, h: np.ndarray) -> np.ndarray:
-    """Predicted rows (..., p, B) from feature-major states (..., n, B)."""
-    return np.matmul(model.out_weight.T, h) + model.out_bias[:, None]
-
-
 def _time_order(preds: np.ndarray) -> np.ndarray:
     """(T, p, B) predictions of rows T-1 down to 0 as a (B, T, p) array."""
     return np.ascontiguousarray(preds[::-1].transpose(2, 0, 1))
-
-
-def _decode(
-    model: LstmEdModel,
-    h0: np.ndarray,
-    c0: np.ndarray,
-    steps: int,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Decoder predictions from state (h0, c0), both (n, B), as a
-    (B, steps, p) array in time order, on a rolled trace.
-
-    State s (the inherited one first) is read out into a (steps, p, B)
-    buffer as soon as it is made. Step s is then fed rows[s], a (p, B) true
-    row, or without ``rows`` the prediction just made.
-    """
-    p = model.input_dim
-    preds = np.empty((steps, p, h0.shape[1]))
-    trace = _start(model.decoder, steps - 1, h0, c0, keep=False)
-    x_rows = [xh[:p] for xh in trace.xh]
-    states = [xh[p:] for xh in trace.xh]
-    out_w = model.out_weight.T
-    out_b = model.out_bias[:, None]
-    for s, pred in enumerate(preds):
-        np.matmul(out_w, states[s % 2], out=pred)
-        pred += out_b
-        if s < steps - 1:
-            x_rows[s % 2][...] = pred if rows is None else rows[s]
-            _step(trace, s)
-    return _time_order(preds)
 
 
 def decode_train(
@@ -535,9 +486,13 @@ def decode_train(
     """
     w = _check_window(window, "window", model)
     h0, c0 = _state_columns(model, enc_final)
-    if h0.shape[1] != w.shape[0]:
-        raise ValueError(f"{h0.shape[1]} states for {w.shape[0]} windows")
-    return _decode(model, h0, c0, w.shape[1], w[:, :0:-1].transpose(1, 2, 0))
+    b, l, p = w.shape
+    if h0.shape[1] != b:
+        raise ValueError(f"{h0.shape[1]} states for {b} windows")
+    preds = np.empty((l, p, b))
+    rows = w[:, :0:-1].transpose(1, 2, 0)
+    _run(model, model.decoder, h0, c0, l - 1, False, rows, preds)
+    return _time_order(preds)
 
 
 def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.ndarray:
@@ -557,7 +512,10 @@ def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.nda
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    return _decode(model, *_state_columns(model, enc_final), steps)
+    h0, c0 = _state_columns(model, enc_final)
+    preds = np.empty((steps, model.input_dim, h0.shape[1]))
+    _run(model, model.decoder, h0, c0, steps - 1, False, preds=preds)
+    return _time_order(preds)
 
 
 def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -579,12 +537,17 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     b, l, p = batch.shape
     n = model.hidden_units
     grad = LstmEdModel(np.empty_like(model.params), p, n, l)
-    enc = _encoder_trace(model, batch, keep=True)
-    dec = _decoder_trace(model, batch, enc.xh[-1, p:], enc.final_cell)
-
-    # decoder state s (the encoder's final state first) predicts row l-1-s
+    zeros = np.zeros((n, b))
+    enc = _run(model, model.encoder, zeros, zeros, l, True, batch.transpose(1, 2, 0))
+    # decoder state s (the encoder's final state first) predicts row l-1-s;
+    # step s is fed true row l-1-s
+    preds = np.empty((l, p, b))
+    rows = batch[:, :0:-1].transpose(1, 2, 0)
+    dec = _run(
+        model, model.decoder, enc.final_hidden, enc.final_cell, l - 1, True, rows, preds
+    )
     states = dec.xh[:, p:]
-    diff = _readout(model, states) - batch[:, ::-1].transpose(1, 2, 0)
+    diff = preds - batch[:, ::-1].transpose(1, 2, 0)
     total = float(np.sum(diff * diff))
     dy = 2.0 * diff
     flat_dy = dy.transpose(1, 0, 2).reshape(p, -1)

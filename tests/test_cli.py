@@ -1,14 +1,21 @@
 """Command line behavior: files in, files out, exit codes, error text."""
 
+import os
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edhi
 from edhi.cli import _load_dataset, _sniff_format, build_parser, main
 from edhi.data import (
+    RunToFailureDataset,
     SyntheticSpec,
     generate_synthetic,
     parse_generic,
@@ -29,14 +36,17 @@ TRAIN_FLAGS = [
 ]
 
 
+SYNTH_FLAGS = [
+    "--n-instances", "8", "--n-sensors", "3", "--min-len", "24",
+    "--max-len", "30", "--noise-std", "0.03", "--seed", "3",
+]
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
+    """8 training lives in data.csv; held-out units s9..s16, truncated."""
     out = tmp_path_factory.mktemp("synth")
-    code = main([
-        "synth", "--out", str(out), "--n-instances", "8", "--n-sensors", "3",
-        "--min-len", "24", "--max-len", "30", "--noise-std", "0.03",
-        "--seed", "3", "--truncate", "0.4,0.8",
-    ])
+    code = main(["synth", "--out", str(out), "--truncate", "0.4,0.8"] + SYNTH_FLAGS)
     assert code == 0
     return out
 
@@ -86,10 +96,30 @@ class TestSynth:
         assert len(labels) == 8
 
     def test_truncation_shortens_every_instance(self, synth_dir):
-        full = dict(parse_generic((synth_dir / "data.csv").read_text()).instances)
+        # the held-out units are units 9..16 of one 16-unit draw
+        spec = SyntheticSpec(
+            n_instances=16, n_sensors=3, min_len=24, max_len=30, noise_std=0.03,
+            seed=3,
+        )
+        full = dict(generate_synthetic(spec).instances)
         truncated = parse_generic((synth_dir / "truncated.csv").read_text())
         for uid, series in truncated.instances:
             assert series.shape[0] < full[uid].shape[0]
+            np.testing.assert_allclose(series, full[uid][: series.shape[0]])
+
+    def test_data_csv_unchanged_by_truncate(self, synth_dir, tmp_path):
+        assert main(["synth", "--out", str(tmp_path)] + SYNTH_FLAGS) == 0
+        plain = (tmp_path / "data.csv").read_bytes()
+        assert plain == (synth_dir / "data.csv").read_bytes()
+
+    def test_truncated_units_are_held_out(self, synth_dir):
+        train = parse_generic((synth_dir / "data.csv").read_text())
+        truncated = parse_generic((synth_dir / "truncated.csv").read_text())
+        train_ids = [uid for uid, _ in train.instances]
+        held_ids = [uid for uid, _ in truncated.instances]
+        assert train_ids == [f"s{u}" for u in range(1, 9)]
+        assert held_ids == [f"s{u}" for u in range(9, 17)]
+        assert not set(train_ids) & set(held_ids)
 
     def test_defaults_are_the_spec_defaults(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path)]) == 0
@@ -119,8 +149,11 @@ class TestSynth:
         spec = SyntheticSpec(n_instances=3, seed=4, degradation_shape="linear")
         ds = generate_synthetic(spec)
         assert (tmp_path / "data.csv").read_text() == write_generic(ds)
-        # the test copy is drawn with the spec's seed + 1
-        cut = truncate_random(ds, 0.4, 0.9, seed=5)
+        # the test copy is units 4..6 of one 6-unit draw, cut with the
+        # spec's seed + 1
+        both = generate_synthetic(replace(spec, n_instances=6))
+        held = RunToFailureDataset(both.instances[3:], sensor_names=both.sensor_names)
+        cut = truncate_random(held, 0.4, 0.9, seed=5)
         assert (tmp_path / "truncated.csv").read_text() == write_generic(cut)
         assert (tmp_path / "rul.txt").read_text() == write_rul_labels(cut.rul_labels)
 
@@ -322,7 +355,7 @@ class TestEvaluate:
         )
         assert len(lines) == 9
         first = lines[1].split(",")
-        assert first[0] == "s1"
+        assert first[0] == "s9"
         assert float(first[1]) >= 0.0
         for line in lines[1:]:
             cells = line.split(",")
@@ -352,17 +385,17 @@ class TestEvaluate:
         truncated = dict(
             parse_generic((synth_dir / "truncated.csv").read_text()).instances
         )
-        curve_lines = (curves / "s1.csv").read_text().splitlines()
+        curve_lines = (curves / "s9.csv").read_text().splitlines()
         assert curve_lines[0] == "cycle,hi"
-        assert len(curve_lines) == 1 + truncated["s1"].shape[0]
+        assert len(curve_lines) == 1 + truncated["s9"].shape[0]
         # the matched curve, byte for byte as predict --curve-out writes it
-        single = tmp_path / "s1_hi.csv"
+        single = tmp_path / "s9_hi.csv"
         assert main([
             "predict", "--pipeline", str(trained),
-            "--data", str(synth_dir / "truncated.csv"), "--instance", "s1",
+            "--data", str(synth_dir / "truncated.csv"), "--instance", "s9",
             "--curve-out", str(single),
         ]) == 0
-        assert (curves / "s1.csv").read_bytes() == single.read_bytes()
+        assert (curves / "s9.csv").read_bytes() == single.read_bytes()
 
     def test_label_count_mismatch_fails(self, trained, synth_dir, tmp_path, capsys):
         bad = tmp_path / "short.txt"
@@ -421,7 +454,7 @@ class TestEvaluate:
     ):
         text = (synth_dir / "truncated.csv").read_text()
         data = tmp_path / "ids.csv"
-        data.write_text(text.replace("\ns2,", f"\n{uid},"))
+        data.write_text(text.replace("\ns10,", f"\n{uid},"))
         estimates = tmp_path / "run" / "estimates.csv"
         curves = tmp_path / "run" / "curves"
         code = main([
@@ -554,7 +587,7 @@ class TestQuickStartFleet:
         rows = (fleet / "truncated.csv").read_text().splitlines()[1:]
         bad = tmp_path / "headerless.csv"
         bad.write_text("".join(prefix + row[1:] + "\n" for row in rows))
-        assert bad.read_text().startswith(prefix + "1,1,")
+        assert bad.read_text().startswith(prefix + "31,1,")
         code = _evaluate(quick_start, bad, fleet / "rul.txt", tmp_path / "est.csv")
         assert code == 1
         err = capsys.readouterr().err.splitlines()
@@ -595,11 +628,11 @@ class TestPredict:
     def test_selected_instance(self, trained, synth_dir, capsys):
         code = main([
             "predict", "--pipeline", str(trained),
-            "--data", str(synth_dir / "truncated.csv"), "--instance", "s3",
+            "--data", str(synth_dir / "truncated.csv"), "--instance", "s11",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "instance s3" in out
+        assert "instance s11" in out
         assert "rul_estimate" in out
         assert "n_candidates" in out
 
@@ -611,9 +644,9 @@ class TestPredict:
             ]) == 0
             return capsys.readouterr().out.splitlines()
 
-        lines = predict(synth_dir / "truncated.csv", "s3")
+        lines = predict(synth_dir / "truncated.csv", "s11")
         ds = parse_generic((synth_dir / "truncated.csv").read_text())
-        est, _ = predict_one(load_pipeline(trained), dict(ds.instances)["s3"])
+        est, _ = predict_one(load_pipeline(trained), dict(ds.instances)["s11"])
         best = est.best_match
         at = lines.index(f"n_candidates {len(est.candidates)}")
         assert lines[at + 1 : at + 3] == [
@@ -631,7 +664,7 @@ class TestPredict:
             "--seed", "5", "--truncate", "0.95,0.98",
         ]) == 0
         capsys.readouterr()
-        lines = predict(long_dir / "truncated.csv", "s1")
+        lines = predict(long_dir / "truncated.csv", "s3")
         assert lines[lines.index("n_candidates 0") + 1 :][:2] == [
             "best_match none",
             "n_pairs 0",
@@ -657,8 +690,6 @@ class TestPredict:
     def test_single_instance_file_and_curve_out(
         self, trained, synth_dir, tmp_path, capsys
     ):
-        from edhi.data import RunToFailureDataset, write_generic
-
         ds = parse_generic((synth_dir / "truncated.csv").read_text())
         one = RunToFailureDataset(
             instances=[ds.instances[1]], sensor_names=ds.sensor_names
@@ -671,7 +702,7 @@ class TestPredict:
             "--data", str(single), "--curve-out", str(curve_path),
         ])
         assert code == 0
-        assert "instance s2" in capsys.readouterr().out
+        assert "instance s10" in capsys.readouterr().out
         lines = curve_path.read_text().splitlines()
         assert lines[0] == "cycle,hi"
         assert len(lines) == 1 + one.instances[0][1].shape[0]
@@ -695,7 +726,7 @@ class TestPredict:
         bad.write_bytes(join_pipeline(version, header, payload))
         code = main([
             "predict", "--pipeline", str(bad),
-            "--data", str(synth_dir / "truncated.csv"), "--instance", "s3",
+            "--data", str(synth_dir / "truncated.csv"), "--instance", "s11",
         ])
         assert code == 1
         captured = capsys.readouterr()
@@ -722,7 +753,7 @@ class TestPredict:
         bad.write_bytes(join_pipeline(version, edit(header), payload))
         code = main([
             "predict", "--pipeline", str(bad),
-            "--data", str(synth_dir / "truncated.csv"), "--instance", "s3",
+            "--data", str(synth_dir / "truncated.csv"), "--instance", "s11",
         ])
         assert code == 1
         captured = capsys.readouterr()
@@ -747,7 +778,7 @@ class TestPredict:
             warnings.simplefilter("error")
             code = main([
                 "predict", "--pipeline", str(bad),
-                "--data", str(synth_dir / "truncated.csv"), "--instance", "s3",
+                "--data", str(synth_dir / "truncated.csv"), "--instance", "s11",
             ])
         assert code == 1
         captured = capsys.readouterr()
@@ -1145,3 +1176,37 @@ class TestSurface:
     def test_percent_in_a_help_text_prints_as_is(self):
         text = " ".join(self._subparsers()["train"].format_help().split())
         assert "labels the leading 5% healthy" in text
+
+
+def test_train_bytes_do_not_depend_on_blas_variables(tmp_path):
+    """``edhi train`` writes the same bytes with the BLAS thread variables
+    unset as with them set to 1, since importing edhi sets them to 1.
+
+    Without that default OpenBLAS starts one thread per CPU, which changes
+    this fleet's pipeline file (the smallest such fleet found on 2 CPUs).
+    One CPU gives one BLAS thread either way, so this test can only fail on a
+    host with 2 or more CPUs.
+    """
+    assert main([
+        "synth", "--out", str(tmp_path), "--n-instances", "20", "--n-sensors", "3",
+        "--min-len", "128", "--max-len", "362", "--seed", "1",
+    ]) == 0
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in blas}
+    paths = [str(Path(edhi.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    unset["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    outs = []
+    for env in (unset, {**unset, **dict.fromkeys(blas, "1")}):
+        out = tmp_path / f"pipe{len(outs)}.edhi"
+        subprocess.run(
+            [
+                sys.executable, "-m", "edhi.cli", "train",
+                "--data", str(tmp_path / "data.csv"), "--out", str(out),
+                "--healthy-frac", "0.3", "--max-epochs", "1", "--seed", "1",
+            ],
+            env=env, check=True, capture_output=True,
+        )
+        outs.append(out)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    log = Path(f"{outs[0]}.log").read_bytes()
+    assert log == Path(f"{outs[1]}.log").read_bytes()
