@@ -92,16 +92,19 @@ def pointwise_reconstruction(model: LstmEdModel, series: np.ndarray) -> np.ndarr
         series: Shape (L, p) with L >= model.window_len.
 
     Returns:
-        Shape (L, p) averaged reconstruction.
+        Shape (L, p) averaged reconstruction, float64 whatever the model's
+        dtype.
 
     Raises:
         ValueError: If the series is not 2-D or is shorter than the window.
     """
     l = model.window_len
     x = _series_of(series, l)
-    # every window as one (L-l+1, l, p) view; the encoder copies it into its
-    # own buffer, so no stacked copy is made here
-    batch = sliding_window_view(x, l, axis=0).transpose(0, 2, 1)
+    # every window as one (L-l+1, l, p) view of the series in the model's
+    # dtype; the encoder copies it into its own buffer, so no stacked copy
+    # is made here
+    x_model = x.astype(model.params.dtype, copy=False)
+    batch = sliding_window_view(x_model, l, axis=0).transpose(0, 2, 1)
     recons = decode_infer(model, encode(model, batch), steps=l)
     big_l = x.shape[0]
     n_windows = recons.shape[0]

@@ -11,7 +11,15 @@ inference is autoregressive (each prediction is fed back). Every pass, of
 either cell, in training or inference, is one call of one driver (_run)
 around one cell-step function, so the paths cannot drift apart. Gradients
 are exact reverse-mode backpropagation through the unrolled network;
-everything here is hand-written over numpy arrays in float64.
+everything here is hand-written over numpy arrays.
+
+A model's dtype is the dtype of its ``params``: float32 or float64 (any
+other dtype converts to float64). Every buffer of a pass, the windows and
+states fed to it and the optimizer's moments follow that dtype, so a
+float32 model runs its whole arithmetic in float32; ``train`` trains a
+float32 model when its training windows are float32, and a float64 one
+otherwise. The reconstruction error is all a build takes from the model,
+and a build trains in float32 (pipeline._LSTM_DTYPE).
 
 Every entry point works on batches only: windows are (B, l, p) arrays and
 states (B, n) arrays, one row per window. A single window is the batch
@@ -38,11 +46,12 @@ predictions it returns its memory is O(B (p+n)) whatever T.
 The GEMM runs against a prepared copy of the cell, made once per sequence:
 the stacked weight and bias with their i|f|o rows multiplied by 0.5, and
 the bias tiled to a contiguous (4n, B) block. Scaling by a power of two is
-exact in float64 (barring subnormal values), so (0.5 W) xh + 0.5 b has the
-bits of 0.5 (W xh + b), and one tanh over all 4n rows then gives the
-logistic's tanh(0.5 x) and the candidate's tanh at once. The tiled add
-costs less than broadcasting the bias column on every step. Outputs are bit
-for bit those of the plainly written step in the tests (reference_cell_step).
+exact in float32 and float64 (barring subnormal values), so (0.5 W) xh +
+0.5 b has the bits of 0.5 (W xh + b), and one tanh over all 4n rows then
+gives the logistic's tanh(0.5 x) and the candidate's tanh at once. The
+tiled add costs less than broadcasting the bias column on every step.
+Outputs are bit for bit those of the plainly written step in the tests
+(reference_cell_step) in the same dtype.
 The decoder's passes read each state out as it is made, the same way in
 training and inference; autoregressive inference then copies each
 prediction into the x rows of the slot that feeds it back. The backward
@@ -109,6 +118,12 @@ def _size(p: int, n: int) -> int:
     return sum(math.prod(shape) for shape in _shapes(p, n).values())
 
 
+def _dtype(dtype) -> np.dtype:
+    """The dtype that arrays of ``dtype`` run in: float32 stays float32, and
+    every other dtype runs in float64."""
+    return np.dtype(np.float32 if dtype == np.float32 else np.float64)
+
+
 def _blocks(vector: np.ndarray, p: int, n: int) -> dict[str, np.ndarray]:
     """Views of a flat vector as the named blocks of the parameter layout."""
     if vector.shape != (_size(p, n),):
@@ -129,7 +144,8 @@ class LstmEdModel:
     identity; compare ``params`` for equal values.
 
     Attributes:
-        params: Every parameter, a flat float64 vector.
+        params: Every parameter, a flat float32 or float64 vector; its dtype
+            is the model's (see _dtype).
         input_dim: p, columns per input row.
         hidden_units: c, shared by encoder and decoder.
         window_len: l, the training window length.
@@ -151,7 +167,8 @@ class LstmEdModel:
     def __post_init__(self):
         if min(self.input_dim, self.hidden_units, self.window_len) < 1:
             raise ValueError("input_dim, hidden_units, window_len must be >= 1")
-        params = np.asarray(self.params, dtype=np.float64)
+        params = np.asarray(self.params)
+        params = params.astype(_dtype(params.dtype), copy=False)
         blocks = _blocks(params, self.input_dim, self.hidden_units)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "encoder", LstmParams(blocks["enc_w"], blocks["enc_b"]))
@@ -206,8 +223,11 @@ def init_model(
     )
 
 
-def _init_from_rng(p: int, n: int, l: int, rng: np.random.Generator) -> LstmEdModel:
-    model = LstmEdModel(np.zeros(_size(p, n)), p, n, l)
+def _init_from_rng(
+    p: int, n: int, l: int, rng: np.random.Generator, dtype=np.float64
+) -> LstmEdModel:
+    """init_model's draws from ``rng``, each float64 draw rounded to ``dtype``."""
+    model = LstmEdModel(np.zeros(_size(p, n), dtype), p, n, l)
     rec_bound = 1.0 / np.sqrt(p + n)
     for cell in (model.encoder, model.decoder):
         cell.w[...] = rng.uniform(-rec_bound, rec_bound, size=cell.w.shape)
@@ -283,6 +303,7 @@ def _run(
     """
     n, b = h0.shape
     p = model.input_dim
+    dtype = model.params.dtype
     kept = steps if keep else min(steps, 1)
     w = cell.w.copy()
     w[: 3 * n] *= 0.5
@@ -292,11 +313,11 @@ def _run(
         steps=steps,
         w=w,
         bias=np.repeat(half_b[:, None], b, axis=1),
-        xh=np.empty((kept + 1, p + n, b)),
-        gates=np.empty((kept, 4 * n, b)),
-        cell=np.empty((kept + 1, n, b)),
-        tanh_cell=np.empty((kept, n, b)),
-        ig=np.empty((n, b)),
+        xh=np.empty((kept + 1, p + n, b), dtype),
+        gates=np.empty((kept, 4 * n, b), dtype),
+        cell=np.empty((kept + 1, n, b), dtype),
+        tanh_cell=np.empty((kept, n, b), dtype),
+        ig=np.empty((n, b), dtype),
     )
     trace.xh[0, p:] = h0
     trace.cell[0] = c0
@@ -408,14 +429,18 @@ def _weight_grads(trace: _Trace, dgates: np.ndarray, out: LstmParams) -> None:
 
 
 def _check_window(window, name: str, model: LstmEdModel | None = None) -> np.ndarray:
-    """``window`` as a float64 (B, l, p) batch: the one definition of a batch.
+    """``window`` as a (B, l, p) batch: the one definition of a batch.
 
-    With a model, l and p must be its window length and input width.
+    With a model, l and p must be its window length and input width, and the
+    batch takes the model's dtype; without one, float32 windows stay float32
+    and any others convert to float64 (see _dtype). A batch already of that
+    dtype is not copied.
 
     Raises:
         ValueError: Naming the expected shape, for any other shape.
     """
-    w = np.asarray(window, dtype=np.float64)
+    w = np.asarray(window)
+    w = w.astype(_dtype(w.dtype) if model is None else model.params.dtype, copy=False)
     l, p = ("l", "p") if model is None else (model.window_len, model.input_dim)
     if w.ndim != 3 or (model is not None and w.shape[1:] != (l, p)):
         raise ValueError(f"{name} must have shape (B, {l}, {p}), got {w.shape}")
@@ -451,7 +476,7 @@ def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
         Final encoder states after the l-th step, each (B, n).
     """
     w = _check_window(window, "window", model)
-    zeros = np.zeros((model.hidden_units, w.shape[0]))
+    zeros = np.zeros((model.hidden_units, w.shape[0]), w.dtype)
     rows = w.transpose(1, 2, 0)
     trace = _run(model, model.encoder, zeros, zeros, w.shape[1], False, rows)
     return LstmState(
@@ -489,7 +514,7 @@ def decode_train(
     b, l, p = w.shape
     if h0.shape[1] != b:
         raise ValueError(f"{h0.shape[1]} states for {b} windows")
-    preds = np.empty((l, p, b))
+    preds = np.empty((l, p, b), w.dtype)
     rows = w[:, :0:-1].transpose(1, 2, 0)
     _run(model, model.decoder, h0, c0, l - 1, False, rows, preds)
     return _time_order(preds)
@@ -513,15 +538,20 @@ def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.nda
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h0, c0 = _state_columns(model, enc_final)
-    preds = np.empty((steps, model.input_dim, h0.shape[1]))
+    preds = np.empty((steps, model.input_dim, h0.shape[1]), model.params.dtype)
     _run(model, model.decoder, h0, c0, steps - 1, False, preds=preds)
     return _time_order(preds)
 
 
 def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Sum over all points of the squared Euclidean reconstruction error."""
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
+    """Sum over all points of the squared Euclidean reconstruction error.
+
+    Computed in float32 when both arrays are float32, as a float32 model's
+    training does, and in float64 otherwise.
+    """
+    p, t = np.asarray(predictions), np.asarray(targets)
+    dtype = _dtype(np.result_type(p, t))
+    p, t = p.astype(dtype, copy=False), t.astype(dtype, copy=False)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
     diff = p - t
@@ -537,11 +567,11 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     b, l, p = batch.shape
     n = model.hidden_units
     grad = LstmEdModel(np.empty_like(model.params), p, n, l)
-    zeros = np.zeros((n, b))
+    zeros = np.zeros((n, b), batch.dtype)
     enc = _run(model, model.encoder, zeros, zeros, l, True, batch.transpose(1, 2, 0))
     # decoder state s (the encoder's final state first) predicts row l-1-s;
     # step s is fed true row l-1-s
-    preds = np.empty((l, p, b))
+    preds = np.empty((l, p, b), batch.dtype)
     rows = batch[:, :0:-1].transpose(1, 2, 0)
     dec = _run(
         model, model.decoder, enc.final_hidden, enc.final_cell, l - 1, True, rows, preds
@@ -555,8 +585,8 @@ def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     np.sum(flat_dy, axis=1, out=grad.out_bias)
     dstates = np.matmul(model.out_weight, dy)
 
-    dh = np.zeros((n, b))
-    dc = np.zeros((n, b))
+    dh = np.zeros((n, b), batch.dtype)
+    dc = np.zeros((n, b), batch.dtype)
     dec_slopes = _slopes(dec)
     for s in range(l - 2, -1, -1):
         dh += dstates[s + 1]
@@ -611,6 +641,11 @@ def train(
     included as epoch 0. Deterministic given the seed: initialization, batch
     order, and arithmetic are all reproduced bit-for-bit.
 
+    The dtype follows the training windows: float32 windows train a float32
+    model, with every pass, loss and optimizer buffer in float32, on numpy
+    1.24 and 2.x alike; any other windows convert to float64 and train a
+    float64 model. The validation windows take the model's dtype.
+
     Args:
         windows: Training windows, shape (N, l, p) with N >= 1; a list of
             equal-shaped (l, p) windows converts too.
@@ -635,7 +670,7 @@ def train(
     _, l, p = train_batch.shape
 
     rng = np.random.default_rng(config.seed)
-    model = _init_from_rng(p, config.c, l, rng)
+    model = _init_from_rng(p, config.c, l, rng, train_batch.dtype)
     val_batch = _check_window(validation, "validation windows", model)
     params = model.params
 
@@ -658,6 +693,10 @@ def train(
     v_state = np.zeros_like(params)
     square = np.empty_like(params)
     square_blocks = _blocks(square, p, config.c).values()
+    # Python floats, as are gnorm and the Adam constants: a numpy float64
+    # scalar would lift float32 arithmetic to float64 under numpy 2's NEP 50
+    # but not under numpy 1.24
+    clip_norm, rate = float(config.grad_clip_norm), float(config.learning_rate)
     step = 0
     stale = 0
     n_train = train_batch.shape[0]
@@ -673,11 +712,11 @@ def train(
             epoch_loss += batch_loss
 
             np.multiply(grad, grad, out=square)
-            gnorm = np.sqrt(sum(float(np.sum(block)) for block in square_blocks))
-            max_gnorm = max(max_gnorm, float(gnorm))
-            if gnorm > config.grad_clip_norm:
+            gnorm = math.sqrt(sum(float(np.sum(block)) for block in square_blocks))
+            max_gnorm = max(max_gnorm, gnorm)
+            if gnorm > clip_norm:
                 clipped += 1
-                grad *= config.grad_clip_norm / gnorm
+                grad *= clip_norm / gnorm
                 np.multiply(grad, grad, out=square)
 
             step += 1
@@ -690,7 +729,7 @@ def train(
             denom += _ADAM_EPS
             update = m_state / (1.0 - _ADAM_BETA1**step)
             update /= denom
-            update *= config.learning_rate
+            update *= rate
             params -= update
 
         train_history.append(_finite(epoch_loss, "training", epoch))

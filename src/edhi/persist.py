@@ -7,10 +7,13 @@ the run configuration, and the train instance ids; arrays are written in a
 fixed section order with deterministic JSON, so saving the same pipeline
 twice produces identical bytes.
 
-Format 2 holds only what scoring reads: the sections norm_mean, norm_std,
-norm_dropped, pca_components, lr_theta, lr_theta0, and one curve_k per
-train id. Format 1 files also carry the trained encoder-decoder (enc_*,
-dec_*, out_* sections and a "model" header key); they still load, and those
+Formats 2 and 3 hold only what scoring reads: the sections norm_mean,
+norm_std, norm_dropped, pca_components, lr_theta, lr_theta0, and one
+curve_k per train id. Format 3 has format 2's layout; its number marks
+builds whose encoder-decoder trains and reconstructs in float32, so the
+same settings give other bytes than a format 2 build did. Format 1 files
+also carry the trained encoder-decoder (enc_*, dec_*, out_* sections and a
+"model" header key). Files of every format still load, and format 1's
 extras are ignored. The trained model is not part of the pipeline: take it
 from ``BuildInfo.train_result.model`` when building.
 """
@@ -30,7 +33,9 @@ from .matching import Library
 from .numerics import NormStats, OlsModel, PcaModel
 
 MAGIC = b"EDHIPIPE"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# the versions load_pipeline reads, all through one path
+_READABLE = (1, 2, FORMAT_VERSION)
 _CHECKSUM_BYTES = 32
 _REQUIRED = (
     "norm_mean",
@@ -127,7 +132,7 @@ def _fail(path: Path, reason: str):
 
 
 def load_pipeline(path: str | Path) -> PipelineBundle:
-    """Read a format 1 or 2 pipeline file, verifying it throughout.
+    """Read a format 1, 2 or 3 pipeline file, verifying it throughout.
 
     Raises:
         ValueError: On a wrong magic string, an unsupported format version,
@@ -146,8 +151,9 @@ def load_pipeline(path: str | Path) -> PipelineBundle:
         _fail(path, "bad magic, not a pipeline file")
     pos = len(MAGIC)
     version = int.from_bytes(blob[pos : pos + 4], "little")
-    if version not in (1, FORMAT_VERSION):
-        _fail(path, f"unsupported version {version} (supported: 1, {FORMAT_VERSION})")
+    if version not in _READABLE:
+        supported = ", ".join(map(str, _READABLE))
+        _fail(path, f"unsupported version {version} (supported: {supported})")
     pos += 4
     header_len = int.from_bytes(blob[pos : pos + 8], "little")
     pos += 8

@@ -2,8 +2,8 @@
 
 Building a pipeline runs the full recipe: split instances, fit pooled
 normalization and PCA on the fitting split, train the encoder-decoder on
-healthy windows (only for the reconstruction-error HI variants, the ones
-that read it), construct target HI curves, fit the linear HI map, and
+healthy windows, in float32 (only for the reconstruction-error HI variants,
+the ones that read it), construct target HI curves, fit the linear HI map, and
 store the fitting split's final curves as the matching library. Validation
 instances steer early stopping and sweep scoring, so their curves stay out
 of the library. Every stage failure is re-raised with the stage's name.
@@ -73,6 +73,11 @@ _RECON_VARIANTS = ("recon_error", "recon_error_squared")
 # few ms, inside a build's noise; 5.1e6 and 7.7e6 (c=30) won 30-35% in 21 of
 # 21 pairs; the FD001-shaped fleet (6.4e7) won 42%.
 _FORK_MIN_WORK = 4e6
+# The dtype a build trains and reconstructs in. The encoder-decoder only
+# supplies a reconstruction error, normalised per unit into a target HI, so
+# float32 loses no held-out quality (tests/test_acceptance.py checks it
+# against float64) and trains about 1.8x faster on the FD001-shaped fleet.
+_LSTM_DTYPE = np.float32
 
 
 class StageError(RuntimeError):
@@ -177,7 +182,7 @@ def _train_model(
                 "train-lstm",
                 f"no {which} yields a healthy window of length {config.l}",
             )
-        batches.append(np.stack(windows))
+        batches.append(np.stack(windows, dtype=_LSTM_DTYPE))
     train_batch, val_batch = batches
     return _stage("train-lstm", train, train_batch, config, val_batch)
 

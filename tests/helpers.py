@@ -232,10 +232,14 @@ def reference_train(windows, config, validation):
     untrained model's as epoch 0, picks the checkpoint; patience epochs
     without a new best stop training.
 
+    Everything runs in the dtype of ``windows``, an array of float32 or
+    float64: the init draws are rounded to it, and each scalar that meets an
+    array is a Python float.
+
     Returns (TrainResult, pre-clip gradient norm of every step).
     """
-    train_batch = np.asarray(windows, dtype=np.float64)
-    val_batch = np.asarray(validation, dtype=np.float64)
+    train_batch = np.asarray(windows)
+    val_batch = np.asarray(validation, dtype=train_batch.dtype)
     n_train, l, p = train_batch.shape
     n = config.c
     rng = np.random.default_rng(config.seed)
@@ -246,7 +250,7 @@ def reference_train(windows, config, validation):
     gate_b = np.zeros(4 * n)
     gate_b[n : 2 * n] = 1.0
     flat = [enc_w.ravel(), gate_b, dec_w.ravel(), gate_b, out_w.ravel(), np.zeros(p)]
-    model = LstmEdModel(np.concatenate(flat), p, n, l)
+    model = LstmEdModel(np.concatenate(flat).astype(train_batch.dtype), p, n, l)
     params = {
         "enc_w": model.encoder.w,
         "enc_b": model.encoder.b,
@@ -280,7 +284,7 @@ def reference_train(windows, config, validation):
             batch = train_batch[order[lo : lo + config.batch_size]]
             epoch_loss += batch_loss(batch)
             grads = grad_bptt(model, batch)
-            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             norms.append(norm)
             if norm > config.grad_clip_norm:
                 grads = {k: g * (config.grad_clip_norm / norm) for k, g in grads.items()}
@@ -425,7 +429,7 @@ def with_float(blob: bytes, section: str, index: int, value: float) -> bytes:
 
 
 def as_format_1(blob: bytes, model: LstmEdModel) -> bytes:
-    """A format 2 file turned into format 1: the six LSTM sections and the
+    """A format 3 file turned into format 1: the six LSTM sections and the
     "model" header key added, the version set to 1, the file re-signed."""
     _, header, payload = split_pipeline(blob)
     payload = bytearray(payload)

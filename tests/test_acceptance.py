@@ -11,6 +11,7 @@ import math
 import os
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from scipy.stats import spearmanr
 from helpers import grad_check_max_rel_err, null_rul_records
 from test_matching import brute_force_candidates, brute_force_weighted_mean, random_curve_case
 
+import edhi.pipeline
 from edhi.cli import main as cli_main
 from edhi.config import RunConfig
 from edhi.data import (
@@ -36,7 +38,7 @@ from edhi.health import (
 )
 from edhi.lstm import init_model
 from edhi.matching import candidate_estimates, similarity
-from edhi.metrics import EvalRecord, full_report, outcome_counts, timeliness
+from edhi.metrics import EvalRecord, MetricsReport, full_report, outcome_counts, timeliness
 from edhi.numerics import (
     apply_norm,
     ols_fit,
@@ -323,10 +325,22 @@ def test_criterion_9_training_is_byte_deterministic(verdict, tmp_path):
     )
 
 
-def test_criterion_10_beats_the_null_estimator_on_held_out_units(verdict):
-    # one fleet, so the held-out units degrade like the training units; the
-    # bounds sit between the measured values (pipeline MAE 17.68, S 1443;
-    # null 45.29, 60300) and the null's
+class HeldOut(NamedTuple):
+    """One build scored on held-out units of its own fleet."""
+
+    train_ds: RunToFailureDataset
+    test_ds: RunToFailureDataset
+    config: RunConfig
+    report: MetricsReport
+    dtype: np.dtype
+    seconds: float
+
+
+@pytest.fixture(scope="module")
+def held_out():
+    """Units 1-100 of one 200-unit fleet build a pipeline at the shipped
+    encoder-decoder dtype, and units 101-200, truncated at 40-90% of life,
+    score it: criterion 10's split, built once for both of its tests."""
     t0 = time.time()
     spec = SyntheticSpec(
         n_instances=200, n_sensors=21, min_len=128, max_len=362, seed=1
@@ -340,14 +354,42 @@ def test_criterion_10_beats_the_null_estimator_on_held_out_units(verdict):
     )
     test_ds = truncate_random(held, 0.4, 0.9, 8)
     config = RunConfig(healthy_frac=0.3, max_epochs=2, seed=1)
-    bundle, _ = build_pipeline(train_ds, config)
+    bundle, info = build_pipeline(train_ds, config)
     report, _ = evaluate_pipeline(bundle, test_ds)
+    dtype = info.train_result.model.params.dtype
+    return HeldOut(train_ds, test_ds, config, report, dtype, time.time() - t0)
+
+
+def test_criterion_10_beats_the_null_estimator_on_held_out_units(verdict, held_out):
+    # one fleet, so the held-out units degrade like the training units; the
+    # bounds sit between the measured values (pipeline MAE 17.67, S 1442;
+    # null 45.29, 60300) and the null's
+    train_ds, test_ds, config, report, _, elapsed = held_out
     null_records = null_rul_records(train_ds, test_ds, config.r_max)
     null = full_report(null_records, config.tau1, config.tau2)
-    elapsed = time.time() - t0
     verdict(
         report.mae <= 0.5 * null.mae and report.s <= 0.1 * null.s,
         f"criterion 10: 100 train / 100 held-out units of one fleet, MAE "
         f"{report.mae:.2f} <= 0.5 x null {null.mae:.2f}, S {report.s:.0f} <= "
         f"0.1 x null {null.s:.0f} in {elapsed:.1f}s",
+    )
+
+
+def test_criterion_10_holds_for_a_float64_encoder_decoder(verdict, held_out, monkeypatch):
+    # builds train and reconstruct in float32; the same split built in
+    # float64 must score the same within round-off's reach (measured: MAE
+    # 17.669 against 17.675, S 1442.1 against 1442.5)
+    assert held_out.dtype == np.float32
+    monkeypatch.setattr(edhi.pipeline, "_LSTM_DTYPE", np.float64)
+    bundle, info = build_pipeline(held_out.train_ds, held_out.config)
+    assert info.train_result.model.params.dtype == np.float64
+    wide, _ = evaluate_pipeline(bundle, held_out.test_ds)
+    narrow = held_out.report
+    mae_gap = abs(narrow.mae - wide.mae)
+    s_gap = abs(narrow.s - wide.s) / wide.s
+    verdict(
+        mae_gap <= 0.25 and s_gap <= 0.02,
+        f"criterion 10, float32 against float64: held-out MAE {narrow.mae:.3f} "
+        f"against {wide.mae:.3f} (gap {mae_gap:.3f} <= 0.25 cycles), S "
+        f"{narrow.s:.1f} against {wide.s:.1f} (gap {100 * s_gap:.2f}% <= 2%)",
     )

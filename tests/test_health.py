@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import edhi.health
 from edhi.health import (
     HiCurve,
     endpoint_targets,
@@ -24,7 +25,7 @@ from edhi.health import (
     smooth_curve,
     target_hi_from_error,
 )
-from edhi.lstm import decode_infer, encode, init_model
+from edhi.lstm import LstmEdModel, decode_infer, encode, init_model
 from edhi.numerics import OlsModel
 from helpers import reference_smooth_curve
 
@@ -90,20 +91,48 @@ class TestPointwiseReconstruction:
                 counts[start0 + j] += 1
         np.testing.assert_allclose(recon, sums / counts[:, None], atol=1e-12)
 
-    @given(st.integers(1, 6), st.integers(0, 30), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_bitwise_equal_to_stacked_windows(self, l, extra, p, seed):
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 30),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([np.float64, np.float32]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_stacked_windows(self, l, extra, p, seed, dtype):
+        # a float32 model decodes float32 windows, averaged in float64
         rng = np.random.default_rng(seed)
-        model = init_model(p, 4, l, seed=seed)
+        model = LstmEdModel(init_model(p, 4, l, seed=seed).params.astype(dtype), p, 4, l)
         series = rng.normal(size=(l + extra, p))
-        stacked = np.stack([w for _, w in sliding_windows(series, l)])
+        stacked = np.stack([w for _, w in sliding_windows(series, l)]).astype(dtype)
         recons = decode_infer(model, encode(model, stacked), steps=l)
         sums = np.zeros_like(series)
         counts = np.zeros(l + extra)
         for k, window in enumerate(recons):
             sums[k : k + l] += window
             counts[k : k + l] += 1.0
-        assert np.array_equal(pointwise_reconstruction(model, series), sums / counts[:, None])
+        got = pointwise_reconstruction(model, series)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, sums / counts[:, None])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_windows_reach_the_encoder_as_a_view(self, dtype, monkeypatch):
+        # the float64 series is cast to the model's dtype once, before its
+        # windows are viewed, so the encoder gets a view in its own dtype
+        # and makes no (B, l, p) copy of it
+        seen = []
+
+        def spy(model, window):
+            seen.append(window)
+            return encode(model, window)
+
+        monkeypatch.setattr(edhi.health, "encode", spy)
+        model = LstmEdModel(init_model(3, 4, 5, seed=1).params.astype(dtype), 3, 4, 5)
+        pointwise_reconstruction(model, np.random.default_rng(1).normal(size=(30, 3)))
+        (window,) = seen
+        assert window.shape == (26, 5, 3)
+        assert window.dtype == dtype
+        assert not window.flags.owndata
 
     def test_bad_series_rejected(self):
         model = init_model(2, 3, 4, seed=0)

@@ -61,6 +61,21 @@ def _encoder_model(w, b, l):
     return model
 
 
+def _per_dtype(cases):
+    """Each case once per model dtype: float64 under the case's own id,
+    float32 under the id with "-float32" appended."""
+    return [pytest.param(case, np.float64, id=str(case)) for case in cases] + [
+        pytest.param(case, np.float32, id=f"{case}-float32") for case in cases
+    ]
+
+
+def _as_dtype(model, dtype):
+    """A copy of ``model`` whose parameters are rounded to ``dtype``."""
+    return LstmEdModel(
+        model.params.astype(dtype), model.input_dim, model.hidden_units, model.window_len
+    )
+
+
 def _ref_encode(w, b, batch):
     """Encoder final state of a (B, l, p) batch, one reference cell step at a time."""
     h = c = np.zeros((batch.shape[0], b.shape[0] // 4))
@@ -286,7 +301,7 @@ def _reference_run(model, batch):
     def readout(h):
         return model.out_weight.T @ h + model.out_bias[:, None]
 
-    h = c = np.zeros((model.hidden_units, b))
+    h = c = np.zeros((model.hidden_units, b), batch.dtype)
     for t in range(l):
         h, c = reference_cell_step(enc.w, enc.b, batch[:, t].T, h, c)
     state = (h, c)
@@ -327,31 +342,44 @@ def _random_model(p, c, l, rng):
     return model
 
 
+_kernel_cases = given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+
+
 class TestKernelBitwise:
     """The cell kernel, whose i|f|o rows are halved, against the plainly
     written reference_cell_step, with array_equal: every batch width 1-40
     (each width mod 8 takes its own GEMM tail), and the bench shapes: a
     training batch, a unit's reconstruction and train_fd001's validation
-    batch."""
+    batch. The float32 cases round the model and the batch to float32 and
+    evaluate the reference in float32."""
 
-    @given(
-        st.integers(1, 6),
-        st.integers(1, 4),
-        st.integers(1, 8),
-        st.integers(0, 2**32 - 1),
-    )
+    def _every_batch_width(self, l, p, c, seed, dtype):
+        rng = np.random.default_rng(seed)
+        model = _as_dtype(_random_model(p, c, l, rng), dtype)
+        for b in range(1, 41):
+            batch = rng.normal(size=(b, l, p)).astype(dtype)
+            _assert_kernel_matches_reference(model, batch)
+
+    @_kernel_cases
     @settings(max_examples=12, deadline=None)
     def test_every_batch_width_matches_reference(self, l, p, c, seed):
-        rng = np.random.default_rng(seed)
-        model = _random_model(p, c, l, rng)
-        for b in range(1, 41):
-            _assert_kernel_matches_reference(model, rng.normal(size=(b, l, p)))
+        self._every_batch_width(l, p, c, seed, np.float64)
 
-    @pytest.mark.parametrize("b", [32, 223, 1178])
-    def test_bench_shapes_match_reference(self, b):
+    @_kernel_cases
+    @settings(max_examples=12, deadline=None)
+    def test_every_batch_width_matches_reference_in_float32(self, l, p, c, seed):
+        self._every_batch_width(l, p, c, seed, np.float32)
+
+    @pytest.mark.parametrize("b, dtype", _per_dtype([32, 223, 1178]))
+    def test_bench_shapes_match_reference(self, b, dtype):
         rng = np.random.default_rng(b)
-        model = init_model(3, 30, 20, seed=b)
-        _assert_kernel_matches_reference(model, rng.normal(size=(b, 20, 3)))
+        model = _as_dtype(init_model(3, 30, 20, seed=b), dtype)
+        _assert_kernel_matches_reference(model, rng.normal(size=(b, 20, 3)).astype(dtype))
 
 
 def _traced_peak(run):
@@ -558,10 +586,12 @@ class TestTrain:
         assert np.array_equal(result.model.params, fresh.params)
 
 
-    @pytest.mark.parametrize("overflowing", ["training", "validation"])
-    def test_non_finite_loss_rejected(self, overflowing):
-        wins = _sinusoid_windows(8, 4, 2, seed=19)
-        huge = [1e200 * w for w in wins]
+    # each scale overflows the square of its dtype
+    @pytest.mark.parametrize("overflowing, dtype", _per_dtype(["training", "validation"]))
+    def test_non_finite_loss_rejected(self, overflowing, dtype):
+        wins = [w.astype(dtype) for w in _sinusoid_windows(8, 4, 2, seed=19)]
+        scale = 1e200 if dtype == np.float64 else 1e30
+        huge = [scale * w for w in wins]
         train_wins, val_wins = (huge, wins) if overflowing == "training" else (wins, huge)
         cfg = RunConfig(c=3, max_epochs=3, batch_size=4, seed=7)
         with pytest.raises(ValueError, match=f"diverged: {overflowing} loss is inf"):
@@ -584,19 +614,21 @@ class TestTrain:
         ),
     }
 
-    def _train_both(self, case):
+    def _train_both(self, case, dtype):
         """(train's result, reference_train's result, its per-step norms,
-        the config, batches per epoch) for one reference case."""
+        the config, batches per epoch) for one reference case, trained on
+        windows of ``dtype``."""
         cfg, (count, l, p, seed) = self._REFERENCE_CASES[case]
-        wins = np.stack(_sinusoid_windows(count, l, p, seed))
+        wins = np.stack(_sinusoid_windows(count, l, p, seed)).astype(dtype)
         cut = count * 3 // 4
         got = train(wins[:cut], cfg, wins[cut:])
         want, norms = reference_train(wins[:cut], cfg, wins[cut:])
         return got, want, norms, cfg, -(-cut // cfg.batch_size)
 
-    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
-    def test_matches_reference_trainer_bitwise(self, case):
-        got, want, norms, cfg, _ = self._train_both(case)
+    @pytest.mark.parametrize("case, dtype", _per_dtype(sorted(_REFERENCE_CASES)))
+    def test_matches_reference_trainer_bitwise(self, case, dtype):
+        got, want, norms, cfg, _ = self._train_both(case, dtype)
+        assert got.model.params.dtype == dtype
         assert got.train_history == want.train_history
         assert got.val_history == want.val_history
         assert got.best_epoch == want.best_epoch
@@ -608,9 +640,9 @@ class TestTrain:
         else:
             assert got.best_epoch == 0
 
-    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
-    def test_epoch_diagnostics_match_reference_norms(self, case):
-        got, _, norms, cfg, per_epoch = self._train_both(case)
+    @pytest.mark.parametrize("case, dtype", _per_dtype(sorted(_REFERENCE_CASES)))
+    def test_epoch_diagnostics_match_reference_norms(self, case, dtype):
+        got, _, norms, cfg, per_epoch = self._train_both(case, dtype)
         epochs = [norms[at : at + per_epoch] for at in range(0, len(norms), per_epoch)]
         assert got.max_grad_norms == [max(epoch) for epoch in epochs]
         assert got.clip_counts == [
@@ -651,6 +683,22 @@ class TestLstmEdModel:
     def test_wrong_length_rejected(self, size):
         with pytest.raises(ValueError, match=r"params must have shape \(152,\), got"):
             LstmEdModel(np.zeros(size), 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "given, want",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float16, np.float64), (np.int64, np.float64)],
+    )
+    def test_dtype_is_the_params_dtype(self, given, want):
+        # float32 stays float32, anything else converts to float64; every
+        # pass then runs in it, whatever the dtype of the windows fed in
+        model = LstmEdModel(np.zeros(152, given), 2, 3, 4)
+        assert model.params.dtype == want
+        assert model.encoder.w.dtype == model.out_bias.dtype == want
+        state = encode(model, np.zeros((2, 4, 2)))
+        assert state.hidden.dtype == state.cell.dtype == want
+        assert decode_train(model, np.zeros((2, 4, 2)), state).dtype == want
+        assert decode_infer(model, state, 4).dtype == want
+        assert grad_bptt(model, np.zeros((2, 4, 2)))["enc_w"].dtype == want
 
     def test_sizes_below_one_rejected(self):
         with pytest.raises(ValueError, match="must be >= 1"):

@@ -135,7 +135,7 @@ class TestCorruption:
         blob = bytearray(path.read_bytes())
         blob[len(MAGIC) : len(MAGIC) + 4] = (FORMAT_VERSION + 7).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="unsupported version"):
+        with pytest.raises(ValueError, match=r"unsupported version 10 \(supported: 1, 2, 3\)"):
             load_pipeline(path)
 
     def test_truncated_file(self, tmp_path):
@@ -209,11 +209,11 @@ def assert_bundles_equal(a: PipelineBundle, b: PipelineBundle) -> None:
 
 
 class TestFormat:
-    def test_saved_file_is_v2_without_lstm(self, tmp_path):
+    def test_saved_file_is_v3_without_lstm(self, tmp_path):
         path = tmp_path / "pipe.bin"
         save_pipeline(path, _bundle())
         version, header, _ = split_pipeline(path.read_bytes())
-        assert version == FORMAT_VERSION == 2
+        assert version == FORMAT_VERSION == 3
         assert "model" not in header
         names = {sec["name"] for sec in header["sections"]}
         assert names.isdisjoint(LSTM_SECTIONS)
@@ -228,25 +228,36 @@ class TestFormat:
         blob = path.read_bytes()
         assert join_pipeline(*split_pipeline(blob)) == blob
 
+    def test_v2_file_loads_to_the_same_bundle(self, tmp_path):
+        # format 3 keeps format 2's layout: only the version number differs
+        path = tmp_path / "pipe.bin"
+        save_pipeline(path, _bundle())
+        _, header, payload = split_pipeline(path.read_bytes())
+        v2 = tmp_path / "v2.bin"
+        v2.write_bytes(join_pipeline(2, header, payload))
+        assert split_pipeline(v2.read_bytes())[0] == 2
+        assert_bundles_equal(load_pipeline(v2), load_pipeline(path))
+        assert_bundles_equal(load_pipeline(v2), _bundle())
+
     def test_v1_file_loads_and_predicts_identically(
         self, tmp_path, tiny_ds, tiny_build
     ):
         bundle, info = tiny_build
-        v2 = tmp_path / "v2.edhi"
-        save_pipeline(v2, bundle)
+        v3 = tmp_path / "v3.edhi"
+        save_pipeline(v3, bundle)
         v1 = tmp_path / "v1.edhi"
-        v1.write_bytes(as_format_1(v2.read_bytes(), info.train_result.model))
+        v1.write_bytes(as_format_1(v3.read_bytes(), info.train_result.model))
         version, header, _ = split_pipeline(v1.read_bytes())
         assert version == 1 and "model" in header
         assert LSTM_SECTIONS <= {sec["name"] for sec in header["sections"]}
 
-        from_v1, from_v2 = load_pipeline(v1), load_pipeline(v2)
+        from_v1, from_v3 = load_pipeline(v1), load_pipeline(v3)
         assert_bundles_equal(from_v1, bundle)
-        assert_bundles_equal(from_v1, from_v2)
+        assert_bundles_equal(from_v1, from_v3)
         for uid, series in tiny_ds.instances:
             cut = series[: series.shape[0] // 2]
             est1, curve1 = predict_one(from_v1, cut)
-            est2, curve2 = predict_one(from_v2, cut)
+            est2, curve2 = predict_one(from_v3, cut)
             assert est1.value == est2.value, uid
             assert est1.candidates == est2.candidates, uid
             np.testing.assert_array_equal(curve1.values, curve2.values)
