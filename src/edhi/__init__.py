@@ -9,9 +9,8 @@ cli module for the command line.
 Importing edhi sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 where they are unset. A GEMM that BLAS splits across
 threads can sum in another order, so the thread count changes a build's
-bits, and a BLAS thread pool keeps the two-core stages serial. BLAS reads
-the variables when numpy is first imported, so a process that imported
-numpy before edhi keeps the thread count it started with.
+bits. BLAS reads the variables when numpy is first imported, so a process
+that imported numpy before edhi keeps the thread count it started with.
 """
 
 import os

@@ -23,18 +23,6 @@ so ordered rows are grouped without a copy of the readings. Anything else
 the loop, which reports it, so messages and line numbers do not depend on
 the fast path. The turbofan parser is the row loop alone.
 
-Only the generic parse forks, and only for files of at least
-``_FORK_MIN_CHARS`` characters of data lines, on Linux, with at least two
-usable CPUs and no other thread in the process (so BLAS on one thread, as
-with ``OPENBLAS_NUM_THREADS=1``; see ``_fork``). The data lines are then cut
-after the first "\n" past their middle and a forked child reads the second
-span with the same loadtxt pass and checks while this process reads the
-first. The child's rows are appended after the parent's and its unit id
-codes after the parent's, so units keep their order of first appearance and
-are grouped as in one read; the result is bitwise that of one read. Either
-span failing the fast path sends the whole text to the row loop, and a
-child that fails costs only time: its span is read again here.
-
 The synthetic generator produces seeded run-to-failure instances whose
 sensors drift from a healthy baseline once a fault sets in.
 """
@@ -42,7 +30,6 @@ sensors drift from a healthy baseline once a fault sets in.
 from __future__ import annotations
 
 import math
-import pickle
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -50,20 +37,12 @@ from itertools import chain
 
 import numpy as np
 
-from . import _fork
 from .config import ANY, OPEN_UNIT, at_least, bound, one_of, setting, validate
 
 TURBOFAN_COLUMNS = 26  # unit, cycle, 3 settings, 21 sensors
 DEGRADATION_SHAPES = ("linear", "exponential", "piecewise")
 _PIECE_CHARS = 1 << 20  # generic CSV text reaches loadtxt in ~1 MB pieces
 _COMPACT_ROWS = 1 << 12  # rows moved per step when compacting loadtxt's table
-# Characters of data lines below which a generic CSV is read in one span,
-# not split with a forked child. Split against one-span parses of
-# FD001-shaped text on a 2-vCPU host, BLAS on one thread, ~140 MB resident,
-# medians of 15 alternating runs in each of two rounds: 0.25-0.5 MB lost
-# 55-147%, 1 MB lost 18-37% (3-6 ms), 1.5 MB tied (-1%, +5%), 2 MB won
-# 3-10% and 3-4 MB won 6-17%; the 24 MB score_fd001 text went ~400 -> ~265 ms.
-_FORK_MIN_CHARS = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,15 +176,15 @@ def _group_table(
     return list(zip(names, np.split(values, ends[:-1])))
 
 
-def _pieces(text: str, start: int, end: int) -> Iterator[list[str]]:
-    """The lines of text[start:end], about _PIECE_CHARS characters at a time.
+def _pieces(text: str, start: int) -> Iterator[list[str]]:
+    """The lines of text[start:], about _PIECE_CHARS characters at a time.
 
-    start must begin a line, and end must end one or the text. Each piece
-    but the last ends just after a "\n", which never splits a "\r\n", so the
-    pieces' lines, joined, are exactly ``text[start:end].splitlines()``.
+    start must begin a line. Each piece but the last ends just after a
+    "\n", which never splits a "\r\n", so the pieces' lines, joined, are
+    exactly ``text[start:].splitlines()``.
     """
-    while start < end:
-        stop = text.find("\n", start + _PIECE_CHARS - 1, end) + 1 or end
+    while start < len(text):
+        stop = text.find("\n", start + _PIECE_CHARS - 1) + 1 or len(text)
         yield text[start:stop].splitlines()
         start = stop
 
@@ -228,27 +207,22 @@ def _drop_leading_columns(table: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Table:
-    """loadtxt's rows of some data lines, each row's first column the code
-    of its unit id token: token k is ``tokens[k]``.
-
-    The rows are ``table[room:]``: a table read from a forked child leaves
-    room at its front for the rows of the lines before its own.
-    """
+    """loadtxt's rows of the data lines, each row's first column the code
+    of its unit id token: token k is ``tokens[k]``."""
 
     tokens: list[str]
     table: np.ndarray
-    room: int = 0
 
 
-def _read_span(text: str, start: int, end: int, width: int) -> _Table | None:
-    """The data lines in text[start:end] by loadtxt, or None where the row
+def _read_span(text: str, start: int, width: int) -> _Table | None:
+    """The data lines in text[start:] by loadtxt, or None where the row
     loop must decide.
 
     The lines reach one loadtxt pass piece by piece, blank lines dropped,
     and loadtxt codes each unit id token as it goes. None whenever loadtxt
     rejects a line or finds another width, or any value is non-finite or
-    any cycle non-integral: the row loop then parses and reports. A span of
-    blank lines gives a table of no rows.
+    any cycle non-integral: the row loop then parses and reports. Blank
+    lines alone give a table of no rows.
     """
     tokens = _FirstSeen()
 
@@ -261,7 +235,7 @@ def _read_span(text: str, start: int, end: int, width: int) -> _Table | None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "input contained no data"
             table = np.loadtxt(
-                chain.from_iterable(map(data_lines, _pieces(text, start, end))),
+                chain.from_iterable(map(data_lines, _pieces(text, start))),
                 dtype=np.float64,
                 delimiter=",",
                 comments=None,
@@ -285,62 +259,6 @@ def _read_span(text: str, start: int, end: int, width: int) -> _Table | None:
     ):
         return None
     return _Table(list(tokens), table)
-
-
-def _send_span(span: _Table | None, pipe) -> None:
-    """A forked child's span: a pickled (tokens, rows), or None, then the
-    table's bytes."""
-    pickle.dump(None if span is None else (span.tokens, len(span.table)), pipe)
-    # a memoryview of no rows cannot be cast, and there is nothing to send
-    if span is not None and len(span.table):
-        pipe.write(memoryview(span.table).cast("B"))
-
-
-def _receive_span(pipe, head: _Table | None) -> _Table | None:
-    """The span ``_send_span`` wrote, its rows read straight into the end of
-    a table with room for head's rows in front, or None if either span
-    failed the fast path. Rows cut short by a child that died are dropped
-    with the child's exit status (``_fork.run_split``)."""
-    sent = pickle.load(pipe)
-    if sent is None or head is None:
-        return None
-    tokens, rows = sent
-    room, width = head.table.shape
-    table = np.empty((room + rows, width))
-    if rows:
-        pipe.readinto(memoryview(table[room:]).cast("B"))
-    return _Table(tokens, table, room)
-
-
-def _join(head: _Table | None, tail: _Table | None) -> _Table | None:
-    """head's rows then tail's, in one table and one token list.
-
-    Tail's token codes move past head's, so every unit id token keeps its
-    place in order of first appearance, as in one read of both spans.
-    """
-    if head is None or tail is None:
-        return None
-    n = len(head.table)
-    if tail.room == n:  # the child's rows, behind room for head's
-        table = tail.table
-        table[:n] = head.table
-    else:  # a span read here
-        table = np.concatenate((head.table, tail.table))
-    table[n:, 0] += len(head.tokens)
-    return _Table(head.tokens + tail.tokens, table)
-
-
-def _split_at(text: str, start: int) -> int | None:
-    """Where to cut the data lines from start into two spans, one for a
-    forked child, or None to read them in one.
-
-    The cut falls just after the first "\n" at or past the middle of the
-    data lines, so neither span splits a line or a "\r\n".
-    """
-    if len(text) - start < _FORK_MIN_CHARS or not _fork.can_fork():
-        return None
-    cut = text.find("\n", (start + len(text)) // 2) + 1
-    return cut if 0 < cut < len(text) else None
 
 
 def _units(span: _Table, path_hint: str) -> list[tuple[str, np.ndarray]] | None:
@@ -465,10 +383,6 @@ def parse_turbofan(
 def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
     """Parse the generic CSV format: header then instance_id,cycle,sensors.
 
-    Large files are read on two cores where that can win (see the module
-    docstring); a forked child has exited and been reaped before this
-    returns or raises, and the result is bitwise that of one read.
-
     Raises:
         ValueError: On a malformed header or row, with line numbers.
     """
@@ -481,19 +395,7 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
         raise ValueError(
             f"{path_hint} line 1: header must start with instance_id,cycle"
         )
-    start, width = len(head[0]), len(header)
-    cut = _split_at(text, start)
-    if cut is None:
-        span = _read_span(text, start, len(text), width)
-    else:
-        span = _join(
-            *_fork.run_split(
-                lambda: _read_span(text, start, cut, width),
-                lambda: _read_span(text, cut, len(text), width),
-                _send_span,
-                _receive_span,
-            )
-        )
+    span = _read_span(text, len(head[0]), len(header))
     instances = None if span is None else _units(span, path_hint)
     if instances is None:
         instances = _rows(

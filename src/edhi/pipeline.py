@@ -7,18 +7,6 @@ the ones that read it), construct target HI curves, fit the linear HI map, and
 store the fitting split's final curves as the matching library. Validation
 instances steer early stopping and sweep scoring, so their curves stay out
 of the library. Every stage failure is re-raised with the stage's name.
-
-The reconstruction-error targets are the build's one stage that runs on two
-cores, through the fork helper it shares with the CSV parse (``_fork``). On
-Linux, with at least two usable CPUs (``os.sched_getaffinity``), no other
-thread in the process (neither a Python thread nor a BLAS pool, so BLAS must
-run on one thread, as with ``OPENBLAS_NUM_THREADS=1``), at least two fit
-units and enough reconstruction work (``_FORK_MIN_WORK``), the units are cut
-into two contiguous runs of about equal window count and the second is built
-in one forked child. Each unit is still reconstructed as one batch of its
-windows, so the curves, the pipeline file and the training log are bitwise
-those of the serial loop. Anywhere else the stage runs serially;
-``taskset -c 0`` keeps a build on one core.
 """
 
 from __future__ import annotations
@@ -27,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fork
 from .config import RunConfig, SweepGrid, apply_overrides, build_key
 from .data import RunToFailureDataset, truncate_at_fracs
 from .health import (
@@ -65,14 +52,6 @@ from .persist import PipelineBundle
 SWEEP_TRUNCATION_FRACS = tuple(np.linspace(0.20, 0.96, 5))
 # target HI variants built from the encoder-decoder's reconstruction error
 _RECON_VARIANTS = ("recon_error", "recon_error_squared")
-# Reconstruction work (windows x 4c(p+c)) below which the target units are
-# not split with a forked worker. Forked against serial target loops on a
-# 2-vCPU host, BLAS on one thread, median of 21 alternating pairs, with 0 and
-# 150 MB resident: 4.7e5 (16 units, c=8) lost, +8% and +27%; 9.4e5 (the
-# sweep_grid fleet, 32 units, c=8) and 2.4e6 (8 units, c=30) won 6-11%, a
-# few ms, inside a build's noise; 5.1e6 and 7.7e6 (c=30) won 30-35% in 21 of
-# 21 pairs; the FD001-shaped fleet (6.4e7) won 42%.
-_FORK_MIN_WORK = 4e6
 # The dtype a build trains and reconstructs in. The encoder-decoder only
 # supplies a reconstruction error, normalised per unit into a target HI, so
 # float32 loses no held-out quality (tests/test_acceptance.py checks it
@@ -187,7 +166,7 @@ def _train_model(
     return _stage("train-lstm", train, train_batch, config, val_batch)
 
 
-def _serial_recon_targets(
+def _recon_targets(
     model: LstmEdModel, derived: list[np.ndarray], squared: bool
 ) -> list[HiCurve]:
     """Each unit's target HI from its whole-series reconstruction, in order."""
@@ -199,52 +178,10 @@ def _serial_recon_targets(
     return curves
 
 
-def _fork_split(model: LstmEdModel, derived: list[np.ndarray]) -> int | None:
-    """Where to cut the units into two runs of about equal window count, or
-    None when the targets should be built serially."""
-    if len(derived) < 2:
-        return None
-    windows = np.array([max(z.shape[0] - model.window_len + 1, 0) for z in derived])
-    c, p = model.hidden_units, model.input_dim
-    if windows.sum() * 4 * c * (p + c) < _FORK_MIN_WORK or not _fork.can_fork():
-        return None
-    done = np.cumsum(windows)[:-1]  # windows in the first k units, k = 1..n-1
-    return int(np.argmin(np.abs(2 * done - windows.sum()))) + 1
-
-
-def _recon_targets(
-    model: LstmEdModel, derived: list[np.ndarray], squared: bool
-) -> list[HiCurve]:
-    """``_serial_recon_targets``, with the units past ``_fork_split`` built
-    in a forked child where that can win (``_fork.run_split``).
-
-    The child sends its curves back pickled. Every unit is still
-    reconstructed as one batch of its windows, so the curves are bitwise
-    the serial loop's. A failed child's units are built again here, so a
-    failure raises what the serial loop raises, for the same unit.
-    """
-    split = _fork_split(model, derived)
-    if split is None:
-        return _serial_recon_targets(model, derived, squared)
-    head, tail = _fork.run_split(
-        lambda: _serial_recon_targets(model, derived[:split], squared),
-        lambda: _serial_recon_targets(model, derived[split:], squared),
-    )
-    return head + tail
-
-
 def build_pipeline(
     ds: RunToFailureDataset, config: RunConfig
 ) -> tuple[PipelineBundle, BuildInfo]:
     """Train the full pipeline on a run-to-failure dataset.
-
-    The reconstruction-error target curves are built on two cores when
-    that can win (see the module docstring): a forked child builds the
-    second half of the fit units and sends its curves back, and it has
-    exited and been reaped before this returns or raises. A child that
-    fails for any reason costs only time, since its units are then built
-    again in this process, so errors are those of a serial build, raised
-    for the same unit.
 
     Args:
         ds: Full-life training instances.

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from edhi.config import RunConfig
@@ -44,19 +42,3 @@ def tiny_config():
 @pytest.fixture(scope="session")
 def tiny_build(tiny_ds, tiny_config):
     return build_pipeline(tiny_ds, tiny_config)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children this process forks while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids

@@ -2,19 +2,15 @@
 gradient checking, plain per-step BPTT, a plain per-block trainer, a
 per-cycle moving average, a per-candidate weighted mean, a
 rebuild-per-point sweep and the null RUL estimator; plus pipeline-file
-surgery that re-signs edited headers and values, and the probes of the
-two-core tests."""
+surgery that re-signs edited headers and values."""
 
 import hashlib
 import json
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
-import pytest
 
-import edhi._fork
 import edhi.pipeline
 from edhi.config import apply_overrides
 from edhi.data import RunToFailureDataset, truncate_at_fracs
@@ -451,16 +447,3 @@ def as_format_1(blob: bytes, model: LstmEdModel) -> bytes:
         "input_dim": model.input_dim,
     }
     return join_pipeline(1, header, bytes(payload))
-
-
-def fork_probes(mp, cpus: int) -> None:
-    """Through monkeypatch context mp: this process may run on cpus CPUs
-    and runs no other thread, whatever the host and its BLAS pool."""
-    mp.setattr(edhi._fork, "_single_threaded", lambda: True)
-    mp.setattr(edhi._fork, "_usable_cpus", lambda: cpus)
-
-
-def no_child_left() -> None:
-    """Every child this process forked has exited and been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

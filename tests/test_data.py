@@ -1,12 +1,7 @@
 """Tests for dataset parsing, synthesis, and truncation."""
 
-import io
 import itertools
 import math
-import os
-import pickle
-import signal
-import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import edhi._fork
 from edhi import data
 from edhi.data import (
     RunToFailureDataset,
@@ -30,7 +24,6 @@ from edhi.data import (
     write_generic,
     write_rul_labels,
 )
-from helpers import fork_probes, no_child_left
 
 
 def _turbofan_text(units):
@@ -238,24 +231,6 @@ def _outcome(parse, text):
     )
 
 
-def _force_split(mp):
-    """Through monkeypatch context mp: a generic parse splits wherever
-    ``_split_at`` finds a cut, whatever the text's size and the host."""
-    mp.setattr(data, "_FORK_MIN_CHARS", 0)
-    fork_probes(mp, 2)
-
-
-def _split_here(first, second, send, receive):
-    """``_fork.run_split`` without the fork: ``second()`` runs in this
-    process, and its result still crosses the pipe as the child's would,
-    through ``send`` into a buffer and ``receive`` out of it."""
-    pipe = io.BytesIO()
-    send(second(), pipe)
-    pipe.seek(0)
-    mine = first()
-    return mine, receive(pipe, mine)
-
-
 def _row_loop_outcome(parse, text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_read_span", lambda *args: None)
@@ -368,13 +343,6 @@ class TestFastPathMatchesRowLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_PIECE_CHARS", piece_chars)
             assert _outcome(parse_generic, text) == expected
-            # and cut in two, the second half read as a forked child reads
-            # it and sent through its pipe format; the fork itself is
-            # TestTwoCoreParse's
-            _force_split(mp)
-            mp.setattr(edhi._fork, "run_split", _split_here)
-            assert _outcome(parse_generic, text) == expected
-        no_child_left()
 
     def test_fast_path_takes_well_formed_files(self):
         # the differential test above would pass with the fast path always
@@ -382,7 +350,7 @@ class TestFastPathMatchesRowLoop:
         ds = generate_synthetic(SyntheticSpec(n_instances=4, n_sensors=3, seed=2))
         text = write_generic(ds)
         start = text.index("\n") + 1
-        instances = data._units(data._read_span(text, start, len(text), 5), "f")
+        instances = data._units(data._read_span(text, start, 5), "f")
         assert [(uid, series.shape) for uid, series in instances] == [
             (uid, series.shape) for uid, series in ds.instances
         ]
@@ -403,34 +371,22 @@ class TestFastPathMatchesRowLoop:
             "interleaved_across_pieces",
         ],
     )
-    def test_fast_path_decides_like_the_row_loop(
-        self, text, piece_chars, monkeypatch, tmp_path
-    ):
-        # every span's decision, the forked child's too, lands in one file
-        decisions = tmp_path / "decisions"
+    def test_fast_path_decides_like_the_row_loop(self, text, piece_chars, monkeypatch):
+        decisions = []
         real = data._read_span
 
         def spy(*args):
             span = real(*args)
-            with open(decisions, "a") as log:
-                log.write("loop\n" if span is None else "fast\n")
+            decisions.append("loop" if span is None else "fast")
             return span
 
         monkeypatch.setattr(data, "_PIECE_CHARS", piece_chars)
-        monkeypatch.setattr(data, "_read_span", spy)
         expected = _row_loop_outcome(parse_generic, text)
         assert expected[0] == "ok"
-        for split in (False, True):
-            decisions.write_text("")
-            with pytest.MonkeyPatch.context() as mp:
-                if split:
-                    _force_split(mp)
-                cut = data._split_at(text, text.index("\n") + 1)
-                assert _outcome(parse_generic, text) == expected
-            no_child_left()
-            # no span handed to the loop
-            spans = 1 if cut is None else 2
-            assert decisions.read_text().split() == ["fast"] * spans
+        monkeypatch.setattr(data, "_read_span", spy)
+        assert _outcome(parse_generic, text) == expected
+        # not handed to the loop
+        assert decisions == ["fast"]
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_first_failing_unit_named(self, fast):
@@ -456,7 +412,7 @@ class TestFastPathMatchesRowLoop:
         sorted_copy = parse_generic("\n".join([header] + backwards) + "\n")
         monkeypatch.undo()
         monkeypatch.setattr(data, "_PIECE_CHARS", 1000)
-        assert len(list(data._pieces(text, 0, len(text)))) > 10
+        assert len(list(data._pieces(text, 0))) > 10
         parsed = parse_generic(text)
 
         def layout(series):
@@ -499,178 +455,6 @@ def _c_mapss_like_text():
     return text
 
 
-def _cut_between(before, after, newline="\n"):
-    """A generic CSV text whose split parse cuts between the rows ``before``
-    and the rows ``after``: a line of spaces, blank to both parsers, pads
-    the front or the back until the middle falls there."""
-    header = "instance_id,cycle,s1,s2" + newline
-    with pytest.MonkeyPatch.context() as mp:
-        _force_split(mp)
-        for pad in range(1000):
-            for front, back in (([" " * pad], []), ([], [" " * pad])):
-                first = header + "".join(row + newline for row in front + before)
-                text = first + "".join(row + newline for row in after + back)
-                if data._split_at(text, len(header)) == len(first):
-                    return text
-    raise AssertionError("no padding puts the cut there")
-
-
-def _layout(ds):
-    """Ids, order, sensor names and each array's bytes and memory layout."""
-    return ds.sensor_names, [
-        (uid, s.shape, s.dtype, s.strides, s.flags.c_contiguous, s.tobytes())
-        for uid, s in ds.instances
-    ]
-
-
-_CUTS = {
-    "inside_a_unit": (["a,1,0.5,1", "a,2,0.25,2"], ["a,3,7,8", "a,4,1e-3,.5"]),
-    "interleaved_units": (["b,1,1,2", "a,1,3,4", "b,2,5,6"], ["a,2,7,8", "b,3,9,0"]),
-    "padded_ids": ([" s1,1,0.5,1", "s2 ,1,2,3"], ["s1,2,0.25,2", " s2,2,4,5"]),
-    "blank_run": (["a,1,1,2", "", "  \t"], ["", " ", "a,2,3,4"]),
-    "blank_first_half": (["", "  ", "\t", ""], ["b,1,1,2", "b,2,3,4"]),
-    "blank_second_half": (["b,1,1,2", "b,2,3,4"], ["", "  ", "\t", ""]),
-}
-
-
-def _parsed(text, split=False, row_loop=False):
-    """_layout of the parse of text, or its error message; no child is left
-    after it either way."""
-    with pytest.MonkeyPatch.context() as mp:
-        if split:
-            _force_split(mp)
-        if row_loop:
-            mp.setattr(data, "_read_span", lambda *args: None)
-        try:
-            return _layout(parse_generic(text, "f"))
-        except ValueError as exc:
-            return str(exc)
-        finally:
-            no_child_left()
-
-
-class TestTwoCoreParse:
-    """A generic CSV cut in two, the second half read by a forked child,
-    parses to the bits of one read of the whole text."""
-
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-    @pytest.mark.parametrize("case", list(_CUTS))
-    def test_split_parse_is_the_one_span_parse(self, case, newline, forks):
-        text = _cut_between(*_CUTS[case], newline)
-        serial = _parsed(text)
-        assert forks == []
-        assert _parsed(text, split=True) == serial
-        assert len(forks) == 1
-        assert serial == _parsed(text, row_loop=True)
-
-    def test_split_multi_piece_file_is_the_one_span_parse(self, forks, monkeypatch):
-        ds = generate_synthetic(SyntheticSpec(n_instances=6, n_sensors=4, seed=5))
-        text = write_generic(ds)
-        monkeypatch.setattr(data, "_PIECE_CHARS", 1000)
-        serial = _parsed(text)
-        assert _parsed(text, split=True) == serial
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("half", ["first", "second"])
-    @pytest.mark.parametrize("bad", ["a,3,abc,1", "a,3,1", "a,3.5,1,2", "a,3,nan,1"])
-    def test_bad_line_in_either_half_reports_like_the_row_loop(self, half, bad, forks):
-        before, after = ["a,1,0.5,1", "a,2,1,2"], ["a,4,3,4", "a,5,5,6"]
-        (before if half == "first" else after).append(bad)
-        text = _cut_between(before, after)
-        message = _parsed(text, split=True)
-        assert len(forks) == 1
-        assert message == _parsed(text)
-        assert message == _parsed(text, row_loop=True)
-        line = text.splitlines().index(bad) + 1
-        assert message.startswith(f"f line {line}: ")
-
-    def test_span_of_no_rows_crosses_the_pipe(self):
-        pipe = io.BytesIO()
-        data._send_span(data._Table([], np.empty((0, 3))), pipe)
-        pipe.seek(0)
-        tail = data._receive_span(pipe, data._Table(["a"], np.ones((2, 3))))
-        assert (tail.tokens, tail.table.shape, tail.room) == ([], (2, 3), 2)
-
-    @pytest.mark.parametrize("fault", ["raises", "killed"])
-    def test_failed_child_gives_the_serial_result(self, fault, forks, monkeypatch):
-        text = _cut_between(*_CUTS["interleaved_units"])
-        serial = _parsed(text)
-
-        def failing_dump(*args):  # only the child pickles
-            if fault == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise pickle.PicklingError("no pickling here")
-
-        monkeypatch.setattr(pickle, "dump", failing_dump)
-        assert _parsed(text, split=True) == serial
-        assert len(forks) == 1
-
-    def test_child_reaped_elsewhere_gives_the_serial_result(self, forks):
-        text = _cut_between(*_CUTS["padded_ids"])
-        serial = _parsed(text)
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
-            split = _parsed(text, split=True)
-        finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert split == serial
-        assert len(forks) == 1
-
-    def test_parent_error_kills_and_reaps_the_child(self, forks, monkeypatch):
-        text = _cut_between(*_CUTS["inside_a_unit"])
-        parent, real = os.getpid(), data._read_span
-
-        def failing_in_parent(*args):
-            if os.getpid() == parent:
-                raise MemoryError("no room here")
-            return real(*args)
-
-        monkeypatch.setattr(data, "_read_span", failing_in_parent)
-        with pytest.raises(MemoryError):
-            _parsed(text, split=True)
-        assert len(forks) == 1
-
-    def test_small_file_one_cpu_or_another_thread_stays_serial(
-        self, forks, monkeypatch
-    ):
-        text = write_generic(generate_synthetic(SyntheticSpec(n_instances=4)))
-        with monkeypatch.context() as mp:
-            fork_probes(mp, 2)
-            parse_generic(text)  # below the size constant
-            mp.setattr(data, "_FORK_MIN_CHARS", 0)
-            mp.setattr(edhi._fork, "_usable_cpus", lambda: 1)
-            parse_generic(text)
-        # the real thread probe, with a Python thread running
-        monkeypatch.setattr(data, "_FORK_MIN_CHARS", 0)
-        monkeypatch.setattr(edhi._fork, "_usable_cpus", lambda: 2)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            assert not edhi._fork._single_threaded()
-            parse_generic(text)
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        assert forks == []
-
-    def test_split_parse_peak_memory_below_twice_the_values(self, monkeypatch):
-        # the parent holds its half's table and the joined one, never the
-        # child's rows twice
-        text = _c_mapss_like_text()
-        _force_split(monkeypatch)
-        tracemalloc.start()
-        try:
-            parsed = parse_generic(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        no_child_left()
-        values = sum(series.nbytes for _, series in parsed.instances)
-        assert peak < 2 * values
-
-
 class TestPieces:
     @given(
         st.text(st.sampled_from("ab,\r\n\x0b\x1c\u2028 "), max_size=60),
@@ -680,7 +464,7 @@ class TestPieces:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_PIECE_CHARS", piece_chars)
             for start in {0, len(text.splitlines(keepends=True)[0]) if text else 0}:
-                pieces = list(data._pieces(text, start, len(text)))
+                pieces = list(data._pieces(text, start))
                 assert [line for piece in pieces for line in piece] == (
                     text[start:].splitlines()
                 )
@@ -696,7 +480,7 @@ class TestPieces:
     def test_pieces_end_after_a_newline(self, piece_chars, pieces, monkeypatch):
         monkeypatch.setattr(data, "_PIECE_CHARS", piece_chars)
         text = "a,1\r\nbb,2\r\n\r\nc,3\nd"
-        assert list(data._pieces(text, 0, len(text))) == pieces
+        assert list(data._pieces(text, 0)) == pieces
 
 
 class TestGroupTable:

@@ -1,11 +1,6 @@
 """End-to-end pipeline orchestration tests on a tiny synthetic dataset."""
 
 import dataclasses
-import os
-import pickle
-import signal
-import threading
-import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -13,7 +8,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import edhi._fork
 import edhi.pipeline
 from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
 from edhi.data import (
@@ -27,7 +21,6 @@ from edhi.health import HiCurve
 from edhi.matching import Library
 from edhi.persist import _sections_of, load_pipeline, save_pipeline
 from edhi.pipeline import (
-    _RECON_VARIANTS,
     StageError,
     _healthy_windows,
     build_pipeline,
@@ -37,7 +30,7 @@ from edhi.pipeline import (
     series_hi_curve,
     split_instances,
 )
-from helpers import fork_probes, naive_sweep_scores, no_child_left
+from helpers import naive_sweep_scores
 
 
 class TestSplit:
@@ -117,6 +110,29 @@ class TestBuild:
         )
         with pytest.raises(StageError, match=message):
             build_pipeline(ds, tiny_config)
+
+    @pytest.mark.parametrize(
+        "short", [{0: 5}, {-1: 5}, {0: 6, -1: 5}], ids=["first", "last", "both"]
+    )
+    def test_short_fit_unit_fails_the_target_stage(self, tiny_ds, tiny_config, short):
+        # a fit unit shorter than l=8 gives no training window and cannot be
+        # reconstructed; the error names the first such unit's length
+        fit_idx, _ = split_instances(
+            tiny_ds, tiny_config.validation_frac, tiny_config.seed
+        )
+        cut = {fit_idx[k]: length for k, length in short.items()}
+        instances = [
+            (uid, series[: cut.get(i, len(series))])
+            for i, (uid, series) in enumerate(tiny_ds.instances)
+        ]
+        ds = RunToFailureDataset(instances=instances, sensor_names=tiny_ds.sensor_names)
+        first = min(short, key=lambda k: k % len(fit_idx))
+        with pytest.raises(StageError) as err:
+            build_pipeline(ds, tiny_config)
+        assert str(err.value) == (
+            f"target-hi: series has {short[first]} cycles, "
+            "shorter than window length 8"
+        )
 
     def test_diverged_training_fails_train_lstm_stage(self, tiny_ds, tiny_config):
         config = dataclasses.replace(tiny_config, learning_rate=1e200, max_epochs=3)
@@ -245,173 +261,6 @@ class TestVariants:
         )
         bundle, _ = build_pipeline(tiny_ds, config)
         assert bundle.config.healthy_frac == 0.5
-
-
-class TestTwoCoreTargets:
-    """The recon targets built with a forked worker equal the serial ones."""
-
-    @staticmethod
-    def patched(mp, forked):
-        """Forking or not, whatever the fleet, CPU count and BLAS pool."""
-        fork_probes(mp, 2 if forked else 1)
-        if forked:
-            mp.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
-
-    def saved(self, monkeypatch, tmp_path, ds, config, forked):
-        with monkeypatch.context() as mp:
-            self.patched(mp, forked)
-            bundle, _ = build_pipeline(ds, config)
-        no_child_left()
-        path = tmp_path / f"{'forked' if forked else 'serial'}.edhi"
-        save_pipeline(path, bundle)
-        return path.read_bytes()
-
-    def error(self, monkeypatch, ds, config, forked):
-        with monkeypatch.context() as mp:
-            self.patched(mp, forked)
-            with pytest.raises(StageError) as err:
-                build_pipeline(ds, config)
-        no_child_left()
-        return str(err.value)
-
-    @pytest.mark.parametrize("variant", _RECON_VARIANTS)
-    def test_forked_build_saves_serial_bytes(
-        self, tiny_ds, tiny_config, variant, forks, monkeypatch, tmp_path
-    ):
-        config = dataclasses.replace(tiny_config, hi_variant=variant)
-        serial = self.saved(monkeypatch, tmp_path, tiny_ds, config, forked=False)
-        assert forks == []
-        forked = self.saved(monkeypatch, tmp_path, tiny_ds, config, forked=True)
-        assert len(forks) == 1
-        assert forked == serial
-
-    def test_fleet_above_the_crossover_forks(self, forks, monkeypatch, tmp_path):
-        # 12 units of 128-362 cycles at c=30: ~8e6 work on ~10 fit units
-        spec = SyntheticSpec(n_instances=12, n_sensors=4, min_len=128, max_len=362)
-        ds = generate_synthetic(spec)
-        config = RunConfig(max_epochs=1, patience=2)
-        fork_probes(monkeypatch, 2)
-        bundle, _ = build_pipeline(ds, config)
-        no_child_left()
-        assert len(forks) == 1
-        save_pipeline(tmp_path / "forked.edhi", bundle)
-        serial = self.saved(monkeypatch, tmp_path, ds, config, forked=False)
-        assert (tmp_path / "forked.edhi").read_bytes() == serial
-
-    def test_small_fleet_one_cpu_or_another_thread_stays_serial(
-        self, tiny_ds, tiny_config, forks, monkeypatch
-    ):
-        with monkeypatch.context() as mp:
-            fork_probes(mp, 2)
-            build_pipeline(tiny_ds, tiny_config)  # below the crossover
-            mp.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
-            mp.setattr(edhi._fork, "_usable_cpus", lambda: 1)
-            build_pipeline(tiny_ds, tiny_config)
-        # the real thread probe, with a Python thread running
-        monkeypatch.setattr(edhi.pipeline, "_FORK_MIN_WORK", 0)
-        monkeypatch.setattr(edhi._fork, "_usable_cpus", lambda: 2)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            assert not edhi._fork._single_threaded()
-            build_pipeline(tiny_ds, tiny_config)
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        assert forks == []
-
-    def test_one_fit_unit_stays_serial(self, tiny_ds, tiny_config, forks, monkeypatch):
-        # one unit cannot be cut into two runs, whatever its work
-        ds = RunToFailureDataset(
-            instances=tiny_ds.instances[:2], sensor_names=tiny_ds.sensor_names
-        )
-        config = dataclasses.replace(tiny_config, validation_frac=0.5, max_epochs=2)
-        with monkeypatch.context() as mp:
-            self.patched(mp, forked=True)
-            _, info = build_pipeline(ds, config)
-        assert len(info.fit_ids) == 1
-        assert forks == []
-
-    @pytest.mark.parametrize(
-        "short", [{0: 5}, {-1: 5}, {0: 6, -1: 5}], ids=["parent", "child", "both"]
-    )
-    def test_short_unit_raises_the_serial_error(
-        self, tiny_ds, tiny_config, short, forks, monkeypatch
-    ):
-        # the first fit unit is always in the parent's run, the last always
-        # in the child's; a unit shorter than l=8 cannot be reconstructed
-        fit_idx, _ = split_instances(
-            tiny_ds, tiny_config.validation_frac, tiny_config.seed
-        )
-        cut = {fit_idx[k]: length for k, length in short.items()}
-        instances = [
-            (uid, series[: cut.get(i, len(series))])
-            for i, (uid, series) in enumerate(tiny_ds.instances)
-        ]
-        ds = RunToFailureDataset(instances=instances, sensor_names=tiny_ds.sensor_names)
-        serial = self.error(monkeypatch, ds, tiny_config, forked=False)
-        first = min(short, key=lambda k: k % len(fit_idx))
-        assert serial == (
-            f"target-hi: series has {short[first]} cycles, "
-            "shorter than window length 8"
-        )
-        assert self.error(monkeypatch, ds, tiny_config, forked=True) == serial
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("fault", ["raises", "killed"])
-    def test_failed_child_costs_only_time(
-        self, tiny_ds, tiny_config, fault, forks, monkeypatch, tmp_path
-    ):
-        serial = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=False)
-
-        def failing_dump(*args):  # only the child pickles
-            if fault == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise pickle.PicklingError("no pickling here")
-
-        monkeypatch.setattr(pickle, "dump", failing_dump)
-        forked = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=True)
-        assert len(forks) == 1
-        assert forked == serial
-
-
-    def test_child_reaped_elsewhere_costs_only_time(
-        self, tiny_ds, tiny_config, forks, monkeypatch, tmp_path
-    ):
-        # a process that ignores SIGCHLD has its children reaped for it:
-        # waitpid finds none, so the child's units are built again here, and
-        # a parent that fails after its child is gone raises its own error
-        serial = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=False)
-        fit_idx, _ = split_instances(
-            tiny_ds, tiny_config.validation_frac, tiny_config.seed
-        )
-        instances = [
-            (uid, series[:5] if i == fit_idx[0] else series)
-            for i, (uid, series) in enumerate(tiny_ds.instances)
-        ]
-        short = RunToFailureDataset(
-            instances=instances, sensor_names=tiny_ds.sensor_names
-        )
-        expected = self.error(monkeypatch, short, tiny_config, forked=False)
-        parent, real = os.getpid(), edhi.pipeline.pointwise_reconstruction
-
-        def late_in_parent(*args):
-            if os.getpid() == parent:
-                time.sleep(0.5)  # the child's run is over by then
-            return real(*args)
-
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
-            forked = self.saved(monkeypatch, tmp_path, tiny_ds, tiny_config, forked=True)
-            monkeypatch.setattr(edhi.pipeline, "pointwise_reconstruction", late_in_parent)
-            message = self.error(monkeypatch, short, tiny_config, forked=True)
-        finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert forked == serial
-        assert message == expected
-        assert len(forks) == 2
 
 
 class TestPredict:
