@@ -5,6 +5,7 @@ The gradient oracle is a complex-step derivative over every parameter entry
 best-checkpoint contracts.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -614,20 +615,38 @@ class TestTrain:
         ),
     }
 
-    @pytest.mark.parametrize("case, dtype", _per_dtype(sorted(_REFERENCE_CASES)))
-    def test_matches_reference_trainer_bitwise(self, case, dtype):
-        cfg, (count, l, p, seed) = self._REFERENCE_CASES[case]
+    @classmethod
+    @functools.cache
+    def _train_both(cls, case, dtype):
+        """(train's result, reference_train's result, its per-step norms,
+        the config, batches per epoch) for one reference case, trained on
+        windows of ``dtype``; cached, so the two tests below that read a
+        case train it once with each trainer."""
+        cfg, (count, l, p, seed) = cls._REFERENCE_CASES[case]
         wins = np.stack(_sinusoid_windows(count, l, p, seed)).astype(dtype)
         cut = count * 3 // 4
         got = train(wins[:cut], cfg, wins[cut:])
         want, norms = reference_train(wins[:cut], cfg, wins[cut:])
+        return got, want, norms, cfg, -(-cut // cfg.batch_size)
+
+    @pytest.mark.parametrize("case, dtype", _per_dtype(sorted(_REFERENCE_CASES)))
+    def test_matches_reference_trainer_bitwise(self, case, dtype):
+        got, want, norms, cfg, _ = self._train_both(case, dtype)
         assert got.model.params.dtype == dtype
         assert got.train_history == want.train_history
         assert got.val_history == want.val_history
         assert got.best_epoch == want.best_epoch
         assert got.model.params.tobytes() == want.model.params.tobytes()
-        # the epoch diagnostics against the reference's per-step norms
-        per_epoch = -(-cut // cfg.batch_size)
+        if case == "clips":
+            assert min(norms) > cfg.grad_clip_norm
+        elif case == "stops-early":
+            assert len(got.train_history) < cfg.max_epochs
+        else:
+            assert got.best_epoch == 0
+
+    @pytest.mark.parametrize("case, dtype", _per_dtype(sorted(_REFERENCE_CASES)))
+    def test_epoch_diagnostics_match_reference_norms(self, case, dtype):
+        got, _, norms, cfg, per_epoch = self._train_both(case, dtype)
         epochs = [norms[at : at + per_epoch] for at in range(0, len(norms), per_epoch)]
         assert got.max_grad_norms == [max(epoch) for epoch in epochs]
         assert got.clip_counts == [
@@ -636,12 +655,7 @@ class TestTrain:
         assert len(got.epoch_seconds) == len(got.train_history) == len(epochs)
         assert all(seconds > 0.0 for seconds in got.epoch_seconds)
         if case == "clips":
-            assert min(norms) > cfg.grad_clip_norm
             assert got.clip_counts == [per_epoch] * len(epochs)
-        elif case == "stops-early":
-            assert len(got.train_history) < cfg.max_epochs
-        else:
-            assert got.best_epoch == 0
 
 
 class TestLstmEdModel:
