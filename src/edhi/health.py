@@ -6,13 +6,20 @@ exponential or linear degradation shape, or endpoint labels (healthy start 1,
 failed end 0, middle unlabeled). A linear model fitted against the target
 maps derived sensors to HI for any instance; final curves are smoothed,
 scaled by initial health, and clipped.
+
+A build reconstructs all its fitting units in one call
+(pointwise_reconstructions). Consecutive units share one encoder-decoder
+pass while their windows' gate block fits in _GROUP_BYTES, so small units
+share numpy's per-call cost; every unit's reconstruction is bit for bit
+that of the unit reconstructed alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -25,6 +32,12 @@ _DEGENERATE_EPS = 1e-12
 # fraction-of-length boundaries computed with this slack so that e.g.
 # 0.05 * 100 counts as exactly 5 cycles despite float rounding
 _FRAC_TOL = 1e-9
+# The largest (4c, B) gate block, in bytes, that consecutive series share in
+# one reconstruction pass (pointwise_reconstructions): 2048 windows at c=8
+# and 546 at c=30 in float32. A full group's buffers take about six times
+# its gate block. Of 64 KiB to 1 MiB, 256 KiB reconstructed FD001-shaped
+# units (c=30) fastest, and one unbounded group took 1.5x as long.
+_GROUP_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +98,8 @@ def pointwise_reconstruction(model: LstmEdModel, series: np.ndarray) -> np.ndarr
 
     Every window is encoded and regenerated autoregressively; each cycle's
     final reconstruction is the mean over all windows covering it (interior
-    cycles: exactly l windows; cycles near either edge: fewer).
+    cycles: exactly l windows; cycles near either edge: fewer). The
+    one-series call of pointwise_reconstructions.
 
     Args:
         model: Trained encoder-decoder.
@@ -98,24 +112,91 @@ def pointwise_reconstruction(model: LstmEdModel, series: np.ndarray) -> np.ndarr
     Raises:
         ValueError: If the series is not 2-D or is shorter than the window.
     """
+    (recon,) = pointwise_reconstructions(model, [series])
+    return recon
+
+
+def pointwise_reconstructions(
+    model: LstmEdModel, series_list: list[np.ndarray]
+) -> list[np.ndarray]:
+    """pointwise_reconstruction of each series, in order, in shared passes.
+
+    Every series is checked, in order, before any is reconstructed, so the
+    first bad one raises. Consecutive series then share one encode and one
+    decode_infer pass while their windows' (4c, B) gate block stays within
+    _GROUP_BYTES; a series too large for it runs alone. In a shared pass,
+    each step's elementwise work runs once over the group and its GEMMs once
+    per series, on that series' columns, so every result is bit for bit
+    that of the series reconstructed alone.
+
+    Raises:
+        ValueError: If a series is not 2-D or is shorter than the window.
+    """
     l = model.window_len
-    x = _series_of(series, l)
-    # every window as one (L-l+1, l, p) view of the series in the model's
-    # dtype; the encoder copies it into its own buffer, so no stacked copy
-    # is made here
-    x_model = x.astype(model.params.dtype, copy=False)
-    batch = sliding_window_view(x_model, l, axis=0).transpose(0, 2, 1)
-    recons = decode_infer(model, encode(model, batch), steps=l)
-    big_l = x.shape[0]
-    n_windows = recons.shape[0]
-    sums = np.zeros((big_l, model.input_dim))
-    counts = np.zeros(big_l)
-    # row j of every window at once; descending j adds each cycle's windows
-    # in start order, the order a per-window loop would use
-    for j in range(l - 1, -1, -1):
-        sums[j : j + n_windows] += recons[:, j]
-        counts[j : j + n_windows] += 1.0
-    return sums / counts[:, None]
+    xs = [_series_of(series, l) for series in series_list]
+    window_bytes = 4 * model.hidden_units * model.params.dtype.itemsize
+    recons = []
+    for group in _groups(xs, l, window_bytes):
+        recons.extend(_group_reconstructions(model, group))
+    return recons
+
+
+def _groups(
+    xs: list[np.ndarray], l: int, window_bytes: int
+) -> Iterator[list[np.ndarray]]:
+    """Runs of consecutive series whose windows take at most _GROUP_BYTES
+    at ``window_bytes`` each; a series over the budget is a run alone.
+
+    A one-window series is a run alone too: its GEMMs are matrix-vector
+    products, which on a column strided by a group's width can give other
+    bits than on a contiguous one.
+    """
+    group: list[np.ndarray] = []
+    width = 0
+    for x in xs:
+        n_windows = x.shape[0] - l + 1
+        full = (width + n_windows) * window_bytes > _GROUP_BYTES
+        if group and (full or 1 in (width, n_windows)):
+            yield group
+            group, width = [], 0
+        group.append(x)
+        width += n_windows
+    if group:
+        yield group
+
+
+def _group_reconstructions(
+    model: LstmEdModel, group: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Each checked series' reconstruction, from one pass over the group.
+
+    A function of its own, so that one group's buffers are freed before the
+    next group's are made.
+    """
+    l = model.window_len
+    # every window of a series as one (L-l+1, l, p) view in the model's
+    # dtype; the encoder copies its input into its own buffer, so a lone
+    # series is never stacked, and a group's stacked windows are bounded by
+    # the budget
+    views = []
+    for x in group:
+        x_model = x.astype(model.params.dtype, copy=False)
+        views.append(sliding_window_view(x_model, l, axis=0).transpose(0, 2, 1))
+    batch = views[0] if len(views) == 1 else np.concatenate(views)
+    cuts = tuple(accumulate((view.shape[0] for view in views), initial=0))
+    state = encode(model, batch, _cuts=cuts)
+    preds = decode_infer(model, state, steps=l, _cuts=cuts)
+    recons = []
+    for x, lo, hi in zip(group, cuts, cuts[1:]):
+        sums = np.zeros((x.shape[0], model.input_dim))
+        counts = np.zeros(x.shape[0])
+        # row j of every window at once; descending j adds each cycle's
+        # windows in start order, the order a per-window loop would use
+        for j in range(l - 1, -1, -1):
+            sums[j : j + hi - lo] += preds[lo:hi, j]
+            counts[j : j + hi - lo] += 1.0
+        recons.append(sums / counts[:, None])
+    return recons
 
 
 def reconstruction_error(actual: np.ndarray, reconstructed: np.ndarray) -> np.ndarray:

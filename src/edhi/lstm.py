@@ -43,6 +43,15 @@ cells, for the backward pass, while inference (``encode``,
 ``decode_train``, ``decode_infer``) rolls two slots, so beyond the
 predictions it returns its memory is O(B (p+n)) whatever T.
 
+Inference may run the windows of several units as one batch
+(health.pointwise_reconstructions): ``encode`` and ``decode_infer`` then
+pass _run the column cuts between the units, and every step runs its gate
+GEMM and its readout GEMM once per unit, on that unit's columns, and each
+elementwise operation once over the whole batch. A GEMM computes its
+trailing columns with another kernel, so one GEMM over the joint batch
+would give a unit other bits than a batch of its own; per-unit GEMMs give
+the same bits. Training passes no cuts.
+
 The GEMM runs against a prepared copy of the cell, made once per sequence:
 the stacked weight and bias with their i|f|o rows multiplied by 0.5, and
 the bias tiled to a contiguous (4n, B) block. Scaling by a power of two is
@@ -73,6 +82,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -263,6 +273,8 @@ class _Trace:
         cell: Shape (T+1, n, B), the initial cell state first.
         tanh_cell: Shape (T, n, B), tanh of the cell states after it.
         ig: Shape (n, B), scratch for one step's i * g.
+        units: Each unit's gate GEMM operands, viewed once per trace: its
+            columns of ``xh`` and of ``gates``, every slot.
     """
 
     steps: int
@@ -273,6 +285,7 @@ class _Trace:
     cell: np.ndarray
     tanh_cell: np.ndarray
     ig: np.ndarray
+    units: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def final_hidden(self) -> np.ndarray:
@@ -292,6 +305,7 @@ def _run(
     keep: bool,
     rows: np.ndarray | None = None,
     preds: np.ndarray | None = None,
+    cuts: tuple[int, ...] | None = None,
 ) -> _Trace:
     """Run ``cell`` for ``steps`` steps from state (h0, c0), both (n, B).
 
@@ -300,6 +314,11 @@ def _run(
     a (p, B) row. With ``preds``, a (steps+1, p, B) buffer, each state (the
     initial one first) is read out into it as soon as it is made, and
     without ``rows`` each step is fed the prediction just made.
+
+    ``cuts``, the ascending column boundaries (0, ..., B) of the units that
+    share the batch, runs the gate GEMM and the readout GEMM once per unit,
+    on that unit's columns, so each unit gets the bits of a batch of its
+    own; None is one unit of B columns.
     """
     n, b = h0.shape
     p = model.input_dim
@@ -309,28 +328,35 @@ def _run(
     w[: 3 * n] *= 0.5
     half_b = cell.b.copy()
     half_b[: 3 * n] *= 0.5
+    xh = np.empty((kept + 1, p + n, b), dtype)
+    gates = np.empty((kept, 4 * n, b), dtype)
+    columns = [slice(lo, hi) for lo, hi in pairwise((0, b) if cuts is None else cuts)]
     trace = _Trace(
         steps=steps,
         w=w,
         bias=np.repeat(half_b[:, None], b, axis=1),
-        xh=np.empty((kept + 1, p + n, b), dtype),
-        gates=np.empty((kept, 4 * n, b), dtype),
+        xh=xh,
+        gates=gates,
         cell=np.empty((kept + 1, n, b), dtype),
         tanh_cell=np.empty((kept, n, b), dtype),
         ig=np.empty((n, b), dtype),
+        units=[(xh[:, :, u], gates[:, :, u]) for u in columns],
     )
-    trace.xh[0, p:] = h0
+    xh[0, p:] = h0
     trace.cell[0] = c0
-    slots = trace.xh.shape[0]
-    out_w = model.out_weight.T
-    out_b = model.out_bias[:, None]
+    slots = xh.shape[0]
+    if preds is not None:
+        out_w = model.out_weight.T
+        out_b = model.out_bias[:, None]
+        # each unit's h rows of every slot, and its prediction columns
+        readouts = [(xh[:, p:, u], preds[:, :, u]) for u in columns]
     for t in range(steps + 1):
-        xh = trace.xh[t % slots]
         if preds is not None:
-            np.matmul(out_w, xh[p:], out=preds[t])
+            for h, pred in readouts:
+                np.matmul(out_w, h[t % slots], out=pred[t])
             preds[t] += out_b
         if t < steps:
-            xh[:p] = preds[t] if rows is None else rows[t]
+            xh[t % slots, :p] = preds[t] if rows is None else rows[t]
             _step(trace, t)
     return trace
 
@@ -345,8 +371,9 @@ def _step(trace: _Trace, t: int) -> None:
     n = trace.cell.shape[1]
     slots = trace.gates.shape[0]
     cells = trace.cell.shape[0]  # also the number of xh slots
+    for xh_cols, gate_cols in trace.units:
+        np.matmul(trace.w, xh_cols[t % cells], out=gate_cols[t % slots])
     gates = trace.gates[t % slots]
-    np.matmul(trace.w, trace.xh[t % cells], out=gates)
     gates += trace.bias
     np.tanh(gates, out=gates)
     sig = gates[: 3 * n]
@@ -462,11 +489,11 @@ def _state_columns(model: LstmEdModel, state: LstmState):
     return h.T, c.T
 
 
-def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
+def encode(model: LstmEdModel, window: np.ndarray, *, _cuts=None) -> LstmState:
     """Run the encoder over a batch of l-row windows from the zero state.
 
     The cell runs on two rolling [x | h] slots, so the buffers are
-    O(B (p+c)) whatever l.
+    O(B (p+c)) whatever l. The private ``_cuts`` are _run's ``cuts``.
 
     Args:
         model: The encoder-decoder model.
@@ -478,7 +505,9 @@ def encode(model: LstmEdModel, window: np.ndarray) -> LstmState:
     w = _check_window(window, "window", model)
     zeros = np.zeros((model.hidden_units, w.shape[0]), w.dtype)
     rows = w.transpose(1, 2, 0)
-    trace = _run(model, model.encoder, zeros, zeros, w.shape[1], False, rows)
+    trace = _run(
+        model, model.encoder, zeros, zeros, w.shape[1], False, rows, cuts=_cuts
+    )
     return LstmState(
         hidden=trace.final_hidden.T.copy(), cell=trace.final_cell.T.copy()
     )
@@ -520,12 +549,15 @@ def decode_train(
     return _time_order(preds)
 
 
-def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.ndarray:
+def decode_infer(
+    model: LstmEdModel, enc_final: LstmState, steps: int, *, _cuts=None
+) -> np.ndarray:
     """Autoregressive decode: feed each prediction back as the next input.
 
     Beyond the (steps, p, B) predictions, the buffers are O(B (p+c))
     whatever ``steps``: two rolling [x | h] slots, each prediction copied
-    into the x rows of the slot that feeds it back.
+    into the x rows of the slot that feeds it back. The private ``_cuts``
+    are _run's ``cuts``.
 
     Args:
         model: The encoder-decoder model.
@@ -539,7 +571,7 @@ def decode_infer(model: LstmEdModel, enc_final: LstmState, steps: int) -> np.nda
         raise ValueError("steps must be >= 1")
     h0, c0 = _state_columns(model, enc_final)
     preds = np.empty((steps, model.input_dim, h0.shape[1]), model.params.dtype)
-    _run(model, model.decoder, h0, c0, steps - 1, False, preds=preds)
+    _run(model, model.decoder, h0, c0, steps - 1, False, preds=preds, cuts=_cuts)
     return _time_order(preds)
 
 

@@ -25,7 +25,8 @@ from .health import (
     frac_count,
     hi_curve,
     linear_target_hi,
-    pointwise_reconstruction,
+    pointwise_reconstruction,  # unused here, but perfbench wraps this name
+    pointwise_reconstructions,
     reconstruction_error,
     sliding_windows,
     target_hi_from_error,
@@ -170,12 +171,11 @@ def _recon_targets(
     model: LstmEdModel, derived: list[np.ndarray], squared: bool
 ) -> list[HiCurve]:
     """Each unit's target HI from its whole-series reconstruction, in order."""
-    curves = []
-    for z in derived:
-        recon = _stage("target-hi", pointwise_reconstruction, model, z)
-        errors = reconstruction_error(z, recon)
-        curves.append(target_hi_from_error(errors, squared=squared))
-    return curves
+    recons = _stage("target-hi", pointwise_reconstructions, model, derived)
+    return [
+        target_hi_from_error(reconstruction_error(z, recon), squared=squared)
+        for z, recon in zip(derived, recons)
+    ]
 
 
 def build_pipeline(

@@ -7,6 +7,7 @@ surgery that re-signs edited headers and values."""
 import hashlib
 import json
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,16 @@ from edhi.lstm import (
 )
 from edhi.metrics import EvalRecord, timeliness
 from edhi.persist import MAGIC
+
+
+def traced_peak(run):
+    """Peak bytes traced while ``run()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def reference_cell_step(w, b, x, h, c):

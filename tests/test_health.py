@@ -20,6 +20,7 @@ from edhi.health import (
     hi_curve,
     linear_target_hi,
     pointwise_reconstruction,
+    pointwise_reconstructions,
     reconstruction_error,
     sliding_windows,
     smooth_curve,
@@ -27,7 +28,7 @@ from edhi.health import (
 )
 from edhi.lstm import LstmEdModel, decode_infer, encode, init_model
 from edhi.numerics import OlsModel
-from helpers import reference_smooth_curve
+from helpers import reference_smooth_curve, traced_peak
 
 
 class TestSlidingWindows:
@@ -122,9 +123,9 @@ class TestPointwiseReconstruction:
         # and makes no (B, l, p) copy of it
         seen = []
 
-        def spy(model, window):
+        def spy(model, window, **kwargs):
             seen.append(window)
-            return encode(model, window)
+            return encode(model, window, **kwargs)
 
         monkeypatch.setattr(edhi.health, "encode", spy)
         model = LstmEdModel(init_model(3, 4, 5, seed=1).params.astype(dtype), 3, 4, 5)
@@ -150,6 +151,69 @@ class TestPointwiseReconstruction:
             counts[start0 : start0 + l] += 1
         assert counts[0] == 1 and counts[-1] == 1
         assert np.all(counts[l - 1 : big_l - l + 1] == l)
+
+
+class TestGroupedReconstruction:
+    """pointwise_reconstructions shares one pass among consecutive units,
+    with each step's GEMMs run per unit, so every unit's reconstruction is
+    bit for bit that of a lone pointwise_reconstruction call."""
+
+    # window counts of every residue mod 16 (a GEMM computes its last
+    # N mod 16 columns with another kernel), one unit over the budget, and
+    # one window alone (a matrix-vector product)
+    COUNTS = [*range(2, 9), 1, *range(9, 17), 50, 17, 33]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p, c, l", [(3, 30, 20), (2, 8, 10)])
+    def test_each_unit_bitwise_equal_to_a_lone_call(self, p, c, l, dtype, monkeypatch):
+        # a budget of 40 windows' gate block: eight groups, the one-window
+        # and the 50-window unit each alone
+        gate_bytes = 4 * c * np.dtype(dtype).itemsize
+        monkeypatch.setattr(edhi.health, "_GROUP_BYTES", 40 * gate_bytes)
+        cuts = []
+
+        def spy(model, window, **kwargs):
+            cuts.append(kwargs["_cuts"])
+            return encode(model, window, **kwargs)
+
+        monkeypatch.setattr(edhi.health, "encode", spy)
+        model = LstmEdModel(init_model(p, c, l, seed=c).params.astype(dtype), p, c, l)
+        rng = np.random.default_rng(c)
+        series = [rng.normal(size=(n + l - 1, p)) for n in self.COUNTS]
+        grouped = pointwise_reconstructions(model, series)
+        assert [len(group) - 1 for group in cuts] == [7, 1, 3, 3, 2, 1, 1, 1]
+        assert cuts[1] == (0, 1) and cuts[5] == (0, 50)
+        for x, got in zip(series, grouped):
+            assert got.tobytes() == pointwise_reconstruction(model, x).tobytes()
+
+    def test_first_bad_series_raises_before_any_pass(self, monkeypatch):
+        monkeypatch.setattr(edhi.health, "encode", None)  # any pass would fail
+        model = init_model(2, 3, 4, seed=0)
+        good, short = np.zeros((9, 2)), np.zeros((3, 2))
+        with pytest.raises(ValueError, match="series has 3 cycles, shorter than"):
+            pointwise_reconstructions(model, [good, short, np.zeros(8)])
+
+
+class TestReconstructionMemory:
+    """Consecutive units share a pass only while their gate block fits in
+    _GROUP_BYTES, so beyond the reconstructions it returns, reconstructing
+    many units takes one group's memory whatever their number. One pass over
+    all 200 units below would take about five times as much."""
+
+    def _excess(self, n_units):
+        params = init_model(2, 8, 10, seed=1).params.astype(np.float32)
+        model = LstmEdModel(params, 2, 8, 10)
+        rng = np.random.default_rng(n_units)
+        # 50 windows each: 40 units fill a 2048-window group
+        series = [rng.normal(size=(59, 2)) for _ in range(n_units)]
+        peak, recons = traced_peak(lambda: pointwise_reconstructions(model, series))
+        return peak - sum(recon.nbytes for recon in recons)
+
+    def test_peak_does_not_grow_with_the_unit_count(self):
+        few, many = self._excess(50), self._excess(200)
+        assert many < 1.1 * few
+        # a full group's buffers take about 6x its gate block
+        assert many < 8 * edhi.health._GROUP_BYTES
 
 
 class TestReconstructionError:

@@ -6,7 +6,6 @@ best-checkpoint contracts.
 """
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from helpers import (
     reference_cell_step,
     reference_forward_backward,
     reference_train,
+    traced_peak,
 )
 
 
@@ -383,16 +383,6 @@ class TestKernelBitwise:
         _assert_kernel_matches_reference(model, rng.normal(size=(b, 20, 3)).astype(dtype))
 
 
-def _traced_peak(run):
-    """Peak bytes traced while ``run()`` runs, and its result."""
-    tracemalloc.start()
-    try:
-        result = run()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 class TestInferenceMemory:
     """Inference rolls two [x | h] slots, so beyond its (B, l, p) predictions
     (held twice: in decoder order, then in time order) its memory does not
@@ -406,9 +396,9 @@ class TestInferenceMemory:
         batch = np.random.default_rng(l).normal(size=(self.B, l, self.P))
         if decode == "infer":
             state = encode(model, batch)
-            peak, preds = _traced_peak(lambda: decode_infer(model, state, l))
+            peak, preds = traced_peak(lambda: decode_infer(model, state, l))
         else:
-            peak, preds = _traced_peak(
+            peak, preds = traced_peak(
                 lambda: decode_train(model, batch, encode(model, batch))
             )
         return peak - 2 * preds.nbytes

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edhi.numerics import (
-    NormStats,
     apply_norm,
     fit_norm_stats,
     ols_fit,

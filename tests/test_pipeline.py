@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import edhi.health
 import edhi.pipeline
 from edhi.config import SCORING_FIELDS, RunConfig, SweepGrid
 from edhi.data import (
@@ -112,11 +113,22 @@ class TestBuild:
             build_pipeline(ds, tiny_config)
 
     @pytest.mark.parametrize(
-        "short", [{0: 5}, {-1: 5}, {0: 6, -1: 5}], ids=["first", "last", "both"]
+        "short, budget",
+        [
+            pytest.param({0: 5}, edhi.health._GROUP_BYTES, id="first"),
+            pytest.param({-1: 5}, edhi.health._GROUP_BYTES, id="last"),
+            pytest.param({0: 6, -1: 5}, edhi.health._GROUP_BYTES, id="both"),
+            # a budget of 64 windows at c=6 puts two units in a group, and
+            # the short unit second in the second group
+            pytest.param({3: 5}, 64 * 4 * 6 * 4, id="later-group"),
+        ],
     )
-    def test_short_fit_unit_fails_the_target_stage(self, tiny_ds, tiny_config, short):
+    def test_short_fit_unit_fails_the_target_stage(
+        self, tiny_ds, tiny_config, short, budget, monkeypatch
+    ):
         # a fit unit shorter than l=8 gives no training window and cannot be
         # reconstructed; the error names the first such unit's length
+        monkeypatch.setattr(edhi.health, "_GROUP_BYTES", budget)
         fit_idx, _ = split_instances(
             tiny_ds, tiny_config.validation_frac, tiny_config.seed
         )
