@@ -23,6 +23,7 @@ from .data import (
     RunToFailureDataset,
     SyntheticSpec,
     generate_synthetic,
+    held_out_split,
     parse_generic,
     parse_turbofan,
     parse_turbofan_series,
@@ -63,6 +64,7 @@ __all__ = [
     "evaluate_pipeline",
     "full_report",
     "generate_synthetic",
+    "held_out_split",
     "hi_curve",
     "init_model",
     "load_pipeline",

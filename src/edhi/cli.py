@@ -28,10 +28,10 @@ from .data import (
     RunToFailureDataset,
     SyntheticSpec,
     generate_synthetic,
+    held_out_split,
     parse_generic,
     parse_rul_labels,
     parse_turbofan_series,
-    truncate_random,
     write_generic,
     write_rul_labels,
 )
@@ -283,20 +283,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = apply_overrides(SyntheticSpec(), _cli_overrides(args, SyntheticSpec))
     # checked before anything is written, so a bad --truncate leaves no data.csv
     frac_range = _truncate_range(args.truncate) if args.truncate else None
-    n = spec.n_instances
-    # with --truncate, one draw of 2n units: the stream draws the drift signs
-    # and then each unit in turn, so units 1..n keep the n-unit fleet's bytes
-    # and units n+1..2n are held-out units of the same physics
-    fleet = generate_synthetic(replace(spec, n_instances=2 * n) if frac_range else spec)
+    # with --truncate, units 1..n keep the n-unit fleet's bytes and units
+    # n+1..2n of the same draw are the held-out units
+    if frac_range:
+        lives, truncated = held_out_split(spec, *frac_range, spec.seed + 1)
+    else:
+        lives = generate_synthetic(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.csv"
-    lives = RunToFailureDataset(fleet.instances[:n], sensor_names=fleet.sensor_names)
     data_path.write_text(write_generic(lives))
-    print(f"wrote {data_path} ({n} instances)")
+    print(f"wrote {data_path} ({spec.n_instances} instances)")
     if frac_range:
-        held = RunToFailureDataset(fleet.instances[n:], sensor_names=fleet.sensor_names)
-        truncated = truncate_random(held, *frac_range, spec.seed + 1)
         trunc_path = out_dir / "truncated.csv"
         rul_path = out_dir / "rul.txt"
         trunc_path.write_text(write_generic(truncated))

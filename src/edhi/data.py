@@ -24,7 +24,9 @@ the loop, which reports it, so messages and line numbers do not depend on
 the fast path. The turbofan parser is the row loop alone.
 
 The synthetic generator produces seeded run-to-failure instances whose
-sensors drift from a healthy baseline once a fault sets in.
+sensors drift from a healthy baseline once a fault sets in, and
+``held_out_split`` draws a fleet together with truncated held-out units of
+the same physics.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -506,6 +508,33 @@ def truncate_random(
     return RunToFailureDataset(
         instances=instances, rul_labels=labels, sensor_names=ds.sensor_names
     )
+
+
+def held_out_split(
+    spec: SyntheticSpec, lo: float, hi: float, seed: int
+) -> tuple[RunToFailureDataset, RunToFailureDataset]:
+    """A synthetic fleet and as many held-out units of the same physics.
+
+    Draws 2n units in one ``generate_synthetic`` call, n being
+    ``spec.n_instances``. The stream draws the drift signs and then each
+    unit in turn, so units 1..n are the n-unit fleet itself, and units
+    n+1..2n degrade the same way.
+
+    Args:
+        spec: The fleet's settings; its n_instances is n.
+        lo, hi: Range of the held-out units' observed life fractions.
+        seed: Seed of ``truncate_random``'s draws.
+
+    Returns:
+        Units 1..n whole, and units n+1..2n cut by
+        ``truncate_random(held, lo, hi, seed)``, with their RUL labels.
+    """
+    n = spec.n_instances
+    fleet = generate_synthetic(replace(spec, n_instances=2 * n))
+    names = fleet.sensor_names
+    lives = RunToFailureDataset(fleet.instances[:n], sensor_names=names)
+    held = RunToFailureDataset(fleet.instances[n:], sensor_names=names)
+    return lives, truncate_random(held, lo, hi, seed)
 
 
 def truncate_at_fracs(

@@ -37,11 +37,21 @@ every gate block and state is one contiguous (n, B) block. Slot t holds
 [x_t | h_t-1]: the driver copies x_t into it, and each step writes its h
 straight into the next slot, so a step is one (4n, p+n) @ (p+n, B) GEMM
 plus elementwise work, with no concatenation and no temporary array. The
-driver's ``keep`` flag is the only difference between a training pass and
-an inference pass: training keeps T+1 slots, with every step's gates and
+trace's kind is the only difference between a training pass and an
+inference pass: training keeps T+1 slots, with every step's gates and
 cells, for the backward pass, while inference (``encode``,
 ``decode_train``, ``decode_infer``) rolls two slots, so beyond the
 predictions it returns its memory is O(B (p+n)) whatever T.
+
+A trace makes each step's operands once, as views: the gate slot and its
+i|f|o|g rows, the cell slots the step reads and writes, its tanh-cell slot,
+the h rows of the next slot and each unit's GEMM columns. A step then only
+calls numpy on them, with no indexing by t. At this package's sizes a pass
+costs numpy's per-call time more than arithmetic, so ``train`` also makes
+its buffers once per call: one workspace per batch size (the full batch and
+a shorter last one) holds both kept traces, the predictions, the
+gradients, each cell's backward-step views and the flat gradient, and the
+per-epoch validation pass refills one pair of rolled traces.
 
 Inference may run the windows of several units as one batch
 (health.pointwise_reconstructions): ``encode`` and ``decode_infer`` then
@@ -52,18 +62,21 @@ trailing columns with another kernel, so one GEMM over the joint batch
 would give a unit other bits than a batch of its own; per-unit GEMMs give
 the same bits. Training passes no cuts.
 
-The GEMM runs against a prepared copy of the cell, made once per sequence:
-the stacked weight and bias with their i|f|o rows multiplied by 0.5, and
-the bias tiled to a contiguous (4n, B) block. Scaling by a power of two is
-exact in float32 and float64 (barring subnormal values), so (0.5 W) xh +
-0.5 b has the bits of 0.5 (W xh + b), and one tanh over all 4n rows then
-gives the logistic's tanh(0.5 x) and the candidate's tanh at once. The
-tiled add costs less than broadcasting the bias column on every step.
+The GEMM runs against a prepared copy of the cell, in buffers made once per
+trace and refilled by each run: the stacked weight and bias with their
+i|f|o rows multiplied by 0.5, and the bias tiled to a contiguous (4n, B)
+block. Scaling by a power of two is exact in float32 and float64 (barring
+subnormal values), so (0.5 W) xh + 0.5 b has the bits of 0.5 (W xh + b),
+and one tanh over all 4n rows then gives the logistic's tanh(0.5 x) and the
+candidate's tanh at once. The tiled add costs less than broadcasting the
+bias column on every step.
 Outputs are bit for bit those of the plainly written step in the tests
 (reference_cell_step) in the same dtype.
-The decoder's passes read each state out as it is made, the same way in
-training and inference; autoregressive inference then copies each
-prediction into the x rows of the slot that feeds it back. The backward
+Autoregressive inference reads each decoder state out as it is made and
+copies the prediction into the x rows of the slot that feeds it back.
+Teacher-forced passes read the states out in stacks, with the bits of one
+readout per state: a kept trace all of them in one GEMM after the loop, and
+a rolled one two at a time, once both slots hold new states. The backward
 pass takes every step's local derivatives in one pass over a kept trace,
 turns them into the step's pre-activation gradient in place, takes dh_t-1
 from the h columns of the weight only, and after the loop gets the weight
@@ -83,6 +96,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,6 +261,22 @@ def _init_from_rng(
     return model
 
 
+class _StepOps(NamedTuple):
+    """The operands of one cell step, viewed once per trace (see _Trace)."""
+
+    gates: np.ndarray  # the step's (4n, B) gate slot
+    sig: np.ndarray  # its i|f|o rows
+    i: np.ndarray
+    f: np.ndarray
+    o: np.ndarray
+    g: np.ndarray
+    c_prev: np.ndarray  # the cell slot the step reads
+    c_next: np.ndarray  # the cell slot it writes
+    tanh_cell: np.ndarray
+    h_next: np.ndarray  # h rows of the next xh slot
+    gemms: tuple[tuple[np.ndarray, np.ndarray], ...]  # each unit's xh and gate columns
+
+
 @dataclass(frozen=True)
 class _Trace:
     """One cell's buffers for a T-step sequence on a batch of B rows.
@@ -262,10 +292,12 @@ class _Trace:
     next: step t uses xh slot t modulo 2, one gate slot and two cell slots,
     so its memory is O(B (p+n)) whatever T. The shapes below are a kept
     trace's; a rolled trace has K = min(T, 1) in place of T. _run fills
-    either kind with the same loop.
+    either kind, with the same step function, and may fill one trace any
+    number of times: each run writes every buffer before reading it.
 
     Attributes:
         steps: T.
+        kept: Whether the trace is kept (else rolled).
         w: The cell's stacked weight, i|f|o rows halved, shape (4n, p+n).
         bias: The cell's bias, i|f|o rows halved, tiled to shape (4n, B).
         xh: Shape (T+1, p+n, B), so (K+1, p+n, B) rolled, like ``cell``.
@@ -273,11 +305,14 @@ class _Trace:
         cell: Shape (T+1, n, B), the initial cell state first.
         tanh_cell: Shape (T, n, B), tanh of the cell states after it.
         ig: Shape (n, B), scratch for one step's i * g.
-        units: Each unit's gate GEMM operands, viewed once per trace: its
-            columns of ``xh`` and of ``gates``, every slot.
+        ops: Each step's operands: one per step when kept; when rolled,
+            one per xh slot that a step reads, step t taking ops[t % 2].
+        columns: Each unit's column slice of the batch.
+        heads: Each unit's h rows of every xh slot, the readout's operand.
     """
 
     steps: int
+    kept: bool
     w: np.ndarray
     bias: np.ndarray
     xh: np.ndarray
@@ -285,7 +320,71 @@ class _Trace:
     cell: np.ndarray
     tanh_cell: np.ndarray
     ig: np.ndarray
-    units: list[tuple[np.ndarray, np.ndarray]]
+    ops: list[_StepOps]
+    columns: list[slice]
+    heads: list[np.ndarray]
+
+    @classmethod
+    def of(cls, model: LstmEdModel, b: int, steps: int, keep: bool, cuts=None):
+        """Empty buffers and their step views for ``model``'s sizes and dtype.
+
+        ``cuts``, the ascending column boundaries (0, ..., B) of the units
+        that share the batch, gives each unit its own gate GEMM and readout
+        GEMM on its columns, so each unit gets the bits of a batch of its
+        own; None is one unit of B columns.
+        """
+        p, n, dtype = model.input_dim, model.hidden_units, model.params.dtype
+        held = steps if keep else min(steps, 1)  # steps held: T kept, K rolled
+        xh = np.empty((held + 1, p + n, b), dtype)
+        gates = np.empty((held, 4 * n, b), dtype)
+        cell = np.empty((held + 1, n, b), dtype)
+        tanh_cell = np.empty((held, n, b), dtype)
+        cuts = (0, b) if cuts is None else cuts
+        columns = [slice(lo, hi) for lo, hi in pairwise(cuts)]
+        # step t's gate slot, the xh and cell slots it reads and the ones it
+        # writes; each operand is then viewed once per step, by indexing a
+        # view of all slots
+        count = steps if keep else min(steps, 2)
+        slot = [t % held for t in range(count)]
+        now = [t % (held + 1) for t in range(count)]
+        after = [(t + 1) % (held + 1) for t in range(count)]
+
+        def pick(array, at):
+            return [array[k] for k in at]
+
+        gemms = zip(
+            *[zip(pick(xh[..., u], now), pick(gates[..., u], slot)) for u in columns]
+        )
+        ops = list(
+            map(
+                _StepOps,
+                pick(gates, slot),
+                pick(gates[:, : 3 * n], slot),
+                pick(gates[:, :n], slot),
+                pick(gates[:, n : 2 * n], slot),
+                pick(gates[:, 2 * n : 3 * n], slot),
+                pick(gates[:, 3 * n :], slot),
+                pick(cell, now),
+                pick(cell, after),
+                pick(tanh_cell, slot),
+                pick(xh[:, p:], after),
+                gemms,
+            )
+        )
+        return cls(
+            steps=steps,
+            kept=keep,
+            w=np.empty((4 * n, p + n), dtype),
+            bias=np.empty((4 * n, b), dtype),
+            xh=xh,
+            gates=gates,
+            cell=cell,
+            tanh_cell=tanh_cell,
+            ig=np.empty((n, b), dtype),
+            ops=ops,
+            columns=columns,
+            heads=[xh[:, p:, u] for u in columns],
+        )
 
     @property
     def final_hidden(self) -> np.ndarray:
@@ -299,107 +398,103 @@ class _Trace:
 def _run(
     model: LstmEdModel,
     cell: LstmParams,
+    trace: _Trace,
     h0: np.ndarray,
     c0: np.ndarray,
-    steps: int,
-    keep: bool,
     rows: np.ndarray | None = None,
     preds: np.ndarray | None = None,
-    cuts: tuple[int, ...] | None = None,
 ) -> _Trace:
-    """Run ``cell`` for ``steps`` steps from state (h0, c0), both (n, B).
+    """Run ``cell`` over ``trace`` from state (h0, c0), both (n, B).
 
-    The one driver of every pass: ``keep`` holds every step for the backward
-    pass, otherwise the trace rolls (see _Trace). Step t is fed ``rows[t]``,
-    a (p, B) row. With ``preds``, a (steps+1, p, B) buffer, each state (the
-    initial one first) is read out into it as soon as it is made, and
-    without ``rows`` each step is fed the prediction just made.
-
-    ``cuts``, the ascending column boundaries (0, ..., B) of the units that
-    share the batch, runs the gate GEMM and the readout GEMM once per unit,
-    on that unit's columns, so each unit gets the bits of a batch of its
-    own; None is one unit of B columns.
+    The one driver of every pass. It first copies ``cell`` into the trace's
+    prepared weight and bias and halves their i|f|o rows there, so a trace
+    serves any model of its sizes. Step t is fed ``rows[t]``, a (p, B) row.
+    With ``preds``, a (steps+1, p, B) buffer, every state (the initial one
+    first) is read out into it, with one GEMM per unit over the trace's
+    ``heads``:
+    - without ``rows`` (autoregressive), each state as soon as it is made,
+      and each step is fed the prediction just made;
+    - with ``rows``, a kept trace's states all at once after the loop, and a
+      rolled trace's two at a time, whenever both slots hold new states.
+    A kept trace copies all of ``rows`` into its slots before the loop.
     """
-    n, b = h0.shape
-    p = model.input_dim
-    dtype = model.params.dtype
-    kept = steps if keep else min(steps, 1)
-    w = cell.w.copy()
-    w[: 3 * n] *= 0.5
-    half_b = cell.b.copy()
-    half_b[: 3 * n] *= 0.5
-    xh = np.empty((kept + 1, p + n, b), dtype)
-    gates = np.empty((kept, 4 * n, b), dtype)
-    columns = [slice(lo, hi) for lo, hi in pairwise((0, b) if cuts is None else cuts)]
-    trace = _Trace(
-        steps=steps,
-        w=w,
-        bias=np.repeat(half_b[:, None], b, axis=1),
-        xh=xh,
-        gates=gates,
-        cell=np.empty((kept + 1, n, b), dtype),
-        tanh_cell=np.empty((kept, n, b), dtype),
-        ig=np.empty((n, b), dtype),
-        units=[(xh[:, :, u], gates[:, :, u]) for u in columns],
-    )
+    n, p = model.hidden_units, model.input_dim
+    np.copyto(trace.w, cell.w)
+    trace.w[: 3 * n] *= 0.5
+    np.copyto(trace.bias, cell.b[:, None])
+    trace.bias[: 3 * n] *= 0.5
+    xh, ops, steps = trace.xh, trace.ops, trace.steps
     xh[0, p:] = h0
     trace.cell[0] = c0
-    slots = xh.shape[0]
     if preds is not None:
         out_w = model.out_weight.T
         out_b = model.out_bias[:, None]
         # each unit's h rows of every slot, and its prediction columns
-        readouts = [(xh[:, p:, u], preds[:, :, u]) for u in columns]
-    for t in range(steps + 1):
+        readouts = [(h, preds[..., u]) for h, u in zip(trace.heads, trace.columns)]
+    if trace.kept:
+        xh[:steps, :p] = rows
+        for op in ops:
+            _step(trace, op)
         if preds is not None:
             for h, pred in readouts:
-                np.matmul(out_w, h[t % slots], out=pred[t])
+                np.matmul(out_w, h, out=pred)
+            preds += out_b
+    elif rows is not None:
+        for t in range(steps):
+            xh[t % 2, :p] = rows[t]
+            _step(trace, ops[t % 2])
+            if preds is not None and t % 2 == 0:
+                # slots 0 and 1 hold states t and t+1
+                for h, pred in readouts:
+                    np.matmul(out_w, h, out=pred[t : t + 2])
+                preds[t : t + 2] += out_b
+        if preds is not None and steps % 2 == 0:
+            # the last state, alone in slot 0
+            for h, pred in readouts:
+                np.matmul(out_w, h[0], out=pred[steps])
+            preds[steps] += out_b
+    else:
+        for t in range(steps + 1):
+            for h, pred in readouts:
+                np.matmul(out_w, h[t % 2], out=pred[t])
             preds[t] += out_b
-        if t < steps:
-            xh[t % slots, :p] = preds[t] if rows is None else rows[t]
-            _step(trace, t)
+            if t < steps:
+                xh[t % 2, :p] = preds[t]
+                _step(trace, ops[t % 2])
     return trace
 
 
-def _step(trace: _Trace, t: int) -> None:
-    """Cell step t: reads [x_t | h_t-1] and c_t-1, writes gates, c_t and h_t.
+def _step(trace: _Trace, op: _StepOps) -> None:
+    """One cell step: reads [x_t | h_t-1] and c_t-1, writes gates, c_t and h_t.
 
     _run copies x_t into its slot first. The logistic of the i|f|o rows is
     0.5 * tanh(0.5 * pre) + 0.5; the trace's halved weight and bias rows give
     0.5 * pre directly, so one tanh covers all four blocks.
     """
-    n = trace.cell.shape[1]
-    slots = trace.gates.shape[0]
-    cells = trace.cell.shape[0]  # also the number of xh slots
-    for xh_cols, gate_cols in trace.units:
-        np.matmul(trace.w, xh_cols[t % cells], out=gate_cols[t % slots])
-    gates = trace.gates[t % slots]
+    gates, sig, i, f, o, g, c_prev, c, tc, h, gemms = op
+    for xh_cols, gate_cols in gemms:
+        np.matmul(trace.w, xh_cols, out=gate_cols)
     gates += trace.bias
     np.tanh(gates, out=gates)
-    sig = gates[: 3 * n]
     sig *= 0.5
     sig += 0.5
-    c = trace.cell[(t + 1) % cells]
-    np.multiply(gates[n : 2 * n], trace.cell[t % cells], out=c)
-    np.multiply(gates[:n], gates[3 * n :], out=trace.ig)
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=trace.ig)
     c += trace.ig
-    tc = trace.tanh_cell[t % slots]
     np.tanh(c, out=tc)
-    np.multiply(gates[2 * n : 3 * n], tc, out=trace.xh[(t + 1) % cells, -n:])
+    np.multiply(o, tc, out=h)
 
 
-def _slopes(trace: _Trace):
-    """Local derivatives of every step of a trace, all steps at once.
+def _slopes(trace: _Trace, dpre: np.ndarray, dh_dc: np.ndarray) -> None:
+    """Local derivatives of every step of a kept trace, all steps at once.
 
-    Returns (dpre, dh_dc): dpre (T, 4n, B) holds dc_t/dpre_t for the i, f
-    and g blocks and dh_t/dpre_t for the o block; dh_dc (T, n, B) holds
-    dh_t/dc_t.
+    Writes dpre (T, 4n, B): dc_t/dpre_t for the i, f and g blocks and
+    dh_t/dpre_t for the o block; and dh_dc (T, n, B): dh_t/dc_t.
     """
     gates = trace.gates
     n = trace.cell.shape[1]
     g = gates[:, 3 * n :]
     tc = trace.tanh_cell
-    dpre = np.empty_like(gates)
     # every factor is built in its output slot, so the products run in the
     # other operand order, (1 - sig) * sig, (1 - g*g) * i and (1 - tc*tc) * o;
     # IEEE multiplication commutes, so the bits are those of sig * (1 - sig)
@@ -413,37 +508,78 @@ def _slopes(trace: _Trace):
     np.multiply(g, g, out=dg)
     np.subtract(1.0, dg, out=dg)
     dg *= gates[:, :n]
-    dh_dc = np.multiply(tc, tc)
+    np.multiply(tc, tc, out=dh_dc)
     np.subtract(1.0, dh_dc, out=dh_dc)
     dh_dc *= gates[:, 2 * n : 3 * n]
-    return dpre, dh_dc
+
+
+class _BackOps(NamedTuple):
+    """The operands of one backward step, viewed once per workspace."""
+
+    dh_dc: np.ndarray  # the step's dh_t/dc_t
+    dpre: np.ndarray  # its (4n, B) slot of the _slopes array
+    i_f: np.ndarray  # the i and f rows of that slot, as (2, n, B)
+    o: np.ndarray
+    g: np.ndarray
+    f_gate: np.ndarray  # the step's forget gate
+
+
+class _Backward:
+    """A kept trace's backward buffers: the _slopes arrays, which the steps
+    turn into dL/dpre, and each step's views of them."""
+
+    def __init__(self, trace: _Trace):
+        self.trace = trace
+        self.dpre = np.empty_like(trace.gates)
+        self.dh_dc = np.empty_like(trace.tanh_cell)
+        steps, four_n, b = self.dpre.shape
+        n = four_n // 4
+        d = self.dpre
+        i_f = d[:, : 2 * n].reshape(steps, 2, n, b)
+        o, g = d[:, 2 * n : 3 * n], d[:, 3 * n :]
+        forget = trace.gates[:, n : 2 * n]
+        self.ops = list(map(_BackOps, self.dh_dc, d, i_f, o, g, forget))
+
+    def run(self, cell: LstmParams, pairs, dstates=None):
+        """Backprop every step, last first, from the (dh, dc) of ``pairs[0]``;
+        each step first adds ``dstates[t + 1]`` to dh when given. Returns
+        ``pairs`` reordered so that the first holds dL/dh and dL/dc of the
+        trace's initial state."""
+        trace = self.trace
+        _slopes(trace, self.dpre, self.dh_dc)
+        w_h = cell.w[:, -trace.cell.shape[1] :].T
+        (dh, dc), spare = pairs
+        for t in range(trace.steps - 1, -1, -1):
+            if dstates is not None:
+                dh += dstates[t + 1]
+            _step_backward(w_h, self.ops[t], dh, dc, *spare)
+            (dh, dc), spare = spare, (dh, dc)
+        return (dh, dc), spare
 
 
 def _step_backward(
-    params: LstmParams,
-    trace: _Trace,
-    t: int,
+    w_h: np.ndarray,
+    op: _BackOps,
     dh: np.ndarray,
     dc: np.ndarray,
-    slopes: tuple[np.ndarray, np.ndarray],
-):
-    """Backprop step t from dL/dh_t and dL/dc_t; returns (dL/dh_t-1, dL/dc_t-1).
+    dh_out: np.ndarray,
+    dc_out: np.ndarray,
+) -> None:
+    """Backprop one step from dL/dh_t and dL/dc_t into dL/dh_t-1 and dL/dc_t-1.
 
-    Turns slot t of the _slopes arrays into dL/dpre_t in place; the weight
-    gradients come later, from all steps at once (see _weight_grads). Reads
-    the cell's own weight, not the trace's halved copy.
+    ``w_h`` is the transposed h columns of the cell's own weight, not the
+    trace's halved copy. Turns the step's _slopes slot into dL/dpre_t in
+    place; the weight gradients come later, from all steps at once (see
+    _weight_grads). The outputs are other buffers than the inputs.
     """
-    n = trace.cell.shape[1]
-    dpre, dh_dc = slopes
-    dct = dh * dh_dc[t]
-    dct += dc
-    d = dpre[t]
-    i_f = d[: 2 * n].reshape(2, n, -1)
-    i_f *= dct
-    d[2 * n : 3 * n] *= dh
-    d[3 * n :] *= dct
-    dct *= trace.gates[t, n : 2 * n]
-    return params.w[:, -n:].T @ d, dct
+    dh_dc, d, i_f, o, g, f = op
+    np.multiply(dh, dh_dc, out=dc_out)
+    dc_out += dc
+    i_f *= dc_out
+    o *= dh
+    g *= dc_out
+    dc_out *= f
+    np.matmul(w_h, d, out=dh_out)
 
 
 def _weight_grads(trace: _Trace, dgates: np.ndarray, out: LstmParams) -> None:
@@ -503,11 +639,10 @@ def encode(model: LstmEdModel, window: np.ndarray, *, _cuts=None) -> LstmState:
         Final encoder states after the l-th step, each (B, n).
     """
     w = _check_window(window, "window", model)
-    zeros = np.zeros((model.hidden_units, w.shape[0]), w.dtype)
-    rows = w.transpose(1, 2, 0)
-    trace = _run(
-        model, model.encoder, zeros, zeros, w.shape[1], False, rows, cuts=_cuts
-    )
+    b, l, _ = w.shape
+    zeros = np.zeros((model.hidden_units, b), w.dtype)
+    trace = _Trace.of(model, b, l, False, _cuts)
+    _run(model, model.encoder, trace, zeros, zeros, w.transpose(1, 2, 0))
     return LstmState(
         hidden=trace.final_hidden.T.copy(), cell=trace.final_cell.T.copy()
     )
@@ -545,7 +680,7 @@ def decode_train(
         raise ValueError(f"{h0.shape[1]} states for {b} windows")
     preds = np.empty((l, p, b), w.dtype)
     rows = w[:, :0:-1].transpose(1, 2, 0)
-    _run(model, model.decoder, h0, c0, l - 1, False, rows, preds)
+    _run(model, model.decoder, _Trace.of(model, b, l - 1, False), h0, c0, rows, preds)
     return _time_order(preds)
 
 
@@ -570,8 +705,10 @@ def decode_infer(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h0, c0 = _state_columns(model, enc_final)
-    preds = np.empty((steps, model.input_dim, h0.shape[1]), model.params.dtype)
-    _run(model, model.decoder, h0, c0, steps - 1, False, preds=preds, cuts=_cuts)
+    b = h0.shape[1]
+    preds = np.empty((steps, model.input_dim, b), model.params.dtype)
+    trace = _Trace.of(model, b, steps - 1, False, _cuts)
+    _run(model, model.decoder, trace, h0, c0, preds=preds)
     return _time_order(preds)
 
 
@@ -590,47 +727,75 @@ def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
+class _Workspace:
+    """Every buffer of the teacher-forced forward and backward pass on (B, l, p)
+    batches, for any model of one set of sizes and dtype.
+
+    Made once and refilled by each pass (see _Trace): ``train`` keeps one
+    per batch size, so at most two, and a one-off _forward_backward makes a
+    fresh one. It holds a kept trace per cell and its _Backward; the
+    predictions, their differences and the decoder-state gradients; two
+    (dh, dc) pairs that the backward steps write in turn; and the flat
+    gradient that every pass returns.
+    """
+
+    def __init__(self, model: LstmEdModel, b: int):
+        p, n, l = model.input_dim, model.hidden_units, model.window_len
+        dtype = model.params.dtype
+        self.enc = _Backward(_Trace.of(model, b, l, True))
+        self.dec = _Backward(_Trace.of(model, b, l - 1, True))
+        self.zeros = np.zeros((n, b), dtype)
+        self.preds = np.empty((l, p, b), dtype)
+        self.diff = np.empty_like(self.preds)
+        self.dy = np.empty_like(self.preds)
+        self.dstates = np.empty((l, n, b), dtype)
+        self.pairs = tuple(tuple(np.empty((n, b), dtype) for _ in "hc") for _ in "ab")
+        self.grad = LstmEdModel(np.empty_like(model.params), p, n, l)
+
+    def forward_backward(self, model: LstmEdModel, batch: np.ndarray):
+        """_forward_backward on this workspace's buffers; the gradient it
+        returns is the workspace's, overwritten by the next pass."""
+        _, l, p = batch.shape
+        n = model.hidden_units
+        grad = self.grad
+        zeros = self.zeros
+        rows = batch.transpose(1, 2, 0)
+        enc = _run(model, model.encoder, self.enc.trace, zeros, zeros, rows)
+        # decoder state s (the encoder's final state first) predicts row l-1-s;
+        # step s is fed true row l-1-s
+        preds = self.preds
+        rows = batch[:, :0:-1].transpose(1, 2, 0)
+        h0, c0 = enc.final_hidden, enc.final_cell
+        dec = _run(model, model.decoder, self.dec.trace, h0, c0, rows, preds)
+        states = dec.xh[:, p:]
+        diff = np.subtract(preds, batch[:, ::-1].transpose(1, 2, 0), out=self.diff)
+        dy = np.multiply(2.0, diff, out=self.dy)
+        total = float(np.add.reduce(np.multiply(diff, diff, out=diff), axis=None))
+        flat_dy = dy.transpose(1, 0, 2).reshape(p, -1)
+        flat_states = states.transpose(1, 0, 2).reshape(n, -1)
+        np.matmul(flat_states, flat_dy.T, out=grad.out_weight)
+        np.sum(flat_dy, axis=1, out=grad.out_bias)
+        dstates = np.matmul(model.out_weight, dy, out=self.dstates)
+
+        for buf in self.pairs[0]:
+            buf.fill(0.0)
+        pairs = self.dec.run(model.decoder, self.pairs, dstates)
+        dh = pairs[0][0]
+        dh += dstates[0]
+        self.enc.run(model.encoder, pairs)
+
+        _weight_grads(enc, self.enc.dpre, grad.encoder)
+        _weight_grads(dec, self.dec.dpre, grad.decoder)
+        return total, grad.params
+
+
 def _forward_backward(model: LstmEdModel, batch: np.ndarray):
     """Teacher-forced loss and exact gradient for a (B, l, p) batch.
 
     The gradient is a flat vector laid out like ``model.params``, the sum of
     per-window gradients, matching the summed objective.
     """
-    b, l, p = batch.shape
-    n = model.hidden_units
-    grad = LstmEdModel(np.empty_like(model.params), p, n, l)
-    zeros = np.zeros((n, b), batch.dtype)
-    enc = _run(model, model.encoder, zeros, zeros, l, True, batch.transpose(1, 2, 0))
-    # decoder state s (the encoder's final state first) predicts row l-1-s;
-    # step s is fed true row l-1-s
-    preds = np.empty((l, p, b), batch.dtype)
-    rows = batch[:, :0:-1].transpose(1, 2, 0)
-    dec = _run(
-        model, model.decoder, enc.final_hidden, enc.final_cell, l - 1, True, rows, preds
-    )
-    states = dec.xh[:, p:]
-    diff = preds - batch[:, ::-1].transpose(1, 2, 0)
-    total = float(np.sum(diff * diff))
-    dy = 2.0 * diff
-    flat_dy = dy.transpose(1, 0, 2).reshape(p, -1)
-    np.matmul(states.transpose(1, 0, 2).reshape(n, -1), flat_dy.T, out=grad.out_weight)
-    np.sum(flat_dy, axis=1, out=grad.out_bias)
-    dstates = np.matmul(model.out_weight, dy)
-
-    dh = np.zeros((n, b), batch.dtype)
-    dc = np.zeros((n, b), batch.dtype)
-    dec_slopes = _slopes(dec)
-    for s in range(l - 2, -1, -1):
-        dh += dstates[s + 1]
-        dh, dc = _step_backward(model.decoder, dec, s, dh, dc, dec_slopes)
-    dh += dstates[0]
-    enc_slopes = _slopes(enc)
-    for t in range(l - 1, -1, -1):
-        dh, dc = _step_backward(model.encoder, enc, t, dh, dc, enc_slopes)
-
-    _weight_grads(enc, enc_slopes[0], grad.encoder)
-    _weight_grads(dec, dec_slopes[0], grad.decoder)
-    return total, grad.params
+    return _Workspace(model, batch.shape[0]).forward_backward(model, batch)
 
 
 def grad_bptt(model: LstmEdModel, window: np.ndarray) -> dict[str, np.ndarray]:
@@ -706,9 +871,21 @@ def train(
     val_batch = _check_window(validation, "validation windows", model)
     params = model.params
 
+    # encode and decode_train over the validation batch, on traces and a
+    # prediction buffer made once
+    n_val = val_batch.shape[0]
+    val_enc = _Trace.of(model, n_val, l, False)
+    val_dec = _Trace.of(model, n_val, l - 1, False)
+    val_zeros = np.zeros((config.c, n_val), val_batch.dtype)
+    val_preds = np.empty((l, p, n_val), val_batch.dtype)
+    enc_rows = val_batch.transpose(1, 2, 0)
+    dec_rows = val_batch[:, :0:-1].transpose(1, 2, 0)
+
     def val_loss() -> float:
-        preds = decode_train(model, val_batch, encode(model, val_batch))
-        return loss(preds, val_batch)
+        enc = _run(model, model.encoder, val_enc, val_zeros, val_zeros, enc_rows)
+        h0, c0 = enc.final_hidden, enc.final_cell
+        _run(model, model.decoder, val_dec, h0, c0, dec_rows, val_preds)
+        return loss(_time_order(val_preds), val_batch)
 
     best_val = _finite(val_loss(), "validation", 0)
     best_params = params.copy()
@@ -719,12 +896,17 @@ def train(
     clip_counts: list[int] = []
     epoch_seconds: list[float] = []
 
-    # the moments and the squared gradient share the layout of params; the
-    # norm sums the squares block by block, in layout order
+    # the moments, the squared gradient and Adam's two temporaries share the
+    # layout of params; the norm sums the squares block by block, in layout
+    # order, with the reduction np.sum calls
     m_state = np.zeros_like(params)
     v_state = np.zeros_like(params)
     square = np.empty_like(params)
+    denom = np.empty_like(params)
+    update = np.empty_like(params)
     square_blocks = _blocks(square, p, config.c).values()
+    # one workspace per batch size: the full batch and a shorter last one
+    workspaces: dict[int, _Workspace] = {}
     # Python floats, as are gnorm and the Adam constants: a numpy float64
     # scalar would lift float32 arithmetic to float64 under numpy 2's NEP 50
     # but not under numpy 1.24
@@ -740,11 +922,16 @@ def train(
         clipped = 0
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            batch_loss, grad = _forward_backward(model, train_batch[idx])
+            work = workspaces.get(len(idx))
+            if work is None:
+                work = workspaces[len(idx)] = _Workspace(model, len(idx))
+            batch_loss, grad = work.forward_backward(model, train_batch[idx])
             epoch_loss += batch_loss
 
             np.multiply(grad, grad, out=square)
-            gnorm = math.sqrt(sum(float(np.sum(block)) for block in square_blocks))
+            gnorm = math.sqrt(
+                sum(float(np.add.reduce(block, axis=None)) for block in square_blocks)
+            )
             max_gnorm = max(max_gnorm, gnorm)
             if gnorm > clip_norm:
                 clipped += 1
@@ -753,13 +940,13 @@ def train(
 
             step += 1
             m_state *= _ADAM_BETA1
-            m_state += (1.0 - _ADAM_BETA1) * grad
+            m_state += np.multiply(1.0 - _ADAM_BETA1, grad, out=update)
             v_state *= _ADAM_BETA2
-            v_state += (1.0 - _ADAM_BETA2) * square
-            denom = v_state / (1.0 - _ADAM_BETA2**step)
+            v_state += np.multiply(1.0 - _ADAM_BETA2, square, out=update)
+            np.divide(v_state, 1.0 - _ADAM_BETA2**step, out=denom)
             np.sqrt(denom, out=denom)
             denom += _ADAM_EPS
-            update = m_state / (1.0 - _ADAM_BETA1**step)
+            np.divide(m_state, 1.0 - _ADAM_BETA1**step, out=update)
             update /= denom
             update *= rate
             params -= update

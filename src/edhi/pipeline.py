@@ -25,7 +25,10 @@ from .health import (
     frac_count,
     hi_curve,
     linear_target_hi,
-    pointwise_reconstruction,  # unused here, but perfbench wraps this name
+    # unused here: builds reconstruct through pointwise_reconstructions, so
+    # no build calls this name, and perfbench's traced health.recon_s and
+    # health.recon_windows, which wrap it, read 0 (ROADMAP items 6 and 18)
+    pointwise_reconstruction,
     pointwise_reconstructions,
     reconstruction_error,
     sliding_windows,

@@ -27,6 +27,7 @@ from edhi.data import (
     RunToFailureDataset,
     SyntheticSpec,
     generate_synthetic,
+    held_out_split,
     parse_turbofan,
     truncate_random,
 )
@@ -343,16 +344,9 @@ def held_out():
     score it: criterion 10's split, built once for both of its tests."""
     t0 = time.time()
     spec = SyntheticSpec(
-        n_instances=200, n_sensors=21, min_len=128, max_len=362, seed=1
+        n_instances=100, n_sensors=21, min_len=128, max_len=362, seed=1
     )
-    ds = generate_synthetic(spec)
-    train_ds = RunToFailureDataset(
-        instances=ds.instances[:100], sensor_names=ds.sensor_names
-    )
-    held = RunToFailureDataset(
-        instances=ds.instances[100:], sensor_names=ds.sensor_names
-    )
-    test_ds = truncate_random(held, 0.4, 0.9, 8)
+    train_ds, test_ds = held_out_split(spec, 0.4, 0.9, 8)
     config = RunConfig(healthy_frac=0.3, max_epochs=2, seed=1)
     bundle, info = build_pipeline(train_ds, config)
     report, _ = evaluate_pipeline(bundle, test_ds)

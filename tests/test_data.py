@@ -14,6 +14,7 @@ from edhi.data import (
     RunToFailureDataset,
     SyntheticSpec,
     generate_synthetic,
+    held_out_split,
     parse_generic,
     parse_rul_labels,
     parse_turbofan,
@@ -663,3 +664,20 @@ class TestTruncation:
         ds = generate_synthetic(SyntheticSpec(n_instances=2, seed=0))
         with pytest.raises(ValueError):
             truncate_random(ds, 0.9, 0.4, seed=0)
+
+    def test_held_out_split_cuts_the_second_half_of_one_draw(self):
+        spec = SyntheticSpec(n_instances=5, n_sensors=3, seed=4)
+        lives, held = held_out_split(spec, 0.4, 0.9, seed=11)
+        # units 1..n are the n-unit fleet itself
+        fleet = generate_synthetic(spec)
+        assert write_generic(lives) == write_generic(fleet)
+        # units n+1..2n come from the same 2n-unit draw, cut as
+        # truncate_random cuts them
+        both = generate_synthetic(SyntheticSpec(n_instances=10, n_sensors=3, seed=4))
+        rest = RunToFailureDataset(both.instances[5:], sensor_names=both.sensor_names)
+        want = truncate_random(rest, 0.4, 0.9, seed=11)
+        assert [uid for uid, _ in held.instances] == [f"s{k}" for k in range(6, 11)]
+        assert write_generic(held) == write_generic(want)
+        assert held.rul_labels == want.rul_labels
+        with pytest.raises(ValueError, match="need 0 < lo <= hi < 1"):
+            held_out_split(spec, 0.9, 0.4, seed=11)

@@ -22,6 +22,7 @@ from edhi.lstm import (
     encode,
     _blocks,
     _forward_backward,
+    _Workspace,
     grad_bptt,
     init_model,
     loss,
@@ -603,6 +604,11 @@ class TestTrain:
             RunConfig(c=3, learning_rate=50.0, max_epochs=5, batch_size=4, patience=10, seed=6),
             (6, 4, 1, 17),
         ),
+        # 9 training windows: batches of 4, 4 and 1
+        "last-batch-of-one": (
+            RunConfig(c=4, max_epochs=4, batch_size=4, patience=4, seed=8),
+            (12, 5, 2, 21),
+        ),
     }
 
     @classmethod
@@ -631,6 +637,9 @@ class TestTrain:
             assert min(norms) > cfg.grad_clip_norm
         elif case == "stops-early":
             assert len(got.train_history) < cfg.max_epochs
+        elif case == "last-batch-of-one":
+            count = self._REFERENCE_CASES[case][1][0]
+            assert count * 3 // 4 % cfg.batch_size == 1
         else:
             assert got.best_epoch == 0
 
@@ -646,6 +655,43 @@ class TestTrain:
         assert all(seconds > 0.0 for seconds in got.epoch_seconds)
         if case == "clips":
             assert got.clip_counts == [per_epoch] * len(epochs)
+
+
+class TestWorkspace:
+    """train refills one _Workspace per batch size. A refilled workspace
+    gives the bits of a fresh one, whatever model and batch it held last:
+    each run copies the cell into its halved buffers again, and each
+    backward pass starts from zero dh and dc."""
+
+    @pytest.mark.parametrize("b, dtype", _per_dtype([1, 7, 32]))
+    def test_reuse_matches_fresh_passes(self, b, dtype):
+        rng = np.random.default_rng(b)
+        models = [_as_dtype(_random_model(3, 5, 6, rng), dtype) for _ in range(2)]
+        batches = [rng.normal(size=(b, 6, 3)).astype(dtype) for _ in range(2)]
+        work = _Workspace(models[0], b)
+        for model in models:
+            for batch in batches:
+                want_loss, want = _forward_backward(model, batch)
+                got_loss, got = work.forward_backward(model, batch)
+                assert got_loss == want_loss
+                assert got.tobytes() == want.tobytes()
+
+
+class TestTrainMemory:
+    """train makes its buffers once per call (a workspace per batch size,
+    the validation traces, Adam's temporaries), so its memory does not grow
+    with the number of epochs."""
+
+    def _excess(self, epochs):
+        wins = np.stack(_sinusoid_windows(120, 10, 2, seed=epochs)).astype(np.float32)
+        # 100 training windows: batches of 32 and a last one of 4
+        cfg = RunConfig(c=8, max_epochs=epochs, patience=epochs + 1, seed=1)
+        peak, result = traced_peak(lambda: train(wins[:100], cfg, wins[100:]))
+        assert len(result.train_history) == epochs
+        return peak - result.model.params.nbytes
+
+    def test_peak_does_not_grow_with_epochs(self):
+        assert self._excess(8) < 1.1 * self._excess(2)
 
 
 class TestLstmEdModel:
