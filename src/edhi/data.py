@@ -14,14 +14,16 @@ cycles 1..L, are split in place; any other order is sorted by unit and cycle
 into a copy first. The generic parser first tries to read every column with
 ``np.loadtxt`` instead of the loop. Its lines reach loadtxt in pieces of
 about ``_PIECE_CHARS`` characters, so the whole file is never held as one
-list of lines, and loadtxt codes the unit ids as it reads. It keeps that
-table only when the loop would have read the same rows: every line parsed,
-every row the same width, every value finite and every cycle an integer.
-The sensor columns are then moved to the front of the table's own buffer,
-so ordered rows are grouped without a copy of the readings. Anything else
-(including tokens only Python's ``float`` accepts, such as ``1_0``) goes to
-the loop, which reports it, so messages and line numbers do not depend on
-the fast path. The turbofan parser is the row loop alone.
+list of lines, and loadtxt codes the unit ids as it reads. One function,
+``_fast_units``, keeps that table only when the loop would have read the
+same rows: at least one row, every line parsed, every row the same width,
+every value finite and every cycle an integer. The sensor columns are then
+moved to the front of the table's own buffer, so ordered rows are grouped
+without a copy of the readings. Anything else (including tokens only
+Python's ``float`` accepts, such as ``1_0``) goes to the loop, which
+reports it, so messages and line numbers do not depend on the fast path.
+The turbofan parser is the row loop alone, and ``parse_turbofan`` reads
+both of its series files through ``parse_turbofan_series``.
 
 The synthetic generator produces seeded run-to-failure instances whose
 sensors drift from a healthy baseline once a fault sets in, and
@@ -207,24 +209,18 @@ def _drop_leading_columns(table: np.ndarray, k: int) -> np.ndarray:
     return flat[: n * m].reshape(n, m)
 
 
-@dataclass(eq=False)
-class _Table:
-    """loadtxt's rows of the data lines, each row's first column the code
-    of its unit id token: token k is ``tokens[k]``."""
-
-    tokens: list[str]
-    table: np.ndarray
-
-
-def _read_span(text: str, start: int, width: int) -> _Table | None:
-    """The data lines in text[start:] by loadtxt, or None where the row
-    loop must decide.
+def _fast_units(
+    text: str, start: int, width: int, path_hint: str
+) -> list[tuple[str, np.ndarray]] | None:
+    """The data lines in text[start:] read by loadtxt and grouped into
+    units, or None where the row loop must decide.
 
     The lines reach one loadtxt pass piece by piece, blank lines dropped,
     and loadtxt codes each unit id token as it goes. None whenever loadtxt
-    rejects a line or finds another width, or any value is non-finite or
-    any cycle non-integral: the row loop then parses and reports. Blank
-    lines alone give a table of no rows.
+    rejects a line, there are no rows, a row has another width, a value is
+    non-finite or a cycle is not an integer: the row loop then parses and
+    reports. The readings are grouped in the table's own buffer, compacted
+    to the sensor columns.
     """
     tokens = _FirstSeen()
 
@@ -252,32 +248,16 @@ def _read_span(text: str, start: int, width: int) -> _Table | None:
     # line break, into one row or raises. Probed on numpy 2.4 with every
     # character below U+3100 as a line, alone, after a space and tripled:
     # none was skipped.
-    if not len(table):
-        return _Table([], np.empty((0, width)))
     if (
-        table.shape[1] != width
+        not len(table)
+        or table.shape[1] != width
         or not np.isfinite(table).all()
         or np.any(table[:, 1] % 1)
     ):
         return None
-    return _Table(list(tokens), table)
-
-
-def _units(span: _Table, path_hint: str) -> list[tuple[str, np.ndarray]] | None:
-    """A table of every data line, grouped into units; None if it has no
-    rows, where the row loop reports the empty file.
-
-    The readings are grouped in the table's own buffer, compacted to the
-    sensor columns.
-    """
-    table = span.table
-    if not len(table):
-        return None
     # tokens that differ only in padding name one unit
     codes = _FirstSeen()
-    unit_of_token = np.array(
-        [codes[token.strip()] for token in span.tokens], dtype=np.intp
-    )
+    unit_of_token = np.array([codes[token.strip()] for token in tokens], dtype=np.intp)
     # ids and cycles are read out before the readings move over them
     unit_codes = unit_of_token[table[:, 0].astype(np.intp)]
     cycles = table[:, 1].copy()
@@ -319,17 +299,6 @@ def _rows(
     )
 
 
-def _parse_turbofan_file(text: str, path_hint: str) -> list[tuple[str, np.ndarray]]:
-    return _rows(
-        text.splitlines(),
-        1,
-        str.split,
-        TURBOFAN_COLUMNS,
-        lambda token, lineno: str(_parse_index(token, "unit", lineno, path_hint)),
-        path_hint,
-    )
-
-
 def parse_rul_labels(text: str, path_hint: str = "rul") -> list[float]:
     """One true RUL per line; a negative one is rejected with its line."""
     labels = []
@@ -346,18 +315,19 @@ def parse_rul_labels(text: str, path_hint: str = "rul") -> list[float]:
     return labels
 
 
-def _turbofan_names() -> list[str]:
-    return [f"setting_{j + 1}" for j in range(3)] + [
-        f"sensor_{j + 1}" for j in range(21)
-    ]
-
-
 def parse_turbofan_series(text: str, path_hint: str = "data") -> RunToFailureDataset:
     """Parse one whitespace-separated 26-column turbofan file, no labels."""
-    return RunToFailureDataset(
-        instances=_parse_turbofan_file(text, path_hint),
-        sensor_names=_turbofan_names(),
+    instances = _rows(
+        text.splitlines(),
+        1,
+        str.split,
+        TURBOFAN_COLUMNS,
+        lambda token, lineno: str(_parse_index(token, "unit", lineno, path_hint)),
+        path_hint,
     )
+    names = [f"setting_{j + 1}" for j in range(3)]
+    names += [f"sensor_{j + 1}" for j in range(21)]
+    return RunToFailureDataset(instances=instances, sensor_names=names)
 
 
 def parse_turbofan(
@@ -374,11 +344,9 @@ def parse_turbofan(
     """
     train = parse_turbofan_series(train_text, "train")
     labels = parse_rul_labels(rul_text, "rul")
-    test = RunToFailureDataset(
-        instances=_parse_turbofan_file(test_text, "test"),
-        rul_labels=labels,
-        sensor_names=_turbofan_names(),
-    )
+    # replace() constructs anew, so a label count that does not match the
+    # test units is refused by RunToFailureDataset itself
+    test = replace(parse_turbofan_series(test_text, "test"), rul_labels=labels)
     return train, test
 
 
@@ -397,8 +365,7 @@ def parse_generic(text: str, path_hint: str = "data") -> RunToFailureDataset:
         raise ValueError(
             f"{path_hint} line 1: header must start with instance_id,cycle"
         )
-    span = _read_span(text, len(head[0]), len(header))
-    instances = None if span is None else _units(span, path_hint)
+    instances = _fast_units(text, len(head[0]), len(header), path_hint)
     if instances is None:
         instances = _rows(
             text.splitlines()[1:],

@@ -5,8 +5,11 @@ train curve over lags 1..tau. Each feasible (train, lag) pair yields a
 candidate RUL (the train instance's remaining cycles past the aligned
 segment) weighted by a Gaussian-kernel similarity of the aligned curves.
 Candidates far below the best similarity are discarded; the survivors'
-similarity-weighted mean, capped from above, is the estimate. Candidate
-dispersion doubles as a confidence signal.
+similarity-weighted mean, capped from above, is the estimate. The
+estimate's ``std_dev`` and ``spread`` describe the survivors and are no
+measured confidence: on the reference split, at the matching constants
+that validation selects, they did not rank absolute errors against
+min(RUL, r_max) (Spearman rho -0.13 and 0.12 for seeds 1 and 2).
 
 The train curves form a ``Library``, laid out once per pipeline: every
 curve end to end in one read-only array, with each curve's start and

@@ -147,6 +147,13 @@ class TestParseGeneric:
         [
             (parse_rul_labels, "\n  \n", "in.txt: no labels"),
             (parse_generic, "", "in.txt: empty file"),
+            # a header and no rows: the fast path finds no rows and declines
+            (parse_generic, "instance_id,cycle,s1\n", "in.txt: no data rows"),
+            (
+                parse_generic,
+                "instance_id,cycle,s1\n\n  \t\r\n \n",
+                "in.txt: no data rows",
+            ),
         ],
     )
     def test_empty_input_named(self, parse, text, message):
@@ -234,7 +241,7 @@ def _outcome(parse, text):
 
 def _row_loop_outcome(parse, text):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_read_span", lambda *args: None)
+        mp.setattr(data, "_fast_units", lambda *args: None)
         return _outcome(parse, text)
 
 
@@ -351,7 +358,7 @@ class TestFastPathMatchesRowLoop:
         ds = generate_synthetic(SyntheticSpec(n_instances=4, n_sensors=3, seed=2))
         text = write_generic(ds)
         start = text.index("\n") + 1
-        instances = data._units(data._read_span(text, start, 5), "f")
+        instances = data._fast_units(text, start, 5, "f")
         assert [(uid, series.shape) for uid, series in instances] == [
             (uid, series.shape) for uid, series in ds.instances
         ]
@@ -374,17 +381,17 @@ class TestFastPathMatchesRowLoop:
     )
     def test_fast_path_decides_like_the_row_loop(self, text, piece_chars, monkeypatch):
         decisions = []
-        real = data._read_span
+        real = data._fast_units
 
         def spy(*args):
-            span = real(*args)
-            decisions.append("loop" if span is None else "fast")
-            return span
+            units = real(*args)
+            decisions.append("loop" if units is None else "fast")
+            return units
 
         monkeypatch.setattr(data, "_PIECE_CHARS", piece_chars)
         expected = _row_loop_outcome(parse_generic, text)
         assert expected[0] == "ok"
-        monkeypatch.setattr(data, "_read_span", spy)
+        monkeypatch.setattr(data, "_fast_units", spy)
         assert _outcome(parse_generic, text) == expected
         # not handed to the loop
         assert decisions == ["fast"]
@@ -409,7 +416,7 @@ class TestFastPathMatchesRowLoop:
         # each unit's rows backwards: the row loop sorts them into a copy
         units = itertools.groupby(rows, key=lambda row: row.split(",")[0])
         backwards = [row for _, unit in units for row in reversed(list(unit))]
-        monkeypatch.setattr(data, "_read_span", lambda *args: None)
+        monkeypatch.setattr(data, "_fast_units", lambda *args: None)
         sorted_copy = parse_generic("\n".join([header] + backwards) + "\n")
         monkeypatch.undo()
         monkeypatch.setattr(data, "_PIECE_CHARS", 1000)

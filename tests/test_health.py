@@ -49,6 +49,8 @@ class TestSlidingWindows:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             sliding_windows(np.zeros((2, 2)), 3)
+        with pytest.raises(ValueError, match="^window length must be >= 1$"):
+            sliding_windows(np.zeros((2, 2)), 0)
 
     @given(st.integers(1, 8), st.integers(0, 20))
     @settings(max_examples=40, deadline=None)
@@ -298,6 +300,8 @@ class TestExponentialTargetHi:
         for beta in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 exponential_target_hi(50, beta)
+        with pytest.raises(ValueError, match="^length must be >= 1$"):
+            exponential_target_hi(0, 0.05)
 
     @given(st.integers(1, 200), st.floats(0.01, 0.49))
     @settings(max_examples=60, deadline=None)
@@ -379,6 +383,8 @@ class TestFitHiModel:
             )
         with pytest.raises(ValueError):
             fit_hi_model([np.zeros((3, 1))], [])
+        with pytest.raises(ValueError, match="^no instances to fit$"):
+            fit_hi_model([], [])
 
 
 # finite readings with signed zeros and subnormals drawn often

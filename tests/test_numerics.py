@@ -71,6 +71,8 @@ class TestNormStats:
         stats = fit_norm_stats([np.zeros((3, 2)) + np.arange(3.0)[:, None]])
         with pytest.raises(ValueError):
             apply_norm(np.zeros((3, 3)), stats)
+        with pytest.raises(ValueError, match=r"^series must be 2-D, got shape \(3,\)$"):
+            apply_norm(np.zeros(3), stats)
         with pytest.raises(ValueError):
             fit_norm_stats([np.zeros((2, 2)), np.zeros((2, 3))])
 
@@ -117,6 +119,8 @@ class TestPca:
         np.testing.assert_array_equal(out, np.zeros((2, 1)))
         one = pca_transform(np.array([[1.0, 1.0]]), model)
         assert one[0, 0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        with pytest.raises(ValueError, match="^input has 3 columns, model expects 2$"):
+            pca_transform(np.zeros((2, 3)), model)
 
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(7)
@@ -214,6 +218,8 @@ class TestOls:
             ols_predict(model, np.array([5.0]))
         with pytest.raises(ValueError):
             ols_fit(np.ones((3, 1)), np.ones(4))
+        with pytest.raises(ValueError, match="^targets contain non-finite values$"):
+            ols_fit(np.arange(3.0)[:, None], np.array([1.0, np.nan, 2.0]))
 
     @given(
         st.integers(0, 2**32 - 1),
