@@ -143,7 +143,17 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Refuse an --out whose directory does not exist, before the work whose
+    result it would hold."""
+    if out is not None and not Path(out).parent.is_dir():
+        raise ValueError(
+            f"--out {out!r}: directory {str(Path(out).parent)!r} does not exist"
+        )
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     config = _resolve_config(args)
     ds = _load_dataset(args.data)
     bundle, info = build_pipeline(ds, config)
@@ -198,6 +208,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     f"instance id {uid!r} is not a plain file name;"
                     " --curves-dir names each curve file after its instance"
                 )
+    # after the id check, which names the input's fault first, and before
+    # any instance is scored
+    _check_out_dir(args.out)
     report, rows = evaluate_pipeline(bundle, ds)
     print(report.as_table())
     zeros = sum(1 for actual in ds.rul_labels if actual == 0)
@@ -305,6 +318,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     base = RunConfig()
     base = apply_overrides(base, _cli_overrides(args, RunConfig))
     grid = parse_sweep_grid(parse_config_text(Path(args.config).read_text()))

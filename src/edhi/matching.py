@@ -13,22 +13,41 @@ min(RUL, r_max) (Spearman rho -0.13 and 0.12 for seeds 1 and 2).
 
 The train curves form a ``Library``, laid out once per pipeline: every
 curve end to end in one read-only array, with each curve's start and
-length. The matching functions take that library and lay nothing out.
-``candidate_estimates`` scores every (train, lag) pair of one test
-instance in array passes, in three steps. ``pair_distances`` finds the
-feasible pairs with one comparison of lags against each curve's headroom,
-takes each pair as a window of a strided view of the library's flat
-array, subtracts the window from the test row and gets every d^2 from
-batched row-by-column products. ``weigh_pairs`` applies one ``exp`` at
-lambda to every pair it is given and finds the best similarity. ``alpha_cut``
-returns the indices of the pairs at or above alpha times it, and
-``Candidates.take`` keeps them. Each subtraction takes the operands the
-scalar ``curve_distance`` takes and each product runs its dot kernel, so
-candidate sets are bitwise those of the pair-by-pair loop that
-``curve_distance`` and ``similarity`` spell out. Pairs are gathered in
-blocks of at most ``_BLOCK_VALUES`` window values and subtracted from a
-block of test rows filled once per call, so memory stays bounded however
-large the library is.
+length, and every curve's running sums side by side in one padded array.
+The matching functions take that library and lay nothing out.
+``pair_distances`` finds the feasible pairs of one test curve with one
+comparison of lags against each curve's headroom, takes each pair as a
+window of a strided view of the library's flat array, subtracts the window
+from the test row and gets every d^2 from batched row-by-column products.
+``weigh_pairs`` applies one ``exp`` at lambda to every pair it is given and
+finds the best similarity. ``alpha_cut`` returns the indices of the pairs at
+or above alpha times it, and ``Candidates.take`` keeps them. Each
+subtraction takes the operands the scalar ``curve_distance`` takes and each
+product runs its dot kernel, so candidate sets are bitwise those of the
+pair-by-pair loop that ``curve_distance`` and ``similarity`` spell out.
+Pairs are gathered in blocks of at most ``_BLOCK_VALUES`` window values and
+subtracted from a block of test rows filled once per call, so memory stays
+bounded however large the library is. ``run_sweep`` weighs one curve's pairs
+at several lam and alpha values, so ``pair_distances`` and ``weigh_pairs``
+always cover every pair.
+
+``candidate_estimates``, the scoring path of ``predict_one``, computes an
+exact d^2 only for the pairs the alpha cut may need. A pair survives only
+if its d^2 is within lam * ln(1/alpha) of the smallest d^2. Over K equal
+segments of the test curve, the segment sums of the test and of every
+window (differences of the library's running sums) give a lower bound on
+each pair's d^2 (Keogh et al. 2001). The exact d^2 of the pair with the
+smallest bound, U, is at least the smallest d^2, so a pair whose bound
+exceeds U + lam * ln(1/alpha) + margin can neither survive nor be the best
+pair; the margin covers the rounding of the sums, the bound, the exact d^2
+and the cut, as derived at ``_unpruned``. The other pairs go through the
+exact blocks above. Survivors, their order and bits, ``s_max`` and
+``n_pairs`` (every feasible pair) are those of weighing every pair. Every
+pair is computed when alpha is 0, when a curve holds a NaN or an infinity
+(so the NaN error names the same train instance), when the cutoff would
+not be a normal float, and when the exact work is under
+``_PRUNE_MIN_VALUES`` window values, where the bound costs more than it
+saves.
 
 One record, ``Candidates``, holds both the weighed pairs and the survivors
 taken from them, as parallel arrays with the best similarity and the
@@ -44,7 +63,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
 
@@ -91,6 +110,11 @@ class Library:
         lengths: Curve lengths, int64.
         flat: All curve values end to end, read-only.
         starts: Offset of each curve in ``flat``.
+        prefix: Running sums, read-only: ``prefix[m, j]`` is the sum of curve
+            j's first m values (``np.cumsum``, from 0), for m from 0 to the
+            longest curve's length; a shorter curve repeats its total.
+        scale: The largest absolute value of any curve; NaN when a curve
+            holds a NaN.
     """
 
     ids: tuple[str, ...]
@@ -98,10 +122,12 @@ class Library:
     lengths: np.ndarray
     flat: np.ndarray
     starts: np.ndarray
+    prefix: np.ndarray
+    scale: float
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[str, HiCurve]]) -> Library:
-        """(id, curve) pairs laid out end to end."""
+        """(id, curve) pairs laid out end to end, with their running sums."""
         ids, curves = zip(*pairs) if pairs else ((), ())
         lengths = np.array([curve.length for curve in curves], dtype=np.int64)
         flat = np.concatenate([c.values for c in curves]) if curves else np.empty(0)
@@ -111,7 +137,17 @@ class Library:
             HiCurve(values=flat[start : start + n])
             for start, n in zip(starts.tolist(), lengths.tolist())
         )
-        return cls(tuple(ids), views, lengths, flat, starts)
+        # the curves zero-padded to the longest, one per row (row-major order
+        # is flat's order), summed along each row; stored one row per count m
+        width = int(lengths.max(initial=0))
+        padded = np.zeros((len(curves), width))
+        padded[np.arange(width) < lengths[:, None]] = flat
+        np.cumsum(padded, axis=1, out=padded)
+        prefix = np.zeros((width + 1, len(curves)))
+        prefix[1:] = padded.T
+        prefix.flags.writeable = False
+        scale = float(np.abs(flat).max(initial=0.0))
+        return cls(tuple(ids), views, lengths, flat, starts, prefix, scale)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -286,34 +322,30 @@ class Pairs(NamedTuple):
     tau: int
 
 
-def pair_distances(test: HiCurve, library: Library, tau: int) -> Pairs:
-    """Every (train instance, lag) pair with lag in 1..tau, with its d^2.
-
-    A pair is feasible when the whole test curve fits inside the lag-shifted
-    train curve. Each d^2 is bitwise that of ``curve_distance``, whichever
-    other pairs are computed with it, so the pairs at a smaller tau are
-    exactly this result's pairs with lag <= tau, in the same order.
-
-    Raises:
-        ValueError: On an empty test curve.
-    """
+def _feasible(
+    test: HiCurve, library: Library, tau: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(spans, feasible): the largest lag each train curve fits, and the
+    (train curve, lag - 1) grid of pairs with lag <= tau that fit."""
     l_star = test.length
     if l_star == 0:
         raise ValueError("empty test curve")
-    spans = library.lengths - l_star  # the largest lag each train curve fits
+    spans = library.lengths - l_star
     t = min(tau, max(0, int(spans.max(initial=0))))
-    # pair k belongs to train curve owner[k] at lag lags[k]; train-major, lag-minor
-    owner, lags = np.nonzero(np.arange(1, t + 1) <= spans[:, None])
-    lags += 1
-    n_pairs = lags.size
-    estimates = (spans[owner] - lags).astype(np.float64)
+    return spans, np.arange(1, t + 1) <= spans[:, None]
+
+
+def _window_d2(test: HiCurve, library: Library, rows: np.ndarray) -> np.ndarray:
+    """d^2 of the test curve against the library windows that start at
+    ``rows`` of the flat array, each bitwise that of ``curve_distance``."""
+    l_star = test.length
+    n_pairs = rows.size
     d2 = np.empty(n_pairs)
     if n_pairs:
         flat = library.flat
         windows = as_strided(
             flat, (flat.size - l_star + 1, l_star), 2 * flat.strides, writeable=False
         )
-        rows = library.starts[owner] + lags
         block = min(max(1, _BLOCK_VALUES // l_star), n_pairs)
         # the test row repeated once per block row: a same-shape subtraction
         # runs at about half the cost of a broadcast one, with the same bits
@@ -326,6 +358,26 @@ def pair_distances(test: HiCurve, library: Library, tau: int) -> Pairs:
             out = d2[lo : lo + block, None, None]
             np.matmul(diff[:, None, :], diff[:, :, None], out=out)
         d2 /= l_star
+    return d2
+
+
+def pair_distances(test: HiCurve, library: Library, tau: int) -> Pairs:
+    """Every (train instance, lag) pair with lag in 1..tau, with its d^2.
+
+    A pair is feasible when the whole test curve fits inside the lag-shifted
+    train curve. Each d^2 is bitwise that of ``curve_distance``, whichever
+    other pairs are computed with it, so the pairs at a smaller tau are
+    exactly this result's pairs with lag <= tau, in the same order.
+
+    Raises:
+        ValueError: On an empty test curve.
+    """
+    spans, feasible = _feasible(test, library, tau)
+    # pair k belongs to train curve owner[k] at lag lags[k]; train-major, lag-minor
+    owner, lags = np.nonzero(feasible)
+    lags += 1
+    estimates = (spans[owner] - lags).astype(np.float64)
+    d2 = _window_d2(test, library, library.starts[owner] + lags)
     return Pairs(owner, lags, d2, estimates, tau)
 
 
@@ -381,17 +433,121 @@ def alpha_cut(weighed: Candidates, alpha: float) -> np.ndarray:
     return (sims >= cutoff if cutoff > 0.0 else sims > 0.0).nonzero()[0]
 
 
+# Segments of the test curve for the bound: more segments bound d^2 more
+# tightly and cost one more pass over the (train curve, lag) grid each
+_SEGMENTS = 4
+# Pairs times L* (the exact work, in window values) below which
+# candidate_estimates computes every pair without the bound. In a size sweep
+# over FD001-shaped and 40-unit fleets (2 vCPUs, numpy 2.4.6) the bound's
+# fixed cost of about 30 us lost below 2^14 values, broke even at 2^15 and
+# won from 2^16 (0.64x the time at 2^16-2^17, 0.33x past 2^18)
+_PRUNE_MIN_VALUES = 1 << 15
+# exp(-x) stays a normal float64 for every x up to this
+_NORMAL_EXPONENT = 700.0
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _unpruned(
+    test: HiCurve, library: Library, feasible: np.ndarray, config: RunConfig
+) -> np.ndarray:
+    """The (train curve, lag - 1) grid of the feasible pairs whose d^2 the
+    alpha cut may need: ``feasible`` itself when the bound is not used.
+
+    The test curve's first K*s values (s = L* // K) form K segments of s
+    values; the last L* - K*s values only add to d^2, so the bound leaves
+    them out. With test sums A_k and window sums B_k, Cauchy-Schwarz gives
+    (A_k - B_k)^2 / s <= sum over segment k of (test_i - window_i)^2, so
+    LB = sum_k (A_k - B_k)^2 / (s * L*) <= d^2 (Keogh et al. 2001). Every
+    B_k of every (train curve, lag) is a difference of two entries of the
+    library's running sums, read through one strided view. U is the exact
+    d^2 of the pair with the smallest bound, so the best pair has d^2 <= U,
+    and a pair survives the cut only if its d^2 <= d^2_min + lam *
+    ln(1/alpha). So a pair whose bound exceeds U + lam * ln(1/alpha) +
+    margin can neither survive nor set s_max. The margin covers rounding.
+    """
+    l_star = test.length
+    n_pairs = int(np.count_nonzero(feasible))
+    if config.alpha == 0.0 or n_pairs < 2 or n_pairs * l_star < _PRUNE_MIN_VALUES:
+        return feasible
+    prefix = library.prefix
+    n_train, t = feasible.shape
+    n = prefix.shape[0] - 1  # the longest library curve, at least L* + 1 here
+    # at least every |value| and every |test value - library value|; NaN
+    # when a curve holds a NaN
+    v = library.scale + float(np.abs(test.values).max())
+    reach = 2.0 * n * v  # bounds every gap below: all are finite if reach^2 is
+    if not math.isfinite(reach * reach):
+        return feasible  # a NaN or infinity in a curve, or values past 1e150
+    k = min(_SEGMENTS, l_star)
+    s = l_star // k
+    # ends[e] is prefix rows 1 + e*s .. t + e*s, flattened: at index
+    # (lag - 1) * n_train + j, ends[e + 1] - ends[e] is segment e's sum over
+    # curve j's window at that lag, so each segment is one contiguous pass
+    row = prefix.strides[0]
+    ends = np.ndarray(
+        (k + 1, t * n_train),
+        buffer=prefix,
+        offset=row,
+        strides=(s * row, prefix.itemsize),
+    )
+    test_prefix = np.zeros(l_star + 1)
+    np.cumsum(test.values, out=test_prefix[1:])
+    test_ends = test_prefix[: k * s + 1 : s]
+    gaps = np.subtract(ends[1:], ends[:-1])
+    gaps -= (test_ends[1:] - test_ends[:-1])[:, None]
+    gaps *= gaps
+    # LB * s * L* on the (train curve, lag - 1) grid, +inf where a pair does
+    # not fit
+    bound = np.add.reduce(gaps, axis=0).reshape(t, n_train).T
+    bound[~feasible] = np.inf
+    j, lag = divmod(int(bound.argmin()), t)
+    start = int(library.starts[j]) + lag + 1
+    diff = test.values - library.flat[start : start + l_star]
+    upper = float(diff @ diff) / l_star  # curve_distance's arithmetic
+    window = config.lam * -math.log(config.alpha)
+    # Margin, in units of d^2, with u = 2^-53, V = v above and N the longest
+    # library curve.
+    # - np.cumsum adds in sequence, so a running sum of m <= N values is off
+    #   by at most m*u*(m*V), a segment sum (two of them subtracted) by at
+    #   most 3*N^2*u*V, and a gap G_k = A_k - B_k by e = 8*N^2*u*V, while
+    #   |G_k| <= 2*s*V.
+    # - So each G_k^2 / (s * L*) is off by e*(4*s*V + e) / (s * L*), and the
+    #   K <= L* / s terms together by at most 4*e*V + e^2. Squaring, adding
+    #   and scaling round by at most 4*(K + 5)*u*V^2 more.
+    # - An exact d^2 (at most 4*V^2) is off by at most 4*(L* + 4)*u*V^2.
+    # - np.exp is taken to be within 2 ulps. The threshold's own rounding and
+    #   the cut's quotients, exp and product then move the edge of the
+    #   survivors' d^2 window by at most 6*u*U + 9*u*window + 12*u*lam, as
+    #   long as the cutoff alpha * s_max is a normal float: (U + window) /
+    #   lam <= _NORMAL_EXPONENT.
+    # Twice the sum covers it.
+    u = _UNIT_ROUNDOFF
+    e = 8.0 * n * n * u * v
+    margin = 2.0 * (
+        4.0 * e * v
+        + e * e
+        + 4.0 * (k + 5 + l_star + 4) * u * v * v
+        + u * (6.0 * upper + 9.0 * window + 12.0 * config.lam)
+    )
+    threshold = upper + window + margin
+    if threshold / config.lam > _NORMAL_EXPONENT:
+        return feasible
+    return bound <= threshold * (s * l_star)
+
+
 def candidate_estimates(
     test: HiCurve, library: Library, config: RunConfig
 ) -> Candidates:
     """Enumerate and filter candidate matches for one test instance.
 
     Every (train instance, lag) pair with lag in 1..tau and the whole test
-    curve fitting inside the train curve produces a candidate
-    (``pair_distances``), weighed at lam (``weigh_pairs``); the candidates
-    at or above alpha times the best similarity survive (``alpha_cut``).
-    Order is the library's own order, then ascending lag, so reruns are
-    bit-identical.
+    curve fitting inside the train curve produces a candidate, weighed at
+    lam (``weigh_pairs``); the candidates at or above alpha times the best
+    similarity survive (``alpha_cut``). Order is the library's own order,
+    then ascending lag, so reruns are bit-identical. A segment-sum lower
+    bound on d^2 (``_unpruned``) rules out pairs that can neither survive
+    nor be the best, and only the rest get an exact d^2; survivors, s_max
+    and n_pairs are bitwise those of weighing every pair.
 
     Args:
         test: Truncated test instance's HI curve.
@@ -406,9 +562,16 @@ def candidate_estimates(
             (a NaN in the test or a library curve), naming the first train
             instance it occurs against.
     """
-    pairs = pair_distances(test, library, config.tau)
+    spans, feasible = _feasible(test, library, config.tau)
+    # the pairs to compute, a subset of the feasible ones in the same order
+    owner, lags = np.nonzero(_unpruned(test, library, feasible, config))
+    lags += 1
+    estimates = (spans[owner] - lags).astype(np.float64)
+    d2 = _window_d2(test, library, library.starts[owner] + lags)
+    pairs = Pairs(owner, lags, d2, estimates, config.tau)
     weighed = weigh_pairs(pairs, library, config.lam)
-    return weighed.take(alpha_cut(weighed, config.alpha))
+    n_pairs = int(np.count_nonzero(feasible))
+    return replace(weighed, n_pairs=n_pairs).take(alpha_cut(weighed, config.alpha))
 
 
 def weighted_rul(

@@ -280,6 +280,22 @@ class TestTrain:
         assert err[0].startswith("error: ") and "validation_frac must be in (0,1)" in err[0]
         assert not (tmp_path / "x.edhi").exists()
 
+    def test_out_in_a_missing_directory_refused_before_training(
+        self, synth_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "nodir" / "p.edhi"
+        code = main(
+            ["train", "--data", str(synth_dir / "data.csv"), "--out", str(out)]
+            + TRAIN_FLAGS
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --out {str(out)!r}: directory {str(out.parent)!r} does not exist"
+        ]
+        assert not out.parent.exists()
+
     def test_flag_beats_config_file(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha=0.9\nlambda=0.01  # kernel width\n")
@@ -406,6 +422,24 @@ class TestEvaluate:
         ])
         assert code == 1
         assert "2 labels for 8 instances" in capsys.readouterr().err
+
+    def test_out_in_a_missing_directory_refused_before_scoring(
+        self, trained, synth_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "nodir" / "estimates.csv"
+        code = main([
+            "evaluate", "--pipeline", str(trained),
+            "--data", str(synth_dir / "truncated.csv"),
+            "--rul", str(synth_dir / "rul.txt"), "--out", str(out),
+            "--curves-dir", str(tmp_path / "curves"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --out {str(out)!r}: directory {str(out.parent)!r} does not exist"
+        ]
+        assert not (tmp_path / "curves").exists()
 
     def test_missing_pipeline_file_fails(self, synth_dir, capsys):
         code = main([
@@ -844,6 +878,24 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not results.exists()
+
+    def test_out_in_a_missing_directory_refused_before_building(
+        self, synth_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("alpha=0.3,0.9\nmax_epochs=2\npatience=1\n")
+        out = tmp_path / "nodir" / "results.csv"
+        code = main([
+            "sweep", "--data", str(synth_dir / "data.csv"),
+            "--config", str(cfg), "--out", str(out),
+            "--p", "2", "--c", "4", "--l", "6", "--seed", "2",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --out {str(out)!r}: directory {str(out.parent)!r} does not exist"
+        ]
 
     def test_keyless_config_is_one_error(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "keyless.cfg"

@@ -35,8 +35,9 @@ from edhi.pipeline import build_pipeline, predict_one
 from helpers import reference_estimate_rul
 
 
-def brute_force_candidates(test, train_set, config):
-    """Exhaustive double loop, independent of candidate_estimates."""
+def brute_force_pairs(test, train_set, config):
+    """Every feasible (train id, lag, similarity, estimate), one double loop
+    independent of candidate_estimates."""
     raw = []
     for train_id, curve in train_set:
         for lag in range(1, config.tau + 1):
@@ -48,6 +49,12 @@ def brute_force_candidates(test, train_set, config):
                 raw.append(
                     (train_id, lag, s, float(curve.length - test.length - lag))
                 )
+    return raw
+
+
+def brute_force_candidates(test, train_set, config):
+    """Exhaustive double loop, independent of candidate_estimates."""
+    raw = brute_force_pairs(test, train_set, config)
     if not raw:
         return []
     s_max = max(r[2] for r in raw)
@@ -229,6 +236,13 @@ class TestLibrary:
         assert library.lengths.dtype == np.int64
         assert library.lengths.tolist() == [7, 1, 12]
         assert library.starts.tolist() == [0, 7, 8]
+        # running sums from 0, one row per count; shorter curves hold their total
+        assert library.prefix.shape == (13, 3)
+        for k, (_, curve) in enumerate(pairs):
+            sums = np.concatenate([[0.0], np.cumsum(curve.values)])
+            assert library.prefix[: sums.size, k].tobytes() == sums.tobytes()
+            assert (library.prefix[sums.size :, k] == sums[-1]).all()
+        assert library.scale == max(abs(v) for _, c in pairs for v in c.values)
         for (uid, curve), (k, (want_id, want)) in zip(library, enumerate(pairs)):
             assert uid == want_id == library.ids[k]
             assert curve.values.tobytes() == want.values.tobytes()
@@ -246,6 +260,7 @@ class TestLibrary:
         pairs = self._pairs()
         library = Library.of(pairs)
         assert not library.flat.flags.writeable
+        assert not library.prefix.flags.writeable
         with pytest.raises(ValueError):
             library.flat[0] = 0.5
         for _, curve in library:
@@ -448,6 +463,171 @@ class TestPairDistancesBitwise:
         assert max(library.lengths) - test.length < tau
         test, library, tau = self._case("tau_past_every_curve")
         assert tau > max(library.lengths)
+
+
+class TestSegmentBoundPrune:
+    """candidate_estimates with its segment-sum bound used at every size,
+    against the brute-force loop: n_pairs, s_max and the survivors' bits."""
+
+    @pytest.fixture(autouse=True)
+    def bound_at_every_size(self, monkeypatch):
+        monkeypatch.setattr(matching, "_PRUNE_MIN_VALUES", 0)
+
+    @staticmethod
+    def check(test, trains, config):
+        """The pruned result against the loop; returns how many feasible
+        pairs the bound ruled out."""
+        got = candidate_estimates(test, trains, config)
+        raw = brute_force_pairs(test, trains, config)
+        assert got.n_pairs == len(raw)
+        assert got.s_max == max((r[2] for r in raw), default=0.0)
+        assert as_tuples(got) == brute_force_candidates(test, trains, config)
+        _, feasible = matching._feasible(test, trains, config.tau)
+        kept = matching._unpruned(test, trains, feasible, config)
+        assert not np.any(kept & ~feasible)
+        return int(np.count_nonzero(feasible) - np.count_nonzero(kept))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
+    @settings(max_examples=40, deadline=None)
+    def test_no_pruned_pair_would_survive(self, seed, n_trains):
+        rng = np.random.default_rng(seed)
+        test, trains, config = bench_case(rng, n_trains)
+        self.check(test, trains, config)
+        _, feasible = matching._feasible(test, trains, config.tau)
+        kept = matching._unpruned(test, trains, feasible, config)[feasible]
+        raw = brute_force_pairs(test, trains, config)  # in pair order
+        cutoff = config.alpha * max((r[2] for r in raw), default=0.0)
+        for (_, _, sim, _), keep in zip(raw, kept.tolist()):
+            if not keep:
+                assert not (sim >= cutoff and sim > 0.0)
+
+    def test_bound_rules_out_most_pairs_at_benchmark_sizes(self):
+        # guards the tests of this class against a bound that rules out nothing
+        rng = np.random.default_rng(5)
+        test, trains, _ = bench_case(rng, 80)
+        config = RunConfig(lam=0.0005, tau=40, alpha=0.87)
+        n_pairs = candidate_estimates(test, trains, config).n_pairs
+        assert self.check(test, trains, config) > n_pairs // 2
+
+    def test_pairs_planted_at_the_cut_edge(self):
+        # each library curve is one value and then the test curve plus an
+        # offset, so lag 1 is its one pair, and that pair's bound is its d^2
+        # but for rounding. Offset 0.005 gives the smallest d^2, which is U,
+        # and the other offsets step d^2 by about 2 ulps across d^2_min +
+        # lam * ln(1/alpha): only the margin keeps the bound from ruling out
+        # pairs that survive
+        rng = np.random.default_rng(8)
+        test = HiCurve(values=degradation_curve(rng, 300)[100:180])
+        lam, alpha = 1e-3, 0.9
+        edge = 0.005**2 + lam * math.log(1 / alpha)
+        offsets = [0.005] + [math.sqrt(edge) * (1 + 2**-52 * j) for j in range(-40, 41)]
+        trains = Library.of(
+            [
+                (f"u{j}", HiCurve(values=np.concatenate([[0.5], test.values + offset])))
+                for j, offset in enumerate(offsets)
+            ]
+        )
+        config = RunConfig(lam=lam, tau=40, alpha=alpha)
+        self.check(test, trains, config)
+        survivors = len(candidate_estimates(test, trains, config))
+        assert 1 < survivors < len(offsets)
+
+    def test_no_window_before_the_first_lag_sets_u(self):
+        # the curve starts with the test curve itself, at lag 0, which is no
+        # pair; U must be the d^2 of the pair with the smallest bound (lag 1
+        # here), or the best pair is ruled out with the rest
+        rng = np.random.default_rng(9)
+        test = HiCurve(values=degradation_curve(rng, 300)[100:180])
+        values = np.concatenate([test.values, rng.uniform(0, 1, 40)])
+        trains = Library.of([("u0", HiCurve(values=values))])
+        self.check(test, trains, RunConfig(lam=1e-4, tau=40, alpha=0.87))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1e4]))
+    @settings(max_examples=30, deadline=None)
+    def test_values_near_1e6(self, seed, spread):
+        # curves 1e6 + spread * an HI curve: the running sums reach ~4e8, and
+        # the margin grows with the values, not with their spread
+        rng = np.random.default_rng(seed)
+        test, trains, config = bench_case(rng, 30)
+        shifted = Library.of(
+            [(uid, HiCurve(values=1e6 + spread * c.values)) for uid, c in trains]
+        )
+        test = HiCurve(values=1e6 + spread * test.values)
+        config = dataclasses.replace(config, lam=config.lam * spread**2)
+        self.check(test, shifted, config)
+
+    def test_values_near_1e6_still_prune(self):
+        rng = np.random.default_rng(5)
+        test, trains, _ = bench_case(rng, 80)
+        shifted = Library.of(
+            [(uid, HiCurve(values=1e6 + 1e4 * c.values)) for uid, c in trains]
+        )
+        test = HiCurve(values=1e6 + 1e4 * test.values)
+        config = RunConfig(lam=0.0005 * 1e8, tau=40, alpha=0.87)
+        assert self.check(test, shifted, config) > 0
+
+    @pytest.mark.parametrize("l_star", [1, 2, 3, 4, 5])
+    def test_test_curves_shorter_than_the_segments(self, l_star):
+        rng = np.random.default_rng(l_star)
+        _, trains, _ = bench_case(rng, 80)
+        test = HiCurve(values=degradation_curve(rng, 200)[50 : 50 + l_star])
+        for lam in (0.0005, 0.01):
+            config = RunConfig(lam=lam, tau=60, alpha=0.87)
+            assert self.check(test, trains, config) > 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_at_its_ends(self, alpha):
+        rng = np.random.default_rng(4)
+        test, trains, _ = bench_case(rng, 80)
+        config = RunConfig(lam=0.001, tau=60, alpha=alpha)
+        pruned = self.check(test, trains, config)
+        # alpha 0 keeps every pair that does not underflow: nothing to rule out
+        assert (pruned == 0) == (alpha == 0.0)
+
+    def test_every_similarity_underflows(self):
+        rng = np.random.default_rng(2)
+        test, trains, _ = bench_case(rng, 80)
+        test = HiCurve(values=test.values + 5.0)
+        for lam in (1e-300, 1e-3):
+            config = RunConfig(lam=lam, tau=60, alpha=0.87)
+            assert brute_force_candidates(test, trains, config) == []
+            # the cutoff would not be a normal float: every pair is computed
+            assert self.check(test, trains, config) == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["test", "library"])
+    def test_non_finite_values(self, monkeypatch, value, where):
+        rng = np.random.default_rng(3)
+        pairs = [
+            (f"u{k}", HiCurve(values=degradation_curve(rng, 300))) for k in range(5)
+        ]
+        test = HiCurve(values=degradation_curve(rng, 300)[:120].copy())
+        if where == "test":
+            test.values[10] = value
+        else:
+            pairs[3][1].values[150] = value
+        trains = Library.of(pairs)
+        config = RunConfig(tau=60, lam=0.01)
+
+        def outcome():
+            try:
+                got = candidate_estimates(test, trains, config)
+            except ValueError as exc:
+                return str(exc)
+            return as_tuples(got), got.n_pairs, got.s_max
+
+        pruned = outcome()
+        monkeypatch.setattr(matching, "_PRUNE_MIN_VALUES", 1 << 62)
+        assert pruned == outcome()
+        if np.isnan(value):
+            want = "u0" if where == "test" else "u3"
+            assert pruned == f"NaN curve distance against train instance {want}"
+        else:
+            assert pruned[0] == brute_force_candidates(test, trains, config)
+
+    def test_empty_library(self):
+        test = HiCurve(values=np.linspace(1, 0, 50))
+        assert self.check(test, Library.of([]), RunConfig(tau=60)) == 0
 
 
 class TestEstimateRul:
